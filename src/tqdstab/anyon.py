@@ -27,6 +27,11 @@ from .exactmath import (IntMatrix, ModSolver, Rational01, integer_kernel,
 Element = tuple[int, ...]
 
 
+class RelationError(ValueError):
+    """A presentation relation is not a boson that braids trivially with
+    every generator, so the quadratic form does not descend to the quotient."""
+
+
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """prod_i Z_{orders[i]}; elements are exponent tuples."""
@@ -294,15 +299,17 @@ def theory_from_presentation(k: int,
 
     The relation lattice must have full rank k (finite quotient). Each
     relation r must satisfy q(r) = 0 and b(r, .) = 0 so that q descends;
-    this is asserted on the presentation generators.
+    this is checked on the presentation generators (RelationError).
     """
     basis = [tuple(1 if t == i else 0 for t in range(k)) for i in range(k)]
     for c in range(relations.cols):
         rel = [relations[r, c] for r in range(k)]
-        assert q_fn(rel).is_zero(), f"relation {rel} is not a boson"
+        if not q_fn(rel).is_zero():
+            raise RelationError(f"relation {rel} is not a boson")
         for e in basis:
-            assert b_fn(rel, e).is_zero(), \
-                f"relation {rel} braids with generator {e}"
+            if not b_fn(rel, e).is_zero():
+                raise RelationError(
+                    f"relation {rel} braids with generator {e}")
     snf = smith_normal_form(relations)
     diag = snf.diagonal()
     if len(diag) < k or any(d == 0 for d in diag):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Literal, Sequence
 
-from .pauli import CliffordGate, PauliOperator, conjugate, qudit_cx
+from .pauli import CliffordGate, PauliOperator, multiply, qudit_cx
 from .stabilizer import StabilizerGroup
 
 Vertex = tuple[int, int]
@@ -245,14 +245,6 @@ def ucx_circuit(lattice: TriangularLattice) -> list[CliffordGate]:
     return gates
 
 
-def conjugate_group(group: StabilizerGroup,
-                    circuit: Sequence[CliffordGate]) -> StabilizerGroup:
-    """Conjugate every generator; Clifford images stay commuting."""
-    return StabilizerGroup(group.system,
-                           [conjugate(g, circuit) for g in group.generators],
-                           validate=False)
-
-
 # ---------------------------------------------------------------------------
 # Quadratic phase operators on qubits
 # ---------------------------------------------------------------------------
@@ -360,9 +352,6 @@ class QuadraticPhaseOperator:
                 row = (row << 1) | bit
             mat[row, col] = val
         return mat
-
-
-QPP_IDENTITY = QuadraticPhaseOperator()
 
 
 def map_qudit_to_qubits(P: PauliOperator) -> QuadraticPhaseOperator:
@@ -549,7 +538,6 @@ def dense_ground_space(group: StabilizerGroup, tol: float = 1e-9,
         out[target] = phase[:, None] * V
         return out
 
-    from math import lcm
     rng = np.random.default_rng(7)
     expected = max(1, total // max(1, _order_hint(group)))
     cols = min(total, expected + extra_probes)
@@ -569,12 +557,10 @@ def dense_ground_space(group: StabilizerGroup, tol: float = 1e-9,
 
 
 def _pauli_order(P: PauliOperator) -> int:
-    from .pauli import power
     k = 1
     Q = P
     while not Q.is_identity():
         k += 1
-        from .pauli import multiply
         Q = multiply(Q, P)
         if k > 4 * P.system.D:
             raise ValueError("operator order too large (nontrivial scalar?)")

@@ -198,6 +198,15 @@ def fusion_order(model: LatticeModel, label,
 # ---------------------------------------------------------------------------
 
 
+def _combine(gen_labels: tuple[AnyonLabel, ...], vec) -> AnyonLabel:
+    """The label with exponent vector `vec` over the generator labels."""
+    n_layers = len(gen_labels[0].flux)
+    lab = AnyonLabel((0,) * n_layers, (0,) * n_layers)
+    for k, g in zip(vec, gen_labels):
+        lab = lab.combine(k * g)
+    return lab
+
+
 @dataclass(frozen=True)
 class ExtractedTheory:
     """Measured statistics tables over the group generated by the labels.
@@ -214,11 +223,7 @@ class ExtractedTheory:
     theory: anyon.AnyonTheory
 
     def combine(self, vec) -> AnyonLabel:
-        lab = AnyonLabel((0,) * len(self.generator_labels[0].flux),
-                         (0,) * len(self.generator_labels[0].flux))
-        for k, g in zip(vec, self.generator_labels):
-            lab = lab.combine(k * g)
-        return lab
+        return _combine(self.generator_labels, vec)
 
     def box(self) -> list[tuple[int, ...]]:
         return [tuple(v) for v in
@@ -238,15 +243,23 @@ def extract_theory(model: LatticeModel, labels=None,
     gens = dict(zip(names, gen_labels))
     orders = tuple(fusion_order(model, g, junction) for g in gen_labels)
 
+    # theta is a function of the exponent vector alone, so it is measured
+    # once per distinct vector; braiding is measured for every pair.
+    label_of: dict[tuple[int, ...], AnyonLabel] = {}
+    theta_of: dict[tuple[int, ...], Rational01] = {}
+
     def combine(vec) -> AnyonLabel:
-        lab = AnyonLabel((0,) * len(gen_labels[0].flux),
-                         (0,) * len(gen_labels[0].flux))
-        for k, g in zip(vec, gen_labels):
-            lab = lab.combine(k * g)
-        return lab
+        vec = tuple(vec)
+        if vec not in label_of:
+            label_of[vec] = _combine(gen_labels, vec)
+        return label_of[vec]
 
     def q_fn(vec) -> Rational01:
-        return t_junction_theta(model, combine(vec), junction, check=False)
+        vec = tuple(vec)
+        if vec not in theta_of:
+            theta_of[vec] = t_junction_theta(model, combine(vec), junction,
+                                             check=False)
+        return theta_of[vec]
 
     def b_fn(v1, v2) -> Rational01:
         return crossing_braiding(model, combine(v1), combine(v2), check=False)

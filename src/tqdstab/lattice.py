@@ -170,12 +170,17 @@ class TorusLattice:
         return self.n_edge_sites + layer * self.n_cells + y * self.Lx + x
 
     def system(self) -> QuditSystem:
-        dims = []
-        for d in self.edge_dims:
-            dims.extend([d] * (2 * self.n_cells))
-        for d in self.vertex_dims:
-            dims.extend([d] * self.n_cells)
-        return QuditSystem(dims)
+        """The lattice's qudit system, built on first use and then shared."""
+        system = self.__dict__.get("_system")
+        if system is None:
+            dims = []
+            for d in self.edge_dims:
+                dims.extend([d] * (2 * self.n_cells))
+            for d in self.vertex_dims:
+                dims.extend([d] * self.n_cells)
+            system = QuditSystem(dims)
+            object.__setattr__(self, "_system", system)
+        return system
 
     def site_legend(self) -> dict:
         """Human/CLI-readable description of the site indexing."""
@@ -274,6 +279,9 @@ class LatticeModel:
     labels: dict = field(default_factory=dict)
     # per-layer scalar phase exponents carried by the vertex terms
     phase_fix: tuple[int, ...] = ()
+    # string_operator's memo; see there for the key
+    _strings: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def system(self) -> QuditSystem:
@@ -363,12 +371,16 @@ class LatticeModel:
                 raise ValueError(move)
         return PauliOperator(system, x=xmap, z=zmap)
 
-    def string_segments(self, label: AnyonLabel,
-                        path: PathSpec) -> list[PauliOperator]:
+    def check_path(self, label: AnyonLabel, path: PathSpec) -> None:
+        """Reject a path invalid on this lattice or of the wrong kind."""
         path.validate(self.lattice)
         if label.path_kind != path.kind:
             raise ValueError(
                 f"label needs a {label.path_kind} path, got {path.kind}")
+
+    def string_segments(self, label: AnyonLabel,
+                        path: PathSpec) -> list[PauliOperator]:
+        self.check_path(label, path)
         segs = []
         pts = path.points(self.lattice)
         for cell, move in zip(pts, path.moves):
@@ -378,10 +390,29 @@ class LatticeModel:
 
 def string_operator(model: LatticeModel, label: "str | AnyonLabel",
                     path: PathSpec) -> PauliOperator:
-    """Product of short transport segments in path order."""
+    """Product of short transport segments in path order.
+
+    Memoized on the model. The key is the path plus, per layer, the flux,
+    the charge and the flux-bound charge, each mod the layer dimension d:
+    every segment exponent is one of these or a difference of two of them,
+    mod d, and every phase follows from the reduced exponents. The bound
+    charge has to be in the key because it is computed from the unreduced
+    flux: on twisted N=[2,4] the fluxes (4,1) and (0,1) agree mod the
+    layer dimensions (4, 16) but bind different charges, so their strings
+    differ. The label and path checks run on every call, hit or miss. A hit
+    returns the stored operator itself; Pauli operators are never mutated.
+    """
     lab = model.label(label)
-    segs = model.string_segments(lab, path)
-    return product(segs, system=model.system)
+    model.check_path(lab, path)
+    rider = model._bound_charge(lab.flux)
+    key = (tuple((f % d, c % d, r % d) for f, c, r, d in
+                 zip(lab.flux, lab.charge, rider, model.lattice.edge_dims)),
+           path)
+    op = model._strings.get(key)
+    if op is None:
+        op = product(model.string_segments(lab, path), system=model.system)
+        model._strings[key] = op
+    return op
 
 
 # ---------------------------------------------------------------------------

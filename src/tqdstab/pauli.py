@@ -29,6 +29,7 @@ class QuditSystem:
         if any(d < 1 for d in dims):
             raise ValueError("site dimensions must be >= 1")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_D", lcm(*dims) if dims else 1)
 
     @property
     def n_sites(self) -> int:
@@ -37,7 +38,7 @@ class QuditSystem:
     @property
     def D(self) -> int:
         """lcm of all site dimensions (phase lattice denominator)."""
-        return lcm(*self.dims) if self.dims else 1
+        return self._D
 
     def check_site(self, site: int) -> None:
         if not 0 <= site < len(self.dims):

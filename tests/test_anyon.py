@@ -1,10 +1,16 @@
 """Tests for abstract anyon theories, condensation, and fusion groups."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from tqdstab.anyon import (AnyonTheory, antisemion_theory, braiding,
-                           cocycle_value, condense, ds_theory, fusion_group,
-                           fusion_group_from_cocycle, is_modular,
+from tqdstab.anyon import (AnyonTheory, RelationError, antisemion_theory,
+                           braiding, cocycle_value, condense, ds_theory,
+                           fusion_group, fusion_group_from_cocycle,
+                           is_modular,
                            lagrangian_subgroups, semion_theory,
                            stack, stack_condense_to_tqd, stack_theories,
                            theories_isomorphic, theory_from_presentation,
@@ -102,8 +108,27 @@ class TestPresentation:
         def b_fn(v, w):
             return R(0)
 
-        with pytest.raises(AssertionError):
+        with pytest.raises(RelationError):
             theory_from_presentation(1, q_fn, b_fn, IntMatrix([[1]]))
+
+    def test_nonboson_relation_rejected_under_optimize(self):
+        # The check must not be an assert: run the same case under python -O.
+        script = (
+            "from tqdstab.anyon import RelationError, "
+            "theory_from_presentation\n"
+            "from tqdstab.exactmath import IntMatrix, Rational01 as R\n"
+            "assert False, 'asserts must be stripped under -O'\n"
+            "try:\n"
+            "    theory_from_presentation(1, lambda v: R(v[0], 2),\n"
+            "                             lambda v, w: R(0), IntMatrix([[1]]))\n"
+            "except RelationError:\n"
+            "    print('rejected')\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "rejected"
 
 
 class TestCondensation:

@@ -1,6 +1,8 @@
 """Tests for torus lattice models, string operators, and builders."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tqdstab.lattice import (AnyonLabel, DS_PARAMS, H, LatticeModel, PathSpec,
                              TorusLattice, TqdParams, V, build_ds,
@@ -110,6 +112,14 @@ class TestTorusLattice:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             TorusLattice(1, 3, (2,))
+
+    def test_system_is_built_once(self):
+        t = TorusLattice(3, 3, (4, 16), vertex_dims=(2,))
+        assert t.system() is t.system()
+        assert t.system().D == 16
+        # the stored system leaves equality and hashing alone
+        fresh = TorusLattice(3, 3, (4, 16), vertex_dims=(2,))
+        assert fresh == t and hash(fresh) == hash(t)
 
 
 class TestPathSpec:
@@ -221,6 +231,69 @@ class TestStringOperators:
         _, model = build_ds(3, 3)
         with pytest.raises(KeyError):
             model.label("zork")
+
+
+def _uncached(model, label, path):
+    return product(model.string_segments(label, path), system=model.system)
+
+
+@pytest.fixture(scope="module")
+def memo_models():
+    """Small models whose string memos persist across hypothesis examples,
+    so later examples hit entries made by earlier ones."""
+    return [build_ds(3, 3)[1],
+            build_zn_tc(4, 3, 3)[1],
+            build_tqd(TqdParams([2, 4], [0, 1], {(0, 1): 1}), 3, 3)[1]]
+
+
+class TestStringMemo:
+    def test_bound_charge_is_part_of_the_key(self):
+        # Twisted N=[2,4]: fluxes (4,1) and (0,1) agree mod the layer
+        # dimensions (4, 16) but bind different charges.
+        params = TqdParams([2, 4], [0, 0], {(0, 1): 1})
+        path = PathSpec("dual", (0, 0), ("E",))
+        a = AnyonLabel((4, 1), (0, 0))
+        b = AnyonLabel((0, 1), (0, 0))
+        assert a.reduced((4, 16)) == b.reduced((4, 16))
+        for first, second in ((a, b), (b, a)):
+            _, model = build_tqd(params, 3, 3)
+            op_first = string_operator(model, first, path)
+            op_second = string_operator(model, second, path)
+            assert op_first == _uncached(model, first, path)
+            assert op_second == _uncached(model, second, path)
+            assert op_first != op_second
+
+    def test_path_kind_checked_on_a_cache_hit(self):
+        # Flux 4 on the d=4 DS layer has the key of the trivial label, but
+        # it is a dual-path label while the trivial label is direct.
+        _, model = build_ds(3, 3)
+        path = PathSpec("dual", (0, 0), ("E", "N"))
+        string_operator(model, AnyonLabel((4,), (0,)), path)
+        with pytest.raises(ValueError, match="needs a direct path"):
+            string_operator(model, AnyonLabel((0,), (0,)), path)
+
+    @given(data=st.data(), which=st.integers(0, 2),
+           start=st.tuples(st.integers(-3, 5), st.integers(-3, 5)),
+           moves=st.lists(st.sampled_from("ENWS"), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_memo_equals_segment_product(self, memo_models, data, which,
+                                         start, moves):
+        model = memo_models[which]
+        dims = model.lattice.edge_dims
+        k = len(dims)
+        entries = st.lists(st.integers(-40, 40), min_size=k, max_size=k)
+        shifts = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+        lab = AnyonLabel(tuple(data.draw(entries)), tuple(data.draw(entries)))
+        fs, cs = data.draw(shifts), data.draw(shifts)
+        # same label mod the layer dimensions, unreduced differently
+        twin = AnyonLabel(
+            tuple(f + s * d for f, s, d in zip(lab.flux, fs, dims)),
+            tuple(c + s * d for c, s, d in zip(lab.charge, cs, dims)))
+        assume(twin.path_kind == lab.path_kind)
+        path = PathSpec(lab.path_kind, start, tuple(moves))
+        for label in (lab, twin, lab):
+            assert string_operator(model, label, path) == \
+                _uncached(model, label, path)
 
 
 # ---------------------------------------------------------------------------
