@@ -23,7 +23,7 @@ from math import prod
 from typing import Iterable, Literal, Sequence
 
 from .pauli import CliffordGate, PauliOperator, multiply, qudit_cx
-from .stabilizer import StabilizerGroup
+from .stabilizer import NonCommutingError, StabilizerGroup, group_order
 
 Vertex = tuple[int, int]
 EdgeKind = Literal["h", "v", "d"]
@@ -568,8 +568,7 @@ def _pauli_order(P: PauliOperator) -> int:
 
 
 def _order_hint(group: StabilizerGroup) -> int:
-    from .stabilizer import group_order
     try:
         return group_order(group)
-    except Exception:
+    except NonCommutingError:
         return 1

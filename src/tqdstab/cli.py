@@ -15,8 +15,8 @@ import sys
 from . import anyon, circuitmap, extraction, kmatrix
 from . import lattice as lat
 from .exactmath import IntMatrix
-from .stabilizer import (assert_commuting, logical_dimension,
-                         scalar_consistency)
+from .stabilizer import (VerificationError, assert_commuting,
+                         logical_dimension, scalar_consistency)
 
 
 class SpecError(ValueError):
@@ -97,6 +97,8 @@ def _build_model(spec: dict):
         spec["type"] = "tqd" if "N" in spec else "ds"
     try:
         return lat.build_from_spec(spec)
+    except VerificationError:
+        raise
     except ValueError as exc:
         raise SpecError(str(exc))
 
@@ -380,6 +382,9 @@ def run(argv=None) -> int:
     except SpecError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except VerificationError as exc:
+        sys.stderr.write(f"verification failed: {exc}\n")
+        return 1
     except (KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

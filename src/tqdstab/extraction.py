@@ -18,21 +18,21 @@ from math import lcm
 from .exactmath import IntMatrix, ModSolver, Rational01
 from .pauli import (PauliOperator, adjoint, commutation_phase, identity,
                     multiply, power, product)
-from .stabilizer import StabilizerGroup, member_with_phase
+from .stabilizer import StabilizerGroup, VerificationError, member_with_phase
 from . import anyon
 from . import lattice as lat
 from .lattice import AnyonLabel, LatticeModel, PathSpec, string_operator
 
 
-class ConfinedLabelError(ValueError):
+class ConfinedLabelError(VerificationError):
     """The label's closed string fails to commute with the stabilizers."""
 
 
-class InconsistentExtractionError(ValueError):
+class InconsistentExtractionError(VerificationError):
     """Measured braiding disagrees with the theta-ratio identity."""
 
 
-class DecompositionError(ValueError):
+class DecompositionError(VerificationError):
     """An endpoint-operator decomposition failed (support overlap)."""
 
 
@@ -161,7 +161,7 @@ def generating_labels(model: LatticeModel) -> dict[str, AnyonLabel]:
     """The named labels that generate the model's deconfined sector."""
     if model.kind == "tc":
         names = ["e", "m"]
-    elif model.kind in ("ds", "spt"):
+    elif model.kind == "ds":
         names = ["s", "sbar"]
     elif model.kind == "tqd":
         M = model.params.M
@@ -331,31 +331,12 @@ def extraction_report(model: LatticeModel, labels=None,
 # ---------------------------------------------------------------------------
 
 
-_GROUP_CACHE: dict = {}
-
-
 def model_group(model: LatticeModel) -> StabilizerGroup:
-    """Rebuild the stabilizer group of a lattice model (cached)."""
-    torus = model.lattice
-    key = (model.kind, torus, model.params, model.tc_N)
-    if key in _GROUP_CACHE:
-        return _GROUP_CACHE[key]
-    group = _build_group(model)
-    _GROUP_CACHE[key] = group
-    return group
-
-
-def _build_group(model: LatticeModel) -> StabilizerGroup:
-    torus = model.lattice
-    if model.kind == "tc":
-        return lat.build_zn_tc(model.tc_N, torus.Lx, torus.Ly)[0]
-    if model.kind == "ds":
-        return lat.build_ds(torus.Lx, torus.Ly)[0]
-    if model.kind == "tqd":
-        return lat.build_tqd(model.params, torus.Lx, torus.Ly)[0]
-    if model.kind == "spt":
-        return lat.build_spt(torus.Lx, torus.Ly)[0]
-    raise ValueError(f"unknown model kind {model.kind!r}")
+    """The stabilizer group the model's builder made."""
+    if model.group is None:
+        raise ValueError(f"the {model.kind!r} model carries no stabilizer "
+                         "group; build it with a lattice builder")
+    return model.group
 
 
 def logical_labels(model: LatticeModel) -> list[tuple[str, str]]:
@@ -370,16 +351,14 @@ def logical_labels(model: LatticeModel) -> list[tuple[str, str]]:
     raise ValueError(f"no logical strings for model kind {model.kind!r}")
 
 
-def logical_algebra(model: LatticeModel,
-                    group: StabilizerGroup | None = None) -> dict:
+def logical_algebra(model: LatticeModel) -> dict:
     """Noncontractible-string logical operators and their exact algebra.
 
     Pair i is (X-bar_i, Z-bar_i); for the toric code the second pair uses the
     swapped cycle directions. Reports the pairwise commutation phases and,
     for each operator, the smallest power that is a stabilizer member.
     """
-    if group is None:
-        group = model_group(model)
+    group = model_group(model)
     ops: list[tuple[str, PauliOperator]] = []
     pairs = logical_labels(model)
     for i, (xname, zname) in enumerate(pairs):
@@ -466,8 +445,7 @@ def _partial_member(group: StabilizerGroup, gen_indices, target,
         system=group.system)
 
 
-def spt_cocycle(model: LatticeModel, ell: int,
-                group: StabilizerGroup | None = None) -> dict:
+def spt_cocycle(model: LatticeModel, ell: int) -> dict:
     """Boundary 3-cocycle table of the SPT model over Z_2^3.
 
     Truncates the effective boundary symmetry action P_R(1) P~_R(1)^dag to an
@@ -483,8 +461,7 @@ def spt_cocycle(model: LatticeModel, ell: int,
     torus = model.lattice
     if torus.Lx < ell + 3 or torus.Ly < 5:
         raise ValueError("torus too small: need Lx >= ell + 3 and Ly >= 5")
-    if group is None:
-        group = model_group(model)
+    group = model_group(model)
     system = group.system
     coords = _site_coords(torus)
     # A vertex term at row y touches rows y-1 .. y+1, so a region of rows

@@ -29,8 +29,8 @@ from math import gcd
 from typing import Literal, Sequence
 
 from .exactmath import IntMatrix, ModSolver, solve_linear_mod
-from .pauli import (PauliOperator, QuditSystem, adjoint, identity, multiply,
-                    product, scalar)
+from .pauli import (PauliOperator, QuditSystem, adjoint, multiply, product,
+                    scalar)
 from .stabilizer import StabilizerGroup, groups_equal, measure
 
 
@@ -279,6 +279,9 @@ class LatticeModel:
     labels: dict = field(default_factory=dict)
     # per-layer scalar phase exponents carried by the vertex terms
     phase_fix: tuple[int, ...] = ()
+    # the builder's stabilizer group; None on a hand-built model
+    group: StabilizerGroup | None = field(default=None, repr=False,
+                                          compare=False)
     # string_operator's memo; see there for the key
     _strings: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
@@ -493,14 +496,19 @@ def _flux_phase_corrections(system: QuditSystem,
     return list(min(solutions))
 
 
-def _apply_phase_fix(system: QuditSystem, gens: list[PauliOperator],
-                     per_layer: int, fix: Sequence[int]) -> list[PauliOperator]:
-    out = list(gens)
+def _with_phase_fix(model: LatticeModel, gens: list[PauliOperator],
+                    n_layers: int) -> tuple[StabilizerGroup, LatticeModel]:
+    """Fix the vertex-term phases, validate the group once and hand it to
+    the model."""
+    system, per_layer = model.system, model.lattice.n_cells
+    fix = _flux_phase_corrections(system, gens, per_layer, n_layers)
+    gens = list(gens)
     for i, m in enumerate(fix):
         if m:
             for k in range(i * per_layer, (i + 1) * per_layer):
-                out[k] = multiply(scalar(system, m), out[k])
-    return out
+                gens[k] = multiply(scalar(system, m), gens[k])
+    group = StabilizerGroup(system, gens)
+    return group, replace(model, phase_fix=tuple(fix), group=group)
 
 
 def build_zn_tc(N: int, Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
@@ -511,7 +519,8 @@ def build_zn_tc(N: int, Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel
     labels = {"e": AnyonLabel((0,), (1,)), "m": AnyonLabel((1,), (0,))}
     model = LatticeModel("tc", lattice, tc_N=N, labels=labels)
     gens = _tc_like_generators(model, [labels["m"]], [labels["e"]])
-    return StabilizerGroup(model.system, gens), model
+    group = StabilizerGroup(model.system, gens)
+    return group, replace(model, group=group)
 
 
 def _tqd_labels(params: TqdParams) -> dict[str, AnyonLabel]:
@@ -555,10 +564,7 @@ def build_tqd(params: TqdParams, Lx: int,
         [labels[f"phi{i + 1}"] for i in range(M)],
         [labels[f"c{i + 1}"] for i in range(M)],
         [labels[f"b{i + 1}"] for i in range(M)])
-    fix = _flux_phase_corrections(model.system, gens, lattice.n_cells, M)
-    gens = _apply_phase_fix(model.system, gens, lattice.n_cells, fix)
-    model = replace(model, phase_fix=tuple(fix))
-    return StabilizerGroup(model.system, gens), model
+    return _with_phase_fix(model, gens, M)
 
 
 def build_ds(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
@@ -568,51 +574,33 @@ def build_ds(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
     labels["s"] = labels["phi1"]                         # flux 1, charge 1
     labels["sbar"] = AnyonLabel((-1,), (1,))             # flux -1, charge 1
     labels["ssbar"] = AnyonLabel((0,), (2,))             # pure charge 2
-    model = LatticeModel("ds", tqd_model.lattice, params=DS_PARAMS,
-                         labels=labels, phase_fix=tqd_model.phase_fix)
-    return StabilizerGroup(model.system, group.generators), model
+    return group, replace(tqd_model, kind="ds", labels=labels)
+
+
+def _tqd_terms(model: LatticeModel, first: int,
+               last: int) -> list[PauliOperator]:
+    """Blocks [first, last) of a DS/TQD builder's generators, each block
+    M * n_cells long: A terms, then B terms, then two blocks of C terms."""
+    if model.kind not in ("ds", "tqd") or model.group is None:
+        raise ValueError(f"no built DS/TQD terms on a {model.kind!r} model")
+    block = model.n_layers * model.lattice.n_cells
+    return list(model.group.generators[first * block:last * block])
 
 
 def ds_edge_terms(model: LatticeModel) -> list[PauliOperator]:
     """The {C_e} terms of the DS/TQD model (same order as in the builders)."""
-    lat = model.lattice
-    params = model.params
-    labels = _tqd_labels(params)
-    terms = []
-    for i in range(params.M):
-        lab = labels[f"b{i + 1}"]
-        for y in range(lat.Ly):
-            for x in range(lat.Lx):
-                terms.append(model._segment((x - 1, y), "E", lab,
-                                            bound=False))
-                terms.append(model._segment((x, y - 1), "N", lab,
-                                            bound=False))
-    return terms
+    return _tqd_terms(model, 2, 4)
 
 
 def vertex_terms(model: LatticeModel) -> list[PauliOperator]:
     """The {A_{v,i}} flux-loop terms (with their scalar phases),
-    vertex-major order."""
-    lat = model.lattice
-    params = model.params
-    labels = _tqd_labels(params)
-    fix = model.phase_fix or (0,) * params.M
-    return [multiply(scalar(model.system, fix[i]),
-                     string_operator(model, labels[f"phi{i + 1}"],
-                                     dual_loop_around_vertex(x, y)))
-            for i in range(params.M)
-            for y in range(lat.Ly) for x in range(lat.Lx)]
+    layer-major, then vertex order."""
+    return _tqd_terms(model, 0, 1)
 
 
 def plaquette_terms(model: LatticeModel) -> list[PauliOperator]:
-    """The {B_{p,i}} charge-loop terms, plaquette-major order."""
-    lat = model.lattice
-    params = model.params
-    labels = _tqd_labels(params)
-    return [string_operator(model, labels[f"c{i + 1}"],
-                            direct_loop_around_plaquette(x, y))
-            for i in range(params.M)
-            for y in range(lat.Ly) for x in range(lat.Lx)]
+    """The {B_{p,i}} charge-loop terms, layer-major, then plaquette order."""
+    return _tqd_terms(model, 1, 2)
 
 
 def tc_stack_group(params: TqdParams, Lx: int, Ly: int) -> StabilizerGroup:
@@ -639,13 +627,18 @@ def condensation_equal(params: TqdParams, Lx: int, Ly: int) -> bool:
     return groups_equal(measured, group)
 
 
-def build_spt(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
-    """SPT model: DS edge layer plus vertex qubits; terms A_v X_v, C_e, D_e."""
+def _spt_model(Lx: int, Ly: int) -> LatticeModel:
+    """The SPT geometry (DS edge layer plus vertex qubits), without terms."""
     lattice = TorusLattice(Lx, Ly, (4,), vertex_dims=(2,))
     labels = {"s": AnyonLabel((1,), (1,)), "sbar": AnyonLabel((-1,), (1,)),
               "ssbar": AnyonLabel((0,), (2,))}
-    model = LatticeModel("spt", lattice, params=DS_PARAMS, labels=labels)
-    system = model.system
+    return LatticeModel("spt", lattice, params=DS_PARAMS, labels=labels)
+
+
+def build_spt(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
+    """SPT model: DS edge layer plus vertex qubits; terms A_v X_v, C_e, D_e."""
+    model = _spt_model(Lx, Ly)
+    lattice, system = model.lattice, model.system
     gens: list[PauliOperator] = []
     for y in range(Ly):
         for x in range(Lx):
@@ -654,10 +647,7 @@ def build_spt(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
             gens.append(multiply(a_v, x_v))
     gens.extend(spt_edge_terms(model, which="C"))
     gens.extend(spt_edge_terms(model, which="D"))
-    fix = _flux_phase_corrections(system, gens, lattice.n_cells, 1)
-    gens = _apply_phase_fix(system, gens, lattice.n_cells, fix)
-    model = replace(model, phase_fix=tuple(fix))
-    return StabilizerGroup(system, gens), model
+    return _with_phase_fix(model, gens, 1)
 
 
 def spt_edge_terms(model: LatticeModel, which: str) -> list[PauliOperator]:
@@ -692,9 +682,8 @@ def build_hatted_ds(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
 
     Measuring the D_e operators on this group yields the SPT model.
     """
-    _, model = build_spt(Lx, Ly)
-    lattice = model.lattice
-    system = model.system
+    model = _spt_model(Lx, Ly)
+    lattice, system = model.lattice, model.system
     gens: list[PauliOperator] = []
     for y in range(Ly):
         for x in range(Lx):
@@ -705,10 +694,7 @@ def build_hatted_ds(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
         for x in range(Lx):
             gens.append(PauliOperator(system,
                                       x={lattice.vertex_site(x, y): 1}))
-    fix = _flux_phase_corrections(system, gens, lattice.n_cells, 1)
-    gens = _apply_phase_fix(system, gens, lattice.n_cells, fix)
-    model = replace(model, phase_fix=tuple(fix))
-    return StabilizerGroup(system, gens), model
+    return _with_phase_fix(model, gens, 1)
 
 
 # ---------------------------------------------------------------------------

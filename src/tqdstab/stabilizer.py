@@ -12,17 +12,25 @@ from dataclasses import dataclass
 from math import prod
 from typing import Literal, Sequence
 
-from .exactmath import IntMatrix, ModSolver, Rational01
+from .exactmath import IntMatrix, ModSolver, Rational01, solve_linear_mod
 from .pauli import (PauliOperator, QuditSystem, commutation_phase, identity,
                     multiply, power)
 
 
-class NonCommutingError(ValueError):
+class VerificationError(ValueError):
+    """A check on a model, a group or a solver's answer failed."""
+
+
+class NonCommutingError(VerificationError):
     pass
 
 
-class InconsistentGroupError(ValueError):
+class InconsistentGroupError(VerificationError):
     pass
+
+
+class SolverCheckError(VerificationError):
+    """A normal-form solver's answer failed its exact re-check."""
 
 
 @dataclass(frozen=True)
@@ -47,12 +55,21 @@ class StabilizerGroup:
         for g in self.generators:
             if g.system.dims != system.dims:
                 raise ValueError("generator on a different system")
-        if validate:
-            bad = assert_commuting(self)
-            if bad:
-                raise NonCommutingError(f"non-commuting generator pairs: {bad}")
+        # non-commuting generator pairs, recorded by the first check
+        self._noncommuting: list[tuple[int, int]] | None = None
         self._solver: ModSolver | None = None
         self._phase_group: set[int] | None = None
+        if validate:
+            self._check_commuting()
+
+    def _check_commuting(self) -> None:
+        """Raise NonCommutingError unless the generators commute. The
+        pairwise check runs once; later calls reuse its record."""
+        if self._noncommuting is None:
+            self._noncommuting = assert_commuting(self)
+        if self._noncommuting:
+            raise NonCommutingError(
+                f"non-commuting generator pairs: {self._noncommuting}")
 
     # -- lifted exponent coordinates ----------------------------------------
 
@@ -100,7 +117,8 @@ class StabilizerGroup:
             gens = []
             for vec in self._get_solver().kernel_basis():
                 op = self.combination(vec)
-                assert op.is_scalar(), "kernel combination is not scalar"
+                if not op.is_scalar():
+                    raise SolverCheckError("kernel combination is not scalar")
                 gens.append(op.phase % two_d)
             group = {0}
             frontier = [0]
@@ -152,8 +170,7 @@ def assert_commuting(S: StabilizerGroup) -> list[tuple[int, int]]:
 def group_order(S: StabilizerGroup) -> int:
     """Order of the generated group modulo phases: the size of the span of
     the lifted generator columns inside Z_D^{2n}."""
-    if assert_commuting(S):
-        raise NonCommutingError("generators must commute")
+    S._check_commuting()
     return S._get_solver().image_size()
 
 
@@ -165,12 +182,12 @@ class ScalarConsistency:
 
 def scalar_consistency(S: StabilizerGroup) -> ScalarConsistency:
     """Consistent iff no combination of generators is a nonzero scalar."""
-    if assert_commuting(S):
-        raise NonCommutingError("generators must commute")
+    S._check_commuting()
     two_d = 2 * S.system.D
     for vec in S._get_solver().kernel_basis():
         op = S.combination(vec)
-        assert op.is_scalar()
+        if not op.is_scalar():
+            raise SolverCheckError("kernel combination is not scalar")
         if op.phase % two_d:
             return ScalarConsistency(False, (tuple(vec), op.phase))
     return ScalarConsistency(True, None)
@@ -182,7 +199,8 @@ def logical_dimension(S: StabilizerGroup) -> int:
         raise InconsistentGroupError("group contains a nontrivial scalar")
     total = prod(S.system.dims)
     dim, rem = divmod(total, group_order(S))
-    assert rem == 0
+    if rem:
+        raise SolverCheckError("group order does not divide the dimension")
     return dim
 
 
@@ -193,7 +211,8 @@ def member_with_phase(S: StabilizerGroup, P: PauliOperator) -> MembershipResult:
     if coeffs is None:
         return MembershipResult((), Rational01(0), "NotMember")
     combo = S.combination(coeffs)
-    assert combo.x == P.x and combo.z == P.z, "exponent solve mismatch"
+    if combo.x != P.x or combo.z != P.z:
+        raise SolverCheckError("exponent solve mismatch")
     two_d = 2 * S.system.D
     delta = (P.phase - combo.phase) % two_d
     if delta == 0:
@@ -203,14 +222,16 @@ def member_with_phase(S: StabilizerGroup, P: PauliOperator) -> MembershipResult:
         # fold it into the coefficients so the combination is exact.
         kernel = solver.kernel_basis()
         phases = [S.combination(vec).phase for vec in kernel]
-        from .exactmath import solve_linear_mod
         fix = solve_linear_mod(IntMatrix([phases], cols=len(phases)),
                                [delta], [two_d])
-        assert fix is not None
+        if fix is None:
+            raise SolverCheckError(
+                "no kernel combination has the missing phase")
         coeffs = [c + sum(f * vec[i] for f, vec in zip(fix, kernel))
                   for i, c in enumerate(coeffs)]
         combo = S.combination(coeffs)
-        assert combo == P
+        if combo != P:
+            raise SolverCheckError("phase-corrected combination mismatch")
         return MembershipResult(tuple(coeffs), Rational01(0), "Member")
     return MembershipResult(tuple(coeffs), Rational01(delta, two_d),
                             "MemberUpToPhase")
@@ -246,11 +267,8 @@ def centralizer_in_group(S: StabilizerGroup,
 
 def measure(S: StabilizerGroup,
             ops: Sequence[PauliOperator]) -> StabilizerGroup:
-    """Condense by measuring ops with +1 outcomes: <centralizer(S, ops), ops>."""
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not commutation_phase(ops[i], ops[j]).is_zero():
-                raise NonCommutingError("measured operators must commute")
+    """Condense by measuring ops with +1 outcomes: <centralizer(S, ops), ops>
+    (validated, so non-commuting ops raise NonCommutingError)."""
     central = centralizer_in_group(S, ops)
     return StabilizerGroup(S.system, tuple(central.generators) + tuple(ops))
 

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from tqdstab import circuitmap
 from tqdstab.circuitmap import (Cochain, OddXExponentError, QubitGate,
                                 QuadraticPhaseOperator, TriangularLattice,
                                 amplitude_psi, coboundary, conjugate_qpp,
@@ -368,6 +369,22 @@ class TestDenseGroundSpace:
         S = StabilizerGroup(sysm, [])
         dim, _ = dense_ground_space(S)
         assert dim == 6
+
+    def test_noncommuting_group_gets_no_order_hint(self):
+        sysm = QuditSystem([2])
+        S = StabilizerGroup(sysm, [single(sysm, 0, "X", 1),
+                                   single(sysm, 0, "Z", 1)], validate=False)
+        assert circuitmap._order_hint(S) == 1
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(group):
+            raise RuntimeError("solver failure")
+
+        monkeypatch.setattr(circuitmap, "group_order", broken)
+        sysm = QuditSystem([2])
+        S = StabilizerGroup(sysm, [single(sysm, 0, "Z", 1)])
+        with pytest.raises(RuntimeError, match="solver failure"):
+            dense_ground_space(S)
 
     def test_projector_basis_is_stabilized(self):
         sysm = QuditSystem([2, 2])

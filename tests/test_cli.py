@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from tqdstab import cli, lattice
 from tqdstab.cli import run
+from tqdstab.stabilizer import NonCommutingError
 
 
 def invoke(capsys, *argv):
@@ -197,3 +199,30 @@ class TestPlumbing:
         code = run([])
         capsys.readouterr()
         assert code == 2
+
+
+class TestExitCodes:
+    def _raise_noncommuting(self, *args, **kwargs):
+        raise NonCommutingError("non-commuting generator pairs: [(0, 1)]")
+
+    def test_failed_verification_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "logical_dimension",
+                            self._raise_noncommuting)
+        code = run(["verify", "degeneracy", "--type", "ds", "--L", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "non-commuting generator pairs" in err
+
+    def test_failed_builder_validation_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(lattice, "build_from_spec",
+                            self._raise_noncommuting)
+        code = run(["model", "build", "--type", "ds", "--L", "3"])
+        capsys.readouterr()
+        assert code == 1
+
+    def test_spt_has_no_anyons_to_extract(self, capsys):
+        code = run(["anyons", "extract", "--type", "spt", "--L", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "no generating labels for model kind 'spt'" in captured.err

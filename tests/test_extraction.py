@@ -12,8 +12,9 @@ from tqdstab.extraction import (ConfinedLabelError, JunctionSpec,
                                 extraction_report, fusion_order,
                                 logical_algebra, model_group, spt_cocycle,
                                 spt_report, t_junction_theta)
-from tqdstab.lattice import (AnyonLabel, TqdParams, build_ds, build_spt,
-                             build_tqd, build_zn_tc)
+from tqdstab.lattice import (AnyonLabel, LatticeModel, TqdParams,
+                             build_ds, build_from_spec, build_hatted_ds,
+                             build_spt, build_tqd, build_zn_tc)
 
 R = Rational01
 
@@ -149,8 +150,19 @@ class TestExtractTheory:
         assert report["theta"]["0,1"] == "3/4"
         assert report["theta"]["1,1"] == "0/1"
 
-    def test_model_group_is_cached(self, ds_model):
-        assert model_group(ds_model) is model_group(ds_model)
+    def test_model_group_is_builder_group(self):
+        twisted = TqdParams([2, 2], [1, 1], {(0, 1): 1})
+        for group, model in (build_zn_tc(2, 3, 3), build_ds(3, 3),
+                             build_tqd(twisted, 3, 3), build_spt(3, 3),
+                             build_hatted_ds(3, 3),
+                             build_from_spec({"type": "tc", "L": 3})):
+            assert model.group is group
+            assert model_group(model) is group
+
+    def test_model_group_needs_a_built_model(self, ds_model):
+        bare = LatticeModel("ds", ds_model.lattice, params=ds_model.params)
+        with pytest.raises(ValueError, match="'ds'"):
+            model_group(bare)
 
 
 class TestLogicalAlgebra:

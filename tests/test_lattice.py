@@ -354,6 +354,25 @@ class TestTwistedBuilders:
                      + ds_edge_terms(model)):
             assert member_with_phase(group, term).is_member
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_ds(3, 3),
+        lambda: build_tqd(TqdParams([2, 2], [1, 1], {(0, 1): 1}), 3, 3),
+    ], ids=["ds", "twisted22"])
+    def test_term_accessors_slice_the_group(self, build):
+        group, model = build()
+        terms = (vertex_terms(model) + plaquette_terms(model)
+                 + ds_edge_terms(model))
+        assert terms == list(group.generators)
+
+    def test_term_accessors_need_a_built_model(self):
+        _, built = build_ds(3, 3)
+        bare = LatticeModel("ds", built.lattice, params=DS_PARAMS)
+        with pytest.raises(ValueError):
+            vertex_terms(bare)
+        _, spt = build_spt(3, 3)
+        with pytest.raises(ValueError):
+            ds_edge_terms(spt)
+
     def test_term_counts(self):
         _, model = build_tqd(TqdParams([2, 2], [0, 0]), 3, 4)
         assert len(vertex_terms(model)) == 24

@@ -1,10 +1,16 @@
 """Tests for stabilizer-group machinery, with brute-force closure oracles."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from tqdstab import stabilizer
 from tqdstab.exactmath import Rational01
+from tqdstab.lattice import DS_PARAMS, build_ds, build_tqd
 from tqdstab.pauli import (PauliOperator, QuditSystem, commutes, multiply,
                            scalar, single)
 from tqdstab.stabilizer import (InconsistentGroupError, NonCommutingError,
@@ -48,6 +54,15 @@ def random_commuting_group(rng, dims, n_gens):
         if all(commutes(P, g) for g in gens):
             gens.append(P)
     return StabilizerGroup(sysm, gens)
+
+
+def count_commuting_checks(monkeypatch):
+    """Record every pairwise commutation check made from now on."""
+    calls = []
+    original = stabilizer.assert_commuting
+    monkeypatch.setattr(stabilizer, "assert_commuting",
+                        lambda group: calls.append(group) or original(group))
+    return calls
 
 
 class TestConstruction:
@@ -124,6 +139,24 @@ class TestOrderAndDimension:
             group_order(S)
         with pytest.raises(NonCommutingError):
             scalar_consistency(S)
+
+    def test_noncommuting_rejected_on_every_call(self, monkeypatch):
+        sysm = QuditSystem([2])
+        S = StabilizerGroup(sysm, [single(sysm, 0, "X", 1),
+                                   single(sysm, 0, "Z", 1)], validate=False)
+        calls = count_commuting_checks(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NonCommutingError, match=r"\(0, 1\)"):
+                group_order(S)
+        with pytest.raises(NonCommutingError):
+            scalar_consistency(S)
+        assert calls == [S]  # the pairwise check ran once
+
+    def test_builder_group_is_not_rechecked(self, monkeypatch):
+        groups = [build_ds(3, 3)[0], build_tqd(DS_PARAMS, 3, 3)[0]]
+        calls = count_commuting_checks(monkeypatch)
+        assert [logical_dimension(g) for g in groups] == [4, 4]
+        assert calls == []
 
     @pytest.mark.parametrize("dims,n_gens,seed", [
         ((2, 2), 2, 0), ((2, 2, 2), 3, 1), ((3, 3), 2, 2),
@@ -207,6 +240,30 @@ class TestMembership:
         res = member_with_phase(S, multiply(scalar(sysm, 2), X))
         assert res.is_member
         assert S.combination(res.coefficients) == multiply(scalar(sysm, 2), X)
+
+
+    def test_wrong_solve_is_rejected_under_optimize(self):
+        # The re-check of the solver's answer must not be an assert: run it
+        # under python -O with a solver that returns a wrong vector.
+        script = (
+            "from tqdstab.exactmath import ModSolver\n"
+            "from tqdstab.pauli import QuditSystem, single\n"
+            "from tqdstab.stabilizer import (SolverCheckError, "
+            "StabilizerGroup, member_with_phase)\n"
+            "assert False, 'asserts must be stripped under -O'\n"
+            "ModSolver.solve = lambda self, rhs: [1]\n"
+            "sysm = QuditSystem([2])\n"
+            "S = StabilizerGroup(sysm, [single(sysm, 0, 'X', 1)])\n"
+            "try:\n"
+            "    member_with_phase(S, single(sysm, 0, 'Z', 1))\n"
+            "except SolverCheckError:\n"
+            "    print('rejected')\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "rejected"
 
 
 class TestCentralizerAndMeasure:
