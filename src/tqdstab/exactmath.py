@@ -4,7 +4,8 @@ Provides:
 - Rational01: reduced rationals taken modulo 1 (phase exponents).
 - IntMatrix: immutable arbitrary-precision integer matrices.
 - smith_normal_form: U*A*V = S with unimodular U, V and divisibility chain.
-- solve_linear_mod / kernel_mod: linear systems with per-row moduli.
+- solve_linear_mod / kernel_mod / least_solution_mod: linear systems with
+  per-row moduli.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+
+class IntegralityError(ArithmeticError):
+    """An exact result that must be an integer matrix or number is not."""
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +219,8 @@ class IntMatrix:
                 factor = a[r][col] / inv
                 if factor:
                     a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-        assert det.denominator == 1
+        if det.denominator != 1:
+            raise IntegralityError(f"non-integral determinant {det}")
         return det.numerator
 
     def is_unimodular(self) -> bool:
@@ -363,7 +369,9 @@ def unimodular_inverse(U: IntMatrix) -> IntMatrix:
     a = [[Fraction(U[i, j]) for j in range(n)]
          + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise IntegralityError("singular matrix has no inverse")
         a[col], a[pivot] = a[pivot], a[col]
         inv = a[col][col]
         a[col] = [x / inv for x in a[col]]
@@ -372,7 +380,9 @@ def unimodular_inverse(U: IntMatrix) -> IntMatrix:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in out for x in row)
+    if any(x.denominator != 1 for row in out for x in row):
+        raise IntegralityError("matrix is not unimodular: its inverse "
+                               "has non-integer entries")
     return IntMatrix([[int(x) for x in row] for row in out])
 
 
@@ -491,6 +501,8 @@ class ModSolver:
             if col >= self._m:
                 break
             r = res[col]
+            if not r:
+                continue
             if r % d:
                 return None
             q = r // d
@@ -534,3 +546,28 @@ def solve_linear_mod(A: IntMatrix, b: Sequence[int],
 def kernel_mod(A: IntMatrix, moduli: Sequence[int]) -> list[list[int]]:
     """Integer vectors generating {x in Z^cols : A x = 0 mod moduli}."""
     return ModSolver(A, moduli).kernel_basis()
+
+
+def least_solution_mod(A: IntMatrix, b: Sequence[int],
+                       moduli: Sequence[int]) -> list[int] | None:
+    """The lexicographically smallest solution of A x = b mod moduli with
+    entries in [0, lcm(moduli)); None if there is none.
+
+    Every solution is one solution plus a kernel vector. Reduce it left to
+    right against the Howell form of the kernel: at a pivot (col, d) the
+    entry can move only by multiples of d, so it becomes its residue mod d;
+    by the Howell property a column without a pivot cannot move at all.
+    """
+    solver = ModSolver(A, moduli)
+    sol = solver.solve(b)
+    if sol is None:
+        return None
+    big = solver.big
+    H, pivots = howell_form(solver.kernel_basis(), big)
+    for idx, col, d in pivots:
+        q = sol[col] // d
+        if q:
+            row = H[idx]
+            for j in range(col, len(sol)):
+                sol[j] = (sol[j] - q * row[j]) % big
+    return sol

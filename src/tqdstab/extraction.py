@@ -16,8 +16,9 @@ from itertools import product as iproduct
 from math import lcm
 
 from .exactmath import IntMatrix, ModSolver, Rational01
-from .pauli import (PauliOperator, adjoint, commutation_phase, identity,
-                    multiply, power, product)
+from .pauli import (PauliOperator, adjoint, commutation_exponent,
+                    commutation_phase, identity, multiply, product,
+                    product_of_powers)
 from .stabilizer import StabilizerGroup, VerificationError, member_with_phase
 from . import anyon
 from . import lattice as lat
@@ -105,7 +106,7 @@ def check_deconfined(model: LatticeModel, label) -> AnyonLabel:
         PathSpec(lab.path_kind, (0, 0), ("E",) * model.lattice.Lx,
                  closed=True))
     for gen in group.generators:
-        if not commutation_phase(loop, gen).is_zero():
+        if commutation_exponent(loop, gen):
             raise ConfinedLabelError(
                 f"label {lab} is confined: its closed string fails to "
                 "commute with a stabilizer term")
@@ -440,9 +441,9 @@ def _partial_member(group: StabilizerGroup, gen_indices, target,
     coeffs = solver.solve(rhs)
     if coeffs is None:
         return None
-    return product(
-        [power(group.generators[i], c) for c, i in zip(coeffs, gen_indices)],
-        system=group.system)
+    return product_of_powers(
+        group.system,
+        [(group.generators[i], c) for c, i in zip(coeffs, gen_indices)])
 
 
 def spt_cocycle(model: LatticeModel, ell: int) -> dict:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from math import gcd
 from typing import Literal, Sequence
 
-from .exactmath import IntMatrix, ModSolver, solve_linear_mod
+from .exactmath import IntMatrix, least_solution_mod
 from .pauli import (PauliOperator, QuditSystem, adjoint, multiply, product,
                     scalar)
 from .stabilizer import StabilizerGroup, groups_equal, measure
@@ -455,59 +455,45 @@ def _tc_like_generators(model: LatticeModel,
     return gens
 
 
-def _flux_phase_corrections(system: QuditSystem,
-                            gens: list[PauliOperator],
-                            per_layer: int, n_layers: int) -> list[int]:
+def _flux_phase_corrections(group: StabilizerGroup, per_layer: int,
+                            n_layers: int) -> list[int]:
     """Uniform scalar phase exponent per layer for the vertex terms.
 
     The first ``n_layers * per_layer`` generators are the vertex terms in
     layer-major order. For every combination of generators that is a scalar,
     adding m_i to each layer-i vertex term shifts its phase by m_i times the
     layer's total coefficient; solve for the m_i that cancel all such phases.
+    The answer is the lexicographically smallest solution mod 2D.
     """
-    group = StabilizerGroup(system, gens, validate=False)
     kernel = group._get_solver().kernel_basis()
     if not kernel:
         return [0] * n_layers
-    D2 = 2 * system.D
+    D2 = 2 * group.system.D
     rows = [[sum(vec[i * per_layer:(i + 1) * per_layer]) % D2
              for i in range(n_layers)] for vec in kernel]
     rhs = [(-group.combination(vec).phase) % D2 for vec in kernel]
-    constraint = IntMatrix(rows, cols=n_layers)
-    sol = solve_linear_mod(constraint, rhs, [D2] * len(rows))
+    sol = least_solution_mod(IntMatrix(rows, cols=n_layers), rhs,
+                             [D2] * len(rows))
     if sol is None:
         raise ValueError(
             "no uniform vertex-term phase makes the group scalar-consistent")
-    # canonicalize: lexicographically smallest solution mod 2D
-    solutions = {tuple(s % D2 for s in sol)}
-    frontier = list(solutions)
-    raw_shifts = ModSolver(constraint, [D2] * len(rows)).kernel_basis() \
-        if rows else [[1 if j == i else 0 for j in range(n_layers)]
-                      for i in range(n_layers)]
-    shifts = {tuple(s % D2 for s in vec) for vec in raw_shifts}
-    shifts.discard((0,) * n_layers)
-    while frontier:
-        base = frontier.pop()
-        for shift in shifts:
-            nxt = tuple((b + s) % D2 for b, s in zip(base, shift))
-            if nxt not in solutions:
-                solutions.add(nxt)
-                frontier.append(nxt)
-    return list(min(solutions))
+    return sol
 
 
 def _with_phase_fix(model: LatticeModel, gens: list[PauliOperator],
                     n_layers: int) -> tuple[StabilizerGroup, LatticeModel]:
     """Fix the vertex-term phases, validate the group once and hand it to
-    the model."""
+    the model. The fix multiplies generators by scalars only, so the final
+    group keeps the solver built for the unfixed one."""
     system, per_layer = model.system, model.lattice.n_cells
-    fix = _flux_phase_corrections(system, gens, per_layer, n_layers)
+    unfixed = StabilizerGroup(system, gens, validate=False)
+    fix = _flux_phase_corrections(unfixed, per_layer, n_layers)
     gens = list(gens)
     for i, m in enumerate(fix):
         if m:
             for k in range(i * per_layer, (i + 1) * per_layer):
                 gens[k] = multiply(scalar(system, m), gens[k])
-    group = StabilizerGroup(system, gens)
+    group = unfixed.rephased(gens)
     return group, replace(model, phase_fix=tuple(fix), group=group)
 
 

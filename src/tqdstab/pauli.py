@@ -7,6 +7,15 @@ An operator is stored in the normal order
 with sites in index order, where D = lcm of the site dimensions, X and Z are
 the shift and clock operators (Z X = e^{2*pi*i/d} X Z on a dimension-d site),
 and the exponent maps are sparse.
+
+Two constructors build operators. The public ``PauliOperator(...)`` checks
+every site, for input from outside the library. The private ``_make`` only
+reduces the phase mod 2D and each exponent mod its site's dimension: its
+sites must already be valid, so it is used only on results the library
+computes from valid operators (``multiply``, ``power``, ``adjoint``,
+``product_of_powers``). Commutation is an integer: ``commutation_exponent``
+gives e mod D with P Q = e^{2*pi*i*e/D} Q P, and ``commutation_phase``
+turns it into a ``Rational01`` where a phase leaves the library.
 """
 
 from __future__ import annotations
@@ -53,11 +62,14 @@ class PauliOperator:
     def __init__(self, system: QuditSystem, phase: int = 0,
                  x: Mapping[int, int] | None = None,
                  z: Mapping[int, int] | None = None):
+        for exps in (x, z):
+            if exps:
+                for site in exps:
+                    system.check_site(site)
         self.system = system
-        two_d = 2 * system.D
-        self.phase = phase % two_d
-        self.x = _reduce_sparse(system, x)
-        self.z = _reduce_sparse(system, z)
+        self.phase = phase % (2 * system.D)
+        self.x = _reduce_sparse(system.dims, x)
+        self.z = _reduce_sparse(system.dims, z)
 
     # -- equality / hashing --------------------------------------------------
 
@@ -87,16 +99,35 @@ class PauliOperator:
         return f"<PauliOperator {render(self)}>"
 
 
-def _reduce_sparse(system: QuditSystem,
+def _reduce_sparse(dims: tuple[int, ...],
                    exps: Mapping[int, int] | None) -> dict[int, int]:
     out: dict[int, int] = {}
     if exps:
         for site, e in exps.items():
-            system.check_site(site)
-            e %= system.dims[site]
+            e %= dims[site]
             if e:
                 out[site] = e
     return out
+
+
+def _make(system: QuditSystem, phase: int, x: Mapping[int, int],
+          z: Mapping[int, int]) -> PauliOperator:
+    """PauliOperator(system, phase, x, z) for sites already known valid.
+
+    Reduces the phase mod 2D and the exponents mod the site dimensions,
+    and checks nothing: only for results built from valid operators.
+    """
+    P = object.__new__(PauliOperator)
+    P.system = system
+    P.phase = phase % (2 * system.D)
+    P.x = _reduce_sparse(system.dims, x)
+    P.z = _reduce_sparse(system.dims, z)
+    return P
+
+
+def _check_system(system: QuditSystem, P: PauliOperator) -> None:
+    if P.system is not system and P.system.dims != system.dims:
+        raise ValueError("system mismatch")
 
 
 def identity(system: QuditSystem) -> PauliOperator:
@@ -125,9 +156,8 @@ def multiply(P: PauliOperator, Q: PauliOperator) -> PauliOperator:
     Reordering Z_q^{z} past X_q^{x'} contributes 2*(D/d_q)*z*x' to the
     mod-2D phase exponent.
     """
-    if P.system.dims != Q.system.dims:
-        raise ValueError("system mismatch")
     system = P.system
+    _check_system(system, Q)
     D = system.D
     phase = P.phase + Q.phase
     x = dict(P.x)
@@ -139,7 +169,7 @@ def multiply(P: PauliOperator, Q: PauliOperator) -> PauliOperator:
         x[site] = x.get(site, 0) + xq
     for site, zq in Q.z.items():
         z[site] = z.get(site, 0) + zq
-    return PauliOperator(system, phase=phase, x=x, z=z)
+    return _make(system, phase, x, z)
 
 
 def product(ops: Iterable[PauliOperator],
@@ -165,43 +195,84 @@ def adjoint(P: PauliOperator) -> PauliOperator:
         if xq:
             # (X^x Z^z)^dag = Z^-z X^-x; reorder back to normal form.
             phase += 2 * (D // system.dims[site]) * zq * xq
-    return PauliOperator(system, phase=phase,
-                         x={s: -e for s, e in P.x.items()},
-                         z={s: -e for s, e in P.z.items()})
+    return _make(system, phase, {s: -e for s, e in P.x.items()},
+                 {s: -e for s, e in P.z.items()})
 
 
 def power(P: PauliOperator, k: int) -> PauliOperator:
-    """P^k in closed form (supports very large |k|)."""
-    if k < 0:
-        return power(adjoint(P), -k)
-    system = P.system
+    """P^k in closed form (supports very large |k| of either sign)."""
+    return product_of_powers(P.system, [(P, k)])
+
+
+def product_of_powers(system: QuditSystem,
+                      factors: Iterable[tuple[PauliOperator, int]]
+                      ) -> PauliOperator:
+    """prod_i P_i^{a_i} in the given order, with exact phase.
+
+    Equals the chain ``multiply(out, power(P, a))`` but accumulates phase
+    and exponents in one pair of dicts and reduces once at the end. That is
+    exact: the reordering phase 2*(D/d)*z*x is unchanged mod 2D when z or x
+    moves by a multiple of d.
+    """
     D = system.D
-    # (ph X^x Z^z)^k = ph^k * c^(k choose 2) * X^{kx} Z^{kz} with c the
-    # phase from commuting one Z^z block past one X^x block.
-    c = sum(2 * (D // system.dims[site]) * zq * P.x.get(site, 0)
-            for site, zq in P.z.items())
-    phase = k * P.phase + (k * (k - 1) // 2) * c
-    return PauliOperator(system, phase=phase,
-                         x={s: k * e for s, e in P.x.items()},
-                         z={s: k * e for s, e in P.z.items()})
+    dims = system.dims
+    phase = 0
+    x: dict[int, int] = {}
+    z: dict[int, int] = {}
+    for P, a in factors:
+        if not a:
+            continue
+        _check_system(system, P)
+        # (ph X^x Z^z)^a = ph^a * c^(a choose 2) * X^{ax} Z^{az}, for any
+        # integer a, with c the phase from commuting one Z^z block past one
+        # X^x block.
+        c = 0
+        for site, zq in P.z.items():
+            xq = P.x.get(site)
+            if xq:
+                c += 2 * (D // dims[site]) * zq * xq
+        phase += a * P.phase + (a * (a - 1) // 2) * c
+        for site, xq in P.x.items():
+            xq *= a
+            zq = z.get(site)
+            if zq:
+                phase += 2 * (D // dims[site]) * zq * xq
+            x[site] = x.get(site, 0) + xq
+        for site, zq in P.z.items():
+            z[site] = z.get(site, 0) + a * zq
+    return _make(system, phase, x, z)
+
+
+def commutation_exponent(P: PauliOperator, Q: PauliOperator) -> int:
+    """e in [0, D) with P Q = e^{2*pi*i*e/D} Q P (operator phases drop out).
+
+    Only P's z sites against Q's x sites and P's x sites against Q's z
+    sites can contribute.
+    """
+    system = P.system
+    _check_system(system, Q)
+    D = system.D
+    dims = system.dims
+    total = 0
+    Qx, Qz = Q.x, Q.z
+    for site, zp in P.z.items():
+        xq = Qx.get(site)
+        if xq:
+            total += (D // dims[site]) * zp * xq
+    for site, xp in P.x.items():
+        zq = Qz.get(site)
+        if zq:
+            total -= (D // dims[site]) * xp * zq
+    return total % D
 
 
 def commutation_phase(P: PauliOperator, Q: PauliOperator) -> Rational01:
     """phi with P Q = e^{2*pi*i*phi} Q P (independent of operator phases)."""
-    if P.system.dims != Q.system.dims:
-        raise ValueError("system mismatch")
-    system = P.system
-    D = system.D
-    total = 0
-    for site in set(P.x) | set(P.z) | set(Q.x) | set(Q.z):
-        scale = D // system.dims[site]
-        total += scale * (P.z.get(site, 0) * Q.x.get(site, 0)
-                          - P.x.get(site, 0) * Q.z.get(site, 0))
-    return Rational01(total, D)
+    return Rational01(commutation_exponent(P, Q), P.system.D)
 
 
 def commutes(P: PauliOperator, Q: PauliOperator) -> bool:
-    return commutation_phase(P, Q).is_zero()
+    return not commutation_exponent(P, Q)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from math import prod
 from typing import Literal, Sequence
 
 from .exactmath import IntMatrix, ModSolver, Rational01, solve_linear_mod
-from .pauli import (PauliOperator, QuditSystem, commutation_phase, identity,
-                    multiply, power)
+from .pauli import (PauliOperator, QuditSystem, commutation_exponent,
+                    product_of_powers)
 
 
 class VerificationError(ValueError):
@@ -99,11 +99,27 @@ class StabilizerGroup:
 
     def combination(self, coefficients: Sequence[int]) -> PauliOperator:
         """prod_i g_i^{a_i} in generator order (exact phase)."""
-        out = identity(self.system)
-        for g, a in zip(self.generators, coefficients):
-            if a:
-                out = multiply(out, power(g, a))
-        return out
+        return product_of_powers(self.system,
+                                 zip(self.generators, coefficients))
+
+    def rephased(self, generators: Sequence[PauliOperator]
+                 ) -> "StabilizerGroup":
+        """The group of `generators`, each a scalar multiple of the matching
+        generator here. The lifted exponent matrix is unchanged, so the
+        result shares this group's solver (and its commutation record:
+        scalars commute with everything). Raises ValueError if any
+        generator's exponents differ; checks commutation like the
+        constructor."""
+        generators = tuple(generators)
+        if len(generators) != len(self.generators) or any(
+                g.x != h.x or g.z != h.z
+                for g, h in zip(generators, self.generators)):
+            raise ValueError("rephased generators must keep the exponents")
+        group = StabilizerGroup(self.system, generators, validate=False)
+        group._solver = self._solver
+        group._noncommuting = self._noncommuting
+        group._check_commuting()
+        return group
 
     # -- phase subgroup (scalars reachable as generator combinations) -------
 
@@ -157,12 +173,23 @@ class StabilizerGroup:
 
 
 def assert_commuting(S: StabilizerGroup) -> list[tuple[int, int]]:
-    """Indices of generator pairs that fail to commute (empty iff abelian)."""
-    bad = []
+    """Indices (i, j), i < j, of generator pairs that fail to commute, in
+    lexicographic order (empty iff abelian).
+
+    Generators with disjoint supports commute, so only pairs that share a
+    site are tested: O(k*w) pairs for k generators of weight w.
+    """
     gens = S.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not commutation_phase(gens[i], gens[j]).is_zero():
+    supports = [g.support for g in gens]
+    touching: dict[int, list[int]] = {}
+    for j, support in enumerate(supports):
+        for site in support:
+            touching.setdefault(site, []).append(j)
+    bad = []
+    for i, g in enumerate(gens):
+        partners = {j for site in supports[i] for j in touching[site] if j > i}
+        for j in sorted(partners):
+            if commutation_exponent(g, gens[j]):
                 bad.append((i, j))
     return bad
 
@@ -243,15 +270,8 @@ def centralizer_in_group(S: StabilizerGroup,
     if not probes:
         return S
     D = S.system.D
-    dims = S.system.dims
-    # Integer pairing c_ij = D * commutation_phase(g_i, probe_j).
-    def pairing(P: PauliOperator, Q: PauliOperator) -> int:
-        return sum((D // dims[s]) * (P.z.get(s, 0) * Q.x.get(s, 0)
-                                     - P.x.get(s, 0) * Q.z.get(s, 0))
-                   for s in P.support | Q.support)
-
     k = len(S.generators)
-    A = IntMatrix([[pairing(S.generators[i], probe) for i in range(k)]
+    A = IntMatrix([[commutation_exponent(g, probe) for g in S.generators]
                    for probe in probes], cols=k)
     basis = ModSolver(A, [D] * len(probes)).kernel_basis()
     gens = []

@@ -1,15 +1,22 @@
 """Tests for the exact integer / rational-mod-1 linear algebra layer."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product as iproduct
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqdstab.exactmath import (IntMatrix, ModSolver, Rational01,
-                               cokernel_orders, integer_kernel,
-                               invariant_factors, kernel_mod, rat_sum,
+from tqdstab.exactmath import (IntegralityError, IntMatrix, ModSolver,
+                               Rational01, cokernel_orders, integer_kernel,
+                               invariant_factors, kernel_mod,
+                               least_solution_mod, rat_sum,
                                smith_normal_form, solve_linear_mod,
                                unimodular_inverse)
 
@@ -81,6 +88,29 @@ class TestIntMatrix:
         U = IntMatrix([[2, 1], [1, 1]])
         V = unimodular_inverse(U)
         assert (U @ V).tolist() == IntMatrix.identity(2).tolist()
+
+    @pytest.mark.parametrize("rows", [[[2, 0], [0, 1]], [[1, 1], [1, 1]],
+                                      [[0]]])
+    def test_inverse_of_non_unimodular_raises(self, rows):
+        with pytest.raises(IntegralityError):
+            unimodular_inverse(IntMatrix(rows))
+
+    def test_non_unimodular_raises_under_optimize(self):
+        # The integrality check must not be an assert: run it under -O.
+        script = (
+            "from tqdstab.exactmath import (IntegralityError, IntMatrix, "
+            "unimodular_inverse)\n"
+            "assert False, 'asserts must be stripped under -O'\n"
+            "try:\n"
+            "    unimodular_inverse(IntMatrix([[2, 1], [0, 1]]))\n"
+            "except IntegralityError:\n"
+            "    print('rejected')\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "rejected"
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
@@ -245,3 +275,128 @@ class TestKernels:
         assert (2 * x[0]) % 4 == 2 and (3 * x[1]) % 9 == 3
         for vec in solver.kernel_basis():
             assert (2 * vec[0]) % 4 == 0 and (3 * vec[1]) % 9 == 0
+
+
+# ---------------------------------------------------------------------------
+# Solver properties against brute-force enumeration
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def mod_systems(draw):
+    """A x = b mod moduli with at most 3 rows and columns and lcm <= 12.
+    Right-hand sides are often zero, so solves meet zero residues in pivot
+    columns."""
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    moduli = draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=rows,
+                           max_size=rows))
+    A = IntMatrix([[draw(st.integers(-6, 6)) for _ in range(cols)]
+                   for _ in range(rows)], cols=cols)
+    if draw(st.booleans()):
+        # in the image, then some entries zeroed
+        x0 = [draw(st.integers(0, 11)) for _ in range(cols)]
+        b = [0 if draw(st.booleans()) else v for v in A.mat_vec(x0)]
+    else:
+        b = [draw(st.one_of(st.just(0), st.integers(-12, 12)))
+             for _ in range(rows)]
+    return A, b, moduli
+
+
+def _satisfies(A, x, b, moduli):
+    return all((v - bi) % m == 0
+               for v, bi, m in zip(A.mat_vec(list(x)), b, moduli))
+
+
+def _all_solutions(A, b, moduli):
+    """Every solution with entries in [0, lcm(moduli)), in lexicographic
+    order."""
+    big = lcm(*moduli)
+    return [list(x) for x in iproduct(range(big), repeat=A.cols)
+            if _satisfies(A, x, b, moduli)]
+
+
+def walk_least_solution(A, b, moduli):
+    """Lexicographically smallest solution by walking every element of
+    sol + span(kernel) mod lcm(moduli): the vertex-term phase fix's search
+    before it reduced against a Howell form, kept as an oracle."""
+    big = lcm(*moduli)
+    sol = solve_linear_mod(A, b, moduli)
+    if sol is None:
+        return None
+    solutions = {tuple(s % big for s in sol)}
+    frontier = list(solutions)
+    shifts = {tuple(s % big for s in vec) for vec in kernel_mod(A, moduli)}
+    shifts.discard((0,) * A.cols)
+    while frontier:
+        base = frontier.pop()
+        for shift in shifts:
+            nxt = tuple((u + v) % big for u, v in zip(base, shift))
+            if nxt not in solutions:
+                solutions.add(nxt)
+                frontier.append(nxt)
+    return list(min(solutions))
+
+
+class TestSolverProperties:
+    @given(mod_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_solve_agrees_with_enumeration(self, system):
+        A, b, moduli = system
+        x = ModSolver(A, moduli).solve(b)
+        if x is None:
+            assert _all_solutions(A, b, moduli) == []
+        else:
+            assert _satisfies(A, x, b, moduli)
+
+    @given(mod_systems())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_basis_spans_the_kernel(self, system):
+        A, _, moduli = system
+        big = lcm(*moduli)
+        basis = ModSolver(A, moduli).kernel_basis()
+        zero = [0] * A.rows
+        assert all(_satisfies(A, vec, zero, moduli) for vec in basis)
+        span = {(0,) * A.cols}
+        frontier = list(span)
+        while frontier:
+            base = frontier.pop()
+            for vec in basis:
+                nxt = tuple((u + v) % big for u, v in zip(base, vec))
+                if nxt not in span:
+                    span.add(nxt)
+                    frontier.append(nxt)
+        assert sorted(span) == [tuple(x) for x in
+                                _all_solutions(A, zero, moduli)]
+
+    @given(mod_systems())
+    @settings(max_examples=100, deadline=None)
+    def test_image_size_counts_the_image(self, system):
+        A, _, moduli = system
+        big = lcm(*moduli)
+        image = {tuple(v % m for v, m in zip(A.mat_vec(list(x)), moduli))
+                 for x in iproduct(range(big), repeat=A.cols)}
+        assert ModSolver(A, moduli).image_size() == len(image)
+
+    @given(mod_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_least_solution_matches_walk_and_enumeration(self, system):
+        A, b, moduli = system
+        least = least_solution_mod(A, b, moduli)
+        assert least == walk_least_solution(A, b, moduli)
+        solutions = _all_solutions(A, b, moduli)
+        assert least == (solutions[0] if solutions else None)
+
+    @given(st.lists(st.lists(st.integers(0, 7), min_size=2, max_size=2),
+                    min_size=1, max_size=4),
+           st.lists(st.integers(0, 7), min_size=4, max_size=4),
+           st.sampled_from([2, 4, 6, 8]))
+    @settings(max_examples=100, deadline=None)
+    def test_least_solution_on_phase_fix_systems(self, rows, rhs, two_d):
+        # The shape the vertex-term phase fix solves: one row per scalar
+        # relation, one column per layer, every modulus 2D.
+        A = IntMatrix(rows, cols=2)
+        b = rhs[:len(rows)]
+        moduli = [two_d] * len(rows)
+        assert least_solution_mod(A, b, moduli) == walk_least_solution(
+            A, b, moduli)

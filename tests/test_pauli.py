@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdstab.exactmath import Rational01
-from tqdstab.pauli import (CliffordGate, PauliOperator, QuditSystem, adjoint,
-                           commutation_phase, commutes, conjugate, identity,
-                           multiply, power, product, qubit_cx, qubit_cz,
+from tqdstab.pauli import (CliffordGate, PauliOperator, QuditSystem, _make,
+                           adjoint, commutation_exponent, commutation_phase,
+                           commutes, conjugate, identity, multiply, power,
+                           product, product_of_powers, qubit_cx, qubit_cz,
                            qubit_s, qudit_cx, render, scalar, single)
 
 
@@ -105,6 +106,12 @@ class TestBasics:
     def test_bad_site(self):
         with pytest.raises(ValueError):
             single(QuditSystem([2]), 1, "X", 1)
+
+    @pytest.mark.parametrize("x,z", [({2: 1}, None), (None, {-1: 1}),
+                                     ({0: 1}, {5: 0})])
+    def test_public_constructor_rejects_bad_sites(self, x, z):
+        with pytest.raises(ValueError, match="invalid site"):
+            PauliOperator(QuditSystem([2, 3]), x=x, z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +216,88 @@ class TestKnownIdentities:
         P = PauliOperator(sysm, x={0: x1}, z={0: z1})
         Q = PauliOperator(sysm, x={0: x2}, z={0: z2})
         assert np.allclose(dense(multiply(P, Q)), dense(P) @ dense(Q))
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the public, validating route
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def mixed_ops(draw, n_ops):
+    """A random mixed-dimension system and n_ops operators on it, with
+    unreduced and negative phases and exponents."""
+    dims = draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=1,
+                         max_size=4))
+    sysm = QuditSystem(dims)
+    sites = st.sampled_from(range(len(dims)))
+    exps = st.dictionaries(sites, st.integers(-13, 13), max_size=len(dims))
+    ops = [(draw(st.integers(-50, 50)), draw(exps), draw(exps))
+           for _ in range(n_ops)]
+    return sysm, ops
+
+
+def _all_sites_exponent(P, Q):
+    """The commutation sum over every site of either support (the formula
+    written before the integer kernel), as an exact phase."""
+    D = P.system.D
+    total = sum((D // P.system.dims[s]) * (P.z.get(s, 0) * Q.x.get(s, 0)
+                                           - P.x.get(s, 0) * Q.z.get(s, 0))
+                for s in P.support | Q.support)
+    return Rational01(total, D)
+
+
+class TestIntegerKernel:
+    @given(mixed_ops(1))
+    @settings(max_examples=80, deadline=None)
+    def test_make_equals_public_constructor(self, case):
+        sysm, [(phase, x, z)] = case
+        made = _make(sysm, phase, x, z)
+        public = PauliOperator(sysm, phase=phase, x=x, z=z)
+        assert made == public
+        assert (made.phase, made.x, made.z) == (public.phase, public.x,
+                                                public.z)
+        assert type(made) is PauliOperator and made.system is sysm
+
+    @given(mixed_ops(2))
+    @settings(max_examples=80, deadline=None)
+    def test_commutation_exponent_matches_phase(self, case):
+        sysm, specs = case
+        P, Q = (PauliOperator(sysm, phase=p, x=x, z=z) for p, x, z in specs)
+        e = commutation_exponent(P, Q)
+        assert 0 <= e < sysm.D
+        assert Rational01(e, sysm.D) == commutation_phase(P, Q)
+        assert commutation_phase(P, Q) == _all_sites_exponent(P, Q)
+        assert (e + commutation_exponent(Q, P)) % sysm.D == 0
+        assert commutes(P, Q) == (e == 0)
+
+    @given(mixed_ops(4), st.lists(st.integers(-9, 9), min_size=4,
+                                  max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_product_of_powers_equals_chain(self, case, coeffs):
+        sysm, specs = case
+        ops = [PauliOperator(sysm, phase=p, x=x, z=z) for p, x, z in specs]
+        chain = identity(sysm)
+        for P, a in zip(ops, coeffs):
+            if a:
+                chain = multiply(chain, power(P, a))
+        assert product_of_powers(sysm, zip(ops, coeffs)) == chain
+
+    def test_product_of_powers_large_and_empty(self):
+        sysm = QuditSystem([4, 2])
+        P = PauliOperator(sysm, phase=3, x={0: 1, 1: 1}, z={0: 3})
+        # P^8 = 1 (8 = 2D), so P^(10^12 + 3) = P^3
+        cube = multiply(multiply(P, P), P)
+        assert product_of_powers(sysm, [(P, 10 ** 12 + 3)]) == cube
+        assert product_of_powers(sysm, [(P, -(10 ** 12) + 3)]) == cube
+        assert product_of_powers(sysm, []).is_identity()
+        with pytest.raises(ValueError):
+            product_of_powers(QuditSystem([3]), [(P, 1)])
+
+    def test_commutation_exponent_system_mismatch(self):
+        with pytest.raises(ValueError):
+            commutation_exponent(identity(QuditSystem([2])),
+                                 identity(QuditSystem([3])))
 
 
 # ---------------------------------------------------------------------------

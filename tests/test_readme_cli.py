@@ -1,11 +1,16 @@
 """The README's CLI examples print exactly the recorded JSON reports.
 
 Each command runs in-process through ``cli.run``; its stdout is compared
-byte for byte with the report stored in ``tests/data/readme_cli/``. To
-re-record after an intended output change, write the new stdout over the
-matching file and say why in the change's notes.
+byte for byte with the report stored in ``tests/data/readme_cli/``. The
+counting and condensation checks also run as ``python -O -m tqdstab``
+subprocesses, so their answers do not depend on ``assert``. To re-record
+after an intended output change, write the new stdout over the matching
+file and say why in the change's notes.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +40,19 @@ def test_readme_command_output(capsys, name, command):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (DATA / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["verify_degeneracy",
+                                  "verify_condensation_equality"])
+def test_readme_check_under_optimize(name):
+    command = dict(README_COMMANDS)[name]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-m", "tqdstab",
+                          *command.split()], env=env, capture_output=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr.decode()
+    assert out.stdout == (DATA / f"{name}.json").read_bytes()
 
 
 def test_every_readme_command_is_pinned():

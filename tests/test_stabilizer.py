@@ -7,12 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tqdstab import stabilizer
+from tqdstab import exactmath, stabilizer
 from tqdstab.exactmath import Rational01
 from tqdstab.lattice import DS_PARAMS, build_ds, build_tqd
-from tqdstab.pauli import (PauliOperator, QuditSystem, commutes, multiply,
-                           scalar, single)
+from tqdstab.pauli import (PauliOperator, QuditSystem, commutation_phase,
+                           commutes, multiply, scalar, single)
 from tqdstab.stabilizer import (InconsistentGroupError, NonCommutingError,
                                 StabilizerGroup, assert_commuting,
                                 centralizer_in_group, group_order,
@@ -63,6 +65,29 @@ def count_commuting_checks(monkeypatch):
     monkeypatch.setattr(stabilizer, "assert_commuting",
                         lambda group: calls.append(group) or original(group))
     return calls
+
+
+def all_pairs_noncommuting(S):
+    """Every generator pair tested (the check written before the site
+    index)."""
+    gens = S.generators
+    return [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
+            if not commutation_phase(gens[i], gens[j]).is_zero()]
+
+
+@st.composite
+def sparse_groups(draw):
+    """Unvalidated groups of low-weight generators on a mixed-dimension
+    system: many pairs share no site, and some pairs fail to commute."""
+    dims = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1,
+                         max_size=6))
+    sysm = QuditSystem(dims)
+    exps = st.dictionaries(st.sampled_from(range(len(dims))),
+                           st.integers(-4, 4), max_size=2)
+    gens = [PauliOperator(sysm, phase=draw(st.integers(0, 23)),
+                          x=draw(exps), z=draw(exps))
+            for _ in range(draw(st.integers(0, 8)))]
+    return StabilizerGroup(sysm, gens, validate=False)
 
 
 class TestConstruction:
@@ -158,6 +183,23 @@ class TestOrderAndDimension:
         assert [logical_dimension(g) for g in groups] == [4, 4]
         assert calls == []
 
+    @given(sparse_groups())
+    @settings(max_examples=120, deadline=None)
+    def test_site_index_finds_the_all_pairs_list(self, S):
+        assert assert_commuting(S) == all_pairs_noncommuting(S)
+
+    def test_site_index_reports_noncommuting_pairs_in_order(self):
+        sysm = QuditSystem([2, 4, 2])
+        X0, Z0 = single(sysm, 0, "X", 1), single(sysm, 0, "Z", 1)
+        Z1, X1 = single(sysm, 1, "Z", 2), single(sysm, 1, "X", 1)
+        S = StabilizerGroup(sysm, [Z1, X0, single(sysm, 2, "X", 1), X1, Z0,
+                                   multiply(X0, X1)], validate=False)
+        expected = [(0, 3), (0, 5), (1, 4), (4, 5)]
+        assert all_pairs_noncommuting(S) == expected
+        assert assert_commuting(S) == expected
+        with pytest.raises(NonCommutingError, match=r"\(0, 3\)"):
+            group_order(S)
+
     @pytest.mark.parametrize("dims,n_gens,seed", [
         ((2, 2), 2, 0), ((2, 2, 2), 3, 1), ((3, 3), 2, 2),
         ((4, 2), 2, 3), ((2, 3), 2, 4), ((4, 4), 2, 5),
@@ -168,6 +210,63 @@ class TestOrderAndDimension:
         for _ in range(6):
             S = random_commuting_group(rng, dims, n_gens)
             assert group_order(S) == brute_force_order(S)
+
+
+class TestRephased:
+    def _group(self, validate=True):
+        sysm = QuditSystem([2, 2])
+        gens = [PauliOperator(sysm, x={0: 1, 1: 1}),
+                PauliOperator(sysm, z={0: 1, 1: 1})]
+        return StabilizerGroup(sysm, gens, validate=validate)
+
+    def test_shares_solver_and_keeps_order(self):
+        S = self._group()
+        order = group_order(S)
+        minus_xx = multiply(scalar(S.system, 2), S.generators[0])
+        R = S.rephased([minus_xx, S.generators[1]])
+        assert R._solver is S._solver
+        assert R.generators == (minus_xx, S.generators[1])
+        assert group_order(R) == order
+        assert member_with_phase(R, minus_xx).is_member
+        assert member_with_phase(S, minus_xx).verdict == "MemberUpToPhase"
+
+    def test_rejects_changed_exponents(self):
+        S = self._group()
+        sysm = S.system
+        with pytest.raises(ValueError, match="keep the exponents"):
+            S.rephased([single(sysm, 0, "X", 1), S.generators[1]])
+        with pytest.raises(ValueError, match="keep the exponents"):
+            S.rephased([S.generators[0], single(sysm, 1, "Z", 1)])
+        with pytest.raises(ValueError, match="keep the exponents"):
+            S.rephased(S.generators[:1])
+
+    def test_commutation_is_checked_once(self, monkeypatch):
+        sysm = QuditSystem([2])
+        bad = StabilizerGroup(sysm, [single(sysm, 0, "X", 1),
+                                     single(sysm, 0, "Z", 1)],
+                              validate=False)
+        calls = count_commuting_checks(monkeypatch)
+        with pytest.raises(NonCommutingError):
+            bad.rephased(bad.generators)
+        assert len(calls) == 1  # the unchecked parent leaves it to the result
+        good = self._group()  # checked at construction
+        calls.clear()
+        good.rephased(good.generators)
+        assert calls == []
+
+    def test_builder_computes_the_wide_howell_form_once(self, monkeypatch):
+        widths = []
+        original = exactmath.howell_form
+
+        def counting(rows, big):
+            widths.append(len(rows[0]) if rows else 0)
+            return original(rows, big)
+
+        monkeypatch.setattr(exactmath, "howell_form", counting)
+        group, model = build_ds(4, 4)
+        assert logical_dimension(group) == 4
+        wide = 2 * group.system.n_sites + len(group.generators)
+        assert widths.count(wide) == 1
 
 
 class TestScalarConsistency:
