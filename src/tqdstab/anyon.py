@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import gcd, isqrt, prod
 from typing import Callable, Sequence
 
 from .exactmath import (IntMatrix, ModSolver, Rational01, integer_kernel,
                         invariant_factors, rat_sum, smith_normal_form,
                         unimodular_inverse)
+from .stabilizer import VerificationError
 
 Element = tuple[int, ...]
 
@@ -30,6 +32,10 @@ Element = tuple[int, ...]
 class RelationError(ValueError):
     """A presentation relation is not a boson that braids trivially with
     every generator, so the quadratic form does not descend to the quotient."""
+
+
+class TheoryCheckError(VerificationError):
+    """A theory built here fails an exact consistency check."""
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,32 @@ class FiniteAbelianGroup:
         return group
 
 
+def quadratic_form(q_gen: Sequence[Rational01],
+                   b_gen: Sequence[Sequence[Rational01]],
+                   a: Sequence[int]) -> Rational01:
+    """q(sum a_i g_i) = sum_i a_i^2 q(g_i) + sum_{i<j} a_i a_j b(g_i, g_j)."""
+    terms = []
+    for i, ai in enumerate(a):
+        if ai:
+            terms.append(q_gen[i] * (ai * ai))
+            for j in range(i + 1, len(a)):
+                if a[j]:
+                    terms.append(b_gen[i][j] * (ai * a[j]))
+    return rat_sum(terms)
+
+
+def bilinear_form(b_gen: Sequence[Sequence[Rational01]], a: Sequence[int],
+                  c: Sequence[int]) -> Rational01:
+    """b(sum a_i g_i, sum c_j g_j) = sum_{i,j} a_i c_j b(g_i, g_j)."""
+    terms = []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, cj in enumerate(c):
+                if cj:
+                    terms.append(b_gen[i][j] * (ai * cj))
+    return rat_sum(terms)
+
+
 @dataclass(frozen=True)
 class AnyonTheory:
     """Anyon theory presented on cyclic generators with q and b data."""
@@ -137,23 +169,10 @@ class AnyonTheory:
 
     def q(self, a: Sequence[int]) -> Rational01:
         """Statistics of a (works on any integer exponent vector)."""
-        terms = []
-        for i, ai in enumerate(a):
-            if ai:
-                terms.append(self.q_gen[i] * (ai * ai))
-                for j in range(i + 1, len(a)):
-                    if a[j]:
-                        terms.append(self.b_gen[i][j] * (ai * a[j]))
-        return rat_sum(terms)
+        return quadratic_form(self.q_gen, self.b_gen, a)
 
     def b(self, a: Sequence[int], c: Sequence[int]) -> Rational01:
-        terms = []
-        for i, ai in enumerate(a):
-            if ai:
-                for j, cj in enumerate(c):
-                    if cj:
-                        terms.append(self.b_gen[i][j] * (ai * cj))
-        return rat_sum(terms)
+        return bilinear_form(self.b_gen, a, c)
 
     def is_boson(self, a: Sequence[int]) -> bool:
         return self.q(a).is_zero()
@@ -391,25 +410,18 @@ def condense(theory: AnyonTheory,
     proj = IntMatrix([[vec[i] for vec in kern] for i in range(k)],
                      cols=len(kern)) if kern else IntMatrix.zeros(k, 0)
 
-    def q_fn(vec):
+    def element(vec):
+        """The reduced parent element sum x_i gens_i. q and b evaluate on it
+        with no correction: q(sum x_i g_i) equals q of the reduced element
+        because order relations are bosonic and transparent in the parent."""
         combo = group.identity()
         for x, g in zip(vec, gens):
             combo = group.add(combo, group.scale(x, g))
-        # q is quadratic: evaluate on the reduced element, then correct by
-        # nothing -- q(sum x_i g_i) equals q of the reduced element because
-        # order relations are bosonic and transparent in the parent.
-        return theory.q(combo)
+        return combo
 
-    def b_fn(v1, v2):
-        c1 = group.identity()
-        c2 = group.identity()
-        for x, g in zip(v1, gens):
-            c1 = group.add(c1, group.scale(x, g))
-        for x, g in zip(v2, gens):
-            c2 = group.add(c2, group.scale(x, g))
-        return theory.b(c1, c2)
-
-    presented = theory_from_presentation(k, q_fn, b_fn, proj)
+    presented = theory_from_presentation(
+        k, lambda v: theory.q(element(v)),
+        lambda v1, v2: theory.b(element(v1), element(v2)), proj)
 
     # express each deconfined parent element in the new coordinates
     solver = ModSolver(
@@ -422,12 +434,13 @@ def condense(theory: AnyonTheory,
             identification[a] = ()
             continue
         sol = solver.solve(list(a))
-        assert sol is not None, "deconfined element outside generator span"
+        if sol is None:
+            raise TheoryCheckError("deconfined element outside generator span")
         coords = presented.project(sol[:k])
         identification[a] = coords
         # theta is preserved on classes
-        assert presented.theory.q(coords) == theory.q(a), \
-            "statistics not preserved by condensation"
+        if presented.theory.q(coords) != theory.q(a):
+            raise TheoryCheckError("statistics not preserved by condensation")
     return CondensationResult(presented.theory, tuple(gens), identification)
 
 
@@ -513,27 +526,9 @@ def _tqd_relation_matrix(params) -> IntMatrix:
 def tqd_presented(params) -> PresentedTheory:
     """Split presentation of the twisted-double theory for TqdParams."""
     qd, bd = _tqd_generator_data(params)
-
-    def q_fn(vec):
-        terms = []
-        for i, ai in enumerate(vec):
-            if ai:
-                terms.append(qd[i] * (ai * ai))
-                for j in range(i + 1, len(vec)):
-                    if vec[j]:
-                        terms.append(bd[i][j] * (ai * vec[j]))
-        return rat_sum(terms)
-
-    def b_fn(v1, v2):
-        terms = []
-        for i, ai in enumerate(v1):
-            if ai:
-                for j, cj in enumerate(v2):
-                    if cj:
-                        terms.append(bd[i][j] * (ai * cj))
-        return rat_sum(terms)
-
-    return theory_from_presentation(2 * params.M, q_fn, b_fn,
+    return theory_from_presentation(2 * params.M,
+                                    partial(quadratic_form, qd, bd),
+                                    partial(bilinear_form, bd),
                                     _tqd_relation_matrix(params))
 
 
@@ -542,7 +537,9 @@ def tqd_theory(N: Sequence[int], n: Sequence[int] | None = None,
     """Anyon theory of the Abelian twisted double for (N_i; n_i, n_ij)."""
     params = _as_params(N, n, nij)
     theory = tqd_presented(params).theory
-    assert not validate_theory(theory)
+    problems = validate_theory(theory)
+    if problems:
+        raise TheoryCheckError(f"twisted-double theory is invalid: {problems}")
     return theory
 
 

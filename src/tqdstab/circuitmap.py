@@ -493,10 +493,11 @@ def table1_identity() -> dict:
                     excluded.append((a12, a13, a23))
                     continue
                 cz = (-1) ** (a12 * a23)
-                s = ((-1j) ** a12) * (1j ** a13) * ((-1j) ** a23)
-                assert s.imag == 0
-                rows.append(((a12, a13, a23), cz, int(s.real)))
-                agree = agree and cz == int(s.real)
+                # (-i)^a12 i^a13 (-i)^a23 = i^e; e is even on even-sum states
+                e = (a13 - a12 - a23) % 4
+                s = (-1) ** (e // 2)
+                rows.append(((a12, a13, a23), cz, s))
+                agree = agree and cz == s
     return {"rows": rows, "excluded": excluded, "agree": agree}
 
 

@@ -3,7 +3,10 @@
 Provides:
 - Rational01: reduced rationals taken modulo 1 (phase exponents).
 - IntMatrix: immutable arbitrary-precision integer matrices.
+- det_adjugate: determinant and integer adjugate by the one rational
+  Gauss-Jordan pass (determinants, unimodular inverses, K-matrix statistics).
 - smith_normal_form: U*A*V = S with unimodular U, V and divisibility chain.
+- howell_form / ModSolver: Howell form over Z_N; solves, kernels, image sizes.
 - solve_linear_mod / kernel_mod / least_solution_mod: linear systems with
   per-row moduli.
 """
@@ -198,30 +201,8 @@ class IntMatrix:
                 for row in self._data]
 
     def determinant(self) -> int:
-        """Exact determinant via fraction-free Gaussian elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [[Fraction(x) for x in row] for row in self._data]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = a[col][col]
-            for r in range(col + 1, n):
-                factor = a[r][col] / inv
-                if factor:
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-        if det.denominator != 1:
-            raise IntegralityError(f"non-integral determinant {det}")
-        return det.numerator
+        """Exact determinant (see det_adjugate)."""
+        return det_adjugate(self)[0]
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.determinant()) == 1
@@ -361,29 +342,46 @@ def integer_kernel(A: IntMatrix) -> list[list[int]]:
     return basis
 
 
-def unimodular_inverse(U: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix (integer entries)."""
-    if U.rows != U.cols:
+def det_adjugate(A: IntMatrix) -> tuple[int, IntMatrix | None]:
+    """(det A, adj A) with adj A * A = det A * I, by Gauss-Jordan over
+    Fraction on [A | I]; adj A = det A * A^{-1} is None when det A = 0."""
+    if A.rows != A.cols:
         raise ValueError("not square")
-    n = U.rows
-    a = [[Fraction(U[i, j]) for j in range(n)]
+    n = A.rows
+    a = [[Fraction(x) for x in A.row(i)]
          + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
-            raise IntegralityError("singular matrix has no inverse")
-        a[col], a[pivot] = a[pivot], a[col]
+            return 0, None
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
         inv = a[col][col]
+        det *= inv
         a[col] = [x / inv for x in a[col]]
         for r in range(n):
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
+    adj = [[det * x for x in row[n:]] for row in a]
+    if det.denominator != 1 or any(x.denominator != 1
+                                   for row in adj for x in row):
+        raise IntegralityError("non-integral determinant or adjugate")
+    return det.numerator, IntMatrix([[x.numerator for x in row]
+                                     for row in adj], cols=n)
+
+
+def unimodular_inverse(U: IntMatrix) -> IntMatrix:
+    """Exact inverse of a unimodular integer matrix (integer entries)."""
+    det, adj = det_adjugate(U)
+    if adj is None:
+        raise IntegralityError("singular matrix has no inverse")
+    if det not in (1, -1):
         raise IntegralityError("matrix is not unimodular: its inverse "
                                "has non-integer entries")
-    return IntMatrix([[int(x) for x in row] for row in out])
+    return adj if det == 1 else -adj
 
 
 def _lift(A: IntMatrix, b: Sequence[int] | None, moduli: Sequence[int]):

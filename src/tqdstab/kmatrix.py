@@ -20,58 +20,18 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .exactmath import (IntMatrix, Rational01, smith_normal_form,
-                        unimodular_inverse)
+from .exactmath import (IntMatrix, Rational01, det_adjugate,
+                        smith_normal_form, unimodular_inverse)
 from .lattice import TqdParams
+from .stabilizer import VerificationError
 
 
 class SingularMatrixError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# Rational matrix helpers
-# ---------------------------------------------------------------------------
-
-
-FracMatrix = list[list[Fraction]]
-
-
-def _frac(A: IntMatrix) -> FracMatrix:
-    return [[Fraction(A[i, j]) for j in range(A.cols)] for i in range(A.rows)]
-
-
-def _fmatmul(A: FracMatrix, B: FracMatrix) -> FracMatrix:
-    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), Fraction(0))
-             for j in range(len(B[0]))] for i in range(len(A))]
-
-
-def _ftranspose(A: FracMatrix) -> FracMatrix:
-    return [[A[i][j] for i in range(len(A))] for j in range(len(A[0]))]
-
-
-def _as_int_matrix(A: FracMatrix) -> IntMatrix:
-    assert all(x.denominator == 1 for row in A for x in row)
-    return IntMatrix([[int(x) for x in row] for row in A],
-                     cols=len(A[0]) if A else 0)
-
-
-def _finverse(A: FracMatrix) -> FracMatrix:
-    n = len(A)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+class CondensationMatrixError(VerificationError):
+    """The deconfined generators of a condensation are not integral."""
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +93,19 @@ def build_k_tc_stack(params: TqdParams) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def k_inverse(K: IntMatrix) -> FracMatrix:
-    """Exact rational inverse of K."""
+def _det_adjugate(K: IntMatrix) -> tuple[int, IntMatrix]:
+    """det K and adj K for a symmetric nonsingular K."""
     _check_symmetric(K)
-    return _finverse(_frac(K))
+    det, adj = det_adjugate(K)
+    if adj is None:
+        raise SingularMatrixError("matrix is singular")
+    return det, adj
+
+
+def k_inverse(K: IntMatrix) -> list[list[Fraction]]:
+    """Exact rational inverse of K: adj K / det K."""
+    det, adj = _det_adjugate(K)
+    return [[Fraction(x, det) for x in adj.row(i)] for i in range(adj.rows)]
 
 
 def transform(K: IntMatrix, W: IntMatrix) -> IntMatrix:
@@ -203,19 +172,15 @@ def reduce_vector(K: IntMatrix, l: Sequence[int]) -> tuple[int, ...]:
 
 
 def q_of(K: IntMatrix, l: Sequence[int]) -> Rational01:
-    """Exchange statistic q(l) = (1/2) l^T K^{-1} l mod 1."""
-    kinv = k_inverse(K)
-    vec = [sum(kinv[i][j] * l[j] for j in range(len(l)))
-           for i in range(len(l))]
-    return Rational01(Fraction(1, 2) * sum(li * vi for li, vi in zip(l, vec)))
+    """Exchange statistic q(l) = (1/2) l^T K^{-1} l = l^T adj l / (2 det)."""
+    det, adj = _det_adjugate(K)
+    return Rational01(sum(x * y for x, y in zip(l, adj.mat_vec(l))), 2 * det)
 
 
 def b_of(K: IntMatrix, l: Sequence[int], lp: Sequence[int]) -> Rational01:
-    """Braiding phase b(l, l') = l^T K^{-1} l' mod 1."""
-    kinv = k_inverse(K)
-    vec = [sum(kinv[i][j] * lp[j] for j in range(len(lp)))
-           for i in range(len(lp))]
-    return Rational01(sum((li * vi for li, vi in zip(l, vec)), Fraction(0)))
+    """Braiding phase b(l, l') = l^T K^{-1} l' = l^T adj l' / det mod 1."""
+    det, adj = _det_adjugate(K)
+    return Rational01(sum(x * y for x, y in zip(l, adj.mat_vec(lp))), det)
 
 
 def theory_from_k(K: IntMatrix):
@@ -246,7 +211,7 @@ def census(K: IntMatrix) -> dict[Rational01, int]:
 def signature(K: IntMatrix) -> int:
     """Signature of K via symmetric (congruence) diagonalization."""
     _check_symmetric(K)
-    a = _frac(K)
+    a = [[Fraction(x) for x in K.row(i)] for i in range(K.rows)]
     n = len(a)
     sig = 0
     for t in range(n):
@@ -307,10 +272,10 @@ class CondensationMatrices:
 def condensation_matrices(params: TqdParams) -> CondensationMatrices:
     """Condensation data taking the toric-code stack to the layered theory.
 
-    Verifies exactly:
-      Q^T K_TC^{-1} Q = -S,
-      L^T K_TC^{-1} Q = (0; -I) mod 1,
-      L^{-1} K_TC L^{-T} = build_k_tqd(params).
+    Verifies exactly, in integers with adj = adj K_TC and det = det K_TC:
+      Q^T adj Q = -det S            (Q^T K_TC^{-1} Q = -S),
+      L^T adj Q = 0 mod det         (L^T K_TC^{-1} Q = (0; -I) mod 1),
+      L K_TQD L^T = K_TC            (L^{-1} K_TC L^{-T} = K_TQD, L invertible).
     """
     M = params.M
     N = params.N
@@ -332,31 +297,21 @@ def condensation_matrices(params: TqdParams) -> CondensationMatrices:
         row = []
         for j in range(M):
             val = N[i] * U[j, i]  # (N U^T)_{ij}
-            assert val % N[j] == 0
+            if val % N[j]:
+                raise CondensationMatrixError(
+                    f"deconfined generator entry {val}/{N[j]} not integral")
             row.append(val // N[j])
         l_rows.append(row + [N[i] if j == i else 0 for j in range(M)])
     L = IntMatrix(l_rows)
 
-    kinv = _finverse(_frac(k_tc))
-    qf, lf = _frac(Q), _frac(L)
-
-    prod_qq = _fmatmul(_ftranspose(qf), _fmatmul(kinv, qf))
-    check_qq = _as_int_matrix(prod_qq) == -S
-
-    prod_lq = _fmatmul(_ftranspose(lf), _fmatmul(kinv, qf))
-    target = [[Fraction(0)] * M for _ in range(M)]
-    target += [[Fraction(-1 if j == i else 0) for j in range(M)]
-               for i in range(M)]
-    check_lq = all((prod_lq[i][j] - target[i][j]).denominator == 1
-                   for i in range(2 * M) for j in range(M))
-
-    l_inv = _finverse(lf)
-    cond_k = _fmatmul(l_inv, _fmatmul(_frac(k_tc), _ftranspose(l_inv)))
-    check_k = _as_int_matrix(cond_k) == k_tqd
-
+    det, adj = _det_adjugate(k_tc)
+    qq = Q.transpose() @ adj @ Q
+    lq = L.transpose() @ adj @ Q
     report = {
-        "bosons_mutually_trivial": check_qq,
-        "deconfined_braid_trivially": check_lq,
-        "condensed_k_matches": check_k,
+        "bosons_mutually_trivial": all(
+            qq[i, j] == -det * S[i, j] for i in range(M) for j in range(M)),
+        "deconfined_braid_trivially": all(
+            lq[i, j] % det == 0 for i in range(2 * M) for j in range(M)),
+        "condensed_k_matches": L @ k_tqd @ L.transpose() == k_tc,
     }
     return CondensationMatrices(k_tc, k_tqd, Q, L, report)

@@ -465,13 +465,13 @@ def _flux_phase_corrections(group: StabilizerGroup, per_layer: int,
     layer's total coefficient; solve for the m_i that cancel all such phases.
     The answer is the lexicographically smallest solution mod 2D.
     """
-    kernel = group._get_solver().kernel_basis()
-    if not kernel:
+    table = group._get_kernel_phases()
+    if not table:
         return [0] * n_layers
     D2 = 2 * group.system.D
     rows = [[sum(vec[i * per_layer:(i + 1) * per_layer]) % D2
-             for i in range(n_layers)] for vec in kernel]
-    rhs = [(-group.combination(vec).phase) % D2 for vec in kernel]
+             for i in range(n_layers)] for vec, _ in table]
+    rhs = [(-phase) % D2 for _, phase in table]
     sol = least_solution_mod(IntMatrix(rows, cols=n_layers), rhs,
                              [D2] * len(rows))
     if sol is None:

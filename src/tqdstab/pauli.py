@@ -321,7 +321,8 @@ def qubit_cx(control: int, target: int) -> CliffordGate:
 
 
 def _conjugate_one(P: PauliOperator, gate: CliffordGate) -> PauliOperator:
-    gate.validate(P.system)
+    """Image of one single-site factor under a gate already validated on
+    P's system (by _conjugate_exact)."""
     system = P.system
     D = system.D
     phase = P.phase
@@ -360,7 +361,7 @@ def _conjugate_one(P: PauliOperator, gate: CliffordGate) -> PauliOperator:
             bump(x, t, P.x[c])
         if P.z.get(t):
             bump(z, c, P.z[t])
-    return PauliOperator(system, phase=phase, x=x, z=z)
+    return _make(system, phase, x, z)
 
 
 def conjugate(P: PauliOperator,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from typing import Literal, Sequence
 
 from .exactmath import IntMatrix, ModSolver, Rational01, solve_linear_mod
@@ -58,7 +58,7 @@ class StabilizerGroup:
         # non-commuting generator pairs, recorded by the first check
         self._noncommuting: list[tuple[int, int]] | None = None
         self._solver: ModSolver | None = None
-        self._phase_group: set[int] | None = None
+        self._kernel_phases: list[tuple[list[int], int]] | None = None
         if validate:
             self._check_commuting()
 
@@ -121,32 +121,23 @@ class StabilizerGroup:
         group._check_commuting()
         return group
 
-    # -- phase subgroup (scalars reachable as generator combinations) -------
+    # -- scalars reachable as generator combinations ------------------------
 
-    def _get_phase_group(self) -> set[int]:
-        """Subgroup of Z_{2D} of phases of identity-exponent combinations.
-
-        Only meaningful for commuting generator sets (all uses here).
+    def _get_kernel_phases(self) -> list[tuple[list[int], int]]:
+        """(vector, phase) for each kernel_basis vector of the solver: the
+        combination is a scalar, and phase is its exponent mod 2D. Computed
+        once per group; raises SolverCheckError on a non-scalar combination.
+        The phases generate the subgroup gcd(2D, *phases) Z of Z_{2D}.
         """
-        if self._phase_group is None:
-            two_d = 2 * self.system.D
-            gens = []
+        if self._kernel_phases is None:
+            table = []
             for vec in self._get_solver().kernel_basis():
                 op = self.combination(vec)
                 if not op.is_scalar():
                     raise SolverCheckError("kernel combination is not scalar")
-                gens.append(op.phase % two_d)
-            group = {0}
-            frontier = [0]
-            while frontier:
-                base = frontier.pop()
-                for g in gens:
-                    nxt = (base + g) % two_d
-                    if nxt not in group:
-                        group.add(nxt)
-                        frontier.append(nxt)
-            self._phase_group = group
-        return self._phase_group
+                table.append((vec, op.phase))
+            self._kernel_phases = table
+        return self._kernel_phases
 
     def to_json_dict(self) -> dict:
         return {
@@ -210,13 +201,9 @@ class ScalarConsistency:
 def scalar_consistency(S: StabilizerGroup) -> ScalarConsistency:
     """Consistent iff no combination of generators is a nonzero scalar."""
     S._check_commuting()
-    two_d = 2 * S.system.D
-    for vec in S._get_solver().kernel_basis():
-        op = S.combination(vec)
-        if not op.is_scalar():
-            raise SolverCheckError("kernel combination is not scalar")
-        if op.phase % two_d:
-            return ScalarConsistency(False, (tuple(vec), op.phase))
+    for vec, phase in S._get_kernel_phases():
+        if phase:
+            return ScalarConsistency(False, (tuple(vec), phase))
     return ScalarConsistency(True, None)
 
 
@@ -233,8 +220,7 @@ def logical_dimension(S: StabilizerGroup) -> int:
 
 def member_with_phase(S: StabilizerGroup, P: PauliOperator) -> MembershipResult:
     """Express P as a generator combination, tracking the phase residual."""
-    solver = S._get_solver()
-    coeffs = solver.solve(S._lifted(P))
+    coeffs = S._get_solver().solve(S._lifted(P))
     if coeffs is None:
         return MembershipResult((), Rational01(0), "NotMember")
     combo = S.combination(coeffs)
@@ -244,17 +230,17 @@ def member_with_phase(S: StabilizerGroup, P: PauliOperator) -> MembershipResult:
     delta = (P.phase - combo.phase) % two_d
     if delta == 0:
         return MembershipResult(tuple(coeffs), Rational01(0), "Member")
-    if delta in S._get_phase_group():
+    table = S._get_kernel_phases()
+    phases = [phase for _, phase in table]
+    if delta % gcd(two_d, *phases) == 0:
         # Some identity-exponent combination supplies the missing phase;
         # fold it into the coefficients so the combination is exact.
-        kernel = solver.kernel_basis()
-        phases = [S.combination(vec).phase for vec in kernel]
         fix = solve_linear_mod(IntMatrix([phases], cols=len(phases)),
                                [delta], [two_d])
         if fix is None:
             raise SolverCheckError(
                 "no kernel combination has the missing phase")
-        coeffs = [c + sum(f * vec[i] for f, vec in zip(fix, kernel))
+        coeffs = [c + sum(f * vec[i] for f, (vec, _) in zip(fix, table))
                   for i, c in enumerate(coeffs)]
         combo = S.combination(coeffs)
         if combo != P:

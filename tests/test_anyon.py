@@ -169,6 +169,57 @@ class TestCondensation:
         assert result.theory.size == expected
 
 
+class TestChecksUnderOptimize:
+    """Condensation, theory-validity and condensation-matrix checks raise
+    VerificationError subclasses (CLI exit 1), also under python -O."""
+
+    SCRIPT = (
+        "from tqdstab import anyon, exactmath, kmatrix\n"
+        "from tqdstab.exactmath import IntMatrix\n"
+        "from tqdstab.lattice import TqdParams\n"
+        "from tqdstab.stabilizer import VerificationError\n"
+        "assert False, 'asserts must be stripped under -O'\n"
+        "def rejected(owner, name, value, call):\n"
+        "    saved = getattr(owner, name)\n"
+        "    setattr(owner, name, value)\n"
+        "    try:\n"
+        "        call()\n"
+        "    except VerificationError as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "    finally:\n"
+        "        setattr(owner, name, saved)\n"
+        "rejected(exactmath.ModSolver, 'solve', lambda self, b: None,\n"
+        "         lambda: anyon.condense(anyon.zn_tc_theory(2), [(1, 0)]))\n"
+        "rejected(anyon.PresentedTheory, 'project',\n"
+        "         lambda self, vec: (0,) * self.theory.rank,\n"
+        "         lambda: anyon.condense(anyon.stack(anyon.zn_tc_theory(2),\n"
+        "                                            anyon.semion_theory()),\n"
+        "                                [(1, 0, 0)]))\n"
+        "rejected(anyon, 'validate_theory', lambda theory: ['broken'],\n"
+        "         lambda: anyon.tqd_theory([2], [1]))\n"
+        "rejected(kmatrix, 'upper_coupling_matrix',\n"
+        "         lambda params: IntMatrix([[1, 1], [0, 1]]),\n"
+        "         lambda: kmatrix.condensation_matrices(\n"
+        "             TqdParams([2, 3], [1, 1])))\n")
+
+    def test_each_check_raises_under_optimize(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-O", "-c", self.SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["TheoryCheckError"] * 3 + [
+            "CondensationMatrixError"]
+
+    def test_failed_theory_check_exits_one(self, monkeypatch, capsys):
+        from tqdstab import anyon
+        from tqdstab.cli import run
+        monkeypatch.setattr(anyon, "validate_theory", lambda t: ["broken"])
+        assert run(["theory", "tqd", "--N", "2", "--n", "1"]) == 1
+        assert "verification failed" in capsys.readouterr().err
+
+
 class TestFusionGroups:
     @pytest.mark.parametrize("N,n,nij,expect", [
         ([2], [1], None, [2, 2]),

@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdstab.exactmath import (IntegralityError, IntMatrix, ModSolver,
-                               Rational01, cokernel_orders, integer_kernel,
-                               invariant_factors, kernel_mod,
+                               Rational01, cokernel_orders, det_adjugate,
+                               integer_kernel, invariant_factors, kernel_mod,
                                least_solution_mod, rat_sum,
                                smith_normal_form, solve_linear_mod,
                                unimodular_inverse)
+from tqdstab.kmatrix import SingularMatrixError, k_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,64 @@ class TestIntMatrix:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix([[1, 2], [3]])
+
+
+# ---------------------------------------------------------------------------
+# Determinant and adjugate
+# ---------------------------------------------------------------------------
+
+
+def cofactor_det(rows):
+    """Determinant by Laplace expansion along the first row (test oracle)."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j]
+               * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+square_rows = st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@st.composite
+def singular_symmetric(draw):
+    """B B^T for an n x (n-1) integer B: symmetric with rank < n."""
+    n = draw(st.integers(1, 4))
+    B = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n - 1,
+                               max_size=n - 1), min_size=n, max_size=n))
+    B = IntMatrix(B, cols=n - 1)
+    return B @ B.transpose()
+
+
+class TestDetAdjugate:
+    @given(square_rows)
+    @settings(max_examples=200, deadline=None)
+    def test_adjugate_identity_and_cofactor_determinant(self, rows):
+        n = len(rows)
+        A = IntMatrix(rows, cols=n)
+        det, adj = det_adjugate(A)
+        assert det == cofactor_det(rows) == A.determinant()
+        if det == 0:
+            assert adj is None
+        else:
+            scaled = IntMatrix.diagonal([det] * n)
+            assert adj @ A == scaled and A @ adj == scaled
+
+    @given(singular_symmetric())
+    @settings(max_examples=50, deadline=None)
+    def test_singular_matrix_everywhere(self, K):
+        assert cofactor_det(K.tolist()) == 0
+        assert K.determinant() == 0
+        with pytest.raises(SingularMatrixError):
+            k_inverse(K)
+        with pytest.raises(IntegralityError):
+            unimodular_inverse(K)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            det_adjugate(IntMatrix([[1, 2]]))
 
 
 # ---------------------------------------------------------------------------

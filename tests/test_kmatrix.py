@@ -8,6 +8,7 @@ from tqdstab.anyon import (ds_theory, theories_isomorphic,
                            topological_spins_census, tqd_theory,
                            zn_tc_theory)
 from tqdstab.exactmath import IntMatrix, Rational01
+from tqdstab import kmatrix
 from tqdstab.kmatrix import (SingularMatrixError, anyon_group_from_k, b_of,
                              build_k_tc_stack, build_k_tqd, census,
                              condensation_matrices, coupling_matrix,
@@ -184,3 +185,27 @@ class TestCondensationMatrices:
         for c in range(cm.Q.cols):
             col = [cm.Q[r, c] for r in range(cm.Q.rows)]
             assert q_of(cm.k_tc, col).is_zero()
+
+    @pytest.mark.parametrize("name,broken,expected", [
+        # -S off by I: the bosons' self-statistics and the condensed K move.
+        ("coupling_matrix",
+         lambda orig: lambda p: orig(p) + IntMatrix.identity(p.M),
+         (False, True, False)),
+        # a wrong target K: only the condensed-K identity can notice.
+        ("build_k_tqd",
+         lambda orig: lambda p: orig(p) + IntMatrix.identity(2 * p.M),
+         (True, True, False)),
+        # a doubled parent K_TC halves every braiding: all three fail.
+        ("build_k_tc_stack",
+         lambda orig: lambda p: orig(p) + orig(p),
+         (False, False, False)),
+    ])
+    def test_each_identity_can_fail(self, monkeypatch, name, broken,
+                                    expected):
+        params = TqdParams([2, 2], [1, 1], [[0, 1], [1, 0]])
+        monkeypatch.setattr(kmatrix, name, broken(getattr(kmatrix, name)))
+        cm = condensation_matrices(params)
+        assert cm.report == dict(zip(
+            ["bosons_mutually_trivial", "deconfined_braid_trivially",
+             "condensed_k_matches"], expected))
+        assert not cm.all_identities_hold

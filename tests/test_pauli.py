@@ -392,6 +392,17 @@ class TestConjugation:
             assert np.allclose(dense(conjugate(P, circ)),
                                U @ dense(P) @ U.conj().T)
 
+    def test_gate_validated_once_per_conjugation(self, monkeypatch):
+        calls = []
+        original = CliffordGate.validate
+        monkeypatch.setattr(CliffordGate, "validate",
+                            lambda gate, system: calls.append(gate)
+                            or original(gate, system))
+        sysm = QuditSystem([3, 3])
+        P = PauliOperator(sysm, phase=1, x={0: 1, 1: 2}, z={0: 2, 1: 1})
+        conjugate(P, [qudit_cx(0, 1)])  # four single-site factors
+        assert calls == [qudit_cx(0, 1)]
+
     def test_gate_validation(self):
         with pytest.raises(ValueError):
             conjugate(identity(QuditSystem([2, 3])),

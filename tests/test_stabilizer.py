@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -363,6 +364,79 @@ class TestMembership:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "rejected"
+
+
+def phase_closure(phases, two_d):
+    """Subgroup of Z_{2D} generated by phases, by breadth-first closure
+    (the membership test's reachability check before the gcd form)."""
+    group = {0}
+    frontier = [0]
+    while frontier:
+        base = frontier.pop()
+        for g in phases:
+            nxt = (base + g) % two_d
+            if nxt not in group:
+                group.add(nxt)
+                frontier.append(nxt)
+    return group
+
+
+class TestKernelPhases:
+    def test_computed_once_per_group(self, monkeypatch):
+        # generators [X, -X]; both targets below need a kernel phase fix.
+        sysm = QuditSystem([2])
+        X = single(sysm, 0, "X", 1)
+        S = StabilizerGroup(sysm, [X, multiply(scalar(sysm, 2), X)])
+        n_kernel = len(S._get_solver().kernel_basis())
+        calls = []
+        original = StabilizerGroup.combination
+        monkeypatch.setattr(StabilizerGroup, "combination",
+                            lambda self, vec: calls.append(vec)
+                            or original(self, vec))
+        assert not scalar_consistency(S).consistent
+        assert len(calls) == n_kernel
+        for target in (scalar(sysm, 2), X):
+            res = member_with_phase(S, target)
+            assert res.is_member
+            assert original(S, res.coefficients) == target
+        # each membership call: one check of the solve, one of the fix
+        assert len(calls) == n_kernel + 2 * 2
+
+    def test_rephased_group_computes_its_own_table(self):
+        # The builder's phase fix read the unfixed group's table; the final
+        # group does not inherit it, so scalar_consistency re-checks the fix.
+        group, model = build_ds(3, 3)
+        assert model.phase_fix == (2,)
+        assert group._kernel_phases is None
+        assert scalar_consistency(group).consistent
+        assert all(phase == 0 for _, phase in group._kernel_phases)
+
+    @given(st.sampled_from([2, 4, 6, 8, 12, 16]),
+           st.lists(st.integers(0, 15), max_size=4), st.integers(0, 15))
+    @settings(max_examples=200, deadline=None)
+    def test_gcd_reachability_equals_closure(self, two_d, phases, delta):
+        phases = [p % two_d for p in phases]
+        delta %= two_d
+        reachable = delta % gcd(two_d, *phases) == 0
+        assert reachable == (delta in phase_closure(phases, two_d))
+
+    @given(st.sampled_from([2, 3, 4]),
+           st.lists(st.integers(0, 7), max_size=3), st.integers(0, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_membership_follows_closure(self, d, phases, delta):
+        # Scalar generators make every scalar in their phase closure a
+        # Member; any other scalar is only a member up to phase.
+        sysm = QuditSystem([d])
+        two_d = 2 * sysm.D
+        gens = [single(sysm, 0, "X", 1)] + [scalar(sysm, p) for p in phases]
+        S = StabilizerGroup(sysm, gens)
+        target = scalar(sysm, delta)
+        res = member_with_phase(S, target)
+        if delta % two_d in phase_closure(phases, two_d):
+            assert res.is_member
+            assert S.combination(res.coefficients) == target
+        else:
+            assert res.verdict == "MemberUpToPhase"
 
 
 class TestCentralizerAndMeasure:
