@@ -249,7 +249,7 @@ def lagrangian_subgroups(theory: AnyonTheory) -> list[set[Element]]:
 
     Each returned subgroup L satisfies (i) q = 0 and b = 0 within L and
     (ii) every anyon outside L braids nontrivially with some member;
-    |L|^2 = |A| is asserted.
+    |L|^2 = |A| is checked (TheoryCheckError otherwise).
     """
     elems = theory.elements()
     bosons = [a for a in elems if theory.is_boson(a)]
@@ -283,7 +283,9 @@ def lagrangian_subgroups(theory: AnyonTheory) -> list[set[Element]]:
     grow({group.identity()}, 0)
     out = [set(f) for f in sorted(found, key=lambda f: sorted(f))]
     for sub in out:
-        assert len(sub) ** 2 == theory.size, "Lagrangian size violation"
+        if len(sub) ** 2 != theory.size:
+            raise TheoryCheckError(f"Lagrangian subgroup of size {len(sub)} "
+                                   f"in a theory of size {theory.size}")
     return out
 
 
@@ -590,7 +592,9 @@ def fusion_group(N, n=None, nij=None) -> list[int]:
     presentation relations."""
     params = _as_params(N, n, nij)
     diag = invariant_factors(_tqd_relation_matrix(params))
-    assert len(diag) == 2 * params.M and all(d != 0 for d in diag)
+    if len(diag) != 2 * params.M or 0 in diag:
+        raise TheoryCheckError(f"fusion group invariant factors {diag} are "
+                               f"not {2 * params.M} finite orders")
     return sorted(d for d in diag if d != 1)
 
 
@@ -679,7 +683,9 @@ def _invariants_from_order_census(census: dict[int, int],
             f *= padded[idx]
         if f != 1:
             inv.append(f)
-    assert prod(inv, start=1) == size
+    if prod(inv, start=1) != size:
+        raise TheoryCheckError(f"invariant factors {inv} of the order census "
+                               f"do not multiply to the group size {size}")
     return sorted(inv)
 
 

@@ -23,7 +23,8 @@ from math import prod
 from typing import Iterable, Literal, Sequence
 
 from .pauli import CliffordGate, PauliOperator, multiply, qudit_cx
-from .stabilizer import NonCommutingError, StabilizerGroup, group_order
+from .stabilizer import (NonCommutingError, StabilizerGroup,
+                         VerificationError, group_order)
 
 Vertex = tuple[int, int]
 EdgeKind = Literal["h", "v", "d"]
@@ -204,6 +205,10 @@ def amplitude_psi(lattice: TriangularLattice, b: dict[Vertex, int]) -> int:
     return -1 if exponent % 2 else 1
 
 
+class DomainWallError(VerificationError):
+    """A coboundary crosses a face an odd number of times."""
+
+
 def domain_wall_count(lattice: TriangularLattice, b: dict[Vertex, int]) -> int:
     """Connected components of the dual-edge set {e : delta b(e) = 1}.
 
@@ -222,7 +227,9 @@ def domain_wall_count(lattice: TriangularLattice, b: dict[Vertex, int]) -> int:
 
     for f in lattice.faces():
         hits = [e for e in lattice.face_edges(f) if cochain(e)]
-        assert len(hits) % 2 == 0, "coboundary must cross faces evenly"
+        if len(hits) % 2:
+            raise DomainWallError(f"coboundary crosses face {f} "
+                                  f"{len(hits)} times")
         for e in hits[1:]:
             parent[find(e)] = find(hits[0])
     return len({find(e) for e in active})

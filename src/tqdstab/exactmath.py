@@ -7,6 +7,9 @@ Provides:
   Gauss-Jordan pass (determinants, unimodular inverses, K-matrix statistics).
 - smith_normal_form: U*A*V = S with unimodular U, V and divisibility chain.
 - howell_form / ModSolver: Howell form over Z_N; solves, kernels, image sizes.
+  Input rows are dense integer sequences; Howell rows are sparse dicts
+  {column: nonzero residue}, so elimination and every later read touch
+  only nonzero entries.
 - solve_linear_mod / kernel_mod / least_solution_mod: linear systems with
   per-row moduli.
 """
@@ -424,47 +427,64 @@ def _unit_for(a: int, N: int) -> int:
 
 
 def howell_form(rows: Sequence[Sequence[int]],
-                big: int) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+                big: int) -> tuple[list[dict[int, int]],
+                                   list[tuple[int, int, int]]]:
     """Howell form of the Z_big row span of `rows`.
 
-    Returns (H, pivots) with pivots a staircase list of (row_index, col,
-    value); each pivot value divides big. The Howell property guarantees
-    that any span element with zeros in its first k coordinates is a Z_big
-    combination of the H rows whose pivots lie past column k, so greedy
-    left-to-right reduction against H is a complete membership test. All
-    arithmetic stays mod big, so entries never grow.
+    `rows` are dense sequences of integers of one width (any residues).
+    Returns (H, pivots). Each H row is sparse: a dict {column: residue}
+    holding exactly its nonzero entries mod big. pivots is a staircase list
+    of (row_index, col, value); each pivot value divides big. The Howell
+    property guarantees that any span element with zeros in its first k
+    coordinates is a Z_big combination of the H rows whose pivots lie past
+    column k, so greedy left-to-right reduction against H is a complete
+    membership test. All arithmetic stays mod big, so entries never grow.
+
+    Pending rows wait in buckets keyed by their leading column, each in
+    creation order; at column c the bucket of c is merged into its first
+    row by xgcd steps, and the other rows, once cleared at c, move on to
+    the bucket of their new leading column. A bucket holds the rows a scan
+    of every pending row would find at c, in the same order, so the
+    pivots and rows are those of the dense elimination.
     """
     width = len(rows[0]) if rows else 0
-    todo = [r for r in ([x % big for x in row] for row in rows) if any(r)]
-    H: list[list[int]] = []
+    buckets: dict[int, list[dict[int, int]]] = {}
+
+    def push(row: dict[int, int]) -> None:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+
+    for row in rows:
+        push({j: v for j, x in enumerate(row) if (v := x % big)})
+    H: list[dict[int, int]] = []
     pivots: list[tuple[int, int, int]] = []
     for col in range(width):
-        here = [r for r in todo if r[col]]
-        rest = [r for r in todo if not r[col]]
-        if not here:
-            todo = rest
+        here = buckets.pop(col, None)
+        if here is None:
             continue
         piv = here[0]
         for r in here[1:]:
             a, b = piv[col], r[col]
             g, s, t = _xgcd(a, b)
-            newp = [(s * x + t * y) % big for x, y in zip(piv, r)]
-            newr = [((b // g) * x - (a // g) * y) % big
-                    for x, y in zip(piv, r)]
-            piv = newp
-            if any(newr):
-                rest.append(newr)
+            ag, bg = a // g, b // g
+            keys = piv.keys() | r.keys()
+            push({j: v for j in keys
+                  if (v := (bg * piv.get(j, 0) - ag * r.get(j, 0)) % big)})
+            # s * piv + t * r is r itself when (s, t) = (0, 1) (b divides
+            # a, as in most steps) and piv itself when (s, t) = (1, 0).
+            if (s, t) == (0, 1):
+                piv = r
+            elif (s, t) != (1, 0):
+                piv = {j: v for j in keys
+                       if (v := (s * piv.get(j, 0) + t * r.get(j, 0)) % big)}
         u = _unit_for(piv[col], big)
-        piv = [(u * x) % big for x in piv]
+        piv = {j: (u * x) % big for j, x in piv.items()}
         d = piv[col]
         H.append(piv)
         pivots.append((len(H) - 1, col, d))
-        # Howell closure: the annihilator (big/d) * piv re-enters the queue.
-        ann = [((big // d) * x) % big for x in piv]
-        ann[col] = 0
-        if any(ann):
-            rest.append(ann)
-        todo = rest
+        # Howell closure: the annihilator (big/d) * piv is a pending row.
+        f = big // d
+        push({j: v for j, x in piv.items() if j != col and (v := f * x % big)})
     return H, pivots
 
 
@@ -491,27 +511,25 @@ class ModSolver:
     def solve(self, b: Sequence[int]) -> list[int] | None:
         if len(b) != self._m:
             raise ValueError("b length must equal number of rows")
-        big = self.big
-        res = [((big // mod) * int(v)) % big
-               for mod, v in zip(self.moduli, b)]
-        coeff = [0] * self._n
+        big, m = self.big, self._m
+        # w = (res, -coeff): subtracting q * row clears res at the pivot and
+        # adds q to the combination of the row's identity-block half.
+        w = [((big // mod) * int(v)) % big
+             for mod, v in zip(self.moduli, b)] + [0] * self._n
         for idx, col, d in self._pivots:
-            if col >= self._m:
+            if col >= m:
                 break
-            r = res[col]
+            r = w[col]
             if not r:
                 continue
             if r % d:
                 return None
             q = r // d
-            row = self._H[idx]
-            for j in range(col, self._m):
-                res[j] = (res[j] - q * row[j]) % big
-            for j in range(self._n):
-                coeff[j] = (coeff[j] + q * row[self._m + j]) % big
-        if any(res):
+            for j, v in self._H[idx].items():
+                w[j] = (w[j] - q * v) % big
+        if any(w[:m]):
             return None
-        return coeff
+        return [-x % big for x in w[m:]]
 
     def kernel_basis(self) -> list[list[int]]:
         """Generators of the lattice {x in Z^cols : A x = 0 mod moduli}.
@@ -520,8 +538,8 @@ class ModSolver:
         big reduction) is generated.
         """
         m, n, big = self._m, self._n, self.big
-        basis = [row[m:] for (idx, col, d) in self._pivots
-                 for row in [self._H[idx]] if col >= m]
+        basis = [[self._H[idx].get(j, 0) for j in range(m, m + n)]
+                 for idx, col, _ in self._pivots if col >= m]
         basis.extend([big if j == i else 0 for j in range(n)]
                      for i in range(n))
         return basis
@@ -565,7 +583,6 @@ def least_solution_mod(A: IntMatrix, b: Sequence[int],
     for idx, col, d in pivots:
         q = sol[col] // d
         if q:
-            row = H[idx]
-            for j in range(col, len(sol)):
-                sol[j] = (sol[j] - q * row[j]) % big
+            for j, v in H[idx].items():
+                sol[j] = (sol[j] - q * v) % big
     return sol

@@ -171,25 +171,32 @@ def reduce_vector(K: IntMatrix, l: Sequence[int]) -> tuple[int, ...]:
     return tuple(unimodular_inverse(snf.U).mat_vec(t))
 
 
+def _pairing(det_adj: tuple[int, IntMatrix], l: Sequence[int],
+             lp: Sequence[int], scale: int) -> Rational01:
+    """l^T adj l' / (scale * det) mod 1, from K's (det, adj)."""
+    det, adj = det_adj
+    return Rational01(sum(x * y for x, y in zip(l, adj.mat_vec(lp))),
+                      scale * det)
+
+
 def q_of(K: IntMatrix, l: Sequence[int]) -> Rational01:
     """Exchange statistic q(l) = (1/2) l^T K^{-1} l = l^T adj l / (2 det)."""
-    det, adj = _det_adjugate(K)
-    return Rational01(sum(x * y for x, y in zip(l, adj.mat_vec(l))), 2 * det)
+    return _pairing(_det_adjugate(K), l, l, 2)
 
 
 def b_of(K: IntMatrix, l: Sequence[int], lp: Sequence[int]) -> Rational01:
     """Braiding phase b(l, l') = l^T K^{-1} l' = l^T adj l' / det mod 1."""
-    det, adj = _det_adjugate(K)
-    return Rational01(sum(x * y for x, y in zip(l, adj.mat_vec(lp))), det)
+    return _pairing(_det_adjugate(K), l, lp, 1)
 
 
 def theory_from_k(K: IntMatrix):
     """AnyonTheory carried by Z^k / K Z^k with statistics from K^{-1}."""
     from .anyon import AnyonTheory
     group = anyon_group_from_k(K)
+    det_adj = _det_adjugate(K)
     gens = group.generators
-    q_gen = [q_of(K, g) for g in gens]
-    b_gen = [[b_of(K, g, h) for h in gens] for g in gens]
+    q_gen = [_pairing(det_adj, g, g, 2) for g in gens]
+    b_gen = [[_pairing(det_adj, g, h, 1) for h in gens] for g in gens]
     return AnyonTheory(group.orders, q_gen, b_gen)
 
 
@@ -198,14 +205,18 @@ def theory_from_k(K: IntMatrix):
 # ---------------------------------------------------------------------------
 
 
-def census(K: IntMatrix) -> dict[Rational01, int]:
-    """Histogram of exchange statistics over all anyons of K."""
-    group = anyon_group_from_k(K)
+def _census(K: IntMatrix, group: AnyonGroupFromK) -> dict[Rational01, int]:
+    det_adj = _det_adjugate(K)
     counts: dict[Rational01, int] = {}
     for rep in group.representatives:
-        q = q_of(K, rep)
+        q = _pairing(det_adj, rep, rep, 2)
         counts[q] = counts.get(q, 0) + 1
     return counts
+
+
+def census(K: IntMatrix) -> dict[Rational01, int]:
+    """Histogram of exchange statistics over all anyons of K."""
+    return _census(K, anyon_group_from_k(K))
 
 
 def signature(K: IntMatrix) -> int:
@@ -239,7 +250,7 @@ def signature(K: IntMatrix) -> int:
 def to_json_dict(K: IntMatrix) -> dict:
     """CLI-facing summary: matrix, fusion group, census, signature."""
     group = anyon_group_from_k(K)
-    hist = census(K)
+    hist = _census(K, group)
     return {
         "K": K.tolist(),
         "group": list(group.orders),

@@ -13,13 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_howell_form
+from tqdstab import exactmath
 from tqdstab.exactmath import (IntegralityError, IntMatrix, ModSolver,
                                Rational01, cokernel_orders, det_adjugate,
-                               integer_kernel, invariant_factors, kernel_mod,
-                               least_solution_mod, rat_sum,
+                               howell_form, integer_kernel, invariant_factors,
+                               kernel_mod, least_solution_mod, rat_sum,
                                smith_normal_form, solve_linear_mod,
                                unimodular_inverse)
 from tqdstab.kmatrix import SingularMatrixError, k_inverse
+from tqdstab.lattice import TqdParams, build_ds, build_tqd
+from tqdstab.stabilizer import StabilizerGroup
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -459,3 +465,108 @@ class TestSolverProperties:
         moduli = [two_d] * len(rows)
         assert least_solution_mod(A, b, moduli) == walk_least_solution(
             A, b, moduli)
+
+
+# ---------------------------------------------------------------------------
+# Sparse Howell rows against the dense oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def howell_systems(draw):
+    """Dense rows over Z_big, big in {2, 4, 8, 12, 16}. Most rows are lifted
+    from a modulus dividing big (mixed moduli, as ModSolver lifts them);
+    others are all zero or multiples of big. The row list may be empty."""
+    big = draw(st.sampled_from([2, 4, 8, 12, 16]))
+    width = draw(st.integers(1, 7))
+    divisors = [m for m in range(1, big + 1) if big % m == 0]
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["lifted", "lifted", "zero", "multiple"]))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind == "multiple":
+            rows.append([big * draw(st.integers(-2, 2))
+                         for _ in range(width)])
+        else:
+            mod = draw(st.sampled_from(divisors))
+            rows.append([(big // mod) * draw(st.one_of(
+                st.just(0), st.integers(-mod, 2 * mod)))
+                for _ in range(width)])
+    return rows, big
+
+
+def _densified(H, width):
+    return [[row.get(j, 0) for j in range(width)] for row in H]
+
+
+def _assert_matches_dense_oracle(rows, big):
+    width = len(rows[0]) if rows else 0
+    H, pivots = howell_form(rows, big)
+    dense_H, dense_pivots = dense_howell_form(rows, big)
+    assert pivots == dense_pivots
+    assert _densified(H, width) == dense_H
+    # exactly the nonzero residues are stored
+    assert all(0 <= j < width and 0 < v < big
+               for row in H for j, v in row.items())
+    return H, pivots
+
+
+class TestSparseHowell:
+    @given(howell_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_same_pivots_and_rows_as_dense_oracle(self, system):
+        _assert_matches_dense_oracle(*system)
+
+    def test_empty_and_zero_inputs(self):
+        assert howell_form([], 4) == ([], [])
+        assert howell_form([[0, 0, 0], [8, -16, 24]], 8) == ([], [])
+        assert _assert_matches_dense_oracle([[0, 0], [12, 0]], 12) == (
+            [], [])
+
+    def test_annihilator_row_re_enters(self):
+        # (2, 1) over Z_4: the pivot 2 at column 0 has annihilator 2 * (2, 1)
+        # = (0, 2), which gives a second pivot.
+        H, pivots = _assert_matches_dense_oracle([[2, 1]], 4)
+        assert H == [{0: 2, 1: 1}, {1: 2}]
+        assert pivots == [(0, 0, 2), (1, 1, 2)]
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_ds(4, 4),
+        lambda: build_tqd(TqdParams([2, 2], [1, 1], [[0, 1], [1, 0]]), 3, 3),
+    ], ids=["ds-4x4", "tqd22-twisted-3x3"])
+    def test_lattice_systems_match_dense_oracle(self, monkeypatch, build):
+        group, _ = build()
+        calls = []
+        original = exactmath.howell_form
+
+        def recording(rows, big):
+            calls.append((rows, big))
+            return original(rows, big)
+
+        monkeypatch.setattr(exactmath, "howell_form", recording)
+        fresh = StabilizerGroup(group.system, group.generators,
+                                validate=False)
+        solver = fresh._get_solver()
+        [(rows, big)] = calls
+        # [M | I]: 2n lifted exponent columns, then one column per generator
+        assert len(rows[0]) == 2 * group.system.n_sites + len(
+            group.generators)
+        H, pivots = _assert_matches_dense_oracle(rows, big)
+        assert (H, pivots) == (solver._H, solver._pivots)
+
+    def test_benchmark_trace_reads_arguments_and_result(self, monkeypatch):
+        # The benchmark's layer trace records the dense input width and the
+        # pivot count from howell_form's (rows, big) and (H, pivots).
+        monkeypatch.syspath_prepend(str(ROOT / "tqdbench"))
+        import layertrace
+        rows = [[2, 0, 3, 1, 0, 0],
+                [0, 4, 2, 0, 1, 0],
+                [2, 4, 5, 0, 0, 1]]
+        result = howell_form(rows, 6)
+        stat = {}
+        layertrace._howell_extra(stat, (rows, 6), result)
+        layertrace._howell_extra(stat, ([], 2), howell_form([], 2))
+        assert stat == {"width_max": 6, "big_max": 6,
+                        "pivots": len(dense_howell_form(rows, 6)[1])}
+        assert stat["pivots"] == 5

@@ -209,3 +209,38 @@ class TestCondensationMatrices:
             ["bosons_mutually_trivial", "deconfined_braid_trivially",
              "condensed_k_matches"], expected))
         assert not cm.all_identities_hold
+
+
+class TestNoRepeats:
+    @pytest.mark.parametrize("what", ["build", "census"])
+    def test_one_adjugate_pass_per_use(self, monkeypatch, capsys, what):
+        # One K: anyon_group_from_k's singular check and unimodular inverse,
+        # then one (det, adj) for every anyon's statistic; one Smith form.
+        from tqdstab import exactmath
+        from tqdstab.cli import run
+        calls = {"det_adjugate": 0, "smith_normal_form": 0}
+
+        def counting(name):
+            original = getattr(exactmath, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name)
+            monkeypatch.setattr(exactmath, name, wrapper)
+            monkeypatch.setattr(kmatrix, name, wrapper)
+        assert run(["kmatrix", what, "--N", "2,2", "--n", "1,1",
+                    "--nij", "0,1,1"]) == 0
+        capsys.readouterr()
+        assert calls == {"det_adjugate": 3, "smith_normal_form": 1}
+
+    def test_theory_from_k_matches_per_vector_statistics(self):
+        K = build_k_tqd(TqdParams([2, 2], [1, 1], [[0, 1], [1, 0]]))
+        theory = theory_from_k(K)
+        gens = anyon_group_from_k(K).generators
+        assert list(theory.q_gen) == [q_of(K, g) for g in gens]
+        assert [list(row) for row in theory.b_gen] == [
+            [b_of(K, g, h) for h in gens] for g in gens]

@@ -1,23 +1,21 @@
 """No new `assert` in the library: checks must survive `python -O`.
 
 Every `assert` statement under src/tqdstab is located by (module, innermost
-enclosing function) and compared with the allowlist below. A new assert
-fails this test; so does an allowlist entry whose assert is gone, so the
-list only shrinks as the remaining ones become typed errors.
+enclosing function) and compared with the allowlist below, which is empty:
+every check in the library raises a typed error. A new assert fails this
+test; so would an allowlist entry whose assert is gone.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tqdstab"
 
-ALLOWED = Counter({
-    ("anyon", "lagrangian_subgroups"): 1,
-    ("anyon", "fusion_group"): 1,
-    ("anyon", "_invariants_from_order_census"): 1,
-    ("circuitmap", "domain_wall_count"): 1,
-})
+ALLOWED = Counter()
 
 
 def _asserts(tree, module):
@@ -54,3 +52,44 @@ def test_locator_finds_function_asserts():
                      "    assert 2\nassert 3\n")
     assert _asserts(tree, "m") == [("m", "g"), ("m", "f"),
                                    ("m", "<module>")]
+
+
+# Four consistency checks of anyon and circuitmap, each reached with its input
+# broken by monkeypatching (or, for the order census, by a census no group
+# has); each must raise a VerificationError with asserts stripped.
+CHECKS_UNDER_O = (
+    "from tqdstab import anyon, circuitmap\n"
+    "from tqdstab.stabilizer import VerificationError\n"
+    "assert False, 'asserts must be stripped under -O'\n"
+    "def rejected(call, owner=None, name=None, value=None):\n"
+    "    if owner is not None:\n"
+    "        saved = getattr(owner, name)\n"
+    "        setattr(owner, name, value)\n"
+    "    try:\n"
+    "        call()\n"
+    "    except VerificationError as exc:\n"
+    "        print(type(exc).__name__)\n"
+    "    finally:\n"
+    "        if owner is not None:\n"
+    "            setattr(owner, name, saved)\n"
+    "tc = anyon.zn_tc_theory(2)\n"
+    "rejected(lambda: anyon.lagrangian_subgroups(tc),\n"
+    "         anyon.AnyonTheory, 'size', property(lambda self: 3))\n"
+    "rejected(lambda: anyon.fusion_group([2], [1]),\n"
+    "         anyon, 'invariant_factors', lambda A: [1, 2, 0])\n"
+    "rejected(lambda: anyon._invariants_from_order_census({1: 1, 2: 1}, 4))\n"
+    "tri = circuitmap.TriangularLattice(3)\n"
+    "edge = next(iter(tri.edges()))\n"
+    "rejected(lambda: circuitmap.domain_wall_count(tri, {}),\n"
+    "         circuitmap, 'coboundary',\n"
+    "         lambda c: circuitmap.Cochain(tri, 1, 2, {edge: 1}))\n")
+
+
+def test_consistency_checks_raise_under_optimize():
+    src = PACKAGE.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["TheoryCheckError"] * 3 + [
+        "DomainWallError"]

@@ -439,6 +439,75 @@ class TestKernelPhases:
             assert res.verdict == "MemberUpToPhase"
 
 
+@st.composite
+def groups_and_probes(draw):
+    """A commuting group on at most two qudits of mixed dimension (each
+    drawn generator kept only if it commutes with those kept before it),
+    and a probe: a random Pauli, or a generator product times a scalar."""
+    dims = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1,
+                         max_size=2))
+    sysm = QuditSystem(dims)
+    exps = st.dictionaries(st.sampled_from(range(len(dims))),
+                           st.integers(-4, 4), max_size=2)
+    two_d = 2 * sysm.D
+
+    def pauli():
+        return PauliOperator(sysm, phase=draw(st.integers(0, two_d - 1)),
+                             x=draw(exps), z=draw(exps))
+
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        P = pauli()
+        if all(commutes(P, g) for g in gens):
+            gens.append(P)
+    S = StabilizerGroup(sysm, gens)
+    if draw(st.booleans()):
+        probe = pauli()
+    else:
+        probe = scalar(sysm, draw(st.integers(0, two_d - 1)))
+        for g in gens:
+            for _ in range(draw(st.integers(0, 3))):
+                probe = multiply(probe, g)
+    return S, probe
+
+
+def group_closure(S):
+    """Every element of <S> with its phase, by breadth-first closure."""
+    group = {PauliOperator(S.system)}
+    frontier = list(group)
+    while frontier:
+        base = frontier.pop()
+        for g in S.generators:
+            nxt = multiply(base, g)
+            if nxt not in group:
+                group.add(nxt)
+                frontier.append(nxt)
+    return group
+
+
+class TestMembershipProperties:
+    @given(groups_and_probes())
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_agrees_with_enumeration(self, system):
+        S, probe = system
+        group = group_closure(S)
+        res = member_with_phase(S, probe)
+        def exponents(P):
+            return sorted(P.x.items()), sorted(P.z.items())
+
+        if probe in group:
+            assert res.is_member
+            assert S.combination(res.coefficients) == probe
+        elif any(exponents(P) == exponents(probe) for P in group):
+            assert res.verdict == "MemberUpToPhase"
+            combo = S.combination(res.coefficients)
+            assert exponents(combo) == exponents(probe)
+            assert res.residual_phase == Rational01(
+                probe.phase - combo.phase, 2 * S.system.D)
+        else:
+            assert res.verdict == "NotMember"
+
+
 class TestCentralizerAndMeasure:
     def test_centralizer_drops_anticommuting(self):
         sysm = QuditSystem([2, 2])
