@@ -29,13 +29,15 @@ from .stabilizer import VerificationError
 Element = tuple[int, ...]
 
 
-class RelationError(ValueError):
-    """A presentation relation is not a boson that braids trivially with
-    every generator, so the quadratic form does not descend to the quotient."""
-
-
 class TheoryCheckError(VerificationError):
     """A theory built here fails an exact consistency check."""
+
+
+class RelationError(TheoryCheckError):
+    """A presentation relation is not a boson that braids trivially with
+    every generator, so the quadratic form does not descend to the quotient.
+    Every caller derives its relations itself, so this is a failed check
+    (exit 1), not bad input."""
 
 
 @dataclass(frozen=True)

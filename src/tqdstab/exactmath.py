@@ -1,7 +1,10 @@
 """Exact integer and rational-mod-1 linear algebra.
 
 Provides:
-- Rational01: reduced rationals taken modulo 1 (phase exponents).
+- Rational01: reduced rationals taken modulo 1 (phase exponents), kept as
+  an integer pair: construction reduces with % and gcd, and +, -, negation,
+  *k and rat_sum cross-multiply integers, so no Fraction is built on these
+  paths (a Fraction is still accepted as input and given by .fraction).
 - IntMatrix: immutable arbitrary-precision integer matrices.
 - det_adjugate: determinant and integer adjugate by the one rational
   Gauss-Jordan pass (determinants, unimodular inverses, K-matrix statistics).
@@ -37,6 +40,8 @@ class Rational01:
 
     Represents values such as statistics q(a) and braiding phases b_q(a, a'):
     0 <= numerator/denominator < 1 with gcd(numerator, denominator) = 1.
+    Built from two integers (denominator nonzero, either sign) or from a
+    Fraction alone.
     """
 
     numerator: int
@@ -44,16 +49,17 @@ class Rational01:
 
     def __init__(self, numerator: int | Fraction = 0, denominator: int = 1):
         if isinstance(numerator, Fraction):
-            frac = numerator
             if denominator != 1:
                 raise ValueError("pass a Fraction alone or two integers")
-        else:
-            if denominator == 0:
-                raise ZeroDivisionError("zero denominator")
-            frac = Fraction(numerator, denominator)
-        frac = frac - (frac.numerator // frac.denominator)  # reduce mod 1
-        object.__setattr__(self, "numerator", frac.numerator)
-        object.__setattr__(self, "denominator", frac.denominator)
+            numerator, denominator = numerator.numerator, numerator.denominator
+        elif not denominator:
+            raise ZeroDivisionError("zero denominator")
+        elif denominator < 0:
+            numerator, denominator = -numerator, -denominator
+        numerator %= denominator
+        g = gcd(numerator, denominator)
+        object.__setattr__(self, "numerator", numerator // g)
+        object.__setattr__(self, "denominator", denominator // g)
 
     @property
     def fraction(self) -> Fraction:
@@ -62,18 +68,24 @@ class Rational01:
     def __add__(self, other: "Rational01 | int") -> "Rational01":
         if isinstance(other, int):
             return self
-        return Rational01(self.fraction + other.fraction)
+        d, e = self.denominator, other.denominator
+        if d == e:
+            return Rational01(self.numerator + other.numerator, d)
+        return Rational01(self.numerator * e + other.numerator * d, d * e)
 
     def __sub__(self, other: "Rational01 | int") -> "Rational01":
         if isinstance(other, int):
             return self
-        return Rational01(self.fraction - other.fraction)
+        d, e = self.denominator, other.denominator
+        if d == e:
+            return Rational01(self.numerator - other.numerator, d)
+        return Rational01(self.numerator * e - other.numerator * d, d * e)
 
     def __neg__(self) -> "Rational01":
-        return Rational01(-self.fraction)
+        return Rational01(-self.numerator, self.denominator)
 
     def __mul__(self, k: int) -> "Rational01":
-        return Rational01(self.fraction * k)
+        return Rational01(self.numerator * k, self.denominator)
 
     __rmul__ = __mul__
 
@@ -98,10 +110,16 @@ RAT0 = Rational01(0, 1)
 
 
 def rat_sum(values: Iterable[Rational01]) -> Rational01:
-    total = Fraction(0)
+    num, den = 0, 1
     for v in values:
-        total += v.fraction
-    return Rational01(total)
+        d = v.denominator
+        if d == den:
+            num += v.numerator
+        else:
+            step = lcm(den, d)
+            num = num * (step // den) + v.numerator * (step // d)
+            den = step
+    return Rational01(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +405,6 @@ def unimodular_inverse(U: IntMatrix) -> IntMatrix:
     return adj if det == 1 else -adj
 
 
-def _lift(A: IntMatrix, b: Sequence[int] | None, moduli: Sequence[int]):
-    if len(moduli) != A.rows:
-        raise ValueError("moduli length must equal number of rows")
-    big = lcm(*moduli) if moduli else 1
-    rows = []
-    lifted_b = []
-    for i in range(A.rows):
-        scale = big // moduli[i]
-        rows.append([scale * x for x in A.row(i)])
-        if b is not None:
-            lifted_b.append(scale * b[i])
-    return IntMatrix(rows, cols=A.cols), lifted_b, big
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b)."""
     old_r, r = a, b
@@ -500,13 +504,22 @@ class ModSolver:
     def __init__(self, A: IntMatrix, moduli: Sequence[int]):
         self.A = A
         self.moduli = [int(m) for m in moduli]
-        lifted, _, self.big = _lift(A, None, self.moduli)
+        if len(self.moduli) != A.rows:
+            raise ValueError("moduli length must equal number of rows")
+        self.big = big = lcm(*self.moduli) if self.moduli else 1
         m, n = A.rows, A.cols
         self._m, self._n = m, n
-        rows = [[lifted[i, j] for i in range(m)]
-                + [1 if k == j else 0 for k in range(n)]
-                for j in range(n)]
-        self._H, self._pivots = howell_form(rows, self.big)
+        # Row j of [M | I]: column j of A, each entry times its row's
+        # scale big/moduli[i], then the unit vector e_j.
+        scales = [big // mod for mod in self.moduli]
+        cols = zip(*(A.row(i) for i in range(m))) if m else [()] * n
+        unit = [0] * n
+        rows = []
+        for j, col in enumerate(cols):
+            unit[j] = 1
+            rows.append([s * x for s, x in zip(scales, col)] + unit)
+            unit[j] = 0
+        self._H, self._pivots = howell_form(rows, big)
 
     def solve(self, b: Sequence[int]) -> list[int] | None:
         if len(b) != self._m:

@@ -4,9 +4,13 @@ Exchange statistics come from the T-junction relation
 W1 (W2)^dag W3 = theta(a) W3 (W2)^dag W1 for three strings that share an
 endpoint and are ordered counter-clockwise; braiding comes from the
 commutation phase of two transversally crossing strings; fusion orders from
-braiding-vector triviality. The module also builds the torus logical algebra
-from noncontractible strings and extracts the boundary 3-cocycle of the SPT
-model from the failure of the group law of the truncated boundary symmetry.
+braiding-vector triviality. Phases are measured as integer exponents (theta
+in Z_{2D}, braiding in Z_D) and become Rational01 values only on the way
+out; extract_theory builds each label's strings once, checks the
+theta-ratio identity on every pair in integers, and validates its junction
+once. The module also builds the torus logical algebra from noncontractible
+strings and extracts the boundary 3-cocycle of the SPT model from the
+failure of the group law of the truncated boundary symmetry.
 """
 
 from __future__ import annotations
@@ -90,42 +94,103 @@ def default_junction(center: tuple[int, int] = (0, 0)) -> JunctionSpec:
     return JunctionSpec(center, (("E", "N"), ("N", "W"), ("W", "S")))
 
 
-def _phase_between(P: PauliOperator, Q: PauliOperator) -> Rational01:
-    """phi with P = e^{2 pi i phi} Q, for operators with equal exponents."""
-    if P.x != Q.x or P.z != Q.z:
-        raise ValueError("operators differ by more than a phase")
-    return Rational01(P.phase - Q.phase, 2 * P.system.D)
+def _junction_exponent(w1: PauliOperator, w2: PauliOperator,
+                       w3: PauliOperator) -> int:
+    """t in Z_{2D} with W1 W2^dag W3 = e^{2 pi i t / 2D} W3 W2^dag W1.
+
+    Moving W3 to the front and then W1 to the back gives e^{2 pi i e / D}
+    with e = c(W2^dag, W3) + c(W1, W3) + c(W1, W2^dag) for the commutation
+    exponents c, and c(P^dag, Q) = -c(P, Q), so no product is formed.
+    """
+    e = (commutation_exponent(w1, w3) - commutation_exponent(w2, w3)
+         - commutation_exponent(w1, w2))
+    return 2 * e % (2 * w1.system.D)
+
+
+def _braid_exponent(horizontal_a: PauliOperator,
+                    vertical_b: PauliOperator) -> int:
+    """e with B(a, b) = e^{2 pi i e / D}: the vertical loop of b against
+    the horizontal loop of a."""
+    return commutation_exponent(vertical_b, horizontal_a)
+
+
+class _Probe:
+    """Anyon measurements on one model, each made once per label.
+
+    Per label it keeps the horizontal and the vertical noncontractible loop,
+    each built on first use through string_operator, and the T-junction
+    exponent theta in Z_{2D}. Braiding exponents are commutation exponents
+    of those loops in Z_D. Phases stay integers here; the public wrappers
+    turn them into Rational01 values. The junction is validated once, at
+    the first theta measurement.
+    """
+
+    def __init__(self, model: LatticeModel,
+                 junction: JunctionSpec | None = None):
+        self.model = model
+        self.D = model.system.D
+        self.junction = default_junction() if junction is None else junction
+        self._validated = False
+        self._loops: dict[tuple[AnyonLabel, str], PauliOperator] = {}
+        self._theta: dict[AnyonLabel, int] = {}
+
+    def loop(self, lab: AnyonLabel, direction: str) -> PauliOperator:
+        op = self._loops.get((lab, direction))
+        if op is None:
+            op = _noncontractible(self.model, lab, direction)
+            self._loops[(lab, direction)] = op
+        return op
+
+    def deconfined(self, label) -> AnyonLabel:
+        """Closed-path commutation pre-check against the stabilizers."""
+        lab = self.model.label(label)
+        loop = self.loop(lab, "horizontal")
+        for gen in model_group(self.model).generators:
+            if commutation_exponent(loop, gen):
+                raise ConfinedLabelError(
+                    f"label {lab} is confined: its closed string fails to "
+                    "commute with a stabilizer term")
+        return lab
+
+    def theta(self, lab: AnyonLabel) -> int:
+        t = self._theta.get(lab)
+        if t is None:
+            if not self._validated:
+                self.junction.validate(self.model)
+                self._validated = True
+            t = self._theta[lab] = _junction_exponent(*(
+                string_operator(self.model, lab, p)
+                for p in self.junction.paths(lab.path_kind)))
+        return t
+
+    def braid(self, a: AnyonLabel, b: AnyonLabel) -> int:
+        return _braid_exponent(self.loop(a, "horizontal"),
+                               self.loop(b, "vertical"))
+
+    def fusion_order(self, lab: AnyonLabel, partners) -> int:
+        """Smallest n >= 1 with theta(n lab) = 0 and trivial braiding with
+        every partner label."""
+        cap = lcm(*self.model.lattice.edge_dims)
+        for n in range(1, cap + 1):
+            multiple = n * lab
+            if not self.theta(multiple) and not any(
+                    self.braid(multiple, g) for g in partners):
+                return n
+        raise ConfinedLabelError(f"no fusion order below {cap + 1} for {lab}")
 
 
 def check_deconfined(model: LatticeModel, label) -> AnyonLabel:
     """Closed-path commutation pre-check against the model's stabilizers."""
-    lab = model.label(label)
-    group = model_group(model)
-    loop = string_operator(
-        model, lab,
-        PathSpec(lab.path_kind, (0, 0), ("E",) * model.lattice.Lx,
-                 closed=True))
-    for gen in group.generators:
-        if commutation_exponent(loop, gen):
-            raise ConfinedLabelError(
-                f"label {lab} is confined: its closed string fails to "
-                "commute with a stabilizer term")
-    return lab
+    return _Probe(model).deconfined(label)
 
 
 def t_junction_theta(model: LatticeModel, label,
                      junction: JunctionSpec | None = None,
                      check: bool = True) -> Rational01:
     """Exchange statistics theta(a) from the T-junction relation."""
-    lab = check_deconfined(model, label) if check else model.label(label)
-    if junction is None:
-        junction = default_junction()
-    junction.validate(model)
-    w1, w2, w3 = (string_operator(model, lab, p)
-                  for p in junction.paths(lab.path_kind))
-    lhs = product([w1, adjoint(w2), w3], system=model.system)
-    rhs = product([w3, adjoint(w2), w1], system=model.system)
-    return _phase_between(lhs, rhs)
+    probe = _Probe(model, junction)
+    lab = probe.deconfined(label) if check else model.label(label)
+    return Rational01(probe.theta(lab), 2 * probe.D)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +213,12 @@ def _noncontractible(model: LatticeModel, lab: AnyonLabel,
 def crossing_braiding(model: LatticeModel, a, b,
                       check: bool = True) -> Rational01:
     """Full-braid phase B(a, b) from two transversally crossing strings."""
+    probe = _Probe(model)
     if check:
-        lab_a = check_deconfined(model, a)
-        lab_b = check_deconfined(model, b)
+        lab_a, lab_b = probe.deconfined(a), probe.deconfined(b)
     else:
         lab_a, lab_b = model.label(a), model.label(b)
-    wa = _noncontractible(model, lab_a, "horizontal")
-    wb = _noncontractible(model, lab_b, "vertical")
-    return commutation_phase(wb, wa)
+    return Rational01(probe.braid(lab_a, lab_b), probe.D)
 
 
 def generating_labels(model: LatticeModel) -> dict[str, AnyonLabel]:
@@ -173,25 +236,12 @@ def generating_labels(model: LatticeModel) -> dict[str, AnyonLabel]:
     return {name: model.label(name) for name in names}
 
 
-def _is_trivial(model: LatticeModel, lab: AnyonLabel,
-                gens: dict[str, AnyonLabel],
-                junction: JunctionSpec | None) -> bool:
-    if not t_junction_theta(model, lab, junction, check=False).is_zero():
-        return False
-    return all(crossing_braiding(model, lab, g, check=False).is_zero()
-               for g in gens.values())
-
-
 def fusion_order(model: LatticeModel, label,
                  junction: JunctionSpec | None = None) -> int:
     """Smallest n >= 1 with theta(label^n) = 0 and trivial braiding vector."""
-    lab = check_deconfined(model, label)
-    gens = generating_labels(model)
-    cap = lcm(*model.lattice.edge_dims)
-    for n in range(1, cap + 1):
-        if _is_trivial(model, n * lab, gens, junction):
-            return n
-    raise ConfinedLabelError(f"no fusion order below {cap + 1} for {lab}")
+    probe = _Probe(model, junction)
+    lab = probe.deconfined(label)
+    return probe.fusion_order(lab, tuple(generating_labels(model).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -240,60 +290,65 @@ def extract_theory(model: LatticeModel, labels=None,
     elif not isinstance(labels, dict):
         labels = {str(name): model.label(name) for name in labels}
     names = tuple(labels)
-    gen_labels = tuple(check_deconfined(model, labels[n]) for n in names)
-    gens = dict(zip(names, gen_labels))
-    orders = tuple(fusion_order(model, g, junction) for g in gen_labels)
+    probe = _Probe(model, junction)
+    gen_labels = tuple(probe.deconfined(labels[n]) for n in names)
+    partners = tuple(generating_labels(model).values())
+    orders = tuple(probe.fusion_order(g, partners) for g in gen_labels)
 
-    # theta is a function of the exponent vector alone, so it is measured
-    # once per distinct vector; braiding is measured for every pair.
+    # Per exponent vector: its label, its two loops and its theta exponent
+    # in Z_{2D}, each made once; braiding exponents are in Z_D.
     label_of: dict[tuple[int, ...], AnyonLabel] = {}
-    theta_of: dict[tuple[int, ...], Rational01] = {}
 
-    def combine(vec) -> AnyonLabel:
+    def label(vec) -> AnyonLabel:
         vec = tuple(vec)
-        if vec not in label_of:
-            label_of[vec] = _combine(gen_labels, vec)
-        return label_of[vec]
+        lab = label_of.get(vec)
+        if lab is None:
+            lab = label_of[vec] = _combine(gen_labels, vec)
+        return lab
 
-    def q_fn(vec) -> Rational01:
-        vec = tuple(vec)
-        if vec not in theta_of:
-            theta_of[vec] = t_junction_theta(model, combine(vec), junction,
-                                             check=False)
-        return theta_of[vec]
-
-    def b_fn(v1, v2) -> Rational01:
-        return crossing_braiding(model, combine(v1), combine(v2), check=False)
+    def t_of(vec) -> int:
+        return probe.theta(label(vec))
 
     box = [tuple(v) for v in iproduct(*(range(o) for o in orders))]
-    theta = {vec: q_fn(vec) for vec in box}
-    braiding = {(v1, v2): b_fn(v1, v2) for v1 in box for v2 in box}
+    theta = {vec: t_of(vec) for vec in box}
+    horizontal = [probe.loop(label(v), "horizontal") for v in box]
+    vertical = [probe.loop(label(v), "vertical") for v in box]
+    braiding = {(v1, v2): _braid_exponent(w1, w2)
+                for v1, w1 in zip(box, horizontal)
+                for v2, w2 in zip(box, vertical)}
 
-    # Internal consistency: braiding must equal the theta ratio.
-    for v1 in box:
-        for v2 in box:
-            s = tuple(a + b for a, b in zip(v1, v2))
-            ratio = q_fn(s) - theta[v1] - theta[v2]
-            if braiding[(v1, v2)] != ratio:
-                raise InconsistentExtractionError(
-                    f"B{v1, v2} != theta-ratio: {braiding[(v1, v2)]} vs "
-                    f"{ratio}")
+    # Internal consistency: braiding must equal the theta ratio,
+    # 2 b(v1, v2) = t(v1 + v2) - t(v1) - t(v2) mod 2D.
+    D = probe.D
+    b_phase = [Rational01(e, D) for e in range(D)]
+    t_phase = [Rational01(e, 2 * D) for e in range(2 * D)]
+    for (v1, v2), e in braiding.items():
+        ratio = (t_of(tuple(x + y for x, y in zip(v1, v2)))
+                 - theta[v1] - theta[v2])
+        if (2 * e - ratio) % (2 * D):
+            raise InconsistentExtractionError(
+                f"B{v1, v2} != theta-ratio: {b_phase[e]} vs "
+                f"{t_phase[ratio % (2 * D)]}")
 
     # Quotient by the measured transparent vectors.
     k = len(names)
+    units = [tuple(1 if t == i else 0 for t in range(k)) for i in range(k)]
     columns = [[orders[i] if r == i else 0 for r in range(k)]
                for i in range(k)]
     for vec in box:
-        if any(vec) and theta[vec].is_zero() and all(
-                braiding[(vec, g)].is_zero()
-                for g in (tuple(1 if t == i else 0 for t in range(k))
-                          for i in range(k))):
+        if any(vec) and not theta[vec] and not any(
+                braiding[(vec, g)] for g in units):
             columns.append(list(vec))
     relations = IntMatrix([[col[r] for col in columns] for r in range(k)],
                           rows=k, cols=len(columns))
-    presented = anyon.theory_from_presentation(k, q_fn, b_fn, relations)
-    return ExtractedTheory(names, gen_labels, orders, theta, braiding,
-                           presented.theory)
+    presented = anyon.theory_from_presentation(
+        k, lambda vec: t_phase[t_of(vec)],
+        lambda v1, v2: b_phase[probe.braid(label(v1), label(v2))],
+        relations)
+    return ExtractedTheory(
+        names, gen_labels, orders,
+        {vec: t_phase[e] for vec, e in theta.items()},
+        {pair: b_phase[e] for pair, e in braiding.items()}, presented.theory)
 
 
 def extraction_report(model: LatticeModel, labels=None,
@@ -360,16 +415,15 @@ def logical_algebra(model: LatticeModel) -> dict:
     for each operator, the smallest power that is a stabilizer member.
     """
     group = model_group(model)
+    probe = _Probe(model)
     ops: list[tuple[str, PauliOperator]] = []
     pairs = logical_labels(model)
     for i, (xname, zname) in enumerate(pairs):
         xdir, zdir = "horizontal", "vertical"
         if model.kind == "tc" and i == 1:
             xdir, zdir = "vertical", "horizontal"
-        ops.append((f"X{i + 1}", _noncontractible(
-            model, check_deconfined(model, xname), xdir)))
-        ops.append((f"Z{i + 1}", _noncontractible(
-            model, check_deconfined(model, zname), zdir)))
+        ops.append((f"X{i + 1}", probe.loop(probe.deconfined(xname), xdir)))
+        ops.append((f"Z{i + 1}", probe.loop(probe.deconfined(zname), zdir)))
     commutation = {
         na: {nb: str(commutation_phase(pa, pb)) for nb, pb in ops}
         for na, pa in ops}

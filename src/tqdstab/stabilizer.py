@@ -86,9 +86,9 @@ class StabilizerGroup:
     def _generator_matrix(self) -> IntMatrix:
         """2n x k matrix whose columns are lifted generator vectors."""
         cols = [self._lifted(g) for g in self.generators]
-        n2 = 2 * len(self.system.dims)
-        return IntMatrix([[col[i] for col in cols] for i in range(n2)],
-                         cols=len(cols))
+        if not cols:
+            return IntMatrix.zeros(2 * len(self.system.dims), 0)
+        return IntMatrix(list(zip(*cols)), cols=len(cols))
 
     def _get_solver(self) -> ModSolver:
         if self._solver is None:

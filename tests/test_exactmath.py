@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_howell_form
+from oracles import dense_howell_form, transposed_solver_rows
 from tqdstab import exactmath
 from tqdstab.exactmath import (IntegralityError, IntMatrix, ModSolver,
                                Rational01, cokernel_orders, det_adjugate,
@@ -66,6 +66,69 @@ class TestRational01:
     def test_rat_sum(self):
         vals = [Rational01(1, 3), Rational01(1, 3), Rational01(1, 2)]
         assert rat_sum(vals) == Rational01(1, 6)
+
+
+def _pair(frac: Fraction) -> tuple[int, int]:
+    frac %= 1
+    return frac.numerator, frac.denominator
+
+
+WIDE = st.integers(-10 ** 40, 10 ** 40)
+NUMERATORS = st.one_of(st.just(0), st.integers(-60, 60), WIDE)
+DENOMINATORS = st.one_of(st.integers(-60, 60), WIDE).filter(bool)
+RATIONALS = st.tuples(NUMERATORS, DENOMINATORS)
+
+
+class TestRational01AgainstFraction:
+    """Integer Rational01 against a Fraction-mod-1 oracle."""
+
+    @given(NUMERATORS, DENOMINATORS)
+    def test_construction_from_integers(self, n, d):
+        r = Rational01(n, d)
+        assert (r.numerator, r.denominator) == _pair(Fraction(n, d))
+        assert type(r.numerator) is int and type(r.denominator) is int
+
+    @given(st.fractions())
+    def test_construction_from_fraction(self, frac):
+        r = Rational01(frac)
+        assert (r.numerator, r.denominator) == _pair(frac)
+        assert r.fraction == frac % 1
+
+    @given(RATIONALS, RATIONALS, st.one_of(st.integers(-60, 60), WIDE))
+    def test_operations(self, a, b, k):
+        fa, fb = Fraction(*a), Fraction(*b)
+        ra, rb = Rational01(*a), Rational01(*b)
+        assert ra + rb == Rational01(fa + fb)
+        assert (ra + rb).fraction == (fa + fb) % 1
+        assert (ra - rb).fraction == (fa - fb) % 1
+        assert (-ra).fraction == -fa % 1
+        assert (ra * k).fraction == (fa * k) % 1
+        assert (k * ra).fraction == (fa * k) % 1
+
+    @given(st.lists(RATIONALS, max_size=8))
+    def test_rat_sum(self, terms):
+        total = rat_sum(Rational01(*t) for t in terms)
+        assert total.fraction == sum(Fraction(*t) for t in terms) % 1
+
+    def test_zero_denominator_and_fraction_with_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            Rational01(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            Rational01(0, 0)
+        with pytest.raises(ValueError):
+            Rational01(Fraction(1, 2), 3)
+
+    def test_integer_paths_build_no_fraction(self, monkeypatch):
+        class NoFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("Fraction built on an integer path")
+
+        monkeypatch.setattr(exactmath, "Fraction", NoFraction)
+        a, b = Rational01(-7, 12), Rational01(5, -18)
+        assert (a + b, a - b, -a, a * 5, 5 * a) == (
+            Rational01(5, 36), Rational01(25, 36), Rational01(7, 12),
+            Rational01(1, 12), Rational01(1, 12))
+        assert rat_sum([a, b, a]) == Rational01(5, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +575,19 @@ def _assert_matches_dense_oracle(rows, big):
     return H, pivots
 
 
+def _record_howell_inputs(monkeypatch) -> list:
+    """Make exactmath.howell_form record its (rows, big) arguments."""
+    calls = []
+    original = exactmath.howell_form
+
+    def recording(rows, big):
+        calls.append((rows, big))
+        return original(rows, big)
+
+    monkeypatch.setattr(exactmath, "howell_form", recording)
+    return calls
+
+
 class TestSparseHowell:
     @given(howell_systems())
     @settings(max_examples=300, deadline=None)
@@ -537,14 +613,7 @@ class TestSparseHowell:
     ], ids=["ds-4x4", "tqd22-twisted-3x3"])
     def test_lattice_systems_match_dense_oracle(self, monkeypatch, build):
         group, _ = build()
-        calls = []
-        original = exactmath.howell_form
-
-        def recording(rows, big):
-            calls.append((rows, big))
-            return original(rows, big)
-
-        monkeypatch.setattr(exactmath, "howell_form", recording)
+        calls = _record_howell_inputs(monkeypatch)
         fresh = StabilizerGroup(group.system, group.generators,
                                 validate=False)
         solver = fresh._get_solver()
@@ -554,6 +623,27 @@ class TestSparseHowell:
             group.generators)
         H, pivots = _assert_matches_dense_oracle(rows, big)
         assert (H, pivots) == (solver._H, solver._pivots)
+
+    def test_solver_rows_built_in_one_pass(self, monkeypatch):
+        # The one-pass [M | I] rows and the zip transpose of the generator
+        # matrix equal the entry-by-entry transposes on DS 4x4.
+        group, _ = build_ds(4, 4)
+        calls = _record_howell_inputs(monkeypatch)
+        fresh = StabilizerGroup(group.system, group.generators,
+                                validate=False)
+        fresh._get_solver()
+        [(rows, big)] = calls
+        A, expected_rows = transposed_solver_rows(group)
+        assert fresh._generator_matrix() == IntMatrix(A)
+        assert big == group.system.D
+        assert rows == expected_rows
+
+    def test_solver_rows_scale_by_row_modulus(self, monkeypatch):
+        calls = _record_howell_inputs(monkeypatch)
+        ModSolver(IntMatrix([[1, 2], [3, 1], [0, 5]]), [2, 3, 6])
+        ModSolver(IntMatrix([], rows=0, cols=2), [])
+        assert calls == [([[3, 6, 0, 1, 0], [6, 2, 5, 0, 1]], 6),
+                         ([[1, 0], [0, 1]], 1)]
 
     def test_benchmark_trace_reads_arguments_and_result(self, monkeypatch):
         # The benchmark's layer trace records the dense input width and the

@@ -1,20 +1,30 @@
 """Tests for anyon-statistics extraction and the SPT boundary cocycle."""
 
+import random
+from collections import Counter
+from itertools import product as iproduct
+
 import pytest
 
-from tqdstab.anyon import (ds_theory, theories_isomorphic,
-                           topological_spins_census, tqd_theory,
-                           zn_tc_theory)
+from oracles import junction_exponent_by_products
+from tqdstab import cli, extraction
+from tqdstab.anyon import (RelationError, TheoryCheckError, ds_theory,
+                           theories_isomorphic, topological_spins_census,
+                           tqd_theory, zn_tc_theory)
 from tqdstab.exactmath import Rational01
-from tqdstab.extraction import (ConfinedLabelError, JunctionSpec,
+from tqdstab.extraction import (ConfinedLabelError,
+                                InconsistentExtractionError, JunctionSpec,
                                 cocycle_is_valid, crossing_braiding,
                                 default_junction, extract_theory,
                                 extraction_report, fusion_order,
-                                logical_algebra, model_group, spt_cocycle,
-                                spt_report, t_junction_theta)
-from tqdstab.lattice import (AnyonLabel, LatticeModel, TqdParams,
+                                generating_labels, logical_algebra,
+                                model_group, spt_cocycle, spt_report,
+                                t_junction_theta)
+from tqdstab.lattice import (AnyonLabel, LatticeModel, PathSpec, TqdParams,
                              build_ds, build_from_spec, build_hatted_ds,
-                             build_spt, build_tqd, build_zn_tc)
+                             build_spt, build_tqd, build_zn_tc,
+                             string_operator)
+from tqdstab.pauli import PauliOperator, QuditSystem
 
 R = Rational01
 
@@ -149,6 +159,124 @@ class TestExtractTheory:
         assert report["theta"]["1,0"] == "1/4"
         assert report["theta"]["0,1"] == "3/4"
         assert report["theta"]["1,1"] == "0/1"
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_ds(3, 3),
+        lambda: build_zn_tc(4, 3, 3),
+        lambda: build_tqd(TqdParams([2, 2], [1, 1], {(0, 1): 1}), 3, 3),
+        # mixed orders: the flux-bound charge tells strings apart
+        lambda: build_tqd(TqdParams([2, 4], [1, 1], {(0, 1): 1}), 3, 3),
+    ], ids=["ds", "z4-tc", "tqd22-twisted", "tqd24-twisted"])
+    def test_tables_match_public_measurements(self, build):
+        _, model = build()
+        ext = extract_theory(model)
+        box = ext.box()
+        for v in box:
+            assert ext.theta[v] == t_junction_theta(model, ext.combine(v),
+                                                    check=False)
+        # Every pair up to 16 vectors; on the 512-vector N=[2,4] box each
+        # row is checked on 16 columns, with offsets covering every column.
+        stride = max(1, len(box) // 16)
+        for i, v1 in enumerate(box):
+            for v2 in box[i % stride::stride]:
+                assert ext.braiding[(v1, v2)] == crossing_braiding(
+                    model, ext.combine(v1), ext.combine(v2), check=False)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_ds(3, 3),
+        lambda: build_zn_tc(4, 3, 3),
+        lambda: build_tqd(TqdParams([4], [3]), 3, 3),
+        lambda: build_tqd(TqdParams([2, 4], [1, 1], {(0, 1): 1}), 3, 3),
+    ], ids=["ds", "z4-tc", "tqd4-twisted", "tqd24-twisted"])
+    def test_theta_matches_product_oracle(self, build):
+        # theta from three commutation exponents equals the phase between
+        # the two explicit T-junction products.
+        _, model = build()
+        gens = tuple(generating_labels(model).values())
+        for junction in JUNCTIONS:
+            for vec in iproduct(range(3), repeat=len(gens)):
+                lab = extraction._combine(gens, vec)
+                strings = [string_operator(model, lab, p)
+                           for p in junction.paths(lab.path_kind)]
+                assert t_junction_theta(model, lab, junction, check=False) \
+                    == R(junction_exponent_by_products(*strings),
+                         2 * model.system.D)
+
+    @pytest.mark.parametrize("dims", [[2, 2], [4], [2, 4, 3], [9, 3]])
+    def test_junction_exponent_on_random_operators(self, dims):
+        # On the lattices above two of the three commutation terms vanish;
+        # random operators exercise all three.
+        rng = random.Random(11)
+        system = QuditSystem(dims)
+        for _ in range(200):
+            ops = [PauliOperator(
+                system, phase=rng.randrange(2 * system.D),
+                x={s: rng.randrange(d) for s, d in enumerate(dims)},
+                z={s: rng.randrange(d) for s, d in enumerate(dims)})
+                for _ in range(3)]
+            assert extraction._junction_exponent(*ops) == \
+                junction_exponent_by_products(*ops)
+
+    def test_each_loop_built_once_and_junction_validated_once(
+            self, monkeypatch):
+        _, model = build_tqd(TqdParams([2, 2], [1, 1], {(0, 1): 1}), 3, 3)
+        calls = Counter()
+        validations = []
+        original_string = extraction.string_operator
+        original_validate = JunctionSpec.validate
+
+        def counting_string(model, label, path):
+            calls[(model.label(label), path)] += 1
+            return original_string(model, label, path)
+
+        def counting_validate(junction, model):
+            validations.append(junction)
+            return original_validate(junction, model)
+
+        monkeypatch.setattr(extraction, "string_operator", counting_string)
+        monkeypatch.setattr(JunctionSpec, "validate", counting_validate)
+        ext = extract_theory(model)
+        assert len(validations) == 1
+        assert max(calls.values()) == 1
+        L = model.lattice.Lx
+        for v in ext.box():
+            lab = ext.combine(v)
+            for moves in (("E",) * L, ("N",) * L):
+                path = PathSpec(lab.path_kind, (0, 0), moves, closed=True)
+                assert calls[(lab, path)] == 1
+
+    def test_corrupted_braiding_is_inconsistent(self, monkeypatch, capsys):
+        # Negative control: shift one measured braiding exponent, B(s, s).
+        _, model = build_ds(3, 3)
+        s = model.label("s")
+        loops = [string_operator(model, s, PathSpec(s.path_kind, (0, 0),
+                                                    (move,) * 3, closed=True))
+                 for move in ("E", "N")]
+        D = model.system.D
+        original = extraction._braid_exponent
+
+        def corrupted(horizontal, vertical):
+            e = original(horizontal, vertical)
+            return (e + 1) % D if [horizontal, vertical] == loops else e
+
+        monkeypatch.setattr(extraction, "_braid_exponent", corrupted)
+        with pytest.raises(InconsistentExtractionError):
+            extract_theory(model)
+        assert cli.run(["anyons", "extract", "--type", "ds", "--L", "3"]) == 1
+        assert "verification failed" in capsys.readouterr().err
+
+    def test_relation_failure_exits_one(self, monkeypatch, capsys):
+        # A presentation whose relations are not bosons is a failed check.
+        assert issubclass(RelationError, TheoryCheckError)
+        original = extraction.anyon.theory_from_presentation
+
+        def fermionic_relations(k, q_fn, b_fn, relations):
+            return original(k, lambda vec: R(1, 2), b_fn, relations)
+
+        monkeypatch.setattr(extraction.anyon, "theory_from_presentation",
+                            fermionic_relations)
+        assert cli.run(["anyons", "extract", "--type", "ds", "--L", "3"]) == 1
+        assert "is not a boson" in capsys.readouterr().err
 
     def test_model_group_is_builder_group(self):
         twisted = TqdParams([2, 2], [1, 1], {(0, 1): 1})
