@@ -12,19 +12,16 @@ Pieces verified here:
   phase * (prod_s X_s) * Diag(i^{sum lambda_s b_s} (-1)^{sum kappa b_s b_t});
 - conjugation of that class by CZ / CX / S circuits;
 - the CZ_{12,23} = S'_{12} S_{13} S'_{23} eigenvalue table on the
-  even-boundary subspace;
-- a dense ground-space oracle for small codes.
+  even-boundary subspace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import prod
+from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .pauli import CliffordGate, PauliOperator, multiply, qudit_cx
-from .stabilizer import (NonCommutingError, StabilizerGroup,
-                         VerificationError, group_order)
+from .pauli import CliffordGate, PauliOperator, qudit_cx
+from .stabilizer import VerificationError
 
 Vertex = tuple[int, int]
 EdgeKind = Literal["h", "v", "d"]
@@ -336,30 +333,6 @@ class QuadraticPhaseOperator:
             kap_set ^= {pair}
         return QuadraticPhaseOperator(phase, self.x ^ other.x, lam, kap_set)
 
-    def dense(self, sites: Sequence) -> "object":
-        """Dense matrix over the listed qubit sites (tests and table checks)."""
-        import numpy as np
-        n = len(sites)
-        pos = {s: i for i, s in enumerate(sites)}
-        dim = 1 << n
-        mat = np.zeros((dim, dim), dtype=complex)
-        root = np.exp(1j * np.pi / 4)
-        lam = self.lam_dict
-        for col in range(dim):
-            bits = [(col >> (n - 1 - i)) & 1 for i in range(n)]
-            exp_i = sum(lam.get(s, 0) * bits[pos[s]] for s in lam if s in pos)
-            sign = sum(bits[pos[s]] * bits[pos[t]]
-                       for pair in self.kap for s, t in [tuple(pair)])
-            val = (root ** self.phase) * (1j ** exp_i) * ((-1) ** sign)
-            row_bits = list(bits)
-            for s in self.x:
-                row_bits[pos[s]] ^= 1
-            row = 0
-            for bit in row_bits:
-                row = (row << 1) | bit
-            mat[row, col] = val
-        return mat
-
 
 def map_qudit_to_qubits(P: PauliOperator) -> QuadraticPhaseOperator:
     """Image of a d=4 Pauli word under Z -> S^A Z^B, X -> X^A CX^{AB}.
@@ -506,77 +479,3 @@ def table1_identity() -> dict:
                 rows.append(((a12, a13, a23), cz, s))
                 agree = agree and cz == s
     return {"rows": rows, "excluded": excluded, "agree": agree}
-
-
-# ---------------------------------------------------------------------------
-# Dense ground-space oracle
-# ---------------------------------------------------------------------------
-
-
-def dense_ground_space(group: StabilizerGroup, tol: float = 1e-9,
-                       extra_probes: int = 8):
-    """Ground-space dimension and an orthonormal basis, by dense projection.
-
-    Applies the generator projectors (1/|g|) sum_k g^k to a block of random
-    state vectors and ranks the result. Requires total dimension <= 2^20.
-    """
-    import numpy as np
-    dims = group.system.dims
-    total = prod(dims)
-    if total > 1 << 20:
-        raise ValueError("system too large for the dense oracle")
-    D = group.system.D
-
-    radix = []
-    stride = total
-    for d in dims:
-        stride //= d
-        radix.append(stride)
-    idx = np.arange(total)
-    digits = [(idx // radix[q]) % dims[q] for q in range(len(dims))]
-
-    def apply_op(P: PauliOperator, V):
-        phase = np.exp(1j * np.pi * P.phase / D) * np.ones(total)
-        for q, e in P.z.items():
-            phase = phase * np.exp(2j * np.pi * e * digits[q] / dims[q])
-        target = idx.copy()
-        for q, e in P.x.items():
-            target = target + ((digits[q] + e) % dims[q] - digits[q]) * radix[q]
-        out = np.zeros_like(V)
-        out[target] = phase[:, None] * V
-        return out
-
-    rng = np.random.default_rng(7)
-    expected = max(1, total // max(1, _order_hint(group)))
-    cols = min(total, expected + extra_probes)
-    V = rng.standard_normal((total, cols)) + 1j * rng.standard_normal(
-        (total, cols))
-    for g in group.generators:
-        order = _pauli_order(g)
-        acc = V.copy()
-        term = V
-        for _ in range(order - 1):
-            term = apply_op(g, term)
-            acc = acc + term
-        V = acc / order
-    u, s, _ = np.linalg.svd(V, full_matrices=False)
-    dim = int((s > tol * (s[0] if s.size and s[0] > 0 else 1)).sum())
-    return dim, u[:, :dim]
-
-
-def _pauli_order(P: PauliOperator) -> int:
-    k = 1
-    Q = P
-    while not Q.is_identity():
-        k += 1
-        Q = multiply(Q, P)
-        if k > 4 * P.system.D:
-            raise ValueError("operator order too large (nontrivial scalar?)")
-    return k
-
-
-def _order_hint(group: StabilizerGroup) -> int:
-    try:
-        return group_order(group)
-    except NonCommutingError:
-        return 1

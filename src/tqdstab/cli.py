@@ -77,32 +77,6 @@ def _load_spec(args) -> dict:
     return spec
 
 
-def _params_from_spec(spec: dict) -> lat.TqdParams:
-    if "N" not in spec:
-        raise SpecError("missing --N / spec key 'N'")
-    nij = spec.get("nij")
-    if isinstance(nij, dict):
-        nij = {tuple(map(int, str(k).strip("()").replace(" ", "").split(",")))
-               if isinstance(k, str) else k: v for k, v in nij.items()}
-    try:
-        return lat.TqdParams(spec["N"], spec.get("n", [0] * len(spec["N"])),
-                             nij)
-    except ValueError as exc:
-        raise SpecError(str(exc))
-
-
-def _build_model(spec: dict):
-    if "type" not in spec:
-        spec = dict(spec)
-        spec["type"] = "tqd" if "N" in spec else "ds"
-    try:
-        return lat.build_from_spec(spec)
-    except VerificationError:
-        raise
-    except ValueError as exc:
-        raise SpecError(str(exc))
-
-
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
@@ -118,7 +92,7 @@ def _emit(report: dict, args) -> None:
 
 
 def cmd_model_build(args) -> int:
-    group, model = _build_model(_load_spec(args))
+    group, model = lat.build_from_spec(_load_spec(args))
     report = {
         "kind": model.kind,
         "Lx": model.lattice.Lx,
@@ -137,13 +111,11 @@ def cmd_verify(args) -> int:
     spec = _load_spec(args)
     check = args.check
     if check == "condensation-equality":
-        params = _params_from_spec(spec)
-        Lx = int(spec.get("Lx", spec.get("L", 3)))
-        Ly = int(spec.get("Ly", spec.get("L", Lx)))
-        equal = lat.condensation_equal(params, Lx, Ly)
+        equal = lat.condensation_equal(lat.params_from_spec(spec),
+                                       *lat.size_from_spec(spec))
         _emit({"check": check, "equal": equal}, args)
         return 0 if equal else 1
-    group, model = _build_model(spec)
+    group, model = lat.build_from_spec(spec)
     if check == "commuting":
         bad = assert_commuting(group)
         _emit({"check": check, "commuting": not bad,
@@ -177,25 +149,23 @@ def _expected_dimension(model) -> int | None:
 
 def cmd_anyons_extract(args) -> int:
     spec = _load_spec(args)
-    spec.setdefault("L", 3)
-    group, model = _build_model(spec)
+    spec["Lx"], spec["Ly"] = lat.size_from_spec(spec, 3, 3)
+    group, model = lat.build_from_spec(spec)
     report = extraction.extraction_report(model)
     _emit(report, args)
     return 0 if report["iso_match"] in (True, None) else 1
 
 
 def cmd_theory(args) -> int:
-    spec = _load_spec(args)
+    params = lat.params_from_spec(_load_spec(args))
     what = args.what
     if what == "tqd":
-        params = _params_from_spec(spec)
         theory = anyon.tqd_theory(params.N, params.n, params.nij)
         report = theory.to_json_dict()
         report["census"] = anyon.topological_spins_census(theory)
         _emit(report, args)
         return 0
     if what == "condense":
-        params = _params_from_spec(spec)
         result, iso = anyon.stack_condense_to_tqd(params.N, params.n,
                                                   params.nij)
         report = {"condensed": result.theory.to_json_dict(),
@@ -203,7 +173,6 @@ def cmd_theory(args) -> int:
         _emit(report, args)
         return 0 if iso else 1
     if what == "lagrangian":
-        params = _params_from_spec(spec)
         theory = anyon.tqd_theory(params.N, params.n, params.nij)
         subs = anyon.lagrangian_subgroups(theory)
         report = {"count": len(subs),
@@ -211,7 +180,6 @@ def cmd_theory(args) -> int:
         _emit(report, args)
         return 0
     if what == "stack":
-        params = _params_from_spec(spec)
         stacked = anyon.stack_theories(
             [anyon.zn_tc_theory(N * N) for N in params.N])
         report = stacked.to_json_dict()
@@ -219,7 +187,6 @@ def cmd_theory(args) -> int:
         _emit(report, args)
         return 0
     if what == "iso":
-        params = _params_from_spec(spec)
         t_direct = anyon.tqd_theory(params.N, params.n, params.nij)
         t_k = kmatrix.theory_from_k(kmatrix.build_k_tqd(params))
         _, iso_cond = anyon.stack_condense_to_tqd(params.N, params.n,
@@ -229,7 +196,6 @@ def cmd_theory(args) -> int:
         _emit(report, args)
         return 0 if all(report.values()) else 1
     if what == "fusion-group":
-        params = _params_from_spec(spec)
         direct = anyon.fusion_group(params.N, params.n, params.nij)
         via_cocycle = anyon.fusion_group_from_cocycle(params.N, params.n,
                                                       params.nij)
@@ -238,7 +204,6 @@ def cmd_theory(args) -> int:
         _emit(report, args)
         return 0 if direct == via_cocycle else 1
     if what == "cocycle":
-        params = _params_from_spec(spec)
         M = params.M
         zero = (0,) * M
         one = tuple(1 for _ in range(M))
@@ -260,13 +225,9 @@ def cmd_kmatrix(args) -> int:
             raise SpecError("kmatrix transform needs --spec with K and W")
         K = IntMatrix(spec["K"])
         W = IntMatrix(spec["W"])
-        try:
-            out = kmatrix.transform(K, W)
-        except ValueError as exc:
-            raise SpecError(str(exc))
-        _emit({"K": out.tolist()}, args)
+        _emit({"K": kmatrix.transform(K, W).tolist()}, args)
         return 0
-    params = _params_from_spec(spec)
+    params = lat.params_from_spec(spec)
     K = kmatrix.build_k_tqd(params)
     if what == "build":
         _emit(kmatrix.to_json_dict(K), args)
@@ -287,9 +248,7 @@ def cmd_kmatrix(args) -> int:
 
 def cmd_spt_cocycle(args) -> int:
     spec = _load_spec(args)
-    Lx = int(spec.get("Lx", spec.get("L", args.ell + 3)))
-    Ly = int(spec.get("Ly", spec.get("L", 6)))
-    _, model = lat.build_spt(Lx, Ly)
+    _, model = lat.build_spt(*lat.size_from_spec(spec, args.ell + 3, 6))
     report = extraction.spt_report(model, args.ell)
     _emit(report, args)
     return 0 if report["cocycle_valid"] else 1
@@ -379,9 +338,6 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SpecError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except VerificationError as exc:
         sys.stderr.write(f"verification failed: {exc}\n")
         return 1

@@ -179,11 +179,6 @@ class _Probe:
         raise ConfinedLabelError(f"no fusion order below {cap + 1} for {lab}")
 
 
-def check_deconfined(model: LatticeModel, label) -> AnyonLabel:
-    """Closed-path commutation pre-check against the model's stabilizers."""
-    return _Probe(model).deconfined(label)
-
-
 def t_junction_theta(model: LatticeModel, label,
                      junction: JunctionSpec | None = None,
                      check: bool = True) -> Rational01:

@@ -190,14 +190,13 @@ def b_of(K: IntMatrix, l: Sequence[int], lp: Sequence[int]) -> Rational01:
 
 
 def theory_from_k(K: IntMatrix):
-    """AnyonTheory carried by Z^k / K Z^k with statistics from K^{-1}."""
-    from .anyon import AnyonTheory
-    group = anyon_group_from_k(K)
+    """AnyonTheory carried by Z^k / K Z^k with statistics from K^{-1}: the
+    presentation with K's columns as relations, split into cyclic factors."""
+    from .anyon import theory_from_presentation
     det_adj = _det_adjugate(K)
-    gens = group.generators
-    q_gen = [_pairing(det_adj, g, g, 2) for g in gens]
-    b_gen = [[_pairing(det_adj, g, h, 1) for h in gens] for g in gens]
-    return AnyonTheory(group.orders, q_gen, b_gen)
+    return theory_from_presentation(
+        K.rows, lambda l: _pairing(det_adj, l, l, 2),
+        lambda l, lp: _pairing(det_adj, l, lp, 1), K).theory
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,9 @@ class TqdParams:
         table = [[0] * M for _ in range(M)]
         if isinstance(nij, dict):
             for (i, j), v in nij.items():
+                if i == j or not (0 <= i < M and 0 <= j < M):
+                    raise ValueError(f"nij key {(i, j)} is not a pair "
+                                     f"i != j in 0..{M - 1}")
                 table[i][j] = table[j][i] = int(v)
         elif nij is not None:
             table = [list(int(v) for v in row) for row in nij]
@@ -553,13 +556,16 @@ def build_tqd(params: TqdParams, Lx: int,
     return _with_phase_fix(model, gens, M)
 
 
+# The double semion's own names: s is phi1 (flux 1, charge 1), sbar has
+# flux -1 and charge 1, and ssbar is the pure charge 2.
+_DS_LABELS = {"s": AnyonLabel((1,), (1,)), "sbar": AnyonLabel((-1,), (1,)),
+             "ssbar": AnyonLabel((0,), (2,))}
+
+
 def build_ds(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
     """Double-semion stabilizer model (single d=4 layer; N=2, n=1)."""
     group, tqd_model = build_tqd(DS_PARAMS, Lx, Ly)
-    labels = dict(tqd_model.labels)
-    labels["s"] = labels["phi1"]                         # flux 1, charge 1
-    labels["sbar"] = AnyonLabel((-1,), (1,))             # flux -1, charge 1
-    labels["ssbar"] = AnyonLabel((0,), (2,))             # pure charge 2
+    labels = {**tqd_model.labels, **_DS_LABELS}
     return group, replace(tqd_model, kind="ds", labels=labels)
 
 
@@ -616,50 +622,46 @@ def condensation_equal(params: TqdParams, Lx: int, Ly: int) -> bool:
 def _spt_model(Lx: int, Ly: int) -> LatticeModel:
     """The SPT geometry (DS edge layer plus vertex qubits), without terms."""
     lattice = TorusLattice(Lx, Ly, (4,), vertex_dims=(2,))
-    labels = {"s": AnyonLabel((1,), (1,)), "sbar": AnyonLabel((-1,), (1,)),
-              "ssbar": AnyonLabel((0,), (2,))}
-    return LatticeModel("spt", lattice, params=DS_PARAMS, labels=labels)
+    return LatticeModel("spt", lattice, params=DS_PARAMS,
+                        labels=dict(_DS_LABELS))
+
+
+def _spt_ds_terms(model: LatticeModel) -> list[PauliOperator]:
+    """The DS's A_v (s loops) and C_e (b1 segments) terms on the SPT
+    geometry, in the DS/TQD builders' order."""
+    return _tc_like_generators(model, [_DS_LABELS["s"]], [],
+                               [_tqd_labels(DS_PARAMS)["b1"]])
+
+
+def _vertex_flips(model: LatticeModel) -> list[PauliOperator]:
+    """X_v on every vertex qubit, in vertex order."""
+    lat = model.lattice
+    return [PauliOperator(model.system, x={lat.vertex_site(x, y): 1})
+            for y in range(lat.Ly) for x in range(lat.Lx)]
 
 
 def build_spt(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
     """SPT model: DS edge layer plus vertex qubits; terms A_v X_v, C_e, D_e."""
     model = _spt_model(Lx, Ly)
-    lattice, system = model.lattice, model.system
-    gens: list[PauliOperator] = []
-    for y in range(Ly):
-        for x in range(Lx):
-            a_v = string_operator(model, "s", dual_loop_around_vertex(x, y))
-            x_v = PauliOperator(system, x={lattice.vertex_site(x, y): 1})
-            gens.append(multiply(a_v, x_v))
-    gens.extend(spt_edge_terms(model, which="C"))
-    gens.extend(spt_edge_terms(model, which="D"))
+    gens = _spt_ds_terms(model)
+    for k, x_v in enumerate(_vertex_flips(model)):
+        gens[k] = multiply(gens[k], x_v)
+    gens.extend(spt_d_terms(model))
     return _with_phase_fix(model, gens, 1)
 
 
-def spt_edge_terms(model: LatticeModel, which: str) -> list[PauliOperator]:
-    """C_e (boson segments) or D_e (ss-bar hops bound to vertex charges)."""
+def spt_d_terms(model: LatticeModel) -> list[PauliOperator]:
+    """D_e = Z_e^2 Z_u Z_w for the two endpoints u, w of every edge e:
+    ss-bar hops bound to vertex charges, V(x, y) then H(x, y) per cell."""
     lat = model.lattice
-    system = model.system
-    boson = AnyonLabel((-2,), (2,))
     terms = []
     for y in range(lat.Ly):
         for x in range(lat.Lx):
-            if which == "C":
-                terms.append(model._segment((x - 1, y), "E", boson,
-                                            bound=False))
-                terms.append(model._segment((x, y - 1), "N", boson,
-                                            bound=False))
-            elif which == "D":
-                # D_e = Z_e^2 Z_u Z_w for the two endpoints u, w of edge e.
-                for orient, (ex, ey) in ((V, (x, y)), (H, (x, y))):
-                    u = lat.vertex_site(ex, ey)
-                    w = (lat.vertex_site(ex + 1, ey) if orient == H
-                         else lat.vertex_site(ex, ey + 1))
-                    terms.append(PauliOperator(
-                        system,
-                        z={lat.edge_site(ex, ey, orient): 2, u: 1, w: 1}))
-            else:
-                raise ValueError(which)
+            for orient, (dx, dy) in ((V, (0, 1)), (H, (1, 0))):
+                terms.append(PauliOperator(model.system, z={
+                    lat.edge_site(x, y, orient): 2,
+                    lat.vertex_site(x, y): 1,
+                    lat.vertex_site(x + dx, y + dy): 1}))
     return terms
 
 
@@ -669,17 +671,7 @@ def build_hatted_ds(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
     Measuring the D_e operators on this group yields the SPT model.
     """
     model = _spt_model(Lx, Ly)
-    lattice, system = model.lattice, model.system
-    gens: list[PauliOperator] = []
-    for y in range(Ly):
-        for x in range(Lx):
-            gens.append(string_operator(model, "s",
-                                        dual_loop_around_vertex(x, y)))
-    gens.extend(spt_edge_terms(model, which="C"))
-    for y in range(Ly):
-        for x in range(Lx):
-            gens.append(PauliOperator(system,
-                                      x={lattice.vertex_site(x, y): 1}))
+    gens = _spt_ds_terms(model) + _vertex_flips(model)
     return _with_phase_fix(model, gens, 1)
 
 
@@ -688,12 +680,33 @@ def build_hatted_ds(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
 # ---------------------------------------------------------------------------
 
 
+def params_from_spec(spec: dict) -> TqdParams:
+    """TqdParams from a spec's "N", "n" (zeros when absent) and "nij": an
+    M x M table, or a dict keyed by (i, j), "i,j" or "(i, j)"."""
+    if "N" not in spec:
+        raise ValueError("missing --N / spec key 'N'")
+    nij = spec.get("nij")
+    if isinstance(nij, dict):
+        nij = {tuple(int(t) for t in k.strip("()").split(","))
+               if isinstance(k, str) else k: v for k, v in nij.items()}
+    return TqdParams(spec["N"], spec.get("n", [0] * len(spec["N"])), nij)
+
+
+def size_from_spec(spec: dict, Lx: int = 3,
+                   Ly: int | None = None) -> tuple[int, int]:
+    """(Lx, Ly) from a spec's "Lx"/"Ly", else its "L", else the given
+    defaults; Ly defaults to the torus's Lx."""
+    Lx = int(spec.get("Lx", spec.get("L", Lx)))
+    Ly = int(spec.get("Ly", spec.get("L", Lx if Ly is None else Ly)))
+    return Lx, Ly
+
+
 def build_from_spec(spec: dict) -> tuple[StabilizerGroup, LatticeModel]:
-    """Build from {"type": ..., "N": [...], "n": [...], "nij": [[...]],
-    "Lx": int, "Ly": int}."""
-    kind = spec.get("type")
-    Lx = int(spec.get("Lx", spec.get("L", 3)))
-    Ly = int(spec.get("Ly", spec.get("L", Lx)))
+    """Build from {"type": ..., "N": [...], "n": [...], "nij": ...,
+    "L" | "Lx", "Ly": int}; the type defaults to "tqd" when N is given
+    and to "ds" otherwise."""
+    kind = spec.get("type", "tqd" if "N" in spec else "ds")
+    Lx, Ly = size_from_spec(spec)
     if kind == "tc":
         N = spec.get("N", [2])
         N = N[0] if isinstance(N, (list, tuple)) else int(N)
@@ -701,9 +714,7 @@ def build_from_spec(spec: dict) -> tuple[StabilizerGroup, LatticeModel]:
     if kind == "ds":
         return build_ds(Lx, Ly)
     if kind == "tqd":
-        params = TqdParams(spec.get("N", []), spec.get("n", []),
-                           spec.get("nij"))
-        return build_tqd(params, Lx, Ly)
+        return build_tqd(params_from_spec(spec), Lx, Ly)
     if kind == "spt":
         return build_spt(Lx, Ly)
     raise ValueError(f"unknown model type {kind!r}")

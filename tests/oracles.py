@@ -1,12 +1,16 @@
 """Reference implementations that the library's fast paths are checked
-against. Nothing under src/ imports this module."""
+against. Nothing under src/ imports this module. The dense oracles import
+numpy when called; the library itself needs neither numpy nor floats."""
 
 from __future__ import annotations
 
+from math import prod
 from typing import Sequence
 
 from tqdstab.exactmath import _unit_for, _xgcd
-from tqdstab.pauli import adjoint, product
+from tqdstab.pauli import PauliOperator, adjoint, multiply, product
+from tqdstab.stabilizer import (NonCommutingError, StabilizerGroup,
+                                group_order)
 
 
 def dense_howell_form(rows: Sequence[Sequence[int]],
@@ -76,3 +80,103 @@ def junction_exponent_by_products(w1, w2, w3) -> int:
     if lhs.x != rhs.x or lhs.z != rhs.z:
         raise ValueError("operators differ by more than a phase")
     return (lhs.phase - rhs.phase) % (2 * w1.system.D)
+
+
+def qpp_dense(op, sites: Sequence):
+    """Dense matrix of a circuitmap.QuadraticPhaseOperator over the listed
+    qubit sites."""
+    import numpy as np
+    n = len(sites)
+    pos = {s: i for i, s in enumerate(sites)}
+    dim = 1 << n
+    mat = np.zeros((dim, dim), dtype=complex)
+    root = np.exp(1j * np.pi / 4)
+    lam = op.lam_dict
+    for col in range(dim):
+        bits = [(col >> (n - 1 - i)) & 1 for i in range(n)]
+        exp_i = sum(lam.get(s, 0) * bits[pos[s]] for s in lam if s in pos)
+        sign = sum(bits[pos[s]] * bits[pos[t]]
+                   for pair in op.kap for s, t in [tuple(pair)])
+        val = (root ** op.phase) * (1j ** exp_i) * ((-1) ** sign)
+        row_bits = list(bits)
+        for s in op.x:
+            row_bits[pos[s]] ^= 1
+        row = 0
+        for bit in row_bits:
+            row = (row << 1) | bit
+        mat[row, col] = val
+    return mat
+
+
+# ---------------------------------------------------------------------------
+# Dense ground-space oracle
+# ---------------------------------------------------------------------------
+
+
+def dense_ground_space(group: StabilizerGroup, tol: float = 1e-9,
+                       extra_probes: int = 8):
+    """Ground-space dimension and an orthonormal basis, by dense projection.
+
+    Applies the generator projectors (1/|g|) sum_k g^k to a block of random
+    state vectors and ranks the result. Requires total dimension <= 2^20.
+    """
+    import numpy as np
+    dims = group.system.dims
+    total = prod(dims)
+    if total > 1 << 20:
+        raise ValueError("system too large for the dense oracle")
+    D = group.system.D
+
+    radix = []
+    stride = total
+    for d in dims:
+        stride //= d
+        radix.append(stride)
+    idx = np.arange(total)
+    digits = [(idx // radix[q]) % dims[q] for q in range(len(dims))]
+
+    def apply_op(P: PauliOperator, V):
+        phase = np.exp(1j * np.pi * P.phase / D) * np.ones(total)
+        for q, e in P.z.items():
+            phase = phase * np.exp(2j * np.pi * e * digits[q] / dims[q])
+        target = idx.copy()
+        for q, e in P.x.items():
+            target = target + ((digits[q] + e) % dims[q] - digits[q]) * radix[q]
+        out = np.zeros_like(V)
+        out[target] = phase[:, None] * V
+        return out
+
+    rng = np.random.default_rng(7)
+    expected = max(1, total // max(1, _order_hint(group)))
+    cols = min(total, expected + extra_probes)
+    V = rng.standard_normal((total, cols)) + 1j * rng.standard_normal(
+        (total, cols))
+    for g in group.generators:
+        order = _pauli_order(g)
+        acc = V.copy()
+        term = V
+        for _ in range(order - 1):
+            term = apply_op(g, term)
+            acc = acc + term
+        V = acc / order
+    u, s, _ = np.linalg.svd(V, full_matrices=False)
+    dim = int((s > tol * (s[0] if s.size and s[0] > 0 else 1)).sum())
+    return dim, u[:, :dim]
+
+
+def _pauli_order(P: PauliOperator) -> int:
+    k = 1
+    Q = P
+    while not Q.is_identity():
+        k += 1
+        Q = multiply(Q, P)
+        if k > 4 * P.system.D:
+            raise ValueError("operator order too large (nontrivial scalar?)")
+    return k
+
+
+def _order_hint(group: StabilizerGroup) -> int:
+    try:
+        return group_order(group)
+    except NonCommutingError:
+        return 1

@@ -10,12 +10,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import dense_ground_space
 from tqdstab import anyon, kmatrix
 from tqdstab import lattice as lat
 from tqdstab.circuitmap import (TriangularLattice, amplitude_psi, conjugate_qpp,
-                                dense_ground_space, domain_wall_count,
-                                map_qudit_to_qubits, table1_identity,
-                                uab_circuit, ucx_circuit)
+                                domain_wall_count, map_qudit_to_qubits,
+                                table1_identity, uab_circuit, ucx_circuit)
 from tqdstab.exactmath import IntMatrix, Rational01
 from tqdstab.extraction import (JunctionSpec, crossing_braiding,
                                 default_junction, extract_theory, spt_cocycle,

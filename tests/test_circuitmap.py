@@ -7,12 +7,12 @@ import random
 import numpy as np
 import pytest
 
-from tqdstab import circuitmap
+import oracles
+from oracles import dense_ground_space, qpp_dense
 from tqdstab.circuitmap import (Cochain, OddXExponentError, QubitGate,
                                 QuadraticPhaseOperator, TriangularLattice,
                                 amplitude_psi, coboundary, conjugate_qpp,
-                                cup_product, dense_ground_space,
-                                domain_wall_count, edge_cochain,
+                                cup_product, domain_wall_count, edge_cochain,
                                 map_qudit_to_qubits, table1_identity,
                                 uaa_circuit, uab_circuit, ucx_circuit,
                                 vertex_cochain)
@@ -212,8 +212,8 @@ class TestQuadraticPhaseOperators:
         rng = random.Random(11)
         for _ in range(40):
             a, b = random_qpp(rng), random_qpp(rng)
-            assert np.allclose((a * b).dense(SITES),
-                               a.dense(SITES) @ b.dense(SITES))
+            assert np.allclose(qpp_dense(a * b, SITES),
+                               qpp_dense(a, SITES) @ qpp_dense(b, SITES))
 
     def test_identity_and_support(self):
         assert QuadraticPhaseOperator().is_identity()
@@ -237,8 +237,8 @@ class TestQuadraticPhaseOperators:
         for _ in range(25):
             op = random_qpp(rng)
             out = conjugate_qpp(op, [gate])
-            assert np.allclose(out.dense(SITES),
-                               U @ op.dense(SITES) @ U.conj().T)
+            assert np.allclose(qpp_dense(out, SITES),
+                               U @ qpp_dense(op, SITES) @ U.conj().T)
 
     def test_circuit_conjugation(self):
         rng = random.Random(15)
@@ -250,8 +250,8 @@ class TestQuadraticPhaseOperators:
         for _ in range(10):
             op = random_qpp(rng)
             out = conjugate_qpp(op, circ)
-            assert np.allclose(out.dense(SITES),
-                               U @ op.dense(SITES) @ U.conj().T)
+            assert np.allclose(qpp_dense(out, SITES),
+                               U @ qpp_dense(op, SITES) @ U.conj().T)
 
     def test_gate_arity(self):
         with pytest.raises(ValueError):
@@ -292,9 +292,9 @@ class TestQuditToQubitMap:
             Q = PauliOperator(sysm, phase=rng.randrange(8),
                               x={s: 2 * rng.randrange(2) for s in range(2)},
                               z={s: rng.randrange(4) for s in range(2)})
-            lhs = map_qudit_to_qubits(multiply(P, Q)).dense(qs)
-            rhs = map_qudit_to_qubits(P).dense(qs) @ \
-                map_qudit_to_qubits(Q).dense(qs)
+            lhs = qpp_dense(map_qudit_to_qubits(multiply(P, Q)), qs)
+            rhs = qpp_dense(map_qudit_to_qubits(P), qs) @ \
+                qpp_dense(map_qudit_to_qubits(Q), qs)
             assert np.allclose(lhs, rhs)
 
     def test_requires_dim4(self):
@@ -374,13 +374,13 @@ class TestDenseGroundSpace:
         sysm = QuditSystem([2])
         S = StabilizerGroup(sysm, [single(sysm, 0, "X", 1),
                                    single(sysm, 0, "Z", 1)], validate=False)
-        assert circuitmap._order_hint(S) == 1
+        assert oracles._order_hint(S) == 1
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(group):
             raise RuntimeError("solver failure")
 
-        monkeypatch.setattr(circuitmap, "group_order", broken)
+        monkeypatch.setattr(oracles, "group_order", broken)
         sysm = QuditSystem([2])
         S = StabilizerGroup(sysm, [single(sysm, 0, "Z", 1)])
         with pytest.raises(RuntimeError, match="solver failure"):

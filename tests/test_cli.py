@@ -1,10 +1,14 @@
 """Tests for the command-line interface: exit codes and report shapes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tqdstab import cli, lattice
+from tqdstab import cli, extraction, lattice
 from tqdstab.cli import run
 from tqdstab.stabilizer import NonCommutingError
 
@@ -226,3 +230,88 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert "no generating labels for model kind 'spt'" in captured.err
+
+
+class TestOneSpecReader:
+    """Every command reads a model spec through the same lattice functions,
+    so a spec file and the matching flags give the same model, and a tqd
+    spec without N is a spec error everywhere."""
+
+    def _run(self, capsys, *argv):
+        code = run(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("nij", [{"0,1": 1}, {"(0, 1)": 1},
+                                     [[0, 1], [1, 0]]])
+    def test_spec_file_matches_flags(self, capsys, tmp_path, nij):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"type": "tqd", "N": [2, 2],
+                                    "n": [1, 1], "nij": nij, "L": 3}))
+        from_file = self._run(capsys, "model", "build", "--spec", str(path))
+        from_flags = self._run(capsys, "model", "build", "--type", "tqd",
+                               "--N", "2,2", "--n", "1,1", "--nij", "0,1,1",
+                               "--L", "3")
+        assert from_file == from_flags
+        assert from_file[0] == 0
+
+    def test_n_defaults_to_zeros(self, capsys):
+        code, report = invoke(capsys, "model", "build", "--type", "tqd",
+                              "--N", "2,4", "--L", "3")
+        assert code == 0
+        assert report["edge_dims"] == [4, 16]
+        untwisted = invoke(capsys, "model", "build", "--type", "tqd",
+                           "--N", "2,4", "--n", "0,0", "--L", "3")
+        assert (code, report) == untwisted
+
+    @pytest.mark.parametrize("argv", [
+        ["model", "build"], ["verify", "degeneracy"], ["verify", "scalar"],
+        ["verify", "commuting"], ["verify", "condensation-equality"],
+        ["anyons", "extract"], ["theory", "tqd"], ["theory", "iso"],
+        ["kmatrix", "build"], ["kmatrix", "census"]],
+        ids=lambda argv: "-".join(argv))
+    def test_missing_N_is_spec_error(self, capsys, argv):
+        code, out, err = self._run(capsys, *argv, "--type", "tqd",
+                                   "--L", "3")
+        assert code == 2
+        assert out == ""
+        assert "missing --N" in err
+
+    @pytest.mark.parametrize("nij", ["0,5,1", "0,0,1"])
+    def test_bad_nij_index_is_spec_error(self, capsys, nij):
+        code, out, err = self._run(capsys, "theory", "tqd", "--N", "2,2",
+                                   "--n", "1,1", "--nij", nij)
+        assert code == 2
+        assert out == ""
+        assert "nij key" in err
+
+    def test_torus_defaults_per_command(self, capsys, monkeypatch):
+        # anyons extract falls back to 3 x 3, spt cocycle to (ell + 3) x 6.
+        sizes = []
+
+        def report(model, *args):
+            sizes.append((model.lattice.Lx, model.lattice.Ly))
+            return {"iso_match": True, "cocycle_valid": True}
+
+        monkeypatch.setattr(extraction, "extraction_report", report)
+        monkeypatch.setattr(extraction, "spt_report", report)
+        for argv in (["anyons", "extract", "--type", "ds", "--Lx", "4"],
+                     ["spt", "cocycle", "--ell", "2"],
+                     ["spt", "cocycle", "--ell", "2", "--L", "4"]):
+            assert self._run(capsys, *argv)[0] == 0
+        assert sizes == [(4, 3), (5, 6), (4, 4)]
+
+def test_cli_imports_without_numpy():
+    """The library is numpy-free: with numpy blocked by a sys.modules stub,
+    tqdstab.cli imports and a counting command runs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None  # any import of numpy raises\n"
+              "import tqdstab.cli\n"
+              "sys.exit(tqdstab.cli.run(['verify', 'degeneracy', '--type', "
+              "'ds', '--L', '3']))\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, timeout=120)
+    assert out.returncode == 0, out.stderr.decode()
+    assert json.loads(out.stdout)["logical_dimension"] == 4

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tqdstab.anyon import (ds_theory, theories_isomorphic,
+from tqdstab.anyon import (AnyonTheory, ds_theory, theories_isomorphic,
                            topological_spins_census, tqd_theory,
                            zn_tc_theory)
 from tqdstab.exactmath import IntMatrix, Rational01
@@ -83,6 +83,21 @@ class TestStatistics:
         assert theories_isomorphic(
             theory_from_k(build_k_tqd(TqdParams([3], [1]))),
             tqd_theory([3], [1]))
+        # The presentation splitter gives the same theory as the census's
+        # coset generators with their statistics read off K directly.
+        matrices = [IntMatrix([[0, 2], [2, 0]])]
+        for params in [TqdParams([2], [1]), TqdParams([3], [1]),
+                       TqdParams([2, 2], [1, 1], [[0, 1], [1, 0]]),
+                       TqdParams([2, 4], [1, 3], [[0, 1], [1, 0]]),
+                       TqdParams([4], [3]),
+                       TqdParams([2, 2, 2], [1, 0, 1],
+                                 {(0, 1): 1, (1, 2): 1})]:
+            matrices += [build_k_tqd(params), build_k_tc_stack(params)]
+        for K in matrices:
+            gens = anyon_group_from_k(K).generators
+            assert theory_from_k(K) == AnyonTheory(
+                anyon_group_from_k(K).orders, [q_of(K, g) for g in gens],
+                [[b_of(K, g, h) for h in gens] for g in gens])
 
     def test_group_size_is_det(self):
         for params in [TqdParams([2], [1]), TqdParams([3], [0]),

@@ -1,5 +1,7 @@
 """Tests for torus lattice models, string operators, and builders."""
 
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,8 @@ from tqdstab.lattice import (AnyonLabel, DS_PARAMS, H, LatticeModel, PathSpec,
                              build_tqd, build_zn_tc, condensation_equal,
                              direct_loop_around_plaquette, ds_edge_terms,
                              dual_loop_around_vertex, plaquette_terms,
-                             spt_edge_terms, string_operator, tc_stack_group,
-                             vertex_terms)
+                             size_from_spec, spt_d_terms, string_operator,
+                             tc_stack_group, vertex_terms)
 from tqdstab.pauli import PauliOperator, commutes, product
 from tqdstab.stabilizer import (StabilizerGroup, assert_commuting,
                                 group_order, groups_equal, logical_dimension,
@@ -57,6 +59,11 @@ class TestTqdParams:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             TqdParams([2, 2], [0])
+
+    @pytest.mark.parametrize("key", [(0, 5), (0, 0), (-1, 1)])
+    def test_rejects_bad_nij_key(self, key):
+        with pytest.raises(ValueError, match=re.escape(f"nij key {key!r}")):
+            TqdParams([2, 2], [1, 1], {key: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +424,15 @@ class TestSptBuilders:
         assert all(commutes(flip, g) for g in group.generators)
 
     def test_edge_term_kinds(self):
-        _, model = build_spt(3, 3)
-        for term in spt_edge_terms(model, "C"):
+        group, model = build_spt(3, 3)
+        n = model.lattice.n_cells
+        c_terms = group.generators[n:3 * n]
+        d_terms = spt_d_terms(model)
+        assert list(group.generators[3 * n:]) == d_terms
+        for term in c_terms:
             assert term.x  # boson hop moves flux
-        for term in spt_edge_terms(model, "D"):
+        for term in d_terms:
             assert not term.x and term.z
-        with pytest.raises(ValueError):
-            spt_edge_terms(model, "Q")
 
     def test_hatted_model_degeneracy(self):
         group, _ = build_hatted_ds(3, 3)
@@ -434,7 +443,7 @@ class TestSptBuilders:
     def test_measuring_d_terms_recovers_spt(self):
         hat_group, hat_model = build_hatted_ds(3, 3)
         spt_group, _ = build_spt(3, 3)
-        measured = measure(hat_group, spt_edge_terms(hat_model, "D"))
+        measured = measure(hat_group, spt_d_terms(hat_model))
         assert groups_equal(measured, spt_group)
 
 
@@ -468,3 +477,15 @@ class TestBuildFromSpec:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             build_from_spec({"type": "wibble"})
+
+    def test_type_defaults_from_N(self):
+        assert build_from_spec({"L": 3})[1].kind == "ds"
+        assert build_from_spec({"N": [3], "L": 3})[1].kind == "tqd"
+
+    def test_size_defaults(self):
+        assert size_from_spec({}) == (3, 3)
+        assert size_from_spec({"Lx": 4}) == (4, 4)
+        assert size_from_spec({"L": 5, "Ly": 2}) == (5, 2)
+        assert size_from_spec({"Lx": 4}, 3, 3) == (4, 3)
+        assert size_from_spec({}, 7, 6) == (7, 6)
+        assert size_from_spec({"L": 4}, 7, 6) == (4, 4)
