@@ -430,9 +430,8 @@ def _unit_for(a: int, N: int) -> int:
     raise ArithmeticError(f"no unit found for {a} mod {N}")
 
 
-def howell_form(rows: Sequence[Sequence[int]],
-                big: int) -> tuple[list[dict[int, int]],
-                                   list[tuple[int, int, int]]]:
+def howell_form(rows: Sequence[Sequence[int]], big: int, *,
+                stop: int | None = None) -> tuple:
     """Howell form of the Z_big row span of `rows`.
 
     `rows` are dense sequences of integers of one width (any residues).
@@ -450,8 +449,18 @@ def howell_form(rows: Sequence[Sequence[int]],
     the bucket of their new leading column. A bucket holds the rows a scan
     of every pending row would find at c, in the same order, so the
     pivots and rows are those of the dense elimination.
+
+    With `stop`, only columns before `stop` are eliminated, and the result
+    is (H, pivots, pending): pending holds the rows still waiting, zero
+    before `stop`, in bucket order (leading column, then creation order).
+    They generate the span's elements that vanish before `stop`, and
+    feeding their entries from `stop` on back in that order continues the
+    same elimination: its rows and pivots, shifted by `stop` columns and
+    len(H) rows, are the rest of the uninterrupted form.
     """
     width = len(rows[0]) if rows else 0
+    if stop is not None:
+        width = min(width, stop)
     buckets: dict[int, list[dict[int, int]]] = {}
 
     def push(row: dict[int, int]) -> None:
@@ -489,7 +498,9 @@ def howell_form(rows: Sequence[Sequence[int]],
         # Howell closure: the annihilator (big/d) * piv is a pending row.
         f = big // d
         push({j: v for j, x in piv.items() if j != col and (v := f * x % big)})
-    return H, pivots
+    if stop is None:
+        return H, pivots
+    return H, pivots, [row for c in sorted(buckets) for row in buckets[c]]
 
 
 class ModSolver:
@@ -499,6 +510,10 @@ class ModSolver:
     Writing M for the lifted transpose, the rows of [M | I] span
     {(x M, x) : x in Z_lcm^cols}; the Howell form of that span answers
     solve, kernel, and image-size queries with all arithmetic mod lcm.
+    Construction eliminates only the M-block columns, which is all that
+    solve and image_size read; the rows then pending generate the kernel
+    (kernel_generators). kernel_basis finishes the form over the identity
+    block on its first call.
     """
 
     def __init__(self, A: IntMatrix, moduli: Sequence[int]):
@@ -519,7 +534,9 @@ class ModSolver:
             unit[j] = 1
             rows.append([s * x for s, x in zip(scales, col)] + unit)
             unit[j] = 0
-        self._H, self._pivots = howell_form(rows, big)
+        self._H, self._pivots, self._pending = howell_form(rows, big,
+                                                          stop=m)
+        self._finished = False
 
     def solve(self, b: Sequence[int]) -> list[int] | None:
         if len(b) != self._m:
@@ -544,18 +561,43 @@ class ModSolver:
             return None
         return [-x % big for x in w[m:]]
 
-    def kernel_basis(self) -> list[list[int]]:
-        """Generators of the lattice {x in Z^cols : A x = 0 mod moduli}.
+    def _with_unit_vectors(self, vectors: list[list[int]]) -> list[list[int]]:
+        """vectors, then big * e_i for each column i, so the integer kernel
+        (not just its mod big reduction) is generated."""
+        n, big = self._n, self.big
+        vectors.extend([big if j == i else 0 for j in range(n)]
+                       for i in range(n))
+        return vectors
 
-        Includes big * e_i vectors so the integer lattice (not just its mod
-        big reduction) is generated.
-        """
-        m, n, big = self._m, self._n, self.big
-        basis = [[self._H[idx].get(j, 0) for j in range(m, m + n)]
-                 for idx, col, _ in self._pivots if col >= m]
-        basis.extend([big if j == i else 0 for j in range(n)]
-                     for i in range(n))
-        return basis
+    def _pending_vectors(self) -> list[list[int]]:
+        m, n = self._m, self._n
+        return [[row.get(j, 0) for j in range(m, m + n)]
+                for row in self._pending]
+
+    def kernel_generators(self) -> list[list[int]]:
+        """Generators of the lattice {x in Z^cols : A x = 0 mod moduli}:
+        the identity parts of the rows pending after the M-block columns,
+        then big * e_i for each column i. Their M parts vanish, and by the
+        Howell property they generate every kernel vector; they are not
+        reduced among themselves."""
+        return self._with_unit_vectors(self._pending_vectors())
+
+    def kernel_basis(self) -> list[list[int]]:
+        """Generators of the same lattice as kernel_generators, read off
+        the finished Howell form: the identity parts of the rows with
+        identity-block pivots, then big * e_i for each column i. The first
+        call finishes the elimination over the identity block."""
+        m, n = self._m, self._n
+        if not self._finished:
+            H, pivots = howell_form(self._pending_vectors(), self.big)
+            offset = len(self._H)
+            self._H.extend({j + m: v for j, v in row.items()} for row in H)
+            self._pivots.extend((idx + offset, col + m, d)
+                                for idx, col, d in pivots)
+            self._finished = True
+        return self._with_unit_vectors(
+            [[self._H[idx].get(j, 0) for j in range(m, m + n)]
+             for idx, col, _ in self._pivots if col >= m])
 
     def image_size(self) -> int:
         """|{A x mod moduli}| as a subgroup of prod Z_moduli (lifted)."""

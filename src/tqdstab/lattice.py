@@ -680,16 +680,40 @@ def build_hatted_ds(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(value, key: str) -> list[int]:
+    """value as a list of integers; ValueError naming the spec key if it is
+    anything else."""
+    if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
+        raise ValueError(f"spec key {key!r} must be a list of integers, "
+                         f"got {value!r}")
+    return list(value)
+
+
 def params_from_spec(spec: dict) -> TqdParams:
     """TqdParams from a spec's "N", "n" (zeros when absent) and "nij": an
-    M x M table, or a dict keyed by (i, j), "i,j" or "(i, j)"."""
+    M x M table, or a dict keyed by (i, j), "i,j" or "(i, j)". Each of them
+    must hold integers; anything else is a ValueError."""
     if "N" not in spec:
         raise ValueError("missing --N / spec key 'N'")
+    N = _int_list(spec["N"], "N")
+    n = _int_list(spec["n"], "n") if "n" in spec else [0] * len(N)
     nij = spec.get("nij")
     if isinstance(nij, dict):
         nij = {tuple(int(t) for t in k.strip("()").split(","))
                if isinstance(k, str) else k: v for k, v in nij.items()}
-    return TqdParams(spec["N"], spec.get("n", [0] * len(spec["N"])), nij)
+        if not all(map(_is_int, nij.values())):
+            raise ValueError(f"spec key 'nij' must map pairs to integers, "
+                             f"got {spec['nij']!r}")
+    elif nij is not None:
+        if not isinstance(nij, (list, tuple)):
+            raise ValueError(f"spec key 'nij' must be a table or a dict, "
+                             f"got {nij!r}")
+        nij = [_int_list(row, "nij") for row in nij]
+    return TqdParams(N, n, nij)
 
 
 def size_from_spec(spec: dict, Lx: int = 3,
@@ -709,8 +733,10 @@ def build_from_spec(spec: dict) -> tuple[StabilizerGroup, LatticeModel]:
     Lx, Ly = size_from_spec(spec)
     if kind == "tc":
         N = spec.get("N", [2])
-        N = N[0] if isinstance(N, (list, tuple)) else int(N)
-        return build_zn_tc(int(N), Lx, Ly)
+        N = _int_list(N if isinstance(N, (list, tuple)) else [N], "N")
+        if len(N) != 1:
+            raise ValueError(f"a tc spec takes one factor N, got {N}")
+        return build_zn_tc(N[0], Lx, Ly)
     if kind == "ds":
         return build_ds(Lx, Ly)
     if kind == "tqd":

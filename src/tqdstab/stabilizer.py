@@ -13,7 +13,7 @@ from math import gcd, prod
 from typing import Literal, Sequence
 
 from .exactmath import IntMatrix, ModSolver, Rational01, solve_linear_mod
-from .pauli import (PauliOperator, QuditSystem, commutation_exponent,
+from .pauli import (PauliOperator, QuditSystem, commutation_exponent, power,
                     product_of_powers)
 
 
@@ -124,15 +124,26 @@ class StabilizerGroup:
     # -- scalars reachable as generator combinations ------------------------
 
     def _get_kernel_phases(self) -> list[tuple[list[int], int]]:
-        """(vector, phase) for each kernel_basis vector of the solver: the
+        """(vector, phase) for each of the solver's kernel_generators: the
         combination is a scalar, and phase is its exponent mod 2D. Computed
         once per group; raises SolverCheckError on a non-scalar combination.
         The phases generate the subgroup gcd(2D, *phases) Z of Z_{2D}.
+
+        Each product runs over the vector's nonzero entries only; the
+        trailing big * e_i vectors are one power each.
         """
         if self._kernel_phases is None:
+            solver = self._get_solver()
+            vectors = solver.kernel_generators()
+            gens = self.generators
+            n_rows = len(vectors) - len(gens)
+            ops = [product_of_powers(self.system,
+                                     [(gens[i], a) for i, a in enumerate(vec)
+                                      if a])
+                   for vec in vectors[:n_rows]]
+            ops.extend(power(g, solver.big) for g in gens)
             table = []
-            for vec in self._get_solver().kernel_basis():
-                op = self.combination(vec)
+            for vec, op in zip(vectors, ops):
                 if not op.is_scalar():
                     raise SolverCheckError("kernel combination is not scalar")
                 table.append((vec, op.phase))

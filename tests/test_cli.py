@@ -285,6 +285,40 @@ class TestOneSpecReader:
         assert out == ""
         assert "nij key" in err
 
+    @pytest.mark.parametrize("command,spec,message", [
+        (["model", "build"], {"type": "tqd", "N": 2, "L": 3},
+         "'N' must be a list of integers"),
+        (["theory", "tqd"], {"type": "tqd", "N": [2], "n": None},
+         "'n' must be a list of integers"),
+        (["model", "build"],
+         {"type": "tqd", "N": [2, 2], "nij": [[0, 1], [1, "0"]], "L": 3},
+         "'nij' must be a list of integers"),
+        (["theory", "tqd"], {"type": "tqd", "N": [2, 2], "nij": {"0,1": 1.0}},
+         "'nij' must map pairs to integers"),
+    ], ids=["N-int", "n-null", "nij-row-str", "nij-dict-float"])
+    def test_malformed_spec_value_is_spec_error(self, capsys, tmp_path,
+                                                command, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = self._run(capsys, *command, "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_tc_takes_one_factor(self, capsys, tmp_path):
+        code, out, err = self._run(capsys, "model", "build", "--type", "tc",
+                                   "--N", "2,3", "--L", "3")
+        assert (code, out) == (2, "")
+        assert "one factor" in err
+        reports = [invoke(capsys, "model", "build", "--type", "tc", "--N",
+                          "6", "--L", "3")]
+        for N in (6, [6]):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"type": "tc", "N": N, "L": 3}))
+            reports.append(invoke(capsys, "model", "build", "--spec",
+                                  str(path)))
+        assert reports[0][0] == 0 and reports[0][1]["edge_dims"] == [6]
+        assert reports == [reports[0]] * 3
+
     def test_torus_defaults_per_command(self, capsys, monkeypatch):
         # anyons extract falls back to 3 x 3, spt cocycle to (ell + 3) x 6.
         sizes = []

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -411,12 +411,12 @@ class TestKernels:
 
 
 @st.composite
-def mod_systems(draw):
-    """A x = b mod moduli with at most 3 rows and columns and lcm <= 12.
-    Right-hand sides are often zero, so solves meet zero residues in pivot
-    columns."""
-    rows = draw(st.integers(1, 3))
-    cols = draw(st.integers(1, 3))
+def mod_systems(draw, max_rows=3, max_cols=3):
+    """A x = b mod moduli with at most 3 rows and columns (by default) and
+    lcm <= 12. Right-hand sides are often zero, so solves meet zero residues
+    in pivot columns."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
     moduli = draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=rows,
                            max_size=rows))
     A = IntMatrix([[draw(st.integers(-6, 6)) for _ in range(cols)]
@@ -442,6 +442,19 @@ def _all_solutions(A, b, moduli):
     big = lcm(*moduli)
     return [list(x) for x in iproduct(range(big), repeat=A.cols)
             if _satisfies(A, x, b, moduli)]
+
+
+def _reduces_to_zero(vec, H, pivots, big):
+    """Whether vec lies in the Z_big span of Howell rows H: greedy left to
+    right reduction, complete by the Howell property."""
+    w = [x % big for x in vec]
+    for idx, col, d in pivots:
+        if w[col] % d:
+            return False
+        q = w[col] // d
+        for j, v in H[idx].items():
+            w[j] = (w[j] - q * v) % big
+    return not any(w)
 
 
 def walk_least_solution(A, b, moduli):
@@ -505,6 +518,40 @@ class TestSolverProperties:
         image = {tuple(v % m for v, m in zip(A.mat_vec(list(x)), moduli))
                  for x in iproduct(range(big), repeat=A.cols)}
         assert ModSolver(A, moduli).image_size() == len(image)
+
+    @given(mod_systems(max_rows=4, max_cols=6))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_views_agree_with_smith_form(self, system):
+        # kernel_generators (rows pending after the M block) and
+        # kernel_basis (the finished form) against Smith normal form.
+        A, b, moduli = system
+        big = lcm(*moduli)
+        solver = ModSolver(A, moduli)
+        lifted = IntMatrix([[(big // mod) * x for x in A.row(i)]
+                            for i, mod in enumerate(moduli)], cols=A.cols)
+        diag = smith_normal_form(lifted).diagonal()
+        diag += [0] * (A.rows - len(diag))
+        image = 1
+        for d in diag:
+            image *= big // gcd(d, big)
+        assert solver.image_size() == image
+        before = solver.solve(b)
+        generators = solver.kernel_generators()
+        zero = [0] * A.rows
+        assert all(_satisfies(A, vec, zero, moduli) for vec in generators)
+        basis = solver.kernel_basis()
+        assert solver.solve(b) == before
+        assert solver.image_size() == image
+        forms = [howell_form(vectors, big) for vectors in (generators, basis)]
+        for vectors, (H, pivots) in zip((basis, generators), forms):
+            assert all(_reduces_to_zero(vec, H, pivots, big)
+                       for vec in vectors)
+        # |Z_big^cols / K| = |image| for both views
+        for _, pivots in forms:
+            size = 1
+            for _, _, d in pivots:
+                size *= big // d
+            assert size * image == big ** A.cols
 
     @given(mod_systems())
     @settings(max_examples=150, deadline=None)
@@ -576,13 +623,14 @@ def _assert_matches_dense_oracle(rows, big):
 
 
 def _record_howell_inputs(monkeypatch) -> list:
-    """Make exactmath.howell_form record its (rows, big) arguments."""
+    """Make exactmath.howell_form record its (rows, big) arguments; keyword
+    arguments pass through unrecorded."""
     calls = []
     original = exactmath.howell_form
 
-    def recording(rows, big):
+    def recording(rows, big, **kwargs):
         calls.append((rows, big))
-        return original(rows, big)
+        return original(rows, big, **kwargs)
 
     monkeypatch.setattr(exactmath, "howell_form", recording)
     return calls
@@ -619,9 +667,16 @@ class TestSparseHowell:
         solver = fresh._get_solver()
         [(rows, big)] = calls
         # [M | I]: 2n lifted exponent columns, then one column per generator
-        assert len(rows[0]) == 2 * group.system.n_sites + len(
-            group.generators)
+        m = 2 * group.system.n_sites
+        assert len(rows[0]) == m + len(group.generators)
         H, pivots = _assert_matches_dense_oracle(rows, big)
+        # Construction stops at the identity block: the M-block prefix of
+        # the one-pass form.
+        n_m = sum(1 for _, col, _ in pivots if col < m)
+        assert all(col < m for _, col, _ in solver._pivots)
+        assert (H[:n_m], pivots[:n_m]) == (solver._H, solver._pivots)
+        # kernel_basis finishes it: the whole one-pass form.
+        solver.kernel_basis()
         assert (H, pivots) == (solver._H, solver._pivots)
 
     def test_solver_rows_built_in_one_pass(self, monkeypatch):

@@ -14,6 +14,7 @@ from tqdstab.lattice import (AnyonLabel, DS_PARAMS, H, LatticeModel, PathSpec,
                              dual_loop_around_vertex, plaquette_terms,
                              size_from_spec, spt_d_terms, string_operator,
                              tc_stack_group, vertex_terms)
+from tqdstab.exactmath import ModSolver
 from tqdstab.pauli import PauliOperator, commutes, product
 from tqdstab.stabilizer import (StabilizerGroup, assert_commuting,
                                 group_order, groups_equal, logical_dimension,
@@ -350,6 +351,26 @@ class TestTwistedBuilders:
         assert scalar_consistency(group).consistent
         assert logical_dimension(group) == dim
         assert model.phase_fix == fix
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_ds(3, 3),
+        lambda: build_ds(4, 4),
+        lambda: build_tqd(TqdParams([2, 2], [1, 1], {(0, 1): 1}), 3, 3),
+        lambda: build_spt(4, 4),
+    ], ids=["ds-3x3", "ds-4x4", "tqd22-twisted-3x3", "spt-4x4"])
+    def test_phase_fix_same_from_reduced_kernel_basis(self, monkeypatch,
+                                                      build):
+        # The fix is read from the unreduced kernel generators; a build
+        # whose kernel table comes from the finished form's reduced basis
+        # (same lattice, so the same solution set) gives the same fix.
+        group, model = build()
+        monkeypatch.setattr(ModSolver, "kernel_generators",
+                            ModSolver.kernel_basis)
+        reference_group, reference = build()
+        assert model.phase_fix == reference.phase_fix
+        assert reference_group.generators == group.generators
+        assert logical_dimension(group) == logical_dimension(
+            reference_group)
 
     def test_layer_dimensions_are_squares(self):
         _, model = build_tqd(TqdParams([2, 3], [0, 0]), 3, 3)

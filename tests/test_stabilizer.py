@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tqdstab import exactmath, stabilizer
 from tqdstab.exactmath import Rational01
-from tqdstab.lattice import DS_PARAMS, build_ds, build_tqd
+from tqdstab.lattice import DS_PARAMS, TqdParams, build_ds, build_tqd
 from tqdstab.pauli import (PauliOperator, QuditSystem, commutation_phase,
                            commutes, multiply, scalar, single)
 from tqdstab.stabilizer import (InconsistentGroupError, NonCommutingError,
@@ -259,15 +259,29 @@ class TestRephased:
         widths = []
         original = exactmath.howell_form
 
-        def counting(rows, big):
+        def counting(rows, big, **kwargs):
             widths.append(len(rows[0]) if rows else 0)
-            return original(rows, big)
+            return original(rows, big, **kwargs)
 
         monkeypatch.setattr(exactmath, "howell_form", counting)
         group, model = build_ds(4, 4)
         assert logical_dimension(group) == 4
         wide = 2 * group.system.n_sites + len(group.generators)
         assert widths.count(wide) == 1
+
+    def test_counting_never_reduces_the_identity_block(self):
+        # The builder's phase fix and logical_dimension read M-block pivots
+        # and kernel generators only, so no identity-block column is ever
+        # eliminated (DS has relations, so a finished form would have some).
+        group, _ = build_ds(4, 4)
+        assert logical_dimension(group) == 4
+        solver = group._get_solver()
+        m = 2 * group.system.n_sites
+        assert solver._pivots
+        assert all(col < m for _, col, _ in solver._pivots)
+        finished = exactmath.ModSolver(solver.A, solver.moduli)
+        finished.kernel_basis()
+        assert any(col >= m for _, col, _ in finished._pivots)
 
 
 class TestScalarConsistency:
@@ -387,20 +401,44 @@ class TestKernelPhases:
         sysm = QuditSystem([2])
         X = single(sysm, 0, "X", 1)
         S = StabilizerGroup(sysm, [X, multiply(scalar(sysm, 2), X)])
-        n_kernel = len(S._get_solver().kernel_basis())
-        calls = []
+        reads, calls = [], []
+        generators = exactmath.ModSolver.kernel_generators
+        monkeypatch.setattr(exactmath.ModSolver, "kernel_generators",
+                            lambda self: reads.append(self)
+                            or generators(self))
         original = StabilizerGroup.combination
         monkeypatch.setattr(StabilizerGroup, "combination",
                             lambda self, vec: calls.append(vec)
                             or original(self, vec))
         assert not scalar_consistency(S).consistent
-        assert len(calls) == n_kernel
+        assert reads == [S._get_solver()]
+        assert [vec for vec, _ in S._get_kernel_phases()] == generators(
+            S._get_solver())
         for target in (scalar(sysm, 2), X):
             res = member_with_phase(S, target)
             assert res.is_member
             assert original(S, res.coefficients) == target
+        assert len(reads) == 1
         # each membership call: one check of the solve, one of the fix
-        assert len(calls) == n_kernel + 2 * 2
+        assert len(calls) == 2 * 2
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_ds(3, 3),
+        lambda: build_tqd(TqdParams([2, 2], [1, 1], [[0, 1], [1, 0]]), 3, 3),
+    ], ids=["ds-3x3", "tqd22-twisted-3x3"])
+    def test_sparse_products_match_combination(self, build):
+        # The table's products over nonzero entries (one power for each
+        # big * e_i) against full generator-order combinations, on a group
+        # whose first vertex term carries an extra phase so that some
+        # kernel phases are nonzero.
+        group, _ = build()
+        gens = list(group.generators)
+        gens[0] = multiply(scalar(group.system, 1), gens[0])
+        S = group.rephased(gens)
+        table = S._get_kernel_phases()
+        assert any(phase for _, phase in table)
+        assert table == [(vec, S.combination(vec).phase)
+                         for vec in S._get_solver().kernel_generators()]
 
     def test_rephased_group_computes_its_own_table(self):
         # The builder's phase fix read the unfixed group's table; the final
