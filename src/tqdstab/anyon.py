@@ -428,16 +428,10 @@ def condense(theory: AnyonTheory,
         lambda v1, v2: theory.b(element(v1), element(v2)), proj)
 
     # express each deconfined parent element in the new coordinates
-    solver = ModSolver(
-        IntMatrix([[col[r] for col in cols[:k + len(bos)]]
-                   for r in range(group.rank)], cols=k + len(bos)),
-        list(group.orders)) if k + len(bos) else None
+    solver = ModSolver(cols[:k + len(bos)], group.orders)
     identification = {}
     for a in deconfined:
-        if solver is None:
-            identification[a] = ()
-            continue
-        sol = solver.solve(list(a))
+        sol = solver.solve(a)
         if sol is None:
             raise TheoryCheckError("deconfined element outside generator span")
         coords = presented.project(sol[:k])
@@ -600,14 +594,23 @@ def fusion_group(N, n=None, nij=None) -> list[int]:
     return sorted(d for d in diag if d != 1)
 
 
+# Largest extension fusion_group_from_cocycle enumerates (|G|^2 elements).
+_COCYCLE_ROUTE_LIMIT = 2 ** 16
+
+
 def fusion_group_from_cocycle(N, n=None, nij=None) -> list[int]:
     """Fusion group the long way: enumerate the central extension of the flux
     group G by the charge group G* with multiplication twisted by the
     2-cocycle lambda(g, h), then reconstruct invariant factors from the
-    census of element orders."""
+    census of element orders. Raises ValueError when the extension has
+    more than _COCYCLE_ROUTE_LIMIT elements."""
     params = _as_params(N, n, nij)
     M = params.M
     Ns = params.N
+    size = prod(Ns) ** 2
+    if size > _COCYCLE_ROUTE_LIMIT:
+        raise ValueError(f"the cocycle route enumerates {size} elements, "
+                         f"more than its limit of {_COCYCLE_ROUTE_LIMIT}")
 
     def lam(g, h):
         out = []

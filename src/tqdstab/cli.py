@@ -255,6 +255,8 @@ def cmd_spt_cocycle(args) -> int:
 
 
 def cmd_appendixa_check(args) -> int:
+    if args.samples < 1:
+        raise SpecError(f"--samples must be at least 1, got {args.samples}")
     tri = circuitmap.TriangularLattice(3)
     rng = random.Random(7)
     n_checked, ok = 0, True

@@ -9,18 +9,19 @@ Provides:
 - det_adjugate: determinant and integer adjugate by the one rational
   Gauss-Jordan pass (determinants, unimodular inverses, K-matrix statistics).
 - smith_normal_form: U*A*V = S with unimodular U, V and divisibility chain.
-- howell_form / ModSolver: Howell form over Z_N; solves, kernels, image sizes.
-  Input rows are dense integer sequences; Howell rows are sparse dicts
-  {column: nonzero residue}, so elimination and every later read touch
-  only nonzero entries.
-- solve_linear_mod / kernel_mod / least_solution_mod: linear systems with
-  per-row moduli.
+- howell_form: Howell form over Z_N. Input rows are dense integer
+  sequences; Howell rows are sparse dicts {column: nonzero residue}, so
+  elimination and every later read touch only nonzero entries.
+- ModSolver: linear systems sum_j x_j * columns[j] = b with per-entry
+  moduli, given as the columns the unknowns multiply; solves, least
+  solutions, kernels and image sizes from one Howell form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -504,51 +505,46 @@ def howell_form(rows: Sequence[Sequence[int]], big: int, *,
 
 
 class ModSolver:
-    """Repeated solves of A x = b (mod per-row moduli) via one Howell form.
+    """Solves sum_j x_j * columns[j] = b (mod moduli) via one Howell form.
 
-    Each row i is lifted to the lcm modulus by the factor lcm/moduli[i].
-    Writing M for the lifted transpose, the rows of [M | I] span
-    {(x M, x) : x in Z_lcm^cols}; the Howell form of that span answers
-    solve, kernel, and image-size queries with all arithmetic mod lcm.
-    Construction eliminates only the M-block columns, which is all that
-    solve and image_size read; the rows then pending generate the kernel
-    (kernel_generators). kernel_basis finishes the form over the identity
-    block on its first call.
+    Each column is the vector that the unknown x_j multiplies, one entry
+    per modulus; entry i is lifted to the lcm modulus by the factor
+    lcm/moduli[i]. Row j of [M | I] is lifted column j followed by the
+    unit vector e_j, so the rows span {(x M, x) : x in Z_lcm^cols} and
+    their Howell form answers solve, kernel and image-size queries with
+    all arithmetic mod lcm. Construction eliminates only the M-block
+    columns, which is all that solve and image_size read; the rows then
+    pending generate the kernel (kernel_generators). Their own Howell form
+    is built once, on the first call that reads it (kernel_basis and
+    least_solution).
     """
 
-    def __init__(self, A: IntMatrix, moduli: Sequence[int]):
-        self.A = A
+    def __init__(self, columns: Sequence[Sequence[int]],
+                 moduli: Sequence[int]):
         self.moduli = [int(m) for m in moduli]
-        if len(self.moduli) != A.rows:
-            raise ValueError("moduli length must equal number of rows")
         self.big = big = lcm(*self.moduli) if self.moduli else 1
-        m, n = A.rows, A.cols
+        m, n = len(self.moduli), len(columns)
         self._m, self._n = m, n
-        # Row j of [M | I]: column j of A, each entry times its row's
-        # scale big/moduli[i], then the unit vector e_j.
         scales = [big // mod for mod in self.moduli]
-        cols = zip(*(A.row(i) for i in range(m))) if m else [()] * n
-        unit = [0] * n
         rows = []
-        for j, col in enumerate(cols):
-            unit[j] = 1
-            rows.append([s * x for s, x in zip(scales, col)] + unit)
-            unit[j] = 0
+        for j, col in enumerate(columns):
+            if len(col) != m:
+                raise ValueError("each column needs one entry per modulus")
+            row = [s * x for s, x in zip(scales, col)] + [0] * n
+            row[m + j] = 1
+            rows.append(row)
         self._H, self._pivots, self._pending = howell_form(rows, big,
                                                           stop=m)
-        self._finished = False
 
     def solve(self, b: Sequence[int]) -> list[int] | None:
         if len(b) != self._m:
-            raise ValueError("b length must equal number of rows")
+            raise ValueError("b length must equal the number of moduli")
         big, m = self.big, self._m
         # w = (res, -coeff): subtracting q * row clears res at the pivot and
         # adds q to the combination of the row's identity-block half.
         w = [((big // mod) * int(v)) % big
              for mod, v in zip(self.moduli, b)] + [0] * self._n
         for idx, col, d in self._pivots:
-            if col >= m:
-                break
             r = w[col]
             if not r:
                 continue
@@ -574,70 +570,55 @@ class ModSolver:
         return [[row.get(j, 0) for j in range(m, m + n)]
                 for row in self._pending]
 
+    @cached_property
+    def _kernel_form(self) -> tuple:
+        """Howell form of the pending identity parts: by the Howell
+        property, the identity-block rows and pivots of one uninterrupted
+        elimination, shifted back by the M-block width."""
+        return howell_form(self._pending_vectors(), self.big)
+
     def kernel_generators(self) -> list[list[int]]:
-        """Generators of the lattice {x in Z^cols : A x = 0 mod moduli}:
-        the identity parts of the rows pending after the M-block columns,
-        then big * e_i for each column i. Their M parts vanish, and by the
-        Howell property they generate every kernel vector; they are not
-        reduced among themselves."""
+        """Generators of the lattice {x in Z^cols : sum x_j columns[j] = 0
+        mod moduli}: the identity parts of the rows pending after the
+        M-block columns, then big * e_i for each column i. By the Howell
+        property they generate every kernel vector; they are not reduced
+        among themselves."""
         return self._with_unit_vectors(self._pending_vectors())
 
     def kernel_basis(self) -> list[list[int]]:
         """Generators of the same lattice as kernel_generators, read off
-        the finished Howell form: the identity parts of the rows with
-        identity-block pivots, then big * e_i for each column i. The first
-        call finishes the elimination over the identity block."""
-        m, n = self._m, self._n
-        if not self._finished:
-            H, pivots = howell_form(self._pending_vectors(), self.big)
-            offset = len(self._H)
-            self._H.extend({j + m: v for j, v in row.items()} for row in H)
-            self._pivots.extend((idx + offset, col + m, d)
-                                for idx, col, d in pivots)
-            self._finished = True
+        the kernel's Howell form: its rows, then big * e_i for each
+        column i."""
+        H, _ = self._kernel_form
         return self._with_unit_vectors(
-            [[self._H[idx].get(j, 0) for j in range(m, m + n)]
-             for idx, col, _ in self._pivots if col >= m])
+            [[row.get(j, 0) for j in range(self._n)] for row in H])
+
+    def least_solution(self, b: Sequence[int]) -> list[int] | None:
+        """The lexicographically smallest solution with entries in
+        [0, big); None if there is none.
+
+        Every solution is one solution plus a kernel vector. Reduce it left
+        to right against the kernel's Howell form: at a pivot (col, d) the
+        entry can move only by multiples of d, so it becomes its residue
+        mod d; by the Howell property a column without a pivot cannot move
+        at all.
+        """
+        sol = self.solve(b)
+        if sol is None:
+            return None
+        big = self.big
+        H, pivots = self._kernel_form
+        for idx, col, d in pivots:
+            q = sol[col] // d
+            if q:
+                for j, v in H[idx].items():
+                    sol[j] = (sol[j] - q * v) % big
+        return sol
 
     def image_size(self) -> int:
-        """|{A x mod moduli}| as a subgroup of prod Z_moduli (lifted)."""
+        """|{sum x_j columns[j] mod moduli}| as a subgroup of
+        prod Z_moduli (lifted)."""
         size = 1
-        for _, col, d in self._pivots:
-            if col < self._m:
-                size *= self.big // d
+        for _, _, d in self._pivots:
+            size *= self.big // d
         return size
-
-
-def solve_linear_mod(A: IntMatrix, b: Sequence[int],
-                     moduli: Sequence[int]) -> list[int] | None:
-    """Solve A x = b componentwise mod moduli; None if no solution."""
-    return ModSolver(A, moduli).solve(b)
-
-
-def kernel_mod(A: IntMatrix, moduli: Sequence[int]) -> list[list[int]]:
-    """Integer vectors generating {x in Z^cols : A x = 0 mod moduli}."""
-    return ModSolver(A, moduli).kernel_basis()
-
-
-def least_solution_mod(A: IntMatrix, b: Sequence[int],
-                       moduli: Sequence[int]) -> list[int] | None:
-    """The lexicographically smallest solution of A x = b mod moduli with
-    entries in [0, lcm(moduli)); None if there is none.
-
-    Every solution is one solution plus a kernel vector. Reduce it left to
-    right against the Howell form of the kernel: at a pivot (col, d) the
-    entry can move only by multiples of d, so it becomes its residue mod d;
-    by the Howell property a column without a pivot cannot move at all.
-    """
-    solver = ModSolver(A, moduli)
-    sol = solver.solve(b)
-    if sol is None:
-        return None
-    big = solver.big
-    H, pivots = howell_form(solver.kernel_basis(), big)
-    for idx, col, d in pivots:
-        q = sol[col] // d
-        if q:
-            for j, v in H[idx].items():
-                sol[j] = (sol[j] - q * v) % big
-    return sol

@@ -474,20 +474,12 @@ def _partial_member(group: StabilizerGroup, gen_indices, target,
     Returns the matching product (phase included), or None if no combination
     agrees with `target` on every listed site.
     """
-    lifted = [group._lifted(g) for g in
-              (group.generators[i] for i in gen_indices)]
-    target_lift = group._lifted(target)
-    D = group.system.D
     n = group.system.n_sites
-    rows = []
-    rhs = []
-    for s in row_sites:
-        for part in (s, n + s):
-            rows.append([vec[part] for vec in lifted])
-            rhs.append(target_lift[part])
-    solver = ModSolver(IntMatrix(rows, rows=len(rows), cols=len(lifted)),
-                       [D] * len(rows))
-    coeffs = solver.solve(rhs)
+    parts = [part for s in row_sites for part in (s, n + s)]
+    ops = [target] + [group.generators[i] for i in gen_indices]
+    rhs, *columns = [[lifted[part] for part in parts]
+                     for lifted in map(group._lifted, ops)]
+    coeffs = ModSolver(columns, [group.system.D] * len(parts)).solve(rhs)
     if coeffs is None:
         return None
     return product_of_powers(

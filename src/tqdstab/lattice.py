@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from math import gcd
 from typing import Literal, Sequence
 
-from .exactmath import IntMatrix, least_solution_mod
+from .exactmath import ModSolver
 from .pauli import (PauliOperator, QuditSystem, adjoint, multiply, product,
                     scalar)
 from .stabilizer import StabilizerGroup, groups_equal, measure
@@ -472,11 +472,10 @@ def _flux_phase_corrections(group: StabilizerGroup, per_layer: int,
     if not table:
         return [0] * n_layers
     D2 = 2 * group.system.D
-    rows = [[sum(vec[i * per_layer:(i + 1) * per_layer]) % D2
-             for i in range(n_layers)] for vec, _ in table]
+    columns = [[sum(vec[i * per_layer:(i + 1) * per_layer]) % D2
+                for vec, _ in table] for i in range(n_layers)]
     rhs = [(-phase) % D2 for _, phase in table]
-    sol = least_solution_mod(IntMatrix(rows, cols=n_layers), rhs,
-                             [D2] * len(rows))
+    sol = ModSolver(columns, [D2] * len(table)).least_solution(rhs)
     if sol is None:
         raise ValueError(
             "no uniform vertex-term phase makes the group scalar-consistent")
@@ -719,9 +718,14 @@ def params_from_spec(spec: dict) -> TqdParams:
 def size_from_spec(spec: dict, Lx: int = 3,
                    Ly: int | None = None) -> tuple[int, int]:
     """(Lx, Ly) from a spec's "Lx"/"Ly", else its "L", else the given
-    defaults; Ly defaults to the torus's Lx."""
-    Lx = int(spec.get("Lx", spec.get("L", Lx)))
-    Ly = int(spec.get("Ly", spec.get("L", Lx if Ly is None else Ly)))
+    defaults; Ly defaults to the torus's Lx. A size given in the spec must
+    be an integer (ValueError naming the key)."""
+    for key in ("L", "Lx", "Ly"):
+        if key in spec and not _is_int(spec[key]):
+            raise ValueError(f"spec key {key!r} must be an integer, "
+                             f"got {spec[key]!r}")
+    Lx = spec.get("Lx", spec.get("L", Lx))
+    Ly = spec.get("Ly", spec.get("L", Lx if Ly is None else Ly))
     return Lx, Ly
 
 

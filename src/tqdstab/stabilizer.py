@@ -1,8 +1,8 @@
 """Stabilizer groups over mixed-dimension qudits.
 
 Group order, logical dimension, membership with exact phase, centralizers,
-and condensation by measurement. All counting reduces to Smith-normal-form
-cokernels after lifting site-q exponents by D/d_q into Z_D coordinates.
+and condensation by measurement. All counting reduces to Howell forms over
+Z_D after lifting site-q exponents by D/d_q into Z_D coordinates.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Literal, Sequence
 
-from .exactmath import IntMatrix, ModSolver, Rational01, solve_linear_mod
+from .exactmath import ModSolver, Rational01
 from .pauli import (PauliOperator, QuditSystem, commutation_exponent, power,
                     product_of_powers)
 
@@ -74,27 +74,22 @@ class StabilizerGroup:
     # -- lifted exponent coordinates ----------------------------------------
 
     def _lifted(self, P: PauliOperator) -> list[int]:
-        D = self.system.D
-        dims = self.system.dims
-        vec = []
-        for q in range(len(dims)):
-            vec.append(P.x.get(q, 0) * (D // dims[q]))
-        for q in range(len(dims)):
-            vec.append(P.z.get(q, 0) * (D // dims[q]))
+        """P's exponents lifted into Z_D: x parts, then z parts."""
+        D, dims = self.system.D, self.system.dims
+        n = len(dims)
+        vec = [0] * (2 * n)
+        for q, e in P.x.items():
+            vec[q] = e * (D // dims[q])
+        for q, e in P.z.items():
+            vec[n + q] = e * (D // dims[q])
         return vec
-
-    def _generator_matrix(self) -> IntMatrix:
-        """2n x k matrix whose columns are lifted generator vectors."""
-        cols = [self._lifted(g) for g in self.generators]
-        if not cols:
-            return IntMatrix.zeros(2 * len(self.system.dims), 0)
-        return IntMatrix(list(zip(*cols)), cols=len(cols))
 
     def _get_solver(self) -> ModSolver:
         if self._solver is None:
-            D = self.system.D
             n2 = 2 * len(self.system.dims)
-            self._solver = ModSolver(self._generator_matrix(), [D] * n2)
+            self._solver = ModSolver(
+                [self._lifted(g) for g in self.generators],
+                [self.system.D] * n2)
         return self._solver
 
     def combination(self, coefficients: Sequence[int]) -> PauliOperator:
@@ -105,7 +100,7 @@ class StabilizerGroup:
     def rephased(self, generators: Sequence[PauliOperator]
                  ) -> "StabilizerGroup":
         """The group of `generators`, each a scalar multiple of the matching
-        generator here. The lifted exponent matrix is unchanged, so the
+        generator here. The lifted exponent vectors are unchanged, so the
         result shares this group's solver (and its commutation record:
         scalars commute with everything). Raises ValueError if any
         generator's exponents differ; checks commutation like the
@@ -246,8 +241,7 @@ def member_with_phase(S: StabilizerGroup, P: PauliOperator) -> MembershipResult:
     if delta % gcd(two_d, *phases) == 0:
         # Some identity-exponent combination supplies the missing phase;
         # fold it into the coefficients so the combination is exact.
-        fix = solve_linear_mod(IntMatrix([phases], cols=len(phases)),
-                               [delta], [two_d])
+        fix = ModSolver([[p] for p in phases], [two_d]).solve([delta])
         if fix is None:
             raise SolverCheckError(
                 "no kernel combination has the missing phase")
@@ -266,11 +260,9 @@ def centralizer_in_group(S: StabilizerGroup,
     """Generators of the subgroup of <S> commuting with every probe."""
     if not probes:
         return S
-    D = S.system.D
-    k = len(S.generators)
-    A = IntMatrix([[commutation_exponent(g, probe) for g in S.generators]
-                   for probe in probes], cols=k)
-    basis = ModSolver(A, [D] * len(probes)).kernel_basis()
+    columns = [[commutation_exponent(g, probe) for probe in probes]
+               for g in S.generators]
+    basis = ModSolver(columns, [S.system.D] * len(probes)).kernel_basis()
     gens = []
     seen = set()
     for vec in basis:

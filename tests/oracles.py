@@ -57,19 +57,18 @@ def dense_howell_form(rows: Sequence[Sequence[int]],
     return H, pivots
 
 
-def transposed_solver_rows(group) -> tuple[list[list[int]], list[list[int]]]:
-    """(A, rows): a stabilizer group's 2n x k lifted generator matrix and
-    the [M | I] Howell input rows of its solver, built entry by entry as
-    the transposes are defined: A[i][j] is entry i of generator j's lifted
-    vector, and row j is column j of A, each entry times big / D = 1, then
-    the unit vector e_j."""
+def transposed_solver_rows(group) -> list[list[int]]:
+    """The [M | I] Howell input rows of a stabilizer group's solver, built
+    entry by entry through the 2n x k lifted generator matrix A: A[i][j] is
+    entry i of generator j's lifted vector, and row j is column j of A,
+    each entry times big / D = 1, then the unit vector e_j."""
     cols = [group._lifted(g) for g in group.generators]
     m, n = 2 * group.system.n_sites, len(cols)
     A = [[cols[j][i] for j in range(n)] for i in range(m)]
     rows = [[A[i][j] for i in range(m)] + [1 if k == j else 0
                                            for k in range(n)]
             for j in range(n)]
-    return A, rows
+    return rows
 
 
 def junction_exponent_by_products(w1, w2, w3) -> int:

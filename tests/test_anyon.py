@@ -3,10 +3,12 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from tqdstab import anyon
 from tqdstab.anyon import (AnyonTheory, RelationError, antisemion_theory,
                            braiding, cocycle_value, condense, ds_theory,
                            fusion_group, fusion_group_from_cocycle,
@@ -152,6 +154,15 @@ class TestCondensation:
         with pytest.raises(ValueError):
             condense(zn_tc_theory(2), [(1, 1)])
 
+    def test_condense_to_the_trivial_theory(self):
+        # No deconfined generators: the solver has only the boson columns,
+        # or none at all.
+        res = condense(zn_tc_theory(2), [(1, 0)])
+        assert res.theory.size == 1
+        assert res.identification == {(0, 0): (), (1, 0): ()}
+        empty = condense(AnyonTheory([], [], []), [])
+        assert empty.identification == {(): ()}
+
     @pytest.mark.parametrize("N,n,nij", [
         ([2], [1], None),
         ([2], [0], None),
@@ -242,6 +253,21 @@ class TestFusionGroups:
     ])
     def test_cocycle_route_agrees(self, N, n, nij):
         assert fusion_group(N, n, nij) == fusion_group_from_cocycle(N, n, nij)
+
+    def test_cocycle_route_refuses_large_extensions(self):
+        # |G|^2 = 1024^2 elements, far past the limit: refused before any
+        # enumeration (which would take minutes)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="1048576 elements"):
+            fusion_group_from_cocycle([32, 32], [1, 1])
+        assert time.perf_counter() - start < 5
+
+    def test_cocycle_route_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(anyon, "_COCYCLE_ROUTE_LIMIT", 36)
+        assert fusion_group_from_cocycle([2, 3], [1, 1]) == fusion_group(
+            [2, 3], [1, 1])
+        with pytest.raises(ValueError, match="49 elements"):
+            fusion_group_from_cocycle([7], [1])
 
     def test_untwisted_is_square(self):
         # untwisted models fuse as G x G

@@ -117,6 +117,13 @@ class TestTheory:
         assert report["fusion_group"] == [4, 4]
         assert report["match"] is True
 
+    def test_fusion_group_too_large_for_cocycle_route(self, capsys):
+        # |G|^2 = 1024^2 elements: the enumeration is refused, exit 2
+        code = run(["theory", "fusion-group", "--N", "32,32"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "1048576 elements" in captured.err
+
     def test_lagrangian(self, capsys):
         code, report = invoke(capsys, "theory", "lagrangian", "--N", "2",
                               "--n", "0")
@@ -188,6 +195,14 @@ class TestSptAndAmplitude:
         assert code == 0
         assert report["psi_identity"] == {"checked": 5, "ok": True}
         assert report["table1"]["agree"] is True
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_appendixa_check_needs_a_sample(self, capsys, samples):
+        # checking nothing is not a pass
+        code = run(["appendixa", "check", "--samples", samples])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "--samples must be at least 1" in captured.err
 
 
 class TestPlumbing:
@@ -295,7 +310,14 @@ class TestOneSpecReader:
          "'nij' must be a list of integers"),
         (["theory", "tqd"], {"type": "tqd", "N": [2, 2], "nij": {"0,1": 1.0}},
          "'nij' must map pairs to integers"),
-    ], ids=["N-int", "n-null", "nij-row-str", "nij-dict-float"])
+        (["model", "build"], {"type": "ds", "L": 3.9},
+         "'L' must be an integer"),
+        (["model", "build"], {"L": True, "Lx": 3},
+         "'L' must be an integer"),
+        (["verify", "degeneracy"], {"type": "ds", "L": "4"},
+         "'L' must be an integer"),
+    ], ids=["N-int", "n-null", "nij-row-str", "nij-dict-float", "L-float",
+            "L-bool", "L-str"])
     def test_malformed_spec_value_is_spec_error(self, capsys, tmp_path,
                                                 command, spec, message):
         path = tmp_path / "spec.json"

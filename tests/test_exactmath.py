@@ -18,9 +18,7 @@ from tqdstab import exactmath
 from tqdstab.exactmath import (IntegralityError, IntMatrix, ModSolver,
                                Rational01, cokernel_orders, det_adjugate,
                                howell_form, integer_kernel, invariant_factors,
-                               kernel_mod, least_solution_mod, rat_sum,
-                               smith_normal_form, solve_linear_mod,
-                               unimodular_inverse)
+                               rat_sum, smith_normal_form, unimodular_inverse)
 from tqdstab.kmatrix import SingularMatrixError, k_inverse
 from tqdstab.lattice import TqdParams, build_ds, build_tqd
 from tqdstab.stabilizer import StabilizerGroup
@@ -321,30 +319,39 @@ class TestSmithNormalForm:
 # ---------------------------------------------------------------------------
 
 
+def _columns(A):
+    """The columns of an IntMatrix, the vectors ModSolver combines."""
+    return [[A[i, j] for i in range(A.rows)] for j in range(A.cols)]
+
+
 class TestSolveLinearMod:
+    """ModSolver(columns, moduli).solve(b): x with sum_j x_j * columns[j]
+    = b mod moduli."""
+
     def test_trivial_solvable(self):
-        x = solve_linear_mod(IntMatrix([[2]]), [0], [4])
+        x = ModSolver([[2]], [4]).solve([0])
         assert x is not None
         assert (2 * x[0]) % 4 == 0
 
     def test_parity_obstruction(self):
-        assert solve_linear_mod(IntMatrix([[2]]), [1], [4]) is None
+        assert ModSolver([[2]], [4]).solve([1]) is None
 
     def test_diagonal_mod9(self):
-        A = IntMatrix([[3, 0], [0, 3]])
-        x = solve_linear_mod(A, [3, 6], [9, 9])
+        x = ModSolver([[3, 0], [0, 3]], [9, 9]).solve([3, 6])
         assert x is not None
         assert (3 * x[0]) % 9 == 3 and (3 * x[1]) % 9 == 6
 
     def test_mixed_moduli(self):
-        A = IntMatrix([[1, 1], [0, 2]])
-        x = solve_linear_mod(A, [1, 2], [2, 6])
+        # x_0 (1, 0) + x_1 (1, 2) = (1, 2) mod (2, 6)
+        x = ModSolver([[1, 0], [1, 2]], [2, 6]).solve([1, 2])
         assert x is not None
         assert (x[0] + x[1]) % 2 == 1 and (2 * x[1]) % 6 == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            solve_linear_mod(IntMatrix([[1, 0]]), [1, 2], [2])
+            ModSolver([[1], [0]], [2]).solve([1, 2])
+        with pytest.raises(ValueError):
+            ModSolver([[1, 2], [0]], [2, 2])
 
     def test_solution_verification_random(self):
         rng = random.Random(5)
@@ -355,7 +362,7 @@ class TestSolveLinearMod:
             A = _random_matrix(rng, rows, cols, bound=5)
             moduli = [rng.choice(moduli_pool) for _ in range(rows)]
             b = [rng.randrange(m) for m in moduli]
-            x = solve_linear_mod(A, b, moduli)
+            x = ModSolver(_columns(A), moduli).solve(b)
             if x is not None:
                 for i in range(rows):
                     total = sum(A[i, j] * x[j] for j in range(cols))
@@ -389,15 +396,13 @@ class TestKernels:
             assert sum(a * v for a, v in zip([1, 2, 3], vec)) == 0
 
     def test_kernel_mod(self):
-        A = IntMatrix([[2]])
-        vecs = kernel_mod(A, [4])
+        vecs = ModSolver([[2]], [4]).kernel_basis()
         assert any(v[0] % 4 == 2 for v in vecs)
         for v in vecs:
             assert (2 * v[0]) % 4 == 0
 
     def test_mod_solver_consistency(self):
-        A = IntMatrix([[2, 0], [0, 3]])
-        solver = ModSolver(A, [4, 9])
+        solver = ModSolver([[2, 0], [0, 3]], [4, 9])
         x = solver.solve([2, 3])
         assert x is not None
         assert (2 * x[0]) % 4 == 2 and (3 * x[1]) % 9 == 3
@@ -412,36 +417,43 @@ class TestKernels:
 
 @st.composite
 def mod_systems(draw, max_rows=3, max_cols=3):
-    """A x = b mod moduli with at most 3 rows and columns (by default) and
-    lcm <= 12. Right-hand sides are often zero, so solves meet zero residues
-    in pivot columns."""
+    """(columns, b, moduli) for sum_j x_j * columns[j] = b mod moduli, with
+    at most 3 moduli and columns (by default) and lcm <= 12. Right-hand
+    sides are often zero, so solves meet zero residues in pivot columns."""
     rows = draw(st.integers(1, max_rows))
     cols = draw(st.integers(1, max_cols))
     moduli = draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=rows,
                            max_size=rows))
-    A = IntMatrix([[draw(st.integers(-6, 6)) for _ in range(cols)]
-                   for _ in range(rows)], cols=cols)
+    columns = [[draw(st.integers(-6, 6)) for _ in range(rows)]
+               for _ in range(cols)]
     if draw(st.booleans()):
         # in the image, then some entries zeroed
         x0 = [draw(st.integers(0, 11)) for _ in range(cols)]
-        b = [0 if draw(st.booleans()) else v for v in A.mat_vec(x0)]
+        b = [0 if draw(st.booleans()) else v
+             for v in _combine(columns, x0, rows)]
     else:
         b = [draw(st.one_of(st.just(0), st.integers(-12, 12)))
              for _ in range(rows)]
-    return A, b, moduli
+    return columns, b, moduli
 
 
-def _satisfies(A, x, b, moduli):
-    return all((v - bi) % m == 0
-               for v, bi, m in zip(A.mat_vec(list(x)), b, moduli))
+def _combine(columns, x, rows):
+    """sum_j x_j * columns[j], unreduced (columns of length rows)."""
+    return [sum(xj * col[i] for xj, col in zip(x, columns))
+            for i in range(rows)]
 
 
-def _all_solutions(A, b, moduli):
+def _satisfies(columns, x, b, moduli):
+    return all((v - bi) % m == 0 for v, bi, m in
+               zip(_combine(columns, x, len(moduli)), b, moduli))
+
+
+def _all_solutions(columns, b, moduli):
     """Every solution with entries in [0, lcm(moduli)), in lexicographic
     order."""
     big = lcm(*moduli)
-    return [list(x) for x in iproduct(range(big), repeat=A.cols)
-            if _satisfies(A, x, b, moduli)]
+    return [list(x) for x in iproduct(range(big), repeat=len(columns))
+            if _satisfies(columns, x, b, moduli)]
 
 
 def _reduces_to_zero(vec, H, pivots, big):
@@ -457,18 +469,22 @@ def _reduces_to_zero(vec, H, pivots, big):
     return not any(w)
 
 
-def walk_least_solution(A, b, moduli):
+def walk_least_solution(columns, b, moduli):
     """Lexicographically smallest solution by walking every element of
     sol + span(kernel) mod lcm(moduli): the vertex-term phase fix's search
-    before it reduced against a Howell form, kept as an oracle."""
+    before it reduced against a Howell form, kept as an oracle. It walks
+    the unreduced kernel generators, not the kernel's Howell form that
+    least_solution reduces against."""
     big = lcm(*moduli)
-    sol = solve_linear_mod(A, b, moduli)
+    solver = ModSolver(columns, moduli)
+    sol = solver.solve(b)
     if sol is None:
         return None
     solutions = {tuple(s % big for s in sol)}
     frontier = list(solutions)
-    shifts = {tuple(s % big for s in vec) for vec in kernel_mod(A, moduli)}
-    shifts.discard((0,) * A.cols)
+    shifts = {tuple(s % big for s in vec)
+              for vec in solver.kernel_generators()}
+    shifts.discard((0,) * len(columns))
     while frontier:
         base = frontier.pop()
         for shift in shifts:
@@ -483,22 +499,22 @@ class TestSolverProperties:
     @given(mod_systems())
     @settings(max_examples=150, deadline=None)
     def test_solve_agrees_with_enumeration(self, system):
-        A, b, moduli = system
-        x = ModSolver(A, moduli).solve(b)
+        columns, b, moduli = system
+        x = ModSolver(columns, moduli).solve(b)
         if x is None:
-            assert _all_solutions(A, b, moduli) == []
+            assert _all_solutions(columns, b, moduli) == []
         else:
-            assert _satisfies(A, x, b, moduli)
+            assert _satisfies(columns, x, b, moduli)
 
     @given(mod_systems())
     @settings(max_examples=100, deadline=None)
     def test_kernel_basis_spans_the_kernel(self, system):
-        A, _, moduli = system
+        columns, _, moduli = system
         big = lcm(*moduli)
-        basis = ModSolver(A, moduli).kernel_basis()
-        zero = [0] * A.rows
-        assert all(_satisfies(A, vec, zero, moduli) for vec in basis)
-        span = {(0,) * A.cols}
+        basis = ModSolver(columns, moduli).kernel_basis()
+        zero = [0] * len(moduli)
+        assert all(_satisfies(columns, vec, zero, moduli) for vec in basis)
+        span = {(0,) * len(columns)}
         frontier = list(span)
         while frontier:
             base = frontier.pop()
@@ -508,37 +524,41 @@ class TestSolverProperties:
                     span.add(nxt)
                     frontier.append(nxt)
         assert sorted(span) == [tuple(x) for x in
-                                _all_solutions(A, zero, moduli)]
+                                _all_solutions(columns, zero, moduli)]
 
     @given(mod_systems())
     @settings(max_examples=100, deadline=None)
     def test_image_size_counts_the_image(self, system):
-        A, _, moduli = system
+        columns, _, moduli = system
         big = lcm(*moduli)
-        image = {tuple(v % m for v, m in zip(A.mat_vec(list(x)), moduli))
-                 for x in iproduct(range(big), repeat=A.cols)}
-        assert ModSolver(A, moduli).image_size() == len(image)
+        image = {tuple(v % m for v, m in
+                       zip(_combine(columns, x, len(moduli)), moduli))
+                 for x in iproduct(range(big), repeat=len(columns))}
+        assert ModSolver(columns, moduli).image_size() == len(image)
 
     @given(mod_systems(max_rows=4, max_cols=6))
     @settings(max_examples=150, deadline=None)
     def test_kernel_views_agree_with_smith_form(self, system):
         # kernel_generators (rows pending after the M block) and
-        # kernel_basis (the finished form) against Smith normal form.
-        A, b, moduli = system
+        # kernel_basis (the kernel's own Howell form) against Smith normal
+        # form of the lifted matrix whose columns are the inputs.
+        columns, b, moduli = system
         big = lcm(*moduli)
-        solver = ModSolver(A, moduli)
-        lifted = IntMatrix([[(big // mod) * x for x in A.row(i)]
-                            for i, mod in enumerate(moduli)], cols=A.cols)
+        solver = ModSolver(columns, moduli)
+        lifted = IntMatrix([[(big // mod) * col[i] for col in columns]
+                            for i, mod in enumerate(moduli)],
+                           cols=len(columns))
         diag = smith_normal_form(lifted).diagonal()
-        diag += [0] * (A.rows - len(diag))
+        diag += [0] * (len(moduli) - len(diag))
         image = 1
         for d in diag:
             image *= big // gcd(d, big)
         assert solver.image_size() == image
         before = solver.solve(b)
         generators = solver.kernel_generators()
-        zero = [0] * A.rows
-        assert all(_satisfies(A, vec, zero, moduli) for vec in generators)
+        zero = [0] * len(moduli)
+        assert all(_satisfies(columns, vec, zero, moduli)
+                   for vec in generators)
         basis = solver.kernel_basis()
         assert solver.solve(b) == before
         assert solver.image_size() == image
@@ -551,15 +571,15 @@ class TestSolverProperties:
             size = 1
             for _, _, d in pivots:
                 size *= big // d
-            assert size * image == big ** A.cols
+            assert size * image == big ** len(columns)
 
     @given(mod_systems())
     @settings(max_examples=150, deadline=None)
     def test_least_solution_matches_walk_and_enumeration(self, system):
-        A, b, moduli = system
-        least = least_solution_mod(A, b, moduli)
-        assert least == walk_least_solution(A, b, moduli)
-        solutions = _all_solutions(A, b, moduli)
+        columns, b, moduli = system
+        least = ModSolver(columns, moduli).least_solution(b)
+        assert least == walk_least_solution(columns, b, moduli)
+        solutions = _all_solutions(columns, b, moduli)
         assert least == (solutions[0] if solutions else None)
 
     @given(st.lists(st.lists(st.integers(0, 7), min_size=2, max_size=2),
@@ -568,13 +588,16 @@ class TestSolverProperties:
            st.sampled_from([2, 4, 6, 8]))
     @settings(max_examples=100, deadline=None)
     def test_least_solution_on_phase_fix_systems(self, rows, rhs, two_d):
-        # The shape the vertex-term phase fix solves: one row per scalar
+        # The shape the vertex-term phase fix solves: one entry per scalar
         # relation, one column per layer, every modulus 2D.
-        A = IntMatrix(rows, cols=2)
+        columns = [list(col) for col in zip(*rows)]
         b = rhs[:len(rows)]
         moduli = [two_d] * len(rows)
-        assert least_solution_mod(A, b, moduli) == walk_least_solution(
-            A, b, moduli)
+        solver = ModSolver(columns, moduli)
+        assert solver.least_solution(b) == walk_least_solution(
+            columns, b, moduli)
+        # repeated calls reuse the kernel form and agree
+        assert solver.least_solution(b) == solver.least_solution(b)
 
 
 # ---------------------------------------------------------------------------
@@ -675,28 +698,34 @@ class TestSparseHowell:
         n_m = sum(1 for _, col, _ in pivots if col < m)
         assert all(col < m for _, col, _ in solver._pivots)
         assert (H[:n_m], pivots[:n_m]) == (solver._H, solver._pivots)
-        # kernel_basis finishes it: the whole one-pass form.
-        solver.kernel_basis()
-        assert (H, pivots) == (solver._H, solver._pivots)
+        # The cached kernel form is the rest of the one-pass form, shifted
+        # back by n_m rows and m columns.
+        kernel_H, kernel_pivots = solver._kernel_form
+        assert kernel_H == [{j - m: v for j, v in row.items()}
+                            for row in H[n_m:]]
+        assert kernel_pivots == [(idx - n_m, col - m, d)
+                                 for idx, col, d in pivots[n_m:]]
+        assert kernel_pivots
+        # the solver's own rows are untouched
+        assert (H[:n_m], pivots[:n_m]) == (solver._H, solver._pivots)
 
     def test_solver_rows_built_in_one_pass(self, monkeypatch):
-        # The one-pass [M | I] rows and the zip transpose of the generator
-        # matrix equal the entry-by-entry transposes on DS 4x4.
+        # The one-pass [M | I] rows, built from the lifted generators as
+        # columns, equal the entry-by-entry transposes on DS 4x4.
         group, _ = build_ds(4, 4)
         calls = _record_howell_inputs(monkeypatch)
         fresh = StabilizerGroup(group.system, group.generators,
                                 validate=False)
         fresh._get_solver()
         [(rows, big)] = calls
-        A, expected_rows = transposed_solver_rows(group)
-        assert fresh._generator_matrix() == IntMatrix(A)
+        expected_rows = transposed_solver_rows(group)
         assert big == group.system.D
         assert rows == expected_rows
 
     def test_solver_rows_scale_by_row_modulus(self, monkeypatch):
         calls = _record_howell_inputs(monkeypatch)
-        ModSolver(IntMatrix([[1, 2], [3, 1], [0, 5]]), [2, 3, 6])
-        ModSolver(IntMatrix([], rows=0, cols=2), [])
+        ModSolver([[1, 3, 0], [2, 1, 5]], [2, 3, 6])
+        ModSolver([[], []], [])
         assert calls == [([[3, 6, 0, 1, 0], [6, 2, 5, 0, 1]], 6),
                          ([[1, 0], [0, 1]], 1)]
 

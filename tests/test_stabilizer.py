@@ -116,6 +116,14 @@ class TestConstruction:
         assert S2.system.dims == S.system.dims
         assert S2.generators == S.generators
 
+    def test_lifted_scales_each_site_into_z_d(self):
+        # x exponents, then z exponents, each times D / d_q (D = 6)
+        sysm = QuditSystem([2, 3, 6])
+        S = StabilizerGroup(sysm, [], validate=False)
+        P = PauliOperator(sysm, phase=1, x={0: 1, 2: 5}, z={1: 2, 2: 3})
+        assert S._lifted(P) == [3, 0, 5, 0, 4, 3]
+        assert S._lifted(PauliOperator(sysm)) == [0] * 6
+
 
 class TestOrderAndDimension:
     def test_bell_group(self):
@@ -279,9 +287,11 @@ class TestRephased:
         m = 2 * group.system.n_sites
         assert solver._pivots
         assert all(col < m for _, col, _ in solver._pivots)
-        finished = exactmath.ModSolver(solver.A, solver.moduli)
+        assert "_kernel_form" not in vars(solver)
+        columns = [group._lifted(g) for g in group.generators]
+        finished = exactmath.ModSolver(columns, solver.moduli)
         finished.kernel_basis()
-        assert any(col >= m for _, col, _ in finished._pivots)
+        assert finished._kernel_form[1]
 
 
 class TestScalarConsistency:
