@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from typing import Callable, Sequence
 
 from .exactmath import (IntMatrix, ModSolver, Rational01, integer_kernel,

@@ -62,6 +62,9 @@ def _load_spec(args) -> dict:
                 spec = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise SpecError(f"cannot read spec {args.spec}: {exc}")
+        if not isinstance(spec, dict):
+            raise SpecError(f"spec {args.spec} must hold a JSON object, "
+                            f"not {type(spec).__name__}")
     if getattr(args, "model_type", None):
         spec["type"] = args.model_type
     if args.N:
@@ -153,7 +156,7 @@ def cmd_anyons_extract(args) -> int:
     group, model = lat.build_from_spec(spec)
     report = extraction.extraction_report(model)
     _emit(report, args)
-    return 0 if report["iso_match"] in (True, None) else 1
+    return 0 if report["iso_match"] else 1
 
 
 def cmd_theory(args) -> int:
@@ -233,9 +236,7 @@ def cmd_kmatrix(args) -> int:
         _emit(kmatrix.to_json_dict(K), args)
         return 0
     if what == "census":
-        census = kmatrix.census(K)
-        _emit({"census": {str(k): v for k, v in sorted(
-            census.items(), key=lambda kv: kv[0].fraction)}}, args)
+        _emit({"census": kmatrix.census(K)}, args)
         return 0
     if what == "condense-check":
         cm = kmatrix.condensation_matrices(params)

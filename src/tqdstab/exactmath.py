@@ -341,17 +341,6 @@ def invariant_factors(A: IntMatrix) -> list[int]:
     return smith_normal_form(A).diagonal()
 
 
-def cokernel_orders(A: IntMatrix) -> list[int]:
-    """Invariant factors (> 1 entries, with 0 for free parts) of Z^rows / col-space(A).
-
-    Columns of A are relators on Z^rows. Returns the orders of the cyclic
-    factors of the quotient; 0 denotes an infinite (free) factor.
-    """
-    diag = invariant_factors(A)
-    orders = list(diag) + [0] * (A.rows - len(diag))
-    return [d for d in orders if d != 1]
-
-
 def integer_kernel(A: IntMatrix) -> list[list[int]]:
     """Basis of {x in Z^cols : A x = 0} (columns of V past the SNF rank)."""
     snf = smith_normal_form(A)

@@ -276,18 +276,15 @@ class ExtractedTheory:
                 iproduct(*(range(o) for o in self.fusion_orders))]
 
 
-def extract_theory(model: LatticeModel, labels=None,
+def extract_theory(model: LatticeModel,
                    junction: JunctionSpec | None = None) -> ExtractedTheory:
-    """Measure theta/B tables over the labels and assemble the quotient
-    theory; verifies B(a, a') = theta(a a') - theta(a) - theta(a')."""
-    if labels is None:
-        labels = generating_labels(model)
-    elif not isinstance(labels, dict):
-        labels = {str(name): model.label(name) for name in labels}
+    """Measure theta/B tables over the generating labels and assemble the
+    quotient theory; verifies B(a, a') = theta(a a') - theta(a) - theta(a')."""
+    labels = generating_labels(model)
     names = tuple(labels)
     probe = _Probe(model, junction)
     gen_labels = tuple(probe.deconfined(labels[n]) for n in names)
-    partners = tuple(generating_labels(model).values())
+    partners = tuple(labels.values())
     orders = tuple(probe.fusion_order(g, partners) for g in gen_labels)
 
     # Per exponent vector: its label, its two loops and its theta exponent
@@ -346,21 +343,18 @@ def extract_theory(model: LatticeModel, labels=None,
         {pair: b_phase[e] for pair, e in braiding.items()}, presented.theory)
 
 
-def extraction_report(model: LatticeModel, labels=None,
-                      target: anyon.AnyonTheory | None = None,
-                      target_name: str = "") -> dict:
-    """JSON-ready report; iso_match compares against the target theory."""
-    ext = extract_theory(model, labels)
-    if target is None and model.kind in ("tc", "ds", "tqd"):
-        if model.kind == "tc":
-            target = anyon.zn_tc_theory(model.tc_N)
-            target_name = target_name or f"Z{model.tc_N} toric code"
-        else:
-            target = anyon.tqd_theory(model.params.N, model.params.n,
-                                      model.params.nij)
-            target_name = target_name or (
-                f"twisted double N={list(model.params.N)} "
-                f"n={list(model.params.n)}")
+def extraction_report(model: LatticeModel) -> dict:
+    """JSON-ready report; iso_match compares against the theory the model's
+    kind predicts."""
+    ext = extract_theory(model)
+    if model.kind == "tc":
+        target = anyon.zn_tc_theory(model.tc_N)
+        target_name = f"Z{model.tc_N} toric code"
+    else:
+        target = anyon.tqd_theory(model.params.N, model.params.n,
+                                  model.params.nij)
+        target_name = (f"twisted double N={list(model.params.N)} "
+                       f"n={list(model.params.n)}")
     box = ext.box()
     report = {
         "generators": list(ext.generator_names),
@@ -370,8 +364,7 @@ def extraction_report(model: LatticeModel, labels=None,
                   for vec in box},
         "braiding": [[str(ext.braiding[(v1, v2)]) for v2 in box]
                      for v1 in box],
-        "iso_match": (anyon.theories_isomorphic(ext.theory, target)
-                      if target is not None else None),
+        "iso_match": anyon.theories_isomorphic(ext.theory, target),
         "target": target_name,
     }
     return report

@@ -11,17 +11,23 @@ S_ij = n_ij). The same theory arises from a stack of Z_{N_i^2} toric codes,
 K_TC = direct sum of [[0, N_i^2], [N_i^2, 0]], by condensing the bosons
 collected in the column matrix Q; the deconfined generators form L and
 L^{-1} K_TC L^{-T} recovers the layered K.
+
+Every anyon answer (theory, fusion group, census) is read off one split
+presentation: `theory_from_k` hands K's columns as relations to
+`anyon.theory_from_presentation`. The census is defined only for even K
+(even diagonal), where q is well defined on cosets; for an odd K, such as
+[[3]], a relation is not a boson and the split raises RelationError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Sequence
 
-from .exactmath import (IntMatrix, Rational01, det_adjugate,
-                        smith_normal_form, unimodular_inverse)
+from .anyon import (AnyonTheory, theory_from_presentation,
+                    topological_spins_census)
+from .exactmath import IntMatrix, Rational01, det_adjugate
 from .lattice import TqdParams
 from .stabilizer import VerificationError
 
@@ -121,56 +127,6 @@ def transform(K: IntMatrix, W: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnyonGroupFromK:
-    """Cokernel Z^k / K Z^k with deterministic coset representatives."""
-
-    orders: tuple[int, ...]            # invariant factors > 1
-    generators: tuple[tuple[int, ...], ...]  # one vector per order
-    representatives: tuple[tuple[int, ...], ...]  # all |det K| cosets
-
-    @property
-    def size(self) -> int:
-        return prod(self.orders)
-
-
-def anyon_group_from_k(K: IntMatrix) -> AnyonGroupFromK:
-    """Invariant factors and coset representatives of Z^k / K Z^k.
-
-    Through the Smith decomposition U K V = diag(d), a vector x lies in the
-    coset labelled by (U x mod d); representatives are U^{-1} t for t in the
-    fundamental box prod [0, d_i).
-    """
-    _check_symmetric(K)
-    if K.determinant() == 0:
-        raise SingularMatrixError("K must be nonsingular")
-    snf = smith_normal_form(K)
-    diag = snf.diagonal()
-    u_inv = unimodular_inverse(snf.U)
-    kept = [i for i, d in enumerate(diag) if d > 1]
-    orders = tuple(diag[i] for i in kept)
-    gens = tuple(tuple(u_inv[r, i] for r in range(K.rows)) for i in kept)
-    reps: list[tuple[int, ...]] = []
-    tuples: list[list[int]] = [[]]
-    for i in kept:
-        tuples = [t + [v] for t in tuples for v in range(diag[i])]
-    for t in tuples:
-        full = [0] * K.rows
-        for idx, i in enumerate(kept):
-            full[i] = t[idx]
-        reps.append(tuple(u_inv.mat_vec(full)))
-    return AnyonGroupFromK(orders, gens, tuple(reps))
-
-
-def reduce_vector(K: IntMatrix, l: Sequence[int]) -> tuple[int, ...]:
-    """Canonical coset representative of l under l ~ l + K m."""
-    snf = smith_normal_form(K)
-    diag = snf.diagonal()
-    t = snf.U.mat_vec(list(l))
-    t = [v % d for v, d in zip(t, diag)]
-    return tuple(unimodular_inverse(snf.U).mat_vec(t))
-
-
 def _pairing(det_adj: tuple[int, IntMatrix], l: Sequence[int],
              lp: Sequence[int], scale: int) -> Rational01:
     """l^T adj l' / (scale * det) mod 1, from K's (det, adj)."""
@@ -189,10 +145,10 @@ def b_of(K: IntMatrix, l: Sequence[int], lp: Sequence[int]) -> Rational01:
     return _pairing(_det_adjugate(K), l, lp, 1)
 
 
-def theory_from_k(K: IntMatrix):
+def theory_from_k(K: IntMatrix) -> AnyonTheory:
     """AnyonTheory carried by Z^k / K Z^k with statistics from K^{-1}: the
-    presentation with K's columns as relations, split into cyclic factors."""
-    from .anyon import theory_from_presentation
+    presentation with K's columns as relations, split into cyclic factors.
+    Raises RelationError unless K is even."""
     det_adj = _det_adjugate(K)
     return theory_from_presentation(
         K.rows, lambda l: _pairing(det_adj, l, l, 2),
@@ -204,18 +160,9 @@ def theory_from_k(K: IntMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _census(K: IntMatrix, group: AnyonGroupFromK) -> dict[Rational01, int]:
-    det_adj = _det_adjugate(K)
-    counts: dict[Rational01, int] = {}
-    for rep in group.representatives:
-        q = _pairing(det_adj, rep, rep, 2)
-        counts[q] = counts.get(q, 0) + 1
-    return counts
-
-
-def census(K: IntMatrix) -> dict[Rational01, int]:
-    """Histogram of exchange statistics over all anyons of K."""
-    return _census(K, anyon_group_from_k(K))
+def census(K: IntMatrix) -> dict[str, int]:
+    """Histogram of exchange statistics over all anyons of an even K."""
+    return topological_spins_census(theory_from_k(K))
 
 
 def signature(K: IntMatrix) -> int:
@@ -248,13 +195,11 @@ def signature(K: IntMatrix) -> int:
 
 def to_json_dict(K: IntMatrix) -> dict:
     """CLI-facing summary: matrix, fusion group, census, signature."""
-    group = anyon_group_from_k(K)
-    hist = _census(K, group)
+    theory = theory_from_k(K)
     return {
         "K": K.tolist(),
-        "group": list(group.orders),
-        "census": {str(q): c for q, c in sorted(
-            hist.items(), key=lambda kv: (kv[0].denominator, kv[0].numerator))},
+        "group": list(theory.orders),
+        "census": topological_spins_census(theory),
         "signature": signature(K),
     }
 

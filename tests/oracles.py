@@ -4,7 +4,9 @@ numpy when called; the library itself needs neither numpy nor floats."""
 
 from __future__ import annotations
 
-from math import prod
+from fractions import Fraction
+from itertools import product as iproduct
+from math import gcd, prod
 from typing import Sequence
 
 from tqdstab.exactmath import _unit_for, _xgcd
@@ -179,3 +181,41 @@ def _order_hint(group: StabilizerGroup) -> int:
         return group_order(group)
     except NonCommutingError:
         return 1
+
+
+def _laplace_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * _laplace_det([r[:j] + r[j + 1:]
+                                             for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def census_by_box(K: Sequence[Sequence[int]]) -> dict[str, int]:
+    """Histogram of q(l) = l^T adj(K) l / (2 det K) mod 1 over the anyons
+    Z^k / K Z^k of an even K, with no Smith form.
+
+    With d = det K, A = adj K (by cofactors) and e = |d| / gcd(|d|, A),
+    e K^{-1} = e A / d is integral, so e Z^k lies in K Z^k and the box
+    Z_e^k maps onto the |d| cosets, each hit e^k / |d| times.
+    """
+    K = [list(r) for r in K]
+    k = len(K)
+    d = _laplace_det(K)
+    A = [[(-1) ** (i + j) * _laplace_det(
+        [r[:i] + r[i + 1:] for t, r in enumerate(K) if t != j])
+        for j in range(k)] for i in range(k)]
+    e = abs(d) // gcd(abs(d), *(x for r in A for x in r))
+    sign, two_d = (1 if d > 0 else -1), 2 * abs(d)
+    counts: dict[int, int] = {}
+    for l in iproduct(range(e), repeat=k):
+        lAl = sum(x * sum(a * y for a, y in zip(r, l)) for x, r in zip(l, A))
+        num = sign * lAl % two_d
+        counts[num] = counts.get(num, 0) + 1
+    per_coset = e ** k // abs(d)
+    out: dict[str, int] = {}
+    for num, c in counts.items():
+        q = Fraction(num, two_d)
+        out[f"{q.numerator}/{q.denominator}"] = c // per_coset
+    return out

@@ -316,14 +316,20 @@ class TestOneSpecReader:
          "'L' must be an integer"),
         (["verify", "degeneracy"], {"type": "ds", "L": "4"},
          "'L' must be an integer"),
+        (["model", "build"], [1, 2], "spec.json must hold a JSON object"),
+        (["theory", "tqd"], [1, 2], "spec.json must hold a JSON object"),
+        (["model", "build"], None, "spec.json must hold a JSON object"),
+        (["theory", "tqd"], None, "spec.json must hold a JSON object"),
     ], ids=["N-int", "n-null", "nij-row-str", "nij-dict-float", "L-float",
-            "L-bool", "L-str"])
+            "L-bool", "L-str", "list-model-build", "list-theory-tqd",
+            "null-model-build", "null-theory-tqd"])
     def test_malformed_spec_value_is_spec_error(self, capsys, tmp_path,
                                                 command, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         code, out, err = self._run(capsys, *command, "--spec", str(path))
         assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
         assert message in err
 
     def test_tc_takes_one_factor(self, capsys, tmp_path):

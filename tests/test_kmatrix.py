@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from tqdstab.anyon import (AnyonTheory, ds_theory, theories_isomorphic,
+from oracles import census_by_box
+from tqdstab.anyon import (RelationError, ds_theory, theories_isomorphic,
+                           theory_from_presentation,
                            topological_spins_census, tqd_theory,
                            zn_tc_theory)
 from tqdstab.exactmath import IntMatrix, Rational01
 from tqdstab import kmatrix
-from tqdstab.kmatrix import (SingularMatrixError, anyon_group_from_k, b_of,
-                             build_k_tc_stack, build_k_tqd, census,
-                             condensation_matrices, coupling_matrix,
-                             k_inverse, q_of, reduce_vector, signature,
+from tqdstab.kmatrix import (SingularMatrixError, b_of, build_k_tc_stack,
+                             build_k_tqd, census, condensation_matrices,
+                             coupling_matrix, k_inverse, q_of, signature,
                              theory_from_k, to_json_dict, transform,
                              upper_coupling_matrix)
 from tqdstab.lattice import TqdParams
@@ -54,17 +55,17 @@ class TestStatistics:
         K = IntMatrix([[2]])
         assert q_of(K, [1]) == R(1, 4)
         assert b_of(K, [1], [1]) == R(1, 2)
-        assert census(K) == {R(0): 1, R(1, 4): 1}
+        assert census(K) == {"0/1": 1, "1/4": 1}
         assert signature(K) == 1
 
     def test_toric_code_census(self):
         K = IntMatrix([[0, 2], [2, 0]])
-        assert census(K) == {R(0): 3, R(1, 2): 1}
+        assert census(K) == {"0/1": 3, "1/2": 1}
         assert signature(K) == 0
 
     def test_double_semion_census(self):
         K = build_k_tqd(TqdParams([2], [1]))
-        assert census(K) == {R(0): 2, R(1, 4): 1, R(3, 4): 1}
+        assert census(K) == {"0/1": 2, "1/4": 1, "3/4": 1}
         assert signature(K) == 0
 
     def test_census_matches_theory(self):
@@ -72,8 +73,7 @@ class TestStatistics:
                        TqdParams([4], [1]),
                        TqdParams([2, 2], [1, 0], [[0, 1], [1, 0]])]:
             K = build_k_tqd(params)
-            hist = {str(q): c for q, c in census(K).items()}
-            assert hist == topological_spins_census(tqd_theory(params))
+            assert census(K) == topological_spins_census(tqd_theory(params))
 
     def test_theory_from_k(self):
         assert theories_isomorphic(theory_from_k(IntMatrix([[0, 2], [2, 0]])),
@@ -83,8 +83,8 @@ class TestStatistics:
         assert theories_isomorphic(
             theory_from_k(build_k_tqd(TqdParams([3], [1]))),
             tqd_theory([3], [1]))
-        # The presentation splitter gives the same theory as the census's
-        # coset generators with their statistics read off K directly.
+        # The split presentation has |det K| anyons, and their statistics
+        # match a census taken over a box of vectors with no Smith form.
         matrices = [IntMatrix([[0, 2], [2, 0]])]
         for params in [TqdParams([2], [1]), TqdParams([3], [1]),
                        TqdParams([2, 2], [1, 1], [[0, 1], [1, 0]]),
@@ -94,23 +94,20 @@ class TestStatistics:
                                  {(0, 1): 1, (1, 2): 1})]:
             matrices += [build_k_tqd(params), build_k_tc_stack(params)]
         for K in matrices:
-            gens = anyon_group_from_k(K).generators
-            assert theory_from_k(K) == AnyonTheory(
-                anyon_group_from_k(K).orders, [q_of(K, g) for g in gens],
-                [[b_of(K, g, h) for h in gens] for g in gens])
+            assert theory_from_k(K).size == abs(K.determinant())
+            assert census(K) == census_by_box(K.tolist())
 
     def test_group_size_is_det(self):
         for params in [TqdParams([2], [1]), TqdParams([3], [0]),
                        TqdParams([2, 4], [1, 1], [[0, 1], [1, 0]])]:
             K = build_k_tqd(params)
-            group = anyon_group_from_k(K)
-            assert group.size == abs(K.determinant())
+            assert theory_from_k(K).size == abs(K.determinant())
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            anyon_group_from_k(IntMatrix([[0, 0], [0, 2]]))
+            theory_from_k(IntMatrix([[0, 0], [0, 2]]))
 
-    def test_reduce_vector_canonical(self):
+    def test_q_of_is_constant_on_cosets(self):
         K = build_k_tqd(TqdParams([2], [1]))
         rng = random.Random(3)
         for _ in range(20):
@@ -118,8 +115,16 @@ class TestStatistics:
             m = [rng.randint(-3, 3) for _ in range(2)]
             shifted = [li + sum(K[i, j] * m[j] for j in range(2))
                        for i, li in enumerate(l)]
-            assert reduce_vector(K, l) == reduce_vector(K, shifted)
-            assert q_of(K, l) == q_of(K, reduce_vector(K, l))
+            assert q_of(K, l) == q_of(K, shifted)
+
+    def test_odd_k_is_rejected(self):
+        # q is not constant on the cosets of an odd K: l = 1 and l = 4 lie
+        # in one coset of [[3]] but q reads 1/6 and 2/3.
+        K = IntMatrix([[3]])
+        assert q_of(K, [1]) != q_of(K, [4])
+        for read in (census, to_json_dict):
+            with pytest.raises(RelationError):
+                read(K)
 
 
 class TestTransform:
@@ -138,7 +143,7 @@ class TestTransform:
         W = IntMatrix([[1, 1], [0, 1]])
         K2 = transform(K, W)
         assert census(K2) == census(K)
-        assert anyon_group_from_k(K2).orders == anyon_group_from_k(K).orders
+        assert theory_from_k(K2).orders == theory_from_k(K).orders
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
@@ -158,8 +163,8 @@ class TestTransform:
             K2 = transform(K, W)
             assert census(K2) == census(K)
             assert signature(K2) == signature(K)
-            assert sorted(anyon_group_from_k(K2).orders) == \
-                sorted(anyon_group_from_k(K).orders)
+            assert sorted(theory_from_k(K2).orders) == \
+                sorted(theory_from_k(K).orders)
 
 
 class TestInverseAndJson:
@@ -229,9 +234,9 @@ class TestCondensationMatrices:
 class TestNoRepeats:
     @pytest.mark.parametrize("what", ["build", "census"])
     def test_one_adjugate_pass_per_use(self, monkeypatch, capsys, what):
-        # One K: anyon_group_from_k's singular check and unimodular inverse,
-        # then one (det, adj) for every anyon's statistic; one Smith form.
-        from tqdstab import exactmath
+        # One K: one (det, adj) for every statistic, one Smith form of the
+        # presentation and one unimodular inverse of its U.
+        from tqdstab import anyon, exactmath
         from tqdstab.cli import run
         calls = {"det_adjugate": 0, "smith_normal_form": 0}
 
@@ -245,17 +250,18 @@ class TestNoRepeats:
 
         for name in calls:
             wrapper = counting(name)
-            monkeypatch.setattr(exactmath, name, wrapper)
-            monkeypatch.setattr(kmatrix, name, wrapper)
+            for module in (exactmath, kmatrix, anyon):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
         assert run(["kmatrix", what, "--N", "2,2", "--n", "1,1",
                     "--nij", "0,1,1"]) == 0
         capsys.readouterr()
-        assert calls == {"det_adjugate": 3, "smith_normal_form": 1}
+        assert calls == {"det_adjugate": 2, "smith_normal_form": 1}
 
     def test_theory_from_k_matches_per_vector_statistics(self):
         K = build_k_tqd(TqdParams([2, 2], [1, 1], [[0, 1], [1, 0]]))
-        theory = theory_from_k(K)
-        gens = anyon_group_from_k(K).generators
-        assert list(theory.q_gen) == [q_of(K, g) for g in gens]
-        assert [list(row) for row in theory.b_gen] == [
-            [b_of(K, g, h) for h in gens] for g in gens]
+        presented = theory_from_presentation(
+            K.rows, lambda l: q_of(K, l), lambda l, lp: b_of(K, l, lp), K)
+        assert theory_from_k(K) == presented.theory
+        gens = presented.gen_exprs
+        assert list(presented.theory.q_gen) == [q_of(K, g) for g in gens]
