@@ -4,14 +4,16 @@ Provides:
 - Rational01: reduced rationals taken modulo 1 (phase exponents), kept as
   an integer pair: construction reduces with % and gcd, and +, -, negation,
   *k and rat_sum cross-multiply integers, so no Fraction is built on these
-  paths (a Fraction is still accepted as input and given by .fraction).
+  paths (a Fraction is still accepted as input and given by .fraction;
+  the module imports fractions only there).
 - IntMatrix: immutable arbitrary-precision integer matrices.
-- det_adjugate: determinant and integer adjugate by the one rational
+- det_adjugate: determinant and integer adjugate by the one fraction-free
   Gauss-Jordan pass (determinants, unimodular inverses, K-matrix statistics).
 - smith_normal_form: U*A*V = S with unimodular U, V and divisibility chain.
 - howell_form: Howell form over Z_N. Input rows are dense integer
-  sequences; Howell rows are sparse dicts {column: nonzero residue}, so
-  elimination and every later read touch only nonzero entries.
+  sequences; each Howell row is one int of fixed-width lanes, one residue
+  per lane (unpack_row reads it), so a row update is a few big-int
+  operations and a lane-wise reduction mod N.
 - ModSolver: linear systems sum_j x_j * columns[j] = b with per-entry
   moduli, given as the columns the unknowns multiply; solves, least
   solutions, kernels and image sizes from one Howell form.
@@ -19,11 +21,15 @@ Provides:
 
 from __future__ import annotations
 
+import struct
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class IntegralityError(ArithmeticError):
@@ -49,7 +55,7 @@ class Rational01:
     denominator: int
 
     def __init__(self, numerator: int | Fraction = 0, denominator: int = 1):
-        if isinstance(numerator, Fraction):
+        if not isinstance(numerator, int):  # a Fraction
             if denominator != 1:
                 raise ValueError("pass a Fraction alone or two integers")
             numerator, denominator = numerator.numerator, numerator.denominator
@@ -64,6 +70,7 @@ class Rational01:
 
     @property
     def fraction(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.numerator, self.denominator)
 
     def __add__(self, other: "Rational01 | int") -> "Rational01":
@@ -354,34 +361,37 @@ def integer_kernel(A: IntMatrix) -> list[list[int]]:
 
 
 def det_adjugate(A: IntMatrix) -> tuple[int, IntMatrix | None]:
-    """(det A, adj A) with adj A * A = det A * I, by Gauss-Jordan over
-    Fraction on [A | I]; adj A = det A * A^{-1} is None when det A = 0."""
+    """(det A, adj A) with adj A * A = det A * I; adj A is None when
+    det A = 0.
+
+    Fraction-free Gauss-Jordan on [A | I] (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp.
+    1968): each step divides exactly by the previous pivot, so every entry
+    stays an integer minor. The last pivot is det A up to the sign of the
+    row swaps, and the right block is then the adjugate up to that sign.
+    """
     if A.rows != A.cols:
         raise ValueError("not square")
     n = A.rows
-    a = [[Fraction(x) for x in A.row(i)]
-         + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
+    a = [list(A.row(i)) + [1 if i == j else 0 for j in range(n)]
+         for i in range(n)]
+    prev, sign = 1, 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             return 0, None
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        inv = a[col][col]
-        det *= inv
-        a[col] = [x / inv for x in a[col]]
+            sign = -sign
+        top = a[col]
+        p = top[col]
         for r in range(n):
-            if r != col and a[r][col]:
+            if r != col:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    adj = [[det * x for x in row[n:]] for row in a]
-    if det.denominator != 1 or any(x.denominator != 1
-                                   for row in adj for x in row):
-        raise IntegralityError("non-integral determinant or adjugate")
-    return det.numerator, IntMatrix([[x.numerator for x in row]
-                                     for row in adj], cols=n)
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    return sign * prev, IntMatrix([[sign * x for x in row[n:]] for row in a],
+                                  cols=n)
 
 
 def unimodular_inverse(U: IntMatrix) -> IntMatrix:
@@ -410,14 +420,95 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+
+
 def _unit_for(a: int, N: int) -> int:
-    """A unit u mod N with u*a = gcd(a, N) (mod N). N is small here."""
+    """The smallest unit u in [1, N] with u*a = gcd(a, N) (mod N).
+
+    With g = gcd(a, N), the solutions of u*a = g are the class of the
+    inverse of a/g modulo N/g, and that class holds a unit mod N, so only
+    its g members in [1, N] are tried.
+    """
     a %= N
-    d = gcd(a, N)
-    for u in range(1, N + 1):
-        if gcd(u, N) == 1 and (u * a) % N == d % N:
+    g = gcd(a, N)
+    step = N // g
+    for u in range(pow(a // g, -1, step) or step, N + 1, step):
+        if gcd(u, N) == 1:
             return u
     raise ArithmeticError(f"no unit found for {a} mod {N}")
+
+
+class _Lanes:
+    """Rows of residues mod big packed into one int of fixed-width lanes:
+    entry j sits in bits [j*width, (j+1)*width).
+
+    Every value this module reduces is below 2*big**2 in each lane (a
+    residue plus a product of residues, or two such products), so one
+    multiply-shift by a precomputed constant gives every lane's quotient
+    by big at once (Granlund & Montgomery, "Division by invariant integers
+    using multiplication", PLDI 1994): for x < 2**bits,
+    x // big == x * magic >> shift. The lane is wide enough to hold
+    x * magic, so lanes never carry into each other. Lanes are 8, 16, 32
+    or 64 bits, read in C by a memoryview cast; moduli above 2**15 need
+    wider lanes, read one slice at a time.
+    """
+
+    def __init__(self, big: int):
+        self.big = big
+        bits = (2 * big * big - 1).bit_length()
+        self.shift = bits + (big - 1).bit_length()
+        self.magic = (1 << self.shift) // big + 1
+        need = bits + self.magic.bit_length()
+        nbytes = next((k for k in (1, 2, 4, 8) if 8 * k >= need),
+                      -(-need // 8))
+        self.nbytes, self.width = nbytes, 8 * nbytes
+        self.mask = (1 << self.width) - 1
+        # a lane's quotient bits, below the next lane's shifted product
+        self._quotient_lane = ((1 << (self.width - self.shift)) - 1
+                               ).to_bytes(nbytes, "little")
+        self._code = (next(c for c in "BHILQ" if struct.calcsize(c) == nbytes)
+                      if nbytes <= 8 and sys.byteorder == "little" else None)
+        # translation table v -> v % big for byte values
+        self._residue = ((bytes(range(big)) * -(-256 // big))[:256]
+                         if big <= 256 else None)
+
+    def reducer(self, n: int):
+        """x -> x with every lane reduced mod big, for rows of n lanes."""
+        big, magic, shift = self.big, self.magic, self.shift
+        quotients = int.from_bytes(self._quotient_lane * n, "little")
+
+        def reduce(x: int) -> int:
+            return x - ((x * magic >> shift) & quotients) * big
+        return reduce
+
+    def pack(self, values: Sequence[int]) -> int:
+        """The packed row of `values` mod big (any integers)."""
+        nb, big = self.nbytes, self.big
+        if self._residue is None:
+            return int.from_bytes(b"".join((x % big).to_bytes(nb, "little")
+                                           for x in values), "little")
+        try:
+            data = bytes(values).translate(self._residue)
+        except (ValueError, TypeError):
+            data = bytes([x % big for x in values])
+        lanes = bytearray(nb * len(data))
+        lanes[::nb] = data
+        return int.from_bytes(lanes, "little")
+
+    def read(self, row: int, n: int) -> list[int]:
+        """Entries 0..n-1 of a packed row of at most n lanes."""
+        data = row.to_bytes(n * self.nbytes, "little")
+        if self._code is not None:
+            return memoryview(data).cast(self._code).tolist()
+        nb = self.nbytes
+        return [int.from_bytes(data[i:i + nb], "little")
+                for i in range(0, len(data), nb)]
+
+
+def unpack_row(row: int, big: int, width: int) -> list[int]:
+    """The dense entries of a packed Howell row of `width` columns over
+    Z_big (as returned by howell_form)."""
+    return _Lanes(big).read(row, width)
 
 
 def howell_form(rows: Sequence[Sequence[int]], big: int, *,
@@ -425,20 +516,23 @@ def howell_form(rows: Sequence[Sequence[int]], big: int, *,
     """Howell form of the Z_big row span of `rows`.
 
     `rows` are dense sequences of integers of one width (any residues).
-    Returns (H, pivots). Each H row is sparse: a dict {column: residue}
-    holding exactly its nonzero entries mod big. pivots is a staircase list
-    of (row_index, col, value); each pivot value divides big. The Howell
-    property guarantees that any span element with zeros in its first k
-    coordinates is a Z_big combination of the H rows whose pivots lie past
-    column k, so greedy left-to-right reduction against H is a complete
-    membership test. All arithmetic stays mod big, so entries never grow.
+    Returns (H, pivots). Each H row is one int of fixed-width lanes holding
+    its residues mod big, entry j in lane j (read it with unpack_row).
+    pivots is a staircase list of (row_index, col, value); each pivot
+    value divides big. The Howell property guarantees that any span
+    element with zeros in its first k coordinates is a Z_big combination
+    of the H rows whose pivots lie past column k, so greedy left-to-right
+    reduction against H is a complete membership test. All arithmetic
+    stays mod big: a row update is two scalar multiples and a sum, then
+    one lane-wise reduction, so entries never grow.
 
-    Pending rows wait in buckets keyed by their leading column, each in
-    creation order; at column c the bucket of c is merged into its first
-    row by xgcd steps, and the other rows, once cleared at c, move on to
-    the bucket of their new leading column. A bucket holds the rows a scan
-    of every pending row would find at c, in the same order, so the
-    pivots and rows are those of the dense elimination.
+    Pending rows wait in buckets keyed by their leading column (the lane
+    of their lowest set bit), each in creation order; at column c the
+    bucket of c is merged into its first row by xgcd steps, and the other
+    rows, once cleared at c, move on to the bucket of their new leading
+    column. A bucket holds the rows a scan of every pending row would find
+    at c, in the same order, so the pivots and rows are those of the dense
+    elimination.
 
     With `stop`, only columns before `stop` are eliminated, and the result
     is (H, pivots, pending): pending holds the rows still waiting, zero
@@ -449,45 +543,46 @@ def howell_form(rows: Sequence[Sequence[int]], big: int, *,
     len(H) rows, are the rest of the uninterrupted form.
     """
     width = len(rows[0]) if rows else 0
-    if stop is not None:
-        width = min(width, stop)
-    buckets: dict[int, list[dict[int, int]]] = {}
+    lanes = _Lanes(big)
+    W, mask = lanes.width, lanes.mask
+    reduce = lanes.reducer(width)
+    buckets: dict[int, list[int]] = {}
 
-    def push(row: dict[int, int]) -> None:
+    def push(row: int) -> None:
         if row:
-            buckets.setdefault(min(row), []).append(row)
+            buckets.setdefault(((row & -row).bit_length() - 1) // W,
+                               []).append(row)
 
     for row in rows:
-        push({j: v for j, x in enumerate(row) if (v := x % big)})
-    H: list[dict[int, int]] = []
+        push(lanes.pack(row))
+    H: list[int] = []
     pivots: list[tuple[int, int, int]] = []
-    for col in range(width):
+    for col in range(width if stop is None else min(width, stop)):
         here = buckets.pop(col, None)
         if here is None:
             continue
+        shift = col * W
         piv = here[0]
+        a = piv >> shift & mask
         for r in here[1:]:
-            a, b = piv[col], r[col]
+            b = r >> shift & mask
             g, s, t = _xgcd(a, b)
-            ag, bg = a // g, b // g
-            keys = piv.keys() | r.keys()
-            push({j: v for j in keys
-                  if (v := (bg * piv.get(j, 0) - ag * r.get(j, 0)) % big)})
+            push(reduce(b // g * piv + (big - a // g) * r))
             # s * piv + t * r is r itself when (s, t) = (0, 1) (b divides
             # a, as in most steps) and piv itself when (s, t) = (1, 0).
             if (s, t) == (0, 1):
                 piv = r
             elif (s, t) != (1, 0):
-                piv = {j: v for j in keys
-                       if (v := (s * piv.get(j, 0) + t * r.get(j, 0)) % big)}
-        u = _unit_for(piv[col], big)
-        piv = {j: (u * x) % big for j, x in piv.items()}
-        d = piv[col]
+                piv = reduce(s % big * piv + t % big * r)
+            a = g
+        u = _unit_for(a, big)
+        piv = reduce(u * piv)
+        d = u * a % big
         H.append(piv)
         pivots.append((len(H) - 1, col, d))
-        # Howell closure: the annihilator (big/d) * piv is a pending row.
-        f = big // d
-        push({j: v for j, x in piv.items() if j != col and (v := f * x % big)})
+        # Howell closure: the annihilator (big/d) * piv is a pending row;
+        # its entry at col is big, which reduces to zero.
+        push(reduce(big // d * piv))
     if stop is None:
         return H, pivots
     return H, pivots, [row for c in sorted(buckets) for row in buckets[c]]
@@ -505,7 +600,8 @@ class ModSolver:
     columns, which is all that solve and image_size read; the rows then
     pending generate the kernel (kernel_generators). Their own Howell form
     is built once, on the first call that reads it (kernel_basis and
-    least_solution).
+    least_solution). Rows stay packed as howell_form returns them: solves
+    reduce a packed vector, and kernel vectors are read off the lanes.
     """
 
     def __init__(self, columns: Sequence[Sequence[int]],
@@ -514,50 +610,63 @@ class ModSolver:
         self.big = big = lcm(*self.moduli) if self.moduli else 1
         m, n = len(self.moduli), len(columns)
         self._m, self._n = m, n
+        self._lanes = _Lanes(big)
+        self._reduce = self._lanes.reducer(m + n)
         scales = [big // mod for mod in self.moduli]
+        lift = any(s != 1 for s in scales)
+        identity_block = [0] * n
         rows = []
         for j, col in enumerate(columns):
             if len(col) != m:
                 raise ValueError("each column needs one entry per modulus")
-            row = [s * x for s, x in zip(scales, col)] + [0] * n
+            row = [s * x for s, x in zip(scales, col)] if lift else list(col)
+            row += identity_block
             row[m + j] = 1
             rows.append(row)
         self._H, self._pivots, self._pending = howell_form(rows, big,
                                                           stop=m)
+        # one Howell row per pivot column
+        self._pivot_at = {col: (self._H[idx], d)
+                          for idx, col, d in self._pivots}
 
     def solve(self, b: Sequence[int]) -> list[int] | None:
         if len(b) != self._m:
             raise ValueError("b length must equal the number of moduli")
-        big, m = self.big, self._m
+        big, m, lanes = self.big, self._m, self._lanes
+        W, mask, reduce = lanes.width, lanes.mask, self._reduce
         # w = (res, -coeff): subtracting q * row clears res at the pivot and
-        # adds q to the combination of the row's identity-block half.
-        w = [((big // mod) * int(v)) % big
-             for mod, v in zip(self.moduli, b)] + [0] * self._n
-        for idx, col, d in self._pivots:
-            r = w[col]
-            if not r:
-                continue
-            if r % d:
+        # adds q to the combination of the row's identity-block half. Rows
+        # vanish before their pivot, so the lowest nonzero lane only moves
+        # right; in the M block it must sit on a pivot divisible by d.
+        w = lanes.pack([(big // mod) * int(v)
+                        for mod, v in zip(self.moduli, b)])
+        while w:
+            col = ((w & -w).bit_length() - 1) // W
+            if col >= m:
+                break
+            hit = self._pivot_at.get(col)
+            if hit is None:
                 return None
-            q = r // d
-            for j, v in self._H[idx].items():
-                w[j] = (w[j] - q * v) % big
-        if any(w[:m]):
-            return None
-        return [-x % big for x in w[m:]]
+            row, d = hit
+            q, r = divmod(w >> col * W & mask, d)
+            if r:
+                return None
+            w = reduce(w + (big - q) * row)
+        return [-x % big for x in lanes.read(w >> m * W, self._n)]
 
     def _with_unit_vectors(self, vectors: list[list[int]]) -> list[list[int]]:
         """vectors, then big * e_i for each column i, so the integer kernel
         (not just its mod big reduction) is generated."""
         n, big = self._n, self.big
-        vectors.extend([big if j == i else 0 for j in range(n)]
-                       for i in range(n))
+        for i in range(n):
+            unit = [0] * n
+            unit[i] = big
+            vectors.append(unit)
         return vectors
 
     def _pending_vectors(self) -> list[list[int]]:
-        m, n = self._m, self._n
-        return [[row.get(j, 0) for j in range(m, m + n)]
-                for row in self._pending]
+        shift, read, n = self._m * self._lanes.width, self._lanes.read, self._n
+        return [read(row >> shift, n) for row in self._pending]
 
     @cached_property
     def _kernel_form(self) -> tuple:
@@ -579,8 +688,8 @@ class ModSolver:
         the kernel's Howell form: its rows, then big * e_i for each
         column i."""
         H, _ = self._kernel_form
-        return self._with_unit_vectors(
-            [[row.get(j, 0) for j in range(self._n)] for row in H])
+        read, n = self._lanes.read, self._n
+        return self._with_unit_vectors([read(row, n) for row in H])
 
     def least_solution(self, b: Sequence[int]) -> list[int] | None:
         """The lexicographically smallest solution with entries in
@@ -595,14 +704,15 @@ class ModSolver:
         sol = self.solve(b)
         if sol is None:
             return None
-        big = self.big
+        big, lanes = self.big, self._lanes
+        W, mask, reduce = lanes.width, lanes.mask, self._reduce
         H, pivots = self._kernel_form
+        x = lanes.pack(sol)
         for idx, col, d in pivots:
-            q = sol[col] // d
+            q = (x >> col * W & mask) // d
             if q:
-                for j, v in H[idx].items():
-                    sol[j] = (sol[j] - q * v) % big
-        return sol
+                x = reduce(x + (big - q) * H[idx])
+        return lanes.read(x, self._n)
 
     def image_size(self) -> int:
         """|{sum x_j columns[j] mod moduli}| as a subgroup of

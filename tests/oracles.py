@@ -15,6 +15,18 @@ from tqdstab.stabilizer import (NonCommutingError, StabilizerGroup,
                                 group_order)
 
 
+def scan_unit_for(a: int, N: int) -> int:
+    """The smallest unit u in [1, N] with u*a = gcd(a, N) (mod N), by
+    scanning every u: `exactmath._unit_for` before it walked only the
+    gcd(a, N) candidates."""
+    a %= N
+    d = gcd(a, N)
+    for u in range(1, N + 1):
+        if gcd(u, N) == 1 and (u * a) % N == d % N:
+            return u
+    raise ArithmeticError(f"no unit found for {a} mod {N}")
+
+
 def dense_howell_form(rows: Sequence[Sequence[int]],
                       big: int) -> tuple[list[list[int]],
                                          list[tuple[int, int, int]]]:
@@ -219,3 +231,25 @@ def census_by_box(K: Sequence[Sequence[int]]) -> dict[str, int]:
         q = Fraction(num, two_d)
         out[f"{q.numerator}/{q.denominator}"] = c // per_coset
     return out
+
+
+def exhaustive_theory_problems(theory) -> list[str]:
+    """The quadratic-form axioms checked on every anyon and every pair:
+    q(n a) = n^2 q(a) for n up to the order of a, and polarization
+    b(a, c) = q(a + c) - q(a) - q(c), with sums reduced in the group.
+    `anyon.validate_theory` checks the generator conditions instead."""
+    problems = []
+    group = theory.group
+    elems = theory.elements()
+    for a in elems:
+        qa = theory.q(a)
+        for n in range(group.order_of(a) + 1):
+            if theory.q(group.scale(n, a)) != qa * (n * n):
+                problems.append(f"q({n}*{a}) != {n}^2 q({a})")
+                break
+    for a in elems:
+        for c in elems:
+            if theory.b(a, c) != (theory.q(group.add(a, c))
+                                  - theory.q(a) - theory.q(c)):
+                problems.append(f"b({a},{c}) fails polarization")
+    return problems

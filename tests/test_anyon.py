@@ -4,9 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import exhaustive_theory_problems
 
 from tqdstab import anyon
 from tqdstab.anyon import (AnyonTheory, RelationError, antisemion_theory,
@@ -67,6 +72,57 @@ class TestStandardTheories:
         assert not validate_theory(t)
         assert is_modular(t)
         assert not theories_isomorphic(t, zn_tc_theory(3))
+
+
+@st.composite
+def small_theories(draw):
+    """Theories on up to three generators of order 1..4 whose q and b
+    denominators are drawn so that valid and invalid data are both common.
+    """
+    orders = draw(st.lists(st.integers(1, 4), max_size=3))
+
+    def rational(o1, o2):
+        den = draw(st.sampled_from([1, 4, 2 * o1, gcd(o1, o2), o1 * o2,
+                                    2 * o1 * o2]))
+        return R(draw(st.integers(0, den - 1)), den)
+
+    k = len(orders)
+    q = [rational(o, o) for o in orders]
+    b = [[2 * q[i] if i == j else None for j in range(k)] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            b[i][j] = b[j][i] = rational(orders[i], orders[j])
+    return AnyonTheory(orders, q, b)
+
+
+class TestValidateTheory:
+    @given(small_theories())
+    @settings(max_examples=150, deadline=None)
+    def test_generator_conditions_match_exhaustive_check(self, theory):
+        assert (not validate_theory(theory)) == (
+            not exhaustive_theory_problems(theory))
+
+    @pytest.mark.parametrize("orders,q,b01,valid", [
+        ((3,), [R(1, 9)], None, False),     # 9 q = 1 but 3 b(g,g) = 2/3
+        ((2,), [R(1, 4)], None, True),      # the semion
+        ((1,), [R(1, 3)], None, True),      # order 1: never seen
+        ((1, 2), [R(1, 3), R(0)], R(1, 3), True),
+        ((2, 2), [R(0), R(0)], R(1, 4), False),  # 2 b(g0, g1) = 1/2
+        ((2, 4), [R(0), R(1, 8)], R(1, 2), True),
+    ])
+    def test_known_verdicts(self, orders, q, b01, valid):
+        b = [[2 * q[i] if i == j else b01 for j in range(len(q))]
+             for i in range(len(q))]
+        theory = AnyonTheory(orders, q, b)
+        assert (not validate_theory(theory)) == valid
+        assert (not exhaustive_theory_problems(theory)) == valid
+
+    def test_tqd_theory_iso_check_is_fast(self):
+        # N=[3,9] has 729 anyons; the exhaustive check took ~20 s here.
+        start = time.perf_counter()
+        theory = tqd_theory([3, 9], [1, 2], [[0, 2], [2, 0]])
+        assert theory.size == 729
+        assert time.perf_counter() - start < 5
 
 
 class TestLagrangian:

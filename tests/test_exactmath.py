@@ -1,5 +1,6 @@
 """Tests for the exact integer / rational-mod-1 linear algebra layer."""
 
+import fractions
 import os
 import random
 import subprocess
@@ -13,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_howell_form, transposed_solver_rows
+from oracles import (dense_howell_form, scan_unit_for,
+                     transposed_solver_rows)
 from tqdstab import exactmath
 from tqdstab.exactmath import (IntegralityError, IntMatrix, ModSolver,
                                Rational01, det_adjugate,
                                howell_form, integer_kernel, invariant_factors,
-                               rat_sum, smith_normal_form, unimodular_inverse)
+                               rat_sum, smith_normal_form, unimodular_inverse,
+                               unpack_row)
 from tqdstab.kmatrix import SingularMatrixError, k_inverse
 from tqdstab.lattice import TqdParams, build_ds, build_tqd
 from tqdstab.stabilizer import StabilizerGroup
@@ -121,7 +124,9 @@ class TestRational01AgainstFraction:
             def __new__(cls, *args, **kwargs):
                 raise AssertionError("Fraction built on an integer path")
 
-        monkeypatch.setattr(exactmath, "Fraction", NoFraction)
+        # exactmath imports fractions only inside Rational01.fraction
+        assert not hasattr(exactmath, "Fraction")
+        monkeypatch.setattr(fractions, "Fraction", NoFraction)
         a, b = Rational01(-7, 12), Rational01(5, -18)
         assert (a + b, a - b, -a, a * 5, 5 * a) == (
             Rational01(5, 36), Rational01(25, 36), Rational01(7, 12),
@@ -459,7 +464,7 @@ def _reduces_to_zero(vec, H, pivots, big):
         if w[col] % d:
             return False
         q = w[col] // d
-        for j, v in H[idx].items():
+        for j, v in enumerate(unpack_row(H[idx], big, len(w))):
             w[j] = (w[j] - q * v) % big
     return not any(w)
 
@@ -596,7 +601,7 @@ class TestSolverProperties:
 
 
 # ---------------------------------------------------------------------------
-# Sparse Howell rows against the dense oracle
+# Packed Howell rows against the dense oracle
 # ---------------------------------------------------------------------------
 
 
@@ -624,8 +629,8 @@ def howell_systems(draw):
     return rows, big
 
 
-def _densified(H, width):
-    return [[row.get(j, 0) for j in range(width)] for row in H]
+def _densified(H, big, width):
+    return [unpack_row(row, big, width) for row in H]
 
 
 def _assert_matches_dense_oracle(rows, big):
@@ -633,10 +638,10 @@ def _assert_matches_dense_oracle(rows, big):
     H, pivots = howell_form(rows, big)
     dense_H, dense_pivots = dense_howell_form(rows, big)
     assert pivots == dense_pivots
-    assert _densified(H, width) == dense_H
-    # exactly the nonzero residues are stored
-    assert all(0 <= j < width and 0 < v < big
-               for row in H for j, v in row.items())
+    assert _densified(H, big, width) == dense_H
+    # exactly the residues are stored: each row is the packing of its
+    # dense copy, with no lane past the width and none left unreduced
+    assert H == [exactmath._Lanes(big).pack(row) for row in dense_H]
     return H, pivots
 
 
@@ -652,6 +657,79 @@ def _record_howell_inputs(monkeypatch) -> list:
 
     monkeypatch.setattr(exactmath, "howell_form", recording)
     return calls
+
+
+def test_unit_for_walks_to_the_scanned_unit():
+    # The gcd(a, N) candidates hold the smallest unit the full scan finds,
+    # so the Howell rows are unchanged.
+    for N in range(1, 201):
+        for a in range(-1, N + 1):
+            assert exactmath._unit_for(a, N) == scan_unit_for(a, N), (a, N)
+
+
+# Moduli with every lane width: 8, 16, 32 and 64 bits, and wider.
+LANE_MODULI = [2, 6, 12, 360, 2 ** 15, 3 * 2 ** 16, 2 ** 40 * 3 ** 5]
+
+
+def test_lane_moduli_cover_every_width():
+    widths = [exactmath._Lanes(big).width for big in LANE_MODULI]
+    assert widths[:5] == [8, 16, 32, 64, 64] and min(widths[5:]) > 64
+
+
+@st.composite
+def lane_systems(draw):
+    """Dense rows over Z_big for big in LANE_MODULI, entries lifted from a
+    divisor of big (any sign, past big) or zero, and a stop column."""
+    big = draw(st.sampled_from(LANE_MODULI))
+    width = draw(st.integers(1, 6))
+    divisors = [d for d in (1, 2, 3, 4, 6, 8, 12, 360, big) if big % d == 0]
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        mod = draw(st.sampled_from(divisors))
+        entry = st.one_of(st.just(0), st.integers(-2 * mod, 2 * mod))
+        rows.append([(big // mod) * draw(entry) for _ in range(width)])
+    return rows, big, width, draw(st.integers(0, width))
+
+
+class TestLaneWidths:
+    @given(lane_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_every_lane_width_matches_dense_oracle(self, system):
+        rows, big, width, stop = system
+        if not rows:
+            rows = [[0] * width]
+        H, pivots = _assert_matches_dense_oracle(rows, big)
+        # With stop: the prefix of the one-pass form, and the pending rows
+        # continue it, shifted by stop columns.
+        H_s, pivots_s, pending = howell_form(rows, big, stop=stop)
+        n_s = sum(1 for _, col, _ in pivots if col < stop)
+        assert (H_s, pivots_s) == (H[:n_s], pivots[:n_s])
+        rest = [unpack_row(row, big, width) for row in pending]
+        assert all(not any(row[:stop]) for row in rest)
+        H_r, pivots_r = howell_form([row[stop:] for row in rest] or [[]],
+                                    big)
+        assert _densified(H_r, big, width - stop) == [
+            row[stop:] for row in _densified(H[n_s:], big, width)]
+        assert pivots_r == [(idx - n_s, col - stop, d)
+                            for idx, col, d in pivots[n_s:]]
+
+    @given(lane_systems(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_solver_reads_every_lane_width(self, system, data):
+        rows, big, width, _ = system
+        columns = rows or [[0] * width]
+        solver = ModSolver(columns, [big] * width)
+        x = data.draw(st.lists(st.integers(0, big - 1), min_size=len(columns),
+                               max_size=len(columns)))
+        b = _combine(columns, x, width)
+        zero = [0] * width
+        for sol in (solver.solve(b), solver.least_solution(b)):
+            assert sol is not None and _satisfies(columns, sol, b,
+                                                  [big] * width)
+        assert all(_satisfies(columns, vec, zero, [big] * width)
+                   for vec in solver.kernel_basis())
+        assert all(_satisfies(columns, vec, zero, [big] * width)
+                   for vec in solver.kernel_generators())
 
 
 class TestSparseHowell:
@@ -670,7 +748,7 @@ class TestSparseHowell:
         # (2, 1) over Z_4: the pivot 2 at column 0 has annihilator 2 * (2, 1)
         # = (0, 2), which gives a second pivot.
         H, pivots = _assert_matches_dense_oracle([[2, 1]], 4)
-        assert H == [{0: 2, 1: 1}, {1: 2}]
+        assert _densified(H, 4, 2) == [[2, 1], [0, 2]]
         assert pivots == [(0, 0, 2), (1, 1, 2)]
 
     @pytest.mark.parametrize("build", [
@@ -696,8 +774,9 @@ class TestSparseHowell:
         # The cached kernel form is the rest of the one-pass form, shifted
         # back by n_m rows and m columns.
         kernel_H, kernel_pivots = solver._kernel_form
-        assert kernel_H == [{j - m: v for j, v in row.items()}
-                            for row in H[n_m:]]
+        width = len(rows[0])
+        assert _densified(kernel_H, big, width - m) == [
+            row[m:] for row in _densified(H[n_m:], big, width)]
         assert kernel_pivots == [(idx - n_m, col - m, d)
                                  for idx, col, d in pivots[n_m:]]
         assert kernel_pivots
