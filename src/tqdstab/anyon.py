@@ -10,7 +10,9 @@ and b is its symmetric polarization:
 
 Provides twisted-double theories from group-cocycle parameters (N_i; n_i,
 n_ij), boson condensation, stacking, Lagrangian subgroups, fusion groups, and
-exact isomorphism search.
+exact isomorphism search. Condensation and both fusion-group routes read
+their groups off relations (kernel solves and Smith forms), never by
+enumerating anyons.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Callable, Sequence
 
 from .exactmath import (IntMatrix, ModSolver, Rational01, integer_kernel,
@@ -364,10 +366,11 @@ class CondensationResult:
     """Outcome of condensing bosons in a parent theory."""
 
     theory: AnyonTheory
-    # deconfined generating set, as parent elements
-    deconfined_generators: tuple[Element, ...]
-    # parent deconfined element -> class coordinates in `theory`
-    identification: dict
+    # deconfined parent element -> class coordinates in `theory`
+    _project: Callable
+
+    def project(self, a: Sequence[int]) -> Element:
+        return self._project(a)
 
 
 def condense(theory: AnyonTheory,
@@ -375,7 +378,13 @@ def condense(theory: AnyonTheory,
     """Condense mutually transparent bosons.
 
     Anyons braiding nontrivially with a condensed boson are confined and
-    dropped; the rest are identified modulo fusion with the boson subgroup.
+    dropped; the rest are identified modulo fusion with the boson subgroup
+    B (Bais & Slingerland, PRB 79, 045316, 2009). The deconfined subgroup
+    is a kernel: exponent vectors x with sum_i x_i b(g_i, beta) = 0 (mod 1)
+    for every boson beta, read off one ModSolver. Its reduced kernel
+    vectors present the condensed theory, with relations {x : sum x_i
+    gens_i in B}. project(a) maps a deconfined parent anyon to its class
+    by one solve; a confined one raises TheoryCheckError.
     """
     group = theory.group
     bos = [group.reduce(b) for b in bosons]
@@ -387,23 +396,16 @@ def condense(theory: AnyonTheory,
             if not theory.b(b1, b2).is_zero():
                 raise ValueError("condensed bosons must braid trivially")
 
-    deconfined = [a for a in theory.elements()
-                  if all(theory.b(a, b).is_zero() for b in bos)]
-    bgroup = group.subgroup(bos)
-
-    # small generating set of the deconfined subgroup modulo the bosons
-    gens: list[Element] = []
-    span = set(bgroup)
-    for a in sorted(deconfined, key=lambda x: (-group.order_of(x), x)):
-        if a in span:
-            continue
-        gens.append(a)
-        span = group.subgroup(list(bgroup) + gens)
-        if len(span) == len(deconfined):
-            break
+    pairings = [[theory.b(g, b) for b in bos] for g in theory.generators()]
+    den = lcm(*(v.denominator for row in pairings for v in row))
+    kernel = ModSolver([[v.numerator * (den // v.denominator) for v in row]
+                        for row in pairings],
+                       [den] * len(bos)).kernel_basis()
+    gens = [g for g in dict.fromkeys(group.reduce(v) for v in kernel)
+            if any(g)]
 
     k = len(gens)
-    # relation lattice: {x in Z^k : sum x_i gens_i in bgroup}, via the integer
+    # relation lattice: {x in Z^k : sum x_i gens_i in B}, via the integer
     # kernel of [gens | bosons | diag(orders)] projected to the x block.
     cols = ([list(g) for g in gens] + [list(b) for b in bos]
             + [[o if r == i else 0 for r in range(group.rank)]
@@ -427,19 +429,24 @@ def condense(theory: AnyonTheory,
         k, lambda v: theory.q(element(v)),
         lambda v1, v2: theory.b(element(v1), element(v2)), proj)
 
-    # express each deconfined parent element in the new coordinates
     solver = ModSolver(cols[:k + len(bos)], group.orders)
-    identification = {}
-    for a in deconfined:
+
+    def project(a: Sequence[int]) -> Element:
         sol = solver.solve(a)
         if sol is None:
-            raise TheoryCheckError("deconfined element outside generator span")
-        coords = presented.project(sol[:k])
-        identification[a] = coords
-        # theta is preserved on classes
-        if presented.theory.q(coords) != theory.q(a):
+            raise TheoryCheckError(f"{tuple(a)} is not deconfined")
+        return presented.project(sol[:k])
+
+    # q and b are quadratic, so agreeing on the generators and their pairs
+    # preserves statistics on every class
+    images = [project(g) for g in gens]
+    condensed = presented.theory
+    for i, (g, x) in enumerate(zip(gens, images)):
+        if condensed.q(x) != theory.q(g) or any(
+                condensed.b(x, y) != theory.b(g, h)
+                for h, y in zip(gens[:i], images)):
             raise TheoryCheckError("statistics not preserved by condensation")
-    return CondensationResult(presented.theory, tuple(gens), identification)
+    return CondensationResult(condensed, project)
 
 
 # ---------------------------------------------------------------------------
@@ -587,30 +594,31 @@ def fusion_group(N, n=None, nij=None) -> list[int]:
     """Invariant factors (> 1) of the anyon fusion group, via SNF of the
     presentation relations."""
     params = _as_params(N, n, nij)
-    diag = invariant_factors(_tqd_relation_matrix(params))
-    if len(diag) != 2 * params.M or 0 in diag:
+    return _fusion_invariants(_tqd_relation_matrix(params), params)
+
+
+def _fusion_invariants(relations: IntMatrix, params) -> list[int]:
+    """Invariant factors (> 1) of Z^{2M} / <relation columns>, checked to be
+    2M finite orders whose product is |G|^2."""
+    diag = invariant_factors(relations)
+    size = prod(params.N) ** 2
+    if len(diag) != 2 * params.M or 0 in diag or prod(diag) != size:
         raise TheoryCheckError(f"fusion group invariant factors {diag} are "
-                               f"not {2 * params.M} finite orders")
+                               f"not {2 * params.M} finite orders of product "
+                               f"{size}")
     return sorted(d for d in diag if d != 1)
 
 
-# Largest extension fusion_group_from_cocycle enumerates (|G|^2 elements).
-_COCYCLE_ROUTE_LIMIT = 2 ** 16
-
-
 def fusion_group_from_cocycle(N, n=None, nij=None) -> list[int]:
-    """Fusion group the long way: enumerate the central extension of the flux
-    group G by the charge group G* with multiplication twisted by the
-    2-cocycle lambda(g, h), then reconstruct invariant factors from the
-    census of element orders. Raises ValueError when the extension has
-    more than _COCYCLE_ROUTE_LIMIT elements."""
+    """Fusion group from the central extension of the flux group G by the
+    charge group G*, with multiplication twisted by the 2-cocycle
+    lambda(g, h). Unit fluxes f_i and unit charges c_i generate it. Each
+    f_i^{N_i}, taken through the twisted product by square-and-multiply,
+    must be a pure charge; with c_i^{N_i} = 1 these are 2M relations, a
+    presentation of a group of order |G|^2."""
     params = _as_params(N, n, nij)
     M = params.M
     Ns = params.N
-    size = prod(Ns) ** 2
-    if size > _COCYCLE_ROUTE_LIMIT:
-        raise ValueError(f"the cocycle route enumerates {size} elements, "
-                         f"more than its limit of {_COCYCLE_ROUTE_LIMIT}")
 
     def lam(g, h):
         out = []
@@ -630,68 +638,23 @@ def fusion_group_from_cocycle(N, n=None, nij=None) -> list[int]:
         chg = tuple((a[1][i] + b[1][i] + tw[i]) % Ns[i] for i in range(M))
         return (flux, chg)
 
-    ident = ((0,) * M, (0,) * M)
-    sectors = list(itertools.product(*(range(Ni) for Ni in Ns)))
-    elems = [(f, c) for f in sectors for c in sectors]
-    census: dict[int, int] = {}
-    for a in elems:
-        t, cur = 1, a
-        while cur != ident:
-            cur = mul(cur, a)
-            t += 1
-        census[t] = census.get(t, 0) + 1
-    return _invariants_from_order_census(census, len(elems))
-
-
-def _invariants_from_order_census(census: dict[int, int],
-                                  size: int) -> list[int]:
-    """Invariant factors of an abelian group from its element-order census."""
-    primes = set()
-    for o in census:
-        t, p = o, 2
-        while t > 1:
-            if t % p == 0:
-                primes.add(p)
-                while t % p == 0:
-                    t //= p
-            else:
-                p += 1
-    per_prime: dict[int, list[int]] = {}
-    for p in sorted(primes):
-        # m_k = #elements with order dividing p^k; r_k = #cyclic p-factors
-        # with exponent >= k = log_p(m_k / m_{k-1}).
-        r: list[int] = []
-        prev = sum(c for o, c in census.items() if 1 % o == 0)
-        k = 1
-        while True:
-            cur = sum(c for o, c in census.items() if (p ** k) % o == 0)
-            ratio, cnt = cur // prev, 0
-            while ratio > 1:
-                ratio //= p
-                cnt += 1
-            if cnt == 0:
-                break
-            r.append(cnt)
-            prev = cur
-            k += 1
-        exps = []
-        for kk in range(len(r), 0, -1):
-            exact = r[kk - 1] - (r[kk] if kk < len(r) else 0)
-            exps.extend([kk] * exact)
-        per_prime[p] = sorted(p ** e for e in exps)  # ascending
-    width = max((len(v) for v in per_prime.values()), default=0)
-    inv = []
-    for idx in range(width):
-        f = 1
-        for p, v in per_prime.items():
-            padded = [1] * (width - len(v)) + v
-            f *= padded[idx]
-        if f != 1:
-            inv.append(f)
-    if prod(inv, start=1) != size:
-        raise TheoryCheckError(f"invariant factors {inv} of the order census "
-                               f"do not multiply to the group size {size}")
-    return sorted(inv)
+    zero = (0,) * M
+    cols = []
+    for i, Ni in enumerate(Ns):
+        unit = tuple(int(t == i) for t in range(M))
+        power, base, e = (zero, zero), (unit, zero), Ni
+        while e:
+            if e & 1:
+                power = mul(power, base)
+            base, e = mul(base, base), e >> 1
+        if power[0] != zero:
+            raise TheoryCheckError(f"flux {unit} to the power {Ni} is "
+                                   f"{power}, not a pure charge")
+        # f_i^{N_i} = prod_j c_j^{power_j} and c_i^{N_i} = 1
+        cols += [[Ni * u for u in unit] + [-c for c in power[1]],
+                 [0] * M + [Ni * u for u in unit]]
+    return _fusion_invariants(
+        IntMatrix([[c[r] for c in cols] for r in range(2 * M)]), params)
 
 
 def cocycle_value(N, n, nij, g: Sequence[int], h: Sequence[int],

@@ -80,6 +80,16 @@ def _load_spec(args) -> dict:
     return spec
 
 
+def _spec_matrix(spec: dict, key: str) -> IntMatrix:
+    """The integer matrix under spec[key], read as rows of integers;
+    SpecError naming the key otherwise."""
+    rows = spec.get(key)
+    if not isinstance(rows, list):
+        raise SpecError(f"spec key {key!r} must be a list of integer rows, "
+                        f"got {rows!r}")
+    return IntMatrix([lat._int_list(row, key) for row in rows])
+
+
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
@@ -226,8 +236,7 @@ def cmd_kmatrix(args) -> int:
     if what == "transform":
         if not args.spec:
             raise SpecError("kmatrix transform needs --spec with K and W")
-        K = IntMatrix(spec["K"])
-        W = IntMatrix(spec["W"])
+        K, W = (_spec_matrix(spec, key) for key in ("K", "W"))
         _emit({"K": kmatrix.transform(K, W).tolist()}, args)
         return 0
     params = lat.params_from_spec(spec)

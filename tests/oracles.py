@@ -253,3 +253,138 @@ def exhaustive_theory_problems(theory) -> list[str]:
                                   - theory.q(a) - theory.q(c)):
                 problems.append(f"b({a},{c}) fails polarization")
     return problems
+
+
+def condensed_census_by_scan(theory, bosons) -> tuple[int, dict[str, int]]:
+    """Size and q census of the theory left by condensing `bosons`, by
+    scanning every parent anyon, as `anyon.condense` did before it read the
+    deconfined subgroup off a kernel. The deconfined anyons braid trivially
+    with each boson; each class is a coset of the boson subgroup B, on
+    which q is constant, so each q count divided by |B| counts classes."""
+    deconfined = [a for a in theory.elements()
+                  if all(theory.b(a, b).is_zero() for b in bosons)]
+    per_class = len(theory.group.subgroup(bosons))
+    counts: dict[str, int] = {}
+    for a in deconfined:
+        key = str(theory.q(a))
+        counts[key] = counts.get(key, 0) + 1
+    return (len(deconfined) // per_class,
+            {key: c // per_class for key, c in counts.items()})
+
+
+def fusion_group_by_census(N: Sequence[int], n: Sequence[int],
+                           nij: Sequence[Sequence[int]]) -> list[int]:
+    """Invariant factors of the central extension of G = prod Z_{N_i} by G*
+    twisted by the 2-cocycle lambda, with no Smith form: every one of the
+    |G|^2 elements (flux, charge) is enumerated and multiplied through the
+    twisted product, and the invariant factors are rebuilt from the census
+    of element orders. `anyon.fusion_group_from_cocycle` walked each
+    element's powers one by one before it read a presentation; here all
+    elements move at once (numpy), and the p-part of each order is found by
+    raising the elements' |G|^2 / p^v-th powers to p-th powers until they
+    vanish. `nij` is the full symmetric table, lambda_i = 2 n_i carry_i +
+    sum_{j != i} n_ij carry_j (mod N_i)."""
+    import numpy as np
+
+    # entries stay below 2 N_i + sum_j lambda coefficients: int16 is ample
+    # for every extension small enough to enumerate
+    M = len(N)
+    Ns = np.array(N, dtype=np.int16)
+    twist = np.array([[2 * n[i] if j == i else nij[i][j] for i in range(M)]
+                      for j in range(M)], dtype=np.int16)
+    sectors = np.array(list(iproduct(*(range(v) for v in N))),
+                       dtype=np.int16).reshape(-1, M)
+    size = len(sectors) ** 2
+    elems = (np.repeat(sectors, len(sectors), axis=0),
+             np.tile(sectors, (len(sectors), 1)))
+
+    def mul(a, b):
+        flux = a[0] + b[0]
+        carry = flux >= Ns
+        lam = sum(carry[:, j:j + 1] * twist[j] for j in range(M))
+        return flux - carry * Ns, (a[1] + b[1] + lam) % Ns
+
+    def power(a, e):
+        out = None
+        while e:
+            if e & 1:
+                out = a if out is None else mul(out, a)
+            e >>= 1
+            if e:
+                a = mul(a, a)
+        return out
+
+    def live(a):
+        return a[0].any(1) | a[1].any(1)
+
+    order = np.ones(size, dtype=np.int64)
+    rest, p = size, 1
+    while rest > 1:
+        p += 1
+        if rest % p:
+            continue
+        cofactor = size
+        while rest % p == 0:
+            rest //= p
+        while cofactor % p == 0:
+            cofactor //= p
+        y = power(elems, cofactor)
+        moving = live(y)
+        while moving.any():
+            order[moving] *= p
+            y = power(y, p)
+            moving = live(y)
+    values, counts = np.unique(order, return_counts=True)
+    return invariants_from_order_census(
+        dict(zip(values.tolist(), counts.tolist())), size)
+
+
+def invariants_from_order_census(census: dict[int, int],
+                                 size: int) -> list[int]:
+    """Invariant factors of an abelian group from its element-order census:
+    per prime p, m_k = #elements of order dividing p^k, and log_p(m_k /
+    m_{k-1}) counts the cyclic p-factors of exponent >= k."""
+    primes = set()
+    for o in census:
+        t, p = o, 2
+        while t > 1:
+            if t % p == 0:
+                primes.add(p)
+                while t % p == 0:
+                    t //= p
+            else:
+                p += 1
+    per_prime: dict[int, list[int]] = {}
+    for p in sorted(primes):
+        r: list[int] = []
+        prev = sum(c for o, c in census.items() if 1 % o == 0)
+        k = 1
+        while True:
+            cur = sum(c for o, c in census.items() if (p ** k) % o == 0)
+            ratio, cnt = cur // prev, 0
+            while ratio > 1:
+                ratio //= p
+                cnt += 1
+            if cnt == 0:
+                break
+            r.append(cnt)
+            prev = cur
+            k += 1
+        exps = []
+        for kk in range(len(r), 0, -1):
+            exact = r[kk - 1] - (r[kk] if kk < len(r) else 0)
+            exps.extend([kk] * exact)
+        per_prime[p] = sorted(p ** e for e in exps)  # ascending
+    width = max((len(v) for v in per_prime.values()), default=0)
+    inv = []
+    for idx in range(width):
+        f = 1
+        for p, v in per_prime.items():
+            padded = [1] * (width - len(v)) + v
+            f *= padded[idx]
+        if f != 1:
+            inv.append(f)
+    if prod(inv, start=1) != size:
+        raise ArithmeticError(f"invariant factors {inv} of the order census "
+                              f"do not multiply to the group size {size}")
+    return sorted(inv)

@@ -1,5 +1,6 @@
 """Tests for abstract anyon theories, condensation, and fusion groups."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_theory_problems
+from oracles import (condensed_census_by_scan, exhaustive_theory_problems,
+                     fusion_group_by_census)
 
 from tqdstab import anyon
-from tqdstab.anyon import (AnyonTheory, RelationError, antisemion_theory,
-                           braiding, cocycle_value, condense, ds_theory,
-                           fusion_group, fusion_group_from_cocycle,
-                           is_modular,
+from tqdstab.anyon import (AnyonTheory, RelationError, TheoryCheckError,
+                           antisemion_theory, braiding, cocycle_value,
+                           condense, ds_theory, fusion_group,
+                           fusion_group_from_cocycle, is_modular,
                            lagrangian_subgroups, semion_theory,
                            stack, stack_condense_to_tqd, stack_theories,
                            theories_isomorphic, theory_from_presentation,
@@ -189,6 +191,16 @@ class TestPresentation:
         assert out.stdout.strip() == "rejected"
 
 
+STACK_PARAMS = [
+    ([2], [1], None),
+    ([2], [0], None),
+    ([3], [1], None),
+    ([4], [1], None),
+    ([2, 2], [0, 0], [[0, 1], [1, 0]]),
+    ([2, 4], [1, 1], [[0, 1], [1, 0]]),
+]
+
+
 class TestCondensation:
     def test_condense_fermion_pair(self):
         # condensing e1 m1 e2 m2-style boson in TC x TC gives a 4-anyon theory
@@ -211,22 +223,33 @@ class TestCondensation:
             condense(zn_tc_theory(2), [(1, 1)])
 
     def test_condense_to_the_trivial_theory(self):
-        # No deconfined generators: the solver has only the boson columns,
-        # or none at all.
+        # Only the boson itself is deconfined, or nothing at all.
         res = condense(zn_tc_theory(2), [(1, 0)])
         assert res.theory.size == 1
-        assert res.identification == {(0, 0): (), (1, 0): ()}
+        assert res.project((0, 0)) == res.project((1, 0)) == ()
+        with pytest.raises(TheoryCheckError):
+            res.project((0, 1))
         empty = condense(AnyonTheory([], [], []), [])
-        assert empty.identification == {(): ()}
+        assert empty.theory.size == 1 and empty.project(()) == ()
 
-    @pytest.mark.parametrize("N,n,nij", [
-        ([2], [1], None),
-        ([2], [0], None),
-        ([3], [1], None),
-        ([4], [1], None),
-        ([2, 2], [0, 0], [[0, 1], [1, 0]]),
-        ([2, 4], [1, 1], [[0, 1], [1, 0]]),
-    ])
+    def test_braiding_between_generators_is_checked(self, monkeypatch):
+        # q on each generator agrees, b between two of them does not
+        split = anyon.theory_from_presentation
+
+        def skewed(*args):
+            presented = split(*args)
+            t = presented.theory
+            b = [[v if i == j else v + R(1, 2) for j, v in enumerate(row)]
+                 for i, row in enumerate(t.b_gen)]
+            return anyon.PresentedTheory(AnyonTheory(t.orders, t.q_gen, b),
+                                         presented.gen_exprs,
+                                         presented._project)
+
+        monkeypatch.setattr(anyon, "theory_from_presentation", skewed)
+        with pytest.raises(TheoryCheckError, match="statistics"):
+            condense(stack(semion_theory(), semion_theory()), [])
+
+    @pytest.mark.parametrize("N,n,nij", STACK_PARAMS)
     def test_stack_condense_to_tqd(self, N, n, nij):
         result, verdict = stack_condense_to_tqd(N, n, nij)
         assert verdict
@@ -234,6 +257,66 @@ class TestCondensation:
         for Ni in N:
             expected *= Ni * Ni
         assert result.theory.size == expected
+
+    @pytest.mark.parametrize("N,n,nij", STACK_PARAMS)
+    def test_stack_condense_matches_scan(self, N, n, nij):
+        stacked, bosons = _stack_and_bosons(TqdParams(N, n, nij))
+        condensed = condense(stacked, bosons).theory
+        assert (condensed.size, topological_spins_census(condensed)) == \
+            condensed_census_by_scan(stacked, bosons)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(2, 6), min_size=1, max_size=2), st.data())
+    def test_toric_code_stacks_match_scan(self, Ns, data):
+        parent, bosons = _random_condensate(Ns, data)
+        condensed = condense(parent, bosons).theory
+        assert (condensed.size, topological_spins_census(condensed)) == \
+            condensed_census_by_scan(parent, bosons)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(2, 6), min_size=1, max_size=2), st.data())
+    def test_project_adds_and_keeps_q(self, Ns, data):
+        parent, bosons = _random_condensate(Ns, data)
+        res = condense(parent, bosons)
+        deconfined = [a for a in parent.elements()
+                      if all(parent.b(a, b).is_zero() for b in bosons)]
+        a = data.draw(st.sampled_from(deconfined))
+        c = data.draw(st.sampled_from(deconfined))
+        x, y = res.project(a), res.project(c)
+        assert res.project(parent.group.add(a, c)) == \
+            res.theory.group.add(x, y)
+        assert res.theory.q(x) == parent.q(a)
+        assert res.theory.b(x, y) == parent.b(a, c)
+
+
+def _stack_and_bosons(params):
+    """The stack of Z_{N_i^2} toric codes, coordinates (e_1, m_1, e_2, ...),
+    and the bosons b_i = e_i^{N_i n_i} m_i^{-N_i} prod_{j<i} e_j^{N_j n_ij}
+    that condense to the twisted double."""
+    M = params.M
+    stacked = stack_theories([zn_tc_theory(Ni * Ni) for Ni in params.N])
+    bosons = []
+    for i in range(M):
+        vec = [0] * (2 * M)
+        vec[2 * i] = params.N[i] * params.n[i]
+        vec[2 * i + 1] = -params.N[i]
+        for j in range(i):
+            vec[2 * j] = params.N[j] * params.nij[i][j]
+        bosons.append(vec)
+    return stacked, bosons
+
+
+def _random_condensate(Ns, data):
+    """A stack of Z_N toric codes and a drawn set of mutually transparent
+    bosons in it (possibly empty)."""
+    parent = stack_theories([zn_tc_theory(N) for N in Ns])
+    bosons = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        vec = tuple(data.draw(st.integers(0, o - 1)) for o in parent.orders)
+        if parent.q(vec).is_zero() and all(
+                parent.b(vec, b).is_zero() for b in bosons):
+            bosons.append(vec)
+    return parent, bosons
 
 
 class TestChecksUnderOptimize:
@@ -287,6 +370,9 @@ class TestChecksUnderOptimize:
         assert "verification failed" in capsys.readouterr().err
 
 
+CENSUS_FACTORS = (2, 3, 4, 5, 8, 9)
+
+
 class TestFusionGroups:
     @pytest.mark.parametrize("N,n,nij,expect", [
         ([2], [1], None, [2, 2]),
@@ -310,20 +396,28 @@ class TestFusionGroups:
     def test_cocycle_route_agrees(self, N, n, nij):
         assert fusion_group(N, n, nij) == fusion_group_from_cocycle(N, n, nij)
 
-    def test_cocycle_route_refuses_large_extensions(self):
-        # |G|^2 = 1024^2 elements, far past the limit: refused before any
-        # enumeration (which would take minutes)
+    def test_cocycle_route_answers_large_extensions(self):
+        # |G|^2 = 1024^2 elements: the route reads a presentation, so no
+        # element is enumerated and no size limit applies
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="1048576 elements"):
-            fusion_group_from_cocycle([32, 32], [1, 1])
+        assert fusion_group_from_cocycle([32, 32], [1, 1]) == \
+            fusion_group([32, 32], [1, 1]) == [2, 2, 512, 512]
         assert time.perf_counter() - start < 5
 
-    def test_cocycle_route_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(anyon, "_COCYCLE_ROUTE_LIMIT", 36)
-        assert fusion_group_from_cocycle([2, 3], [1, 1]) == fusion_group(
-            [2, 3], [1, 1])
-        with pytest.raises(ValueError, match="49 elements"):
-            fusion_group_from_cocycle([7], [1])
+    @pytest.mark.parametrize("N", [
+        (N,) for N in CENSUS_FACTORS] + [
+        (N1, N2) for N1 in CENSUS_FACTORS for N2 in CENSUS_FACTORS
+        if N1 <= N2 and (N1 * N2) ** 2 <= 2 ** 12],
+        ids=lambda N: "x".join(map(str, N)))
+    def test_cocycle_route_matches_order_census(self, N):
+        # every n and n_ij: the presentation route against the Smith-free
+        # enumeration of the extension
+        nij_range = range(gcd(*N)) if len(N) == 2 else [0]
+        for n in itertools.product(*(range(Ni) for Ni in N)):
+            for v in nij_range:
+                nij = [[0, v], [v, 0]] if len(N) == 2 else [[0]]
+                assert fusion_group_from_cocycle(N, n, nij) == \
+                    fusion_group_by_census(N, n, nij), (N, n, v)
 
     def test_untwisted_is_square(self):
         # untwisted models fuse as G x G

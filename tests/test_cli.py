@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -117,12 +118,15 @@ class TestTheory:
         assert report["fusion_group"] == [4, 4]
         assert report["match"] is True
 
-    def test_fusion_group_too_large_for_cocycle_route(self, capsys):
-        # |G|^2 = 1024^2 elements: the enumeration is refused, exit 2
-        code = run(["theory", "fusion-group", "--N", "32,32"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert "1048576 elements" in captured.err
+    def test_fusion_group_of_a_large_extension(self, capsys):
+        # |G|^2 = 1024^2: the cocycle route reads a presentation, so no
+        # size limit applies
+        start = time.perf_counter()
+        code, report = invoke(capsys, "theory", "fusion-group", "--N",
+                              "32,32")
+        assert time.perf_counter() - start < 5
+        assert code == 0 and report["match"] is True
+        assert report["via_cocycle"] == [32, 32, 32, 32]
 
     def test_lagrangian(self, capsys):
         code, report = invoke(capsys, "theory", "lagrangian", "--N", "2",
@@ -170,6 +174,25 @@ class TestKmatrix:
         code, report = invoke(capsys, "kmatrix", "transform", "--spec",
                               str(spec))
         assert code == 0 and report["K"] == [[0, 2], [2, 0]]
+
+    @pytest.mark.parametrize("spec,key", [
+        ({"K": 5, "W": [[1]]}, "K"),
+        ({"K": [[2]], "W": None}, "W"),
+        ({"K": [[1.5]], "W": [[1]]}, "K"),
+        ({"K": [[0, 2], [2, 0]], "W": [["1", 0], [0, 1]]}, "W"),
+        ({"K": [[2, True], [1, 2]], "W": [[1, 0], [0, 1]]}, "K"),
+        ({"W": [[1]]}, "K"),
+    ], ids=["scalar-K", "null-W", "float-K", "string-W", "bool-K",
+            "missing-K"])
+    def test_transform_rejects_malformed_matrices(self, capsys, tmp_path,
+                                                  spec, key):
+        path = tmp_path / "kw.json"
+        path.write_text(json.dumps(spec))
+        code = run(["kmatrix", "transform", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"spec key {key!r}" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_transform_needs_spec(self, capsys):
         code = run(["kmatrix", "transform"])

@@ -55,8 +55,9 @@ def test_locator_finds_function_asserts():
 
 
 # Four consistency checks of anyon and circuitmap, each reached with its input
-# broken by monkeypatching (or, for the order census, by a census no group
-# has); each must raise a VerificationError with asserts stripped.
+# broken by monkeypatching (for the cocycle route, by invariant factors whose
+# product is not |G|^2); each must raise a VerificationError with asserts
+# stripped.
 CHECKS_UNDER_O = (
     "from tqdstab import anyon, circuitmap\n"
     "from tqdstab.stabilizer import VerificationError\n"
@@ -77,7 +78,8 @@ CHECKS_UNDER_O = (
     "         anyon.AnyonTheory, 'size', property(lambda self: 3))\n"
     "rejected(lambda: anyon.fusion_group([2], [1]),\n"
     "         anyon, 'invariant_factors', lambda A: [1, 2, 0])\n"
-    "rejected(lambda: anyon._invariants_from_order_census({1: 1, 2: 1}, 4))\n"
+    "rejected(lambda: anyon.fusion_group_from_cocycle([2], [1]),\n"
+    "         anyon, 'invariant_factors', lambda A: [1, 2])\n"
     "tri = circuitmap.TriangularLattice(3)\n"
     "edge = next(iter(tri.edges()))\n"
     "rejected(lambda: circuitmap.domain_wall_count(tri, {}),\n"
