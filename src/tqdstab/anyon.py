@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 from math import gcd, lcm, prod
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactmath import (IntMatrix, ModSolver, Rational01, integer_kernel,
                         invariant_factors, rat_sum, smith_normal_form,
@@ -236,9 +236,13 @@ def is_modular(theory: AnyonTheory) -> bool:
 
 def topological_spins_census(theory: AnyonTheory) -> dict[str, int]:
     """Histogram of q(a) over all anyons, keyed by 'p/q' strings."""
+    return _census(map(theory.q, theory.elements()))
+
+
+def _census(spins: Iterable[Rational01]) -> dict[str, int]:
     census: dict[str, int] = {}
-    for a in theory.elements():
-        key = str(theory.q(a))
+    for q in spins:
+        key = str(q)
         census[key] = census.get(key, 0) + 1
     return census
 
@@ -694,17 +698,19 @@ def theories_isomorphism(t1: AnyonTheory,
     or None. Pruned backtracking over generator images."""
     if t1.size != t2.size:
         return None
-    if topological_spins_census(t1) != topological_spins_census(t2):
+    elems2 = t2.elements()
+    q2 = [t2.q(a) for a in elems2]
+    if topological_spins_census(t1) != _census(q2):
         return None
     gens1 = t1.generators()
-    elems2 = t2.elements()
     g2 = t2.group
+    order2 = [g2.order_of(a) for a in elems2]
     cands = []
     for i, g in enumerate(gens1):
         qi = t1.q(g)
         oi = t1.orders[i]
-        cands.append([a for a in elems2
-                      if t2.q(a) == qi and oi % g2.order_of(a) == 0])
+        cands.append([a for a, qa, oa in zip(elems2, q2, order2)
+                      if qa == qi and oi % oa == 0])
     assignment: list[Element] = []
 
     def consistent(a, idx):

@@ -664,6 +664,22 @@ class ModSolver:
             vectors.append(unit)
         return vectors
 
+    def columns_of(self, vectors: Sequence[Sequence[int]]) -> tuple:
+        """The columns of `vectors` (one entry per column of this solver,
+        read mod big), packed in lanes: lane r of column j is entry j of
+        vector r. Returns (columns, parities, reduce, read): parities[j]
+        keeps the low bit of each lane of columns[j]; reduce reduces every
+        lane mod big of a packed int whose lanes stay below 2*big**2 (a
+        residue plus a product of a residue and a column); read lists the
+        len(vectors) lanes of a packed int."""
+        lanes, n = self._lanes, len(vectors)
+        columns = (list(map(lanes.pack, zip(*vectors))) if vectors
+                   else [0] * self._n)
+        low = int.from_bytes((1).to_bytes(lanes.nbytes, "little") * n,
+                             "little")
+        return (columns, [col & low for col in columns], lanes.reducer(n),
+                lambda x: lanes.read(x, n))
+
     def _pending_vectors(self) -> list[list[int]]:
         shift, read, n = self._m * self._lanes.width, self._lanes.read, self._n
         return [read(row >> shift, n) for row in self._pending]

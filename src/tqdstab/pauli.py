@@ -14,8 +14,9 @@ reduces the phase mod 2D and each exponent mod its site's dimension: its
 sites must already be valid, so it is used only on results the library
 computes from valid operators (``multiply``, ``power``, ``adjoint``,
 ``product_of_powers``). Commutation is an integer: ``commutation_exponent``
-gives e mod D with P Q = e^{2*pi*i*e/D} Q P, and ``commutation_phase``
-turns it into a ``Rational01`` where a phase leaves the library.
+gives e mod D with P Q = e^{2*pi*i*e/D} Q P (the residue of the unreduced
+``commutation_total``), and ``commutation_phase`` turns it into a
+``Rational01`` where a phase leaves the library.
 """
 
 from __future__ import annotations
@@ -243,8 +244,11 @@ def product_of_powers(system: QuditSystem,
     return _make(system, phase, x, z)
 
 
-def commutation_exponent(P: PauliOperator, Q: PauliOperator) -> int:
-    """e in [0, D) with P Q = e^{2*pi*i*e/D} Q P (operator phases drop out).
+def commutation_total(P: PauliOperator, Q: PauliOperator) -> int:
+    """The integer sum of (D/d_q) * (z_P x_Q - x_P z_Q) over sites q, of
+    which commutation_exponent(P, Q) is the residue mod D. For commuting
+    P and Q it is D times an integer whose parity the kernel phases of a
+    stabilizer group read.
 
     Only P's z sites against Q's x sites and P's x sites against Q's z
     sites can contribute.
@@ -263,7 +267,12 @@ def commutation_exponent(P: PauliOperator, Q: PauliOperator) -> int:
         zq = Qz.get(site)
         if zq:
             total -= (D // dims[site]) * xp * zq
-    return total % D
+    return total
+
+
+def commutation_exponent(P: PauliOperator, Q: PauliOperator) -> int:
+    """e in [0, D) with P Q = e^{2*pi*i*e/D} Q P (operator phases drop out)."""
+    return commutation_total(P, Q) % P.system.D
 
 
 def commutation_phase(P: PauliOperator, Q: PauliOperator) -> Rational01:

@@ -8,13 +8,15 @@ Z_D after lifting site-q exponents by D/d_q into Z_D coordinates.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mul
 from typing import Literal, Sequence
 
 from .exactmath import ModSolver, Rational01
-from .pauli import (PauliOperator, QuditSystem, commutation_exponent, power,
-                    product_of_powers)
+from .pauli import (PauliOperator, QuditSystem, commutation_exponent,
+                    commutation_total, power, product_of_powers)
 
 
 class VerificationError(ValueError):
@@ -55,9 +57,13 @@ class StabilizerGroup:
         for g in self.generators:
             if g.system.dims != system.dims:
                 raise ValueError("generator on a different system")
-        # non-commuting generator pairs, recorded by the first check
+        # non-commuting generator pairs, recorded by the first check, and
+        # the commuting ones whose total is an odd multiple of D, flattened
         self._noncommuting: list[tuple[int, int]] | None = None
+        self._odd_pairs = array("I")
         self._solver: ModSolver | None = None
+        # the kernel generators and the beta bit of each pending one
+        self._kernel: tuple[list[list[int]], list[int]] | None = None
         self._kernel_phases: list[tuple[list[int], int]] | None = None
         if validate:
             self._check_commuting()
@@ -101,8 +107,9 @@ class StabilizerGroup:
                  ) -> "StabilizerGroup":
         """The group of `generators`, each a scalar multiple of the matching
         generator here. The lifted exponent vectors are unchanged, so the
-        result shares this group's solver (and its commutation record:
-        scalars commute with everything). Raises ValueError if any
+        result shares this group's solver, its commutation record (scalars
+        commute with everything) and its kernel vectors with their beta
+        bits, but computes its own kernel phases. Raises ValueError if any
         generator's exponents differ; checks commutation like the
         constructor."""
         generators = tuple(generators)
@@ -113,32 +120,98 @@ class StabilizerGroup:
         group = StabilizerGroup(self.system, generators, validate=False)
         group._solver = self._solver
         group._noncommuting = self._noncommuting
+        group._odd_pairs = self._odd_pairs
+        group._kernel = self._kernel
         group._check_commuting()
         return group
 
     # -- scalars reachable as generator combinations ------------------------
 
+    def _get_kernel(self) -> tuple[list[list[int]], list[int]]:
+        """The solver's kernel_generators, read once, and for each but the
+        trailing big * e_i the bit beta of its phase (see
+        _get_kernel_phases). Both depend on the exponents only, so rephased
+        groups share the pair: the bits hold for these vectors only.
+
+        The vectors' packed columns, one per generator, re-check that every
+        vector is in the kernel: summing v * column over the generators at
+        each lifted coordinate must give zero (SolverCheckError if not).
+        beta is one AND per odd pair and per odd-dimension site on the
+        columns' low bits.
+        """
+        if self._kernel is not None:
+            return self._kernel
+        solver = self._get_solver()
+        vectors = solver.kernel_generators()
+        gens, D, dims = self.generators, self.system.D, self.system.dims
+        columns, parities, reduce, read = solver.columns_of(
+            vectors[:len(vectors) - len(gens)])
+        n = len(dims)
+        sums: dict[int, int] = {}  # lifted coordinate -> packed sum
+        xbits: dict[int, int] = {}  # odd-dimension site -> parity
+        zbits: dict[int, int] = {}
+        for g, col, bit in zip(gens, columns, parities):
+            for site, e in g.x.items():
+                sums[site] = reduce(sums.get(site, 0)
+                                    + e * (D // dims[site]) * col)
+                if e & dims[site] & 1:
+                    xbits[site] = xbits.get(site, 0) ^ bit
+            for site, e in g.z.items():
+                sums[n + site] = reduce(sums.get(n + site, 0)
+                                        + e * (D // dims[site]) * col)
+                if e & dims[site] & 1:
+                    zbits[site] = zbits.get(site, 0) ^ bit
+        if any(sums.values()):
+            raise SolverCheckError("kernel combination is not scalar")
+        beta = 0
+        pairs = iter(self._odd_pairs)
+        for i, j in zip(pairs, pairs):
+            beta ^= parities[i] & parities[j]
+        for site, bit in xbits.items():
+            beta ^= bit & zbits.get(site, 0)
+        self._kernel = (vectors, read(beta))
+        return self._kernel
+
     def _get_kernel_phases(self) -> list[tuple[list[int], int]]:
         """(vector, phase) for each of the solver's kernel_generators: the
         combination is a scalar, and phase is its exponent mod 2D. Computed
-        once per group; raises SolverCheckError on a non-scalar combination.
-        The phases generate the subgroup gcd(2D, *phases) Z of Z_{2D}.
+        once per group, multiplying no operators but g^big for the trailing
+        big * e_i. The phases generate the subgroup gcd(2D, *phases) Z of
+        Z_{2D}.
 
-        Each product runs over the vector's nonzero entries only; the
-        trailing big * e_i vectors are one power each.
+        For g_i = w^{p_i} X^{x_i} Z^{z_i} (w = e^{i pi/D}) and a kernel
+        vector a, prod_i g_i^{a_i} = w^phi where, mod 2D and with ab = a % 2,
+
+            phi = sum_i a_i (p_i - h_i) + D beta(ab),
+            h_i = sum_s (D/d_s) z_i[s] x_i[s],
+            beta(ab) = sum_{i<j, m_ij odd} ab_i ab_j
+                + sum_{s: d_s odd} (sum_i ab_i x_i[s]) (sum_i ab_i z_i[s]),
+
+        and D m_ij = commutation_total(g_i, g_j). Derivation: the ordered
+        product's phase is sum_i a_i p_i + C(a_i, 2) 2h_i plus sum_{i<j}
+        a_i a_j G_ij, G_ij = sum_s 2(D/d_s) z_i[s] x_j[s]. On the kernel
+        x(a) = d u and z(a) = d v, so sum_{i,j} a_i a_j G_ij = 2D sum_s d_s
+        u_s v_s; with G_ij - G_ji = 2D m_ij the a_i^2 terms cancel.
         """
         if self._kernel_phases is None:
-            solver = self._get_solver()
-            vectors = solver.kernel_generators()
-            gens = self.generators
-            n_rows = len(vectors) - len(gens)
-            ops = [product_of_powers(self.system,
-                                     [(gens[i], a) for i, a in enumerate(vec)
-                                      if a])
-                   for vec in vectors[:n_rows]]
-            ops.extend(power(g, solver.big) for g in gens)
-            table = []
-            for vec, op in zip(vectors, ops):
+            self._check_commuting()
+            vectors, betas = self._get_kernel()
+            D, dims = self.system.D, self.system.dims
+            two_d = 2 * D
+            linear = {}  # generator -> p_i - h_i mod 2D, nonzero only
+            for i, g in enumerate(self.generators):
+                w = (g.phase - sum((D // dims[s]) * z * g.x[s]
+                                   for s, z in g.z.items() if s in g.x)
+                     ) % two_d
+                if w:
+                    linear[i] = w
+            at, weights = list(linear), list(linear.values())
+            table = [(vec, (sum(map(mul, map(vec.__getitem__, at), weights))
+                            + D * beta) % two_d)
+                     for vec, beta in zip(vectors, betas)]
+            big = self._get_solver().big
+            for vec, g in zip(vectors[len(betas):], self.generators):
+                op = power(g, big)
                 if not op.is_scalar():
                     raise SolverCheckError("kernel combination is not scalar")
                 table.append((vec, op.phase))
@@ -174,7 +247,9 @@ def assert_commuting(S: StabilizerGroup) -> list[tuple[int, int]]:
     lexicographic order (empty iff abelian).
 
     Generators with disjoint supports commute, so only pairs that share a
-    site are tested: O(k*w) pairs for k generators of weight w.
+    site are tested: O(k*w) pairs for k generators of weight w. The same
+    pass records on S the commuting pairs whose commutation_total is an
+    odd multiple of D, which its kernel phases read.
     """
     gens = S.generators
     supports = [g.support for g in gens]
@@ -182,12 +257,18 @@ def assert_commuting(S: StabilizerGroup) -> list[tuple[int, int]]:
     for j, support in enumerate(supports):
         for site in support:
             touching.setdefault(site, []).append(j)
+    D = S.system.D
     bad = []
+    odd = array("I")
     for i, g in enumerate(gens):
         partners = {j for site in supports[i] for j in touching[site] if j > i}
         for j in sorted(partners):
-            if commutation_exponent(g, gens[j]):
+            total = commutation_total(g, gens[j]) % (2 * D)
+            if total % D:
                 bad.append((i, j))
+            elif total:
+                odd.extend((i, j))
+    S._odd_pairs = odd
     return bad
 
 
@@ -245,8 +326,9 @@ def member_with_phase(S: StabilizerGroup, P: PauliOperator) -> MembershipResult:
         if fix is None:
             raise SolverCheckError(
                 "no kernel combination has the missing phase")
-        coeffs = [c + sum(f * vec[i] for f, (vec, _) in zip(fix, table))
-                  for i, c in enumerate(coeffs)]
+        for f, (vec, _) in zip(fix, table):
+            if f:
+                coeffs = [c + f * a for c, a in zip(coeffs, vec)]
         combo = S.combination(coeffs)
         if combo != P:
             raise SolverCheckError("phase-corrected combination mismatch")

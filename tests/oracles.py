@@ -10,9 +10,10 @@ from math import gcd, prod
 from typing import Sequence
 
 from tqdstab.exactmath import _unit_for, _xgcd
-from tqdstab.pauli import PauliOperator, adjoint, multiply, product
-from tqdstab.stabilizer import (NonCommutingError, StabilizerGroup,
-                                group_order)
+from tqdstab.pauli import (PauliOperator, adjoint, multiply, power, product,
+                           product_of_powers)
+from tqdstab.stabilizer import (NonCommutingError, SolverCheckError,
+                                StabilizerGroup, group_order)
 
 
 def scan_unit_for(a: int, N: int) -> int:
@@ -83,6 +84,28 @@ def transposed_solver_rows(group) -> list[list[int]]:
                                            for k in range(n)]
             for j in range(n)]
     return rows
+
+
+def kernel_phases_by_products(group) -> list[tuple[list[int], int]]:
+    """(vector, phase) for each of the group's kernel_generators, by
+    multiplying out the combination: one product_of_powers over the
+    nonzero entries of each pending row, one power for each big * e_i.
+    The route `StabilizerGroup._get_kernel_phases` took before its closed
+    form."""
+    solver = group._get_solver()
+    vectors = solver.kernel_generators()
+    gens = group.generators
+    n_rows = len(vectors) - len(gens)
+    ops = [product_of_powers(group.system,
+                             [(gens[i], a) for i, a in enumerate(vec) if a])
+           for vec in vectors[:n_rows]]
+    ops.extend(power(g, solver.big) for g in gens)
+    table = []
+    for vec, op in zip(vectors, ops):
+        if not op.is_scalar():
+            raise SolverCheckError("kernel combination is not scalar")
+        table.append((vec, op.phase))
+    return table
 
 
 def junction_exponent_by_products(w1, w2, w3) -> int:

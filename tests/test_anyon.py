@@ -470,6 +470,20 @@ class TestIsomorphism:
         t2 = stack(ds_theory(), zn_tc_theory(2))
         assert theories_isomorphic(t1, t2)
 
+    def test_target_statistics_read_once_per_anyon(self, monkeypatch):
+        # The census and every generator's candidate list read one q table
+        # over the target's anyons.
+        t1 = tqd_theory([2, 4], [1, 1], [[0, 1], [1, 0]])
+        t2 = AnyonTheory.from_json_dict(t1.to_json_dict())
+        calls = []
+        q = AnyonTheory.q
+        monkeypatch.setattr(AnyonTheory, "q",
+                            lambda self, a: calls.append(self) or q(self, a))
+        iso = anyon.theories_isomorphism(t1, t2)
+        assert iso is not None
+        assert all(q(t2, a) == q(t1, g) for g, a in iso.items())
+        assert sum(theory is t2 for theory in calls) == t2.size == 64
+
     def test_stack_theories_empty(self):
         t = stack_theories([])
         assert t.size == 1

@@ -573,6 +573,27 @@ class TestSolverProperties:
                 size *= big // d
             assert size * image == big ** len(columns)
 
+    @given(mod_systems(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_columns_of_transposes_the_vectors(self, system, rng):
+        columns, _, moduli = system
+        big = lcm(*moduli)
+        solver = ModSolver(columns, moduli)
+        vectors = solver.kernel_generators()
+        packed, parities, reduce, read = solver.columns_of(vectors)
+        assert len(packed) == len(parities) == len(columns)
+        for j, (col, bits) in enumerate(zip(packed, parities)):
+            assert read(col) == [vec[j] % big for vec in vectors]
+            assert read(bits) == [vec[j] % big % 2 for vec in vectors]
+        weights = [rng.randrange(big) for _ in packed]
+        acc = 0
+        for w, col in zip(weights, packed):
+            acc = reduce(acc + w * col)
+        assert read(acc) == [sum(w * v for w, v in zip(weights, vec)) % big
+                             for vec in vectors]
+        empty, _, _, read_none = solver.columns_of([])
+        assert empty == [0] * len(columns) and read_none(0) == []
+
     @given(mod_systems())
     @settings(max_examples=150, deadline=None)
     def test_least_solution_matches_walk_and_enumeration(self, system):

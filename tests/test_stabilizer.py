@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
@@ -11,13 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqdstab import exactmath, stabilizer
+from oracles import kernel_phases_by_products
+
+from tqdstab import exactmath, pauli, stabilizer
 from tqdstab.exactmath import Rational01
-from tqdstab.lattice import DS_PARAMS, TqdParams, build_ds, build_tqd
+from tqdstab.lattice import (DS_PARAMS, TqdParams, build_ds, build_hatted_ds,
+                             build_spt, build_tqd, build_zn_tc)
 from tqdstab.pauli import (PauliOperator, QuditSystem, commutation_phase,
                            commutes, multiply, scalar, single)
 from tqdstab.stabilizer import (InconsistentGroupError, NonCommutingError,
-                                StabilizerGroup, assert_commuting,
+                                SolverCheckError, StabilizerGroup,
+                                assert_commuting,
                                 centralizer_in_group, group_order,
                                 groups_equal, logical_dimension,
                                 measure, member_with_phase,
@@ -390,6 +395,100 @@ class TestMembership:
         assert out.stdout.strip() == "rejected"
 
 
+KERNEL_BUILDS = {
+    "ds": build_ds,
+    "tc3": lambda Lx, Ly: build_zn_tc(3, Lx, Ly),
+    "tc6": lambda Lx, Ly: build_zn_tc(6, Lx, Ly),
+    "tqd3-n1": lambda Lx, Ly: build_tqd(TqdParams([3], [1]), Lx, Ly),
+    "tqd3-n2": lambda Lx, Ly: build_tqd(TqdParams([3], [2]), Lx, Ly),
+    "tqd4": lambda Lx, Ly: build_tqd(TqdParams([4], [1]), Lx, Ly),
+    "tqd5": lambda Lx, Ly: build_tqd(TqdParams([5], [1]), Lx, Ly),
+    "tqd22-twisted": lambda Lx, Ly: build_tqd(
+        TqdParams([2, 2], [1, 1], {(0, 1): 1}), Lx, Ly),
+    "tqd24-twisted": lambda Lx, Ly: build_tqd(
+        TqdParams([2, 4], [1, 1], {(0, 1): 1}), Lx, Ly),
+    "tqd33-twisted": lambda Lx, Ly: build_tqd(
+        TqdParams([3, 3], [1, 1], {(0, 1): 1}), Lx, Ly),
+    "spt": build_spt,
+    "hatted-ds": build_hatted_ds,
+}
+
+
+@lru_cache(maxsize=None)
+def kernel_build(name, size):
+    return KERNEL_BUILDS[name](*size)[0]
+
+
+class TestKernelPhaseClosedForm:
+    """The closed-form kernel table against multiplying out every kernel
+    generator (tests/oracles.py), vectors and phases."""
+
+    @pytest.mark.parametrize("size", [(3, 3), (4, 3)], ids=str)
+    @pytest.mark.parametrize("name", sorted(KERNEL_BUILDS))
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_table_equals_products(self, name, size, seed):
+        group = kernel_build(name, size)
+        rng = random.Random(seed)
+        assert group._get_kernel_phases() == kernel_phases_by_products(group)
+        two_d = 2 * group.system.D
+        gens = [multiply(scalar(group.system, rng.randrange(two_d)), g)
+                for g in group.generators]
+        # a fresh group runs every step; a rephased one reuses the vectors
+        # and beta bits and computes only its own linear term
+        fresh = StabilizerGroup(group.system, gens, validate=False)
+        table = fresh._get_kernel_phases()
+        assert table == kernel_phases_by_products(fresh)
+        assert any(phase for _, phase in table)
+        rephased = group.rephased(gens)
+        assert rephased._kernel is group._kernel
+        assert rephased._get_kernel_phases() == table
+
+    @pytest.mark.parametrize("name", ["ds", "tqd3-n1", "spt"])
+    def test_corrupted_kernel_vector_is_rejected(self, monkeypatch, name):
+        group = kernel_build(name, (3, 3))
+        generators = exactmath.ModSolver.kernel_generators
+
+        def corrupted(self):
+            vectors = generators(self)
+            row = vectors[len(vectors) // 4]
+            row[len(row) // 2] = (row[len(row) // 2] + 1) % self.big
+            return vectors
+
+        monkeypatch.setattr(exactmath.ModSolver, "kernel_generators",
+                            corrupted)
+        S = StabilizerGroup(group.system, group.generators, validate=False)
+        with pytest.raises(SolverCheckError, match="not scalar"):
+            S._get_kernel_phases()
+
+    def test_noncommuting_group_has_no_table(self):
+        sysm = QuditSystem([3])
+        S = StabilizerGroup(sysm, [single(sysm, 0, "X", 1),
+                                   single(sysm, 0, "Z", 1)], validate=False)
+        with pytest.raises(NonCommutingError):
+            S._get_kernel_phases()
+        # so a phase-fixed membership query on it raises too
+        P = multiply(scalar(sysm, 1), single(sysm, 0, "X", 1))
+        with pytest.raises(NonCommutingError):
+            member_with_phase(S, P)
+
+    def test_table_multiplies_no_combinations(self, monkeypatch):
+        # Only the k single-generator powers g^big are multiplied out.
+        group = kernel_build("tqd22-twisted", (3, 3))
+        factors = []
+        original = pauli.product_of_powers
+
+        def counting(system, pairs):
+            pairs = list(pairs)
+            factors.append(len(pairs))
+            return original(system, pairs)
+
+        monkeypatch.setattr(pauli, "product_of_powers", counting)
+        S = StabilizerGroup(group.system, group.generators, validate=False)
+        assert scalar_consistency(S).consistent
+        assert factors == [1] * len(S.generators)
+
+
 def phase_closure(phases, two_d):
     """Subgroup of Z_{2D} generated by phases, by breadth-first closure
     (the membership test's reachability check before the gcd form)."""
@@ -437,10 +536,10 @@ class TestKernelPhases:
         lambda: build_tqd(TqdParams([2, 2], [1, 1], [[0, 1], [1, 0]]), 3, 3),
     ], ids=["ds-3x3", "tqd22-twisted-3x3"])
     def test_sparse_products_match_combination(self, build):
-        # The table's products over nonzero entries (one power for each
-        # big * e_i) against full generator-order combinations, on a group
-        # whose first vertex term carries an extra phase so that some
-        # kernel phases are nonzero.
+        # The table's closed form (one power for each big * e_i) against
+        # full generator-order combinations, on a group whose first vertex
+        # term carries an extra phase so that some kernel phases are
+        # nonzero.
         group, _ = build()
         gens = list(group.generators)
         gens[0] = multiply(scalar(group.system, 1), gens[0])
