@@ -45,11 +45,16 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_nij(text: str) -> dict:
+    """--nij "i,j,v;..." as {(i, j): v}; SpecError naming a bad entry."""
     table = {}
     for part in text.split(";"):
         if not part:
             continue
-        i, j, v = (int(t) for t in part.split(","))
+        try:
+            i, j, v = (int(t) for t in part.split(","))
+        except ValueError:
+            raise SpecError(f"--nij entry {part!r} is not three integers; "
+                            "expected i,j,v;...") from None
         table[(i, j)] = v
     return table
 

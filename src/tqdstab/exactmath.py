@@ -495,6 +495,17 @@ class _Lanes:
         lanes[::nb] = data
         return int.from_bytes(lanes, "little")
 
+    def columns_of(self, vectors: Sequence[Sequence[int]],
+                   n: int) -> list[int]:
+        """The n columns of `vectors` (rows of n integers, read mod big),
+        packed: lane r of column j is entry j of vectors[r]."""
+        return list(map(self.pack, zip(*vectors))) if vectors else [0] * n
+
+    def ones(self, n: int) -> int:
+        """n lanes holding 1: `x & ones(n)` keeps each lane's low bit."""
+        return int.from_bytes((1).to_bytes(self.nbytes, "little") * n,
+                              "little")
+
     def read(self, row: int, n: int) -> list[int]:
         """Entries 0..n-1 of a packed row of at most n lanes."""
         data = row.to_bytes(n * self.nbytes, "little")
@@ -663,22 +674,6 @@ class ModSolver:
             unit[i] = big
             vectors.append(unit)
         return vectors
-
-    def columns_of(self, vectors: Sequence[Sequence[int]]) -> tuple:
-        """The columns of `vectors` (one entry per column of this solver,
-        read mod big), packed in lanes: lane r of column j is entry j of
-        vector r. Returns (columns, parities, reduce, read): parities[j]
-        keeps the low bit of each lane of columns[j]; reduce reduces every
-        lane mod big of a packed int whose lanes stay below 2*big**2 (a
-        residue plus a product of a residue and a column); read lists the
-        len(vectors) lanes of a packed int."""
-        lanes, n = self._lanes, len(vectors)
-        columns = (list(map(lanes.pack, zip(*vectors))) if vectors
-                   else [0] * self._n)
-        low = int.from_bytes((1).to_bytes(lanes.nbytes, "little") * n,
-                             "little")
-        return (columns, [col & low for col in columns], lanes.reducer(n),
-                lambda x: lanes.read(x, n))
 
     def _pending_vectors(self) -> list[list[int]]:
         shift, read, n = self._m * self._lanes.width, self._lanes.read, self._n

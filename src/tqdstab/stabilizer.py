@@ -11,12 +11,11 @@ import json
 from array import array
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import mul
 from typing import Literal, Sequence
 
-from .exactmath import ModSolver, Rational01
+from .exactmath import ModSolver, Rational01, _Lanes
 from .pauli import (PauliOperator, QuditSystem, commutation_exponent,
-                    commutation_total, power, product_of_powers)
+                    commutation_total, product_of_powers)
 
 
 class VerificationError(ValueError):
@@ -46,6 +45,13 @@ class MembershipResult:
         return self.verdict == "Member"
 
 
+def _reordering(P: PauliOperator) -> int:
+    """h = sum_s (D/d_s) z[s] x[s] mod 2D, so Z^z X^x = w^{2h} X^x Z^z."""
+    D, dims = P.system.D, P.system.dims
+    return sum((D // dims[s]) * z * P.x[s] for s, z in P.z.items()
+               if s in P.x) % (2 * D)
+
+
 class StabilizerGroup:
     """A qudit system together with a list of Pauli generators."""
 
@@ -62,8 +68,9 @@ class StabilizerGroup:
         self._noncommuting: list[tuple[int, int]] | None = None
         self._odd_pairs = array("I")
         self._solver: ModSolver | None = None
-        # the kernel generators and the beta bit of each pending one
-        self._kernel: tuple[list[list[int]], list[int]] | None = None
+        # the kernel generators, and the packed columns and brackets of the
+        # pending ones
+        self._kernel: tuple[list[list[int]], list[int], int] | None = None
         self._kernel_phases: list[tuple[list[int], int]] | None = None
         if validate:
             self._check_commuting()
@@ -125,98 +132,133 @@ class StabilizerGroup:
         group._check_commuting()
         return group
 
-    # -- scalars reachable as generator combinations ------------------------
+    # -- phases of generator combinations, in closed form -------------------
 
-    def _get_kernel(self) -> tuple[list[list[int]], list[int]]:
-        """The solver's kernel_generators, read once, and for each but the
-        trailing big * e_i the bit beta of its phase (see
-        _get_kernel_phases). Both depend on the exponents only, so rephased
-        groups share the pair: the bits hold for these vectors only.
+    def _combination_phases(self, vectors: Sequence[Sequence[int]],
+                            targets: Sequence[PauliOperator]) -> list[int]:
+        """phi mod 2D for each coefficient vector a, with prod_i g_i^{a_i}
+        = w^phi P for P the matching target in normal form (formula in
+        member_with_phase's docstring). One packed pass for the whole
+        batch; SolverCheckError if some combination does not have its
+        target's exponents."""
+        return self._phase_part(*self._exponent_part(vectors, targets),
+                                len(vectors), targets)
 
-        The vectors' packed columns, one per generator, re-check that every
-        vector is in the kernel: summing v * column over the generators at
-        each lifted coordinate must give zero (SolverCheckError if not).
-        beta is one AND per odd pair and per odd-dimension site on the
-        columns' low bits.
+    def _exponent_part(self, vectors: Sequence[Sequence[int]],
+                       targets: Sequence[PauliOperator] = ()
+                       ) -> tuple[list[int], int]:
+        """The part of _combination_phases that reads exponents only: the
+        vectors' columns, one per generator, packed one lane per vector
+        mod 2D, and the packed GF(2) bracket of each vector against its
+        target (the identity where `targets` is empty).
+
+        This is also the exact re-check that each combination has its
+        target's exponents: at each lifted coordinate the lanes of
+        sum_i (D/d_s) x_i[s] a_i - (D/d_s) x_P[s] = D u_s (mod 2D) must be 0
+        or D, else SolverCheckError. The lanes equal to D are the odd u_s
+        (likewise v_s on the z coordinates); the bracket is one AND per
+        odd pair and a few per site on lane bits.
         """
-        if self._kernel is not None:
-            return self._kernel
-        solver = self._get_solver()
-        vectors = solver.kernel_generators()
-        gens, D, dims = self.generators, self.system.D, self.system.dims
-        columns, parities, reduce, read = solver.columns_of(
-            vectors[:len(vectors) - len(gens)])
-        n = len(dims)
-        sums: dict[int, int] = {}  # lifted coordinate -> packed sum
-        xbits: dict[int, int] = {}  # odd-dimension site -> parity
-        zbits: dict[int, int] = {}
-        for g, col, bit in zip(gens, columns, parities):
-            for site, e in g.x.items():
-                sums[site] = reduce(sums.get(site, 0)
-                                    + e * (D // dims[site]) * col)
-                if e & dims[site] & 1:
-                    xbits[site] = xbits.get(site, 0) ^ bit
-            for site, e in g.z.items():
-                sums[n + site] = reduce(sums.get(n + site, 0)
-                                        + e * (D // dims[site]) * col)
-                if e & dims[site] & 1:
-                    zbits[site] = zbits.get(site, 0) ^ bit
-        if any(sums.values()):
-            raise SolverCheckError("kernel combination is not scalar")
+        self._check_commuting()
+        D, dims = self.system.D, self.system.dims
+        n, count = len(dims), len(vectors)
+        lanes = _Lanes(2 * D)
+        reduce, ones = lanes.reducer(count), lanes.ones(count)
+        columns = lanes.columns_of(vectors, len(self.generators))
+        sums: dict[int, int] = {}  # lifted coordinate -> packed D u_s
+        parities: dict[int, int] = {}  # target's coordinate -> its parities
+        for r, P in enumerate(targets):
+            lane = 1 << r * lanes.width
+            for offset, exps in ((0, P.x), (n, P.z)):
+                for site, e in exps.items():
+                    coord = offset + site
+                    sums[coord] = sums.get(coord, 0) + (
+                        -e * (D // dims[site]) % (2 * D) * lane)
+                    if e & 1:
+                        parities[coord] = parities.get(coord, 0) | lane
+        for g, col in zip(self.generators, columns):
+            for offset, exps in ((0, g.x), (n, g.z)):
+                for site, e in exps.items():
+                    sums[offset + site] = reduce(sums.get(offset + site, 0)
+                                                 + e * (D // dims[site]) * col)
+        low = (D & -D).bit_length() - 1  # the lowest set bit of D
+        odd: dict[int, int] = {}  # lifted coordinate -> packed u_s mod 2
+        for coord, total in sums.items():
+            bits = total >> low & ones
+            if total != bits * D:
+                raise SolverCheckError(
+                    "combination over its target is not scalar")
+            # kept only where the bracket reads it
+            if bits and (dims[coord % n] & 1
+                         or (coord + n) % (2 * n) in parities):
+                odd[coord] = bits
         beta = 0
         pairs = iter(self._odd_pairs)
         for i, j in zip(pairs, pairs):
-            beta ^= parities[i] & parities[j]
-        for site, bit in xbits.items():
-            beta ^= bit & zbits.get(site, 0)
-        self._kernel = (vectors, read(beta))
+            beta ^= columns[i] & columns[j]
+        beta &= ones
+        for site in {coord % n for coord in odd}:
+            u, v = odd.get(site, 0), odd.get(n + site, 0)
+            beta ^= (parities.get(site, 0) & v) ^ (parities.get(n + site, 0)
+                                                   & u)
+            if dims[site] & 1:
+                beta ^= u & v
+        return columns, beta
+
+    def _phase_part(self, columns: list[int], beta: int, count: int,
+                    targets: Sequence[PauliOperator] = ()) -> list[int]:
+        """The lanes of the packed linear term sum_i a_i (p_i - h_i) + h_P
+        plus D times the bracket, mod 2D: _combination_phases from
+        _exponent_part's columns and bracket for `count` vectors."""
+        D = self.system.D
+        lanes = _Lanes(2 * D)
+        reduce = lanes.reducer(count)
+        acc = sum(_reordering(P) << r * lanes.width
+                  for r, P in enumerate(targets))
+        for g, col in zip(self.generators, columns):
+            weight = (g.phase - _reordering(g)) % (2 * D)
+            if weight:
+                acc = reduce(acc + weight * col)
+        return lanes.read(reduce(acc + D * beta), count)
+
+    def _get_kernel(self) -> tuple[list[list[int]], list[int], int]:
+        """The solver's kernel_generators, read once, with the packed
+        columns and brackets (_exponent_part) of all but the trailing
+        big * e_i. They depend on the exponents only, so rephased groups
+        share the triple: the brackets hold for these vectors only."""
+        if self._kernel is None:
+            vectors = self._get_solver().kernel_generators()
+            self._kernel = (vectors, *self._exponent_part(
+                vectors[:len(vectors) - len(self.generators)]))
         return self._kernel
 
     def _get_kernel_phases(self) -> list[tuple[list[int], int]]:
         """(vector, phase) for each of the solver's kernel_generators: the
         combination is a scalar, and phase is its exponent mod 2D. Computed
-        once per group, multiplying no operators but g^big for the trailing
-        big * e_i. The phases generate the subgroup gcd(2D, *phases) Z of
-        Z_{2D}.
+        once per group, multiplying no operators. The phases generate the
+        subgroup gcd(2D, *phases) Z of Z_{2D}.
 
-        For g_i = w^{p_i} X^{x_i} Z^{z_i} (w = e^{i pi/D}) and a kernel
-        vector a, prod_i g_i^{a_i} = w^phi where, mod 2D and with ab = a % 2,
-
-            phi = sum_i a_i (p_i - h_i) + D beta(ab),
-            h_i = sum_s (D/d_s) z_i[s] x_i[s],
-            beta(ab) = sum_{i<j, m_ij odd} ab_i ab_j
-                + sum_{s: d_s odd} (sum_i ab_i x_i[s]) (sum_i ab_i z_i[s]),
-
-        and D m_ij = commutation_total(g_i, g_j). Derivation: the ordered
-        product's phase is sum_i a_i p_i + C(a_i, 2) 2h_i plus sum_{i<j}
-        a_i a_j G_ij, G_ij = sum_s 2(D/d_s) z_i[s] x_j[s]. On the kernel
-        x(a) = d u and z(a) = d v, so sum_{i,j} a_i a_j G_ij = 2D sum_s d_s
-        u_s v_s; with G_ij - G_ji = 2D m_ij the a_i^2 terms cancel.
+        A pending kernel vector is the identity-target case of
+        _combination_phases, its bracket shared through _get_kernel. A
+        trailing big * e_i (big = D) gives
+        g_i^D = w^{D p_i + D (D - 1) h_i}: it is a scalar because every d_s
+        divides D.
         """
         if self._kernel_phases is None:
-            self._check_commuting()
-            vectors, betas = self._get_kernel()
-            D, dims = self.system.D, self.system.dims
-            two_d = 2 * D
-            linear = {}  # generator -> p_i - h_i mod 2D, nonzero only
-            for i, g in enumerate(self.generators):
-                w = (g.phase - sum((D // dims[s]) * z * g.x[s]
-                                   for s, z in g.z.items() if s in g.x)
-                     ) % two_d
-                if w:
-                    linear[i] = w
-            at, weights = list(linear), list(linear.values())
-            table = [(vec, (sum(map(mul, map(vec.__getitem__, at), weights))
-                            + D * beta) % two_d)
-                     for vec, beta in zip(vectors, betas)]
-            big = self._get_solver().big
-            for vec, g in zip(vectors[len(betas):], self.generators):
-                op = power(g, big)
-                if not op.is_scalar():
-                    raise SolverCheckError("kernel combination is not scalar")
-                table.append((vec, op.phase))
-            self._kernel_phases = table
+            vectors, columns, beta = self._get_kernel()
+            D = self.system.D
+            rows = len(vectors) - len(self.generators)
+            phases = self._phase_part(columns, beta, rows)
+            phases += [D * (g.phase + (D - 1) * _reordering(g)) % (2 * D)
+                       for g in self.generators]
+            self._kernel_phases = list(zip(vectors, phases))
         return self._kernel_phases
+
+    def _scalar_step(self) -> int:
+        """gcd(2D, kernel phases): the group's scalars are exactly the
+        w^phi with phi a multiple of it."""
+        return gcd(2 * self.system.D,
+                   *(phase for _, phase in self._get_kernel_phases()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -306,31 +348,52 @@ def logical_dimension(S: StabilizerGroup) -> int:
 
 
 def member_with_phase(S: StabilizerGroup, P: PauliOperator) -> MembershipResult:
-    """Express P as a generator combination, tracking the phase residual."""
+    """Express P as a generator combination, tracking the phase residual.
+
+    The group must commute (NonCommutingError otherwise). The solver gives
+    coefficients a with the exponents of P; the phase of the combination
+    is read in closed form, with no operator products. For g_i =
+    w^{p_i} X^{x_i} Z^{z_i} (w = e^{i pi/D}) and P = w^{p_P} X^{x_P}
+    Z^{z_P} in normal form, write X_s = sum_i a_i x_i[s] = x_P[s] + d_s u_s
+    and Z_s = sum_i a_i z_i[s] = z_P[s] + d_s v_s as unreduced integers.
+    Then prod_i g_i^{a_i} = w^phi X^{x_P} Z^{z_P} with, mod 2D and with
+    ab = a % 2,
+
+        phi = sum_i a_i (p_i - h_i) + h_P + D [ sum_{i<j, m_ij odd} ab_i ab_j
+              + sum_s (x_P[s] v_s + z_P[s] u_s + d_s u_s v_s) ],
+        h = sum_s (D/d_s) z[s] x[s],  D m_ij = commutation_total(g_i, g_j).
+
+    Derivation: (1) the ordered product's phase is sum_i (a_i p_i +
+    (a_i^2 - a_i) h_i) + sum_{i<j} a_i a_j G_ij, G_ij = sum_s 2 (D/d_s)
+    z_i[s] x_j[s]; (2) G_ij - G_ji = 2 D m_ij, and the symmetric half sums
+    to sum_s (D/d_s) Z_s X_s, whose a_i^2 terms cancel the h_i ones;
+    (3) expanding X_s and Z_s as above gives the bracket. With P the
+    identity this is the kernel table's formula.
+
+    A nonzero residual that some scalar of the group supplies is folded
+    into the coefficients, and the folded vector is re-checked to give P
+    exactly.
+    """
+    S._check_commuting()
     coeffs = S._get_solver().solve(S._lifted(P))
     if coeffs is None:
         return MembershipResult((), Rational01(0), "NotMember")
-    combo = S.combination(coeffs)
-    if combo.x != P.x or combo.z != P.z:
-        raise SolverCheckError("exponent solve mismatch")
     two_d = 2 * S.system.D
-    delta = (P.phase - combo.phase) % two_d
+    delta = (P.phase - S._combination_phases([coeffs], [P])[0]) % two_d
     if delta == 0:
         return MembershipResult(tuple(coeffs), Rational01(0), "Member")
     table = S._get_kernel_phases()
-    phases = [phase for _, phase in table]
-    if delta % gcd(two_d, *phases) == 0:
+    if delta % S._scalar_step() == 0:
         # Some identity-exponent combination supplies the missing phase;
         # fold it into the coefficients so the combination is exact.
-        fix = ModSolver([[p] for p in phases], [two_d]).solve([delta])
+        fix = ModSolver([[p] for _, p in table], [two_d]).solve([delta])
         if fix is None:
             raise SolverCheckError(
                 "no kernel combination has the missing phase")
         for f, (vec, _) in zip(fix, table):
             if f:
                 coeffs = [c + f * a for c, a in zip(coeffs, vec)]
-        combo = S.combination(coeffs)
-        if combo != P:
+        if S._combination_phases([coeffs], [P]) != [P.phase]:
             raise SolverCheckError("phase-corrected combination mismatch")
         return MembershipResult(tuple(coeffs), Rational01(0), "Member")
     return MembershipResult(tuple(coeffs), Rational01(delta, two_d),
@@ -365,6 +428,32 @@ def measure(S: StabilizerGroup,
 
 
 def groups_equal(S1: StabilizerGroup, S2: StabilizerGroup) -> bool:
-    """Mutual generator membership, exact including phases."""
-    return (all(member_with_phase(S2, g).is_member for g in S1.generators)
-            and all(member_with_phase(S1, g).is_member for g in S2.generators))
+    """<S1> == <S2> exactly, phases included; both groups must commute.
+
+    One direction suffices. Each generator of S1 is solved against S2
+    (stopping at the first non-member), and one packed pass of
+    _combination_phases gives every phase gap at once; each gap must be a
+    scalar of <S2>, a multiple of gcd(2D, S2's kernel phases). Then
+    S1 is inside <S2>, and with equal image sizes the exponent images are
+    equal, so every h in <S2> is a scalar times an element of <S1>. That
+    scalar lies in <S1> iff scalars(<S2>) is inside scalars(<S1>), i.e.
+    iff the two gcds are equal.
+    """
+    S1._check_commuting()
+    S2._check_commuting()
+    solver = S2._get_solver()
+    if S1._get_solver().image_size() != solver.image_size():
+        return False
+    vectors = []
+    for g in S1.generators:
+        coeffs = solver.solve(S2._lifted(g))
+        if coeffs is None:
+            return False
+        vectors.append(coeffs)
+    phases = S2._combination_phases(vectors, S1.generators)
+    step = S2._scalar_step()
+    two_d = 2 * S2.system.D
+    if any((g.phase - phi) % two_d % step
+           for g, phi in zip(S1.generators, phases)):
+        return False
+    return S1._scalar_step() == step

@@ -9,11 +9,12 @@ from itertools import product as iproduct
 from math import gcd, prod
 from typing import Sequence
 
-from tqdstab.exactmath import _unit_for, _xgcd
+from tqdstab.exactmath import ModSolver, Rational01, _unit_for, _xgcd
 from tqdstab.pauli import (PauliOperator, adjoint, multiply, power, product,
                            product_of_powers)
-from tqdstab.stabilizer import (NonCommutingError, SolverCheckError,
-                                StabilizerGroup, group_order)
+from tqdstab.stabilizer import (MembershipResult, NonCommutingError,
+                                SolverCheckError, StabilizerGroup,
+                                group_order)
 
 
 def scan_unit_for(a: int, N: int) -> int:
@@ -106,6 +107,45 @@ def kernel_phases_by_products(group) -> list[tuple[list[int], int]]:
             raise SolverCheckError("kernel combination is not scalar")
         table.append((vec, op.phase))
     return table
+
+
+def member_with_phase_by_products(S: StabilizerGroup,
+                                  P: PauliOperator) -> MembershipResult:
+    """`stabilizer.member_with_phase` by multiplying out the combination
+    the solver gives (and the folded one) in generator order, with the
+    kernel table of kernel_phases_by_products: the route it took before
+    its closed form."""
+    coeffs = S._get_solver().solve(S._lifted(P))
+    if coeffs is None:
+        return MembershipResult((), Rational01(0), "NotMember")
+    combo = S.combination(coeffs)
+    if combo.x != P.x or combo.z != P.z:
+        raise SolverCheckError("exponent solve mismatch")
+    two_d = 2 * S.system.D
+    delta = (P.phase - combo.phase) % two_d
+    if delta == 0:
+        return MembershipResult(tuple(coeffs), Rational01(0), "Member")
+    table = kernel_phases_by_products(S)
+    phases = [phase for _, phase in table]
+    if delta % gcd(two_d, *phases) == 0:
+        fix = ModSolver([[p] for p in phases], [two_d]).solve([delta])
+        for f, (vec, _) in zip(fix, table):
+            if f:
+                coeffs = [c + f * a for c, a in zip(coeffs, vec)]
+        if S.combination(coeffs) != P:
+            raise SolverCheckError("phase-corrected combination mismatch")
+        return MembershipResult(tuple(coeffs), Rational01(0), "Member")
+    return MembershipResult(tuple(coeffs), Rational01(delta, two_d),
+                            "MemberUpToPhase")
+
+
+def groups_equal_by_members(S1: StabilizerGroup, S2: StabilizerGroup) -> bool:
+    """<S1> == <S2> by exact membership of every generator of each group in
+    the other (member_with_phase_by_products), both directions."""
+    return (all(member_with_phase_by_products(S2, g).is_member
+                for g in S1.generators)
+            and all(member_with_phase_by_products(S1, g).is_member
+                    for g in S2.generators))
 
 
 def junction_exponent_by_products(w1, w2, w3) -> int:

@@ -323,6 +323,19 @@ class TestOneSpecReader:
         assert out == ""
         assert "nij key" in err
 
+    @pytest.mark.parametrize("nij", ["0,1", "0,1,1,2", "0,1,x",
+                                     "0,1,1;1,2"],
+                             ids=["too-few", "too-many", "non-integer",
+                                  "second-entry"])
+    def test_malformed_nij_names_the_entry(self, capsys, nij):
+        code, out, err = self._run(capsys, "verify", "condensation-equality",
+                                   "--N", "2,2", "--n", "1,1", "--nij", nij)
+        assert code == 2
+        assert out == ""
+        bad = nij.split(";")[-1]
+        assert f"--nij entry {bad!r}" in err and "i,j,v;..." in err
+        assert "unpack" not in err and "literal" not in err
+
     @pytest.mark.parametrize("command,spec,message", [
         (["model", "build"], {"type": "tqd", "N": 2, "L": 3},
          "'N' must be a list of integers"),

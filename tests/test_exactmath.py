@@ -576,23 +576,27 @@ class TestSolverProperties:
     @given(mod_systems(), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_columns_of_transposes_the_vectors(self, system, rng):
+        # kernel vectors packed mod big and mod 2 * big, as the stabilizer
+        # module packs combination coefficients mod 2D
         columns, _, moduli = system
-        big = lcm(*moduli)
-        solver = ModSolver(columns, moduli)
-        vectors = solver.kernel_generators()
-        packed, parities, reduce, read = solver.columns_of(vectors)
-        assert len(packed) == len(parities) == len(columns)
-        for j, (col, bits) in enumerate(zip(packed, parities)):
-            assert read(col) == [vec[j] % big for vec in vectors]
-            assert read(bits) == [vec[j] % big % 2 for vec in vectors]
-        weights = [rng.randrange(big) for _ in packed]
-        acc = 0
-        for w, col in zip(weights, packed):
-            acc = reduce(acc + w * col)
-        assert read(acc) == [sum(w * v for w, v in zip(weights, vec)) % big
-                             for vec in vectors]
-        empty, _, _, read_none = solver.columns_of([])
-        assert empty == [0] * len(columns) and read_none(0) == []
+        vectors = ModSolver(columns, moduli).kernel_generators()
+        for big in (lcm(*moduli), 2 * lcm(*moduli)):
+            lanes = exactmath._Lanes(big)
+            n, ones = len(vectors), lanes.ones(len(vectors))
+            packed = lanes.columns_of(vectors, len(columns))
+            assert len(packed) == len(columns)
+            for j, col in enumerate(packed):
+                assert lanes.read(col, n) == [vec[j] % big for vec in vectors]
+                assert lanes.read(col & ones, n) == [vec[j] % big % 2
+                                                     for vec in vectors]
+            weights = [rng.randrange(big) for _ in packed]
+            acc, reduce = 0, lanes.reducer(n)
+            for w, col in zip(weights, packed):
+                acc = reduce(acc + w * col)
+            assert lanes.read(acc, n) == [
+                sum(w * v for w, v in zip(weights, vec)) % big
+                for vec in vectors]
+            assert lanes.columns_of([], len(columns)) == [0] * len(columns)
 
     @given(mod_systems())
     @settings(max_examples=150, deadline=None)

@@ -12,14 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kernel_phases_by_products
+from oracles import (groups_equal_by_members, kernel_phases_by_products,
+                     member_with_phase_by_products)
 
 from tqdstab import exactmath, pauli, stabilizer
 from tqdstab.exactmath import Rational01
 from tqdstab.lattice import (DS_PARAMS, TqdParams, build_ds, build_hatted_ds,
                              build_spt, build_tqd, build_zn_tc)
 from tqdstab.pauli import (PauliOperator, QuditSystem, commutation_phase,
-                           commutes, multiply, scalar, single)
+                           commutes, multiply, product_of_powers, scalar,
+                           single)
 from tqdstab.stabilizer import (InconsistentGroupError, NonCommutingError,
                                 SolverCheckError, StabilizerGroup,
                                 assert_commuting,
@@ -71,6 +73,16 @@ def count_commuting_checks(monkeypatch):
     monkeypatch.setattr(stabilizer, "assert_commuting",
                         lambda group: calls.append(group) or original(group))
     return calls
+
+
+def forbid_products(monkeypatch):
+    """Make every route to a product of generator powers raise."""
+    def refuse(*args):
+        raise AssertionError("operator product taken")
+
+    for module in (pauli, stabilizer):
+        monkeypatch.setattr(module, "product_of_powers", refuse)
+    monkeypatch.setattr(StabilizerGroup, "combination", refuse)
 
 
 def all_pairs_noncommuting(S):
@@ -435,7 +447,7 @@ class TestKernelPhaseClosedForm:
         gens = [multiply(scalar(group.system, rng.randrange(two_d)), g)
                 for g in group.generators]
         # a fresh group runs every step; a rephased one reuses the vectors
-        # and beta bits and computes only its own linear term
+        # and brackets and computes only its own linear term
         fresh = StabilizerGroup(group.system, gens, validate=False)
         table = fresh._get_kernel_phases()
         assert table == kernel_phases_by_products(fresh)
@@ -473,20 +485,188 @@ class TestKernelPhaseClosedForm:
             member_with_phase(S, P)
 
     def test_table_multiplies_no_combinations(self, monkeypatch):
-        # Only the k single-generator powers g^big are multiplied out.
+        # Not even the k single-generator powers g^big are multiplied out.
         group = kernel_build("tqd22-twisted", (3, 3))
-        factors = []
-        original = pauli.product_of_powers
-
-        def counting(system, pairs):
-            pairs = list(pairs)
-            factors.append(len(pairs))
-            return original(system, pairs)
-
-        monkeypatch.setattr(pauli, "product_of_powers", counting)
+        forbid_products(monkeypatch)
         S = StabilizerGroup(group.system, group.generators, validate=False)
         assert scalar_consistency(S).consistent
-        assert factors == [1] * len(S.generators)
+
+
+def random_element(rng, gens, system):
+    """A random scalar times a random product of powers of gens."""
+    return multiply(scalar(system, rng.randrange(2 * system.D)),
+                    product_of_powers(system, [(g, rng.randrange(-3, 6))
+                                               for g in gens]))
+
+
+def equivalent_generators(rng, gens):
+    """Another generating set of <gens>: shuffled, each generator times
+    powers of those after it (a unimodular change)."""
+    gens = list(gens)
+    rng.shuffle(gens)
+    system = gens[0].system if gens else None
+    return [product_of_powers(system, [(g, 1)] + [(h, rng.randrange(3))
+                                                  for h in gens[i + 1:]])
+            for i, g in enumerate(gens)]
+
+
+@st.composite
+def phased_groups(draw):
+    """A commuting group on odd, even and mixed dimensions with random
+    generator phases, plus redundant generators (scalars times products of
+    the others) whose kernel vectors carry phases that membership folds."""
+    rng = draw(st.randoms(use_true_random=False))
+    dims = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 9]), min_size=1,
+                         max_size=3))
+    base = random_commuting_group(rng, dims, rng.randrange(1, 5))
+    system, two_d = base.system, 2 * base.system.D
+    gens = [multiply(scalar(system, rng.randrange(two_d)), g)
+            for g in base.generators]
+    for _ in range(rng.randrange(3)):
+        gens.append(random_element(rng, gens, system))
+    rng.shuffle(gens)
+    return rng, StabilizerGroup(system, gens)
+
+
+def membership_targets(rng, S):
+    """Group elements with random scalars (Member, MemberUpToPhase and fold
+    cases), the generators themselves, and random Paulis (mostly
+    non-members)."""
+    system = S.system
+    targets = [random_element(rng, S.generators, system) for _ in range(4)]
+    targets += S.generators[:3]
+    for _ in range(2):
+        sites = rng.sample(range(system.n_sites), min(2, system.n_sites))
+        targets.append(PauliOperator(
+            system, phase=rng.randrange(2 * system.D),
+            x={s: rng.randrange(system.dims[s]) for s in sites},
+            z={s: rng.randrange(system.dims[s]) for s in sites}))
+    return targets
+
+
+class TestClosedFormMembership:
+    """member_with_phase and groups_equal, which read combination phases
+    in closed form, against multiplying the combinations out
+    (tests/oracles.py)."""
+
+    @given(phased_groups())
+    @settings(max_examples=150, deadline=None)
+    def test_membership_equals_products(self, drawn):
+        rng, S = drawn
+        for P in membership_targets(rng, S):
+            assert member_with_phase(S, P) == member_with_phase_by_products(
+                S, P)
+
+    @given(phased_groups(), st.sampled_from(
+        ["same", "phase", "drop", "scalar", "extra"]))
+    @settings(max_examples=150, deadline=None)
+    def test_groups_equal_equals_both_directions(self, drawn, change):
+        rng, S2 = drawn
+        system, two_d = S2.system, 2 * S2.system.D
+        gens = equivalent_generators(rng, S2.generators)
+        if gens and change == "phase":
+            i = rng.randrange(len(gens))
+            gens[i] = multiply(scalar(system, rng.randrange(1, two_d)),
+                               gens[i])
+        elif gens and change == "drop":
+            gens.pop(rng.randrange(len(gens)))
+        elif change == "scalar":
+            gens.append(scalar(system, rng.randrange(two_d)))
+        elif change == "extra":
+            site = rng.randrange(system.n_sites)
+            extra = single(system, site, "Z", 1)
+            if all(commutes(extra, g) for g in gens):
+                gens.append(extra)
+        S1 = StabilizerGroup(system, gens)
+        expected = groups_equal_by_members(S1, S2)
+        assert groups_equal(S1, S2) == expected
+        assert groups_equal(S2, S1) == expected
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_BUILDS))
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=3, deadline=None)
+    def test_builders_equal_products(self, name, seed):
+        group = kernel_build(name, (3, 3))
+        rng = random.Random(seed)
+        for P in membership_targets(rng, group):
+            assert member_with_phase(group, P) == (
+                member_with_phase_by_products(group, P))
+        gens = equivalent_generators(rng, group.generators)
+        flip = rng.randrange(2)
+        if flip:
+            gens[0] = multiply(scalar(group.system, group.system.D), gens[0])
+        other = StabilizerGroup(group.system, gens)
+        expected = groups_equal_by_members(other, group)
+        assert expected == (not flip)
+        assert groups_equal(other, group) == expected
+
+    @pytest.mark.parametrize("phases,flip", [((0, 0), 2), ((0, 0, 2), 1)])
+    def test_flipped_phase_is_not_equal(self, phases, flip):
+        # equal images and equal scalar subgroups ({1}, then {1, -1} from
+        # X0 and -X0), but Z1 rephased by -1 or by i
+        sysm = QuditSystem([2, 2])
+        X0, Z1 = single(sysm, 0, "X", 1), single(sysm, 1, "Z", 1)
+        gens = [multiply(scalar(sysm, p), g)
+                for p, g in zip(phases, [X0, Z1, X0])]
+        S = StabilizerGroup(sysm, gens)
+        gens[1] = multiply(scalar(sysm, flip), Z1)
+        flipped = S.rephased(gens)
+        assert group_order(flipped) == group_order(S)
+        assert S._scalar_step() == flipped._scalar_step()
+        assert not groups_equal(flipped, S)
+        assert not groups_equal(S, flipped)
+        assert not groups_equal_by_members(S, flipped)
+
+    def test_different_scalars_are_not_equal(self):
+        # [X] and [X, -X] have one image, but only the second holds -1
+        sysm = QuditSystem([2])
+        X = single(sysm, 0, "X", 1)
+        S1 = StabilizerGroup(sysm, [X])
+        S2 = StabilizerGroup(sysm, [X, multiply(scalar(sysm, 2), X)])
+        assert group_order(S1) == group_order(S2)
+        assert not groups_equal(S1, S2)
+        assert not groups_equal(S2, S1)
+        assert not groups_equal_by_members(S1, S2)
+
+    @pytest.mark.parametrize("check", ["member", "equal"])
+    def test_wrong_solve_raises(self, monkeypatch, check):
+        group = kernel_build("tqd3-n1", (3, 3))
+        other = StabilizerGroup(group.system, group.generators)
+        solve = exactmath.ModSolver.solve
+
+        def wrong(self, b):
+            x = solve(self, b)
+            if x is not None:
+                x[len(x) // 2] += 1
+            return x
+
+        monkeypatch.setattr(exactmath.ModSolver, "solve", wrong)
+        with pytest.raises(SolverCheckError, match="not scalar"):
+            if check == "member":
+                member_with_phase(group, group.generators[7])
+            else:
+                groups_equal(other, group)
+
+    def test_noncommuting_group_raises_at_zero_gap(self):
+        sysm = QuditSystem([2])
+        X, Z = single(sysm, 0, "X", 1), single(sysm, 0, "Z", 1)
+        S = StabilizerGroup(sysm, [X, Z], validate=False)
+        with pytest.raises(NonCommutingError):
+            member_with_phase(S, X)
+        with pytest.raises(NonCommutingError):
+            groups_equal(StabilizerGroup(sysm, [X]), S)
+
+    def test_no_operator_products(self, monkeypatch):
+        group = kernel_build("tqd22-twisted", (3, 3))
+        rng = random.Random(7)
+        targets = membership_targets(rng, group)
+        expected = [member_with_phase_by_products(group, P) for P in targets]
+        other = StabilizerGroup(group.system,
+                                equivalent_generators(rng, group.generators))
+        forbid_products(monkeypatch)
+        S = StabilizerGroup(group.system, group.generators)
+        assert [member_with_phase(S, P) for P in targets] == expected
+        assert groups_equal(other, S)
 
 
 def phase_closure(phases, two_d):
@@ -528,8 +708,8 @@ class TestKernelPhases:
             assert res.is_member
             assert original(S, res.coefficients) == target
         assert len(reads) == 1
-        # each membership call: one check of the solve, one of the fix
-        assert len(calls) == 2 * 2
+        # the solve and the fold are re-checked in closed form
+        assert calls == []
 
     @pytest.mark.parametrize("build", [
         lambda: build_ds(3, 3),
