@@ -6,11 +6,13 @@ endpoint and are ordered counter-clockwise; braiding comes from the
 commutation phase of two transversally crossing strings; fusion orders from
 braiding-vector triviality. Phases are measured as integer exponents (theta
 in Z_{2D}, braiding in Z_D) and become Rational01 values only on the way
-out; extract_theory builds each label's strings once, checks the
-theta-ratio identity on every pair in integers, and validates its junction
-once. The module also builds the torus logical algebra from noncontractible
-strings and extracts the boundary 3-cocycle of the SPT model from the
-failure of the group law of the truncated boundary symmetry.
+out. extract_theory measures theta on the box of generator exponents and
+the k^2 generator crossings, certifies that each box loop is the matching
+combination of generator loops (so braiding is bilinear), and checks the
+theta ratio on each (vector, generator) pair. The module also builds the
+torus logical algebra from noncontractible strings and extracts the
+boundary 3-cocycle of the SPT model from the failure of the group law of
+the truncated boundary symmetry.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import lcm
+from operator import mul
 
 from .exactmath import IntMatrix, ModSolver, Rational01
 from .pauli import (PauliOperator, adjoint, commutation_exponent,
@@ -34,7 +37,7 @@ class ConfinedLabelError(VerificationError):
 
 
 class InconsistentExtractionError(VerificationError):
-    """Measured braiding disagrees with the theta-ratio identity."""
+    """Measured data fail the theta-ratio identity or the loop certificate."""
 
 
 class DecompositionError(VerificationError):
@@ -246,11 +249,11 @@ def fusion_order(model: LatticeModel, label,
 
 def _combine(gen_labels: tuple[AnyonLabel, ...], vec) -> AnyonLabel:
     """The label with exponent vector `vec` over the generator labels."""
-    n_layers = len(gen_labels[0].flux)
-    lab = AnyonLabel((0,) * n_layers, (0,) * n_layers)
-    for k, g in zip(vec, gen_labels):
-        lab = lab.combine(k * g)
-    return lab
+    vec = tuple(vec)
+    flux = zip(*(g.flux for g in gen_labels))
+    charge = zip(*(g.charge for g in gen_labels))
+    return AnyonLabel(tuple(sum(map(mul, vec, f)) for f in flux),
+                      tuple(sum(map(mul, vec, c)) for c in charge))
 
 
 @dataclass(frozen=True)
@@ -272,75 +275,72 @@ class ExtractedTheory:
         return _combine(self.generator_labels, vec)
 
     def box(self) -> list[tuple[int, ...]]:
-        return [tuple(v) for v in
-                iproduct(*(range(o) for o in self.fusion_orders))]
+        return list(iproduct(*map(range, self.fusion_orders)))
 
 
 def extract_theory(model: LatticeModel,
                    junction: JunctionSpec | None = None) -> ExtractedTheory:
     """Measure theta/B tables over the generating labels and assemble the
-    quotient theory; verifies B(a, a') = theta(a a') - theta(a) - theta(a')."""
+    quotient theory. Measured: theta on the box and the k x k generator
+    braidings B. Certified: each box vector's two loops carry the exponents
+    of that combination of generator loops, so b(v, w) = v B w mod D.
+    Checked: 2 b(v, e_g) = theta(v + e_g) - theta(v) - theta(e_g) on every
+    (box vector v, generator g), hence on every pair summing into the box."""
     labels = generating_labels(model)
     names = tuple(labels)
     probe = _Probe(model, junction)
     gen_labels = tuple(probe.deconfined(labels[n]) for n in names)
-    partners = tuple(labels.values())
-    orders = tuple(probe.fusion_order(g, partners) for g in gen_labels)
-
-    # Per exponent vector: its label, its two loops and its theta exponent
-    # in Z_{2D}, each made once; braiding exponents are in Z_D.
-    label_of: dict[tuple[int, ...], AnyonLabel] = {}
-
-    def label(vec) -> AnyonLabel:
-        vec = tuple(vec)
-        lab = label_of.get(vec)
-        if lab is None:
-            lab = label_of[vec] = _combine(gen_labels, vec)
-        return lab
+    orders = tuple(probe.fusion_order(g, gen_labels) for g in gen_labels)
 
     def t_of(vec) -> int:
-        return probe.theta(label(vec))
+        return probe.theta(_combine(gen_labels, vec))
 
-    box = [tuple(v) for v in iproduct(*(range(o) for o in orders))]
+    box = list(iproduct(*map(range, orders)))
     theta = {vec: t_of(vec) for vec in box}
-    horizontal = [probe.loop(label(v), "horizontal") for v in box]
-    vertical = [probe.loop(label(v), "vertical") for v in box]
-    braiding = {(v1, v2): _braid_exponent(w1, w2)
-                for v1, w1 in zip(box, horizontal)
-                for v2, w2 in zip(box, vertical)}
+    for direction in ("horizontal", "vertical"):
+        gen_loops = [probe.loop(g, direction) for g in gen_labels]
+        for vec in box:
+            combo = product_of_powers(model.system, zip(gen_loops, vec))
+            loop = probe.loop(_combine(gen_labels, vec), direction)
+            if (loop.x, loop.z) != (combo.x, combo.z):
+                raise InconsistentExtractionError(f"the {direction} loop of "
+                                                  f"{vec} is not linear")
 
-    # Internal consistency: braiding must equal the theta ratio,
-    # 2 b(v1, v2) = t(v1 + v2) - t(v1) - t(v2) mod 2D.
-    D = probe.D
+    # Rows r_v = v B mod D give b(v, e_g) = r_v[g], checked against the
+    # theta ratio, and b(v, w) = r_v . w over the box.
+    D, k = probe.D, len(names)
+    B = [[probe.braid(g, h) for h in gen_labels] for g in gen_labels]
+    units = [tuple(int(t == g) for t in range(k)) for g in range(k)]
     b_phase = [Rational01(e, D) for e in range(D)]
     t_phase = [Rational01(e, 2 * D) for e in range(2 * D)]
-    for (v1, v2), e in braiding.items():
-        ratio = (t_of(tuple(x + y for x, y in zip(v1, v2)))
-                 - theta[v1] - theta[v2])
-        if (2 * e - ratio) % (2 * D):
-            raise InconsistentExtractionError(
-                f"B{v1, v2} != theta-ratio: {b_phase[e]} vs "
-                f"{t_phase[ratio % (2 * D)]}")
+    braiding, rows = {}, {}
+    for v in box:
+        r = rows[v] = [sum(c * Bg[h] for c, Bg in zip(v, B)) % D
+                       for h in range(k)]
+        for g, e in enumerate(units):
+            ratio = (t_of(map(sum, zip(v, e))) - theta[v] - t_of(e)) % (2 * D)
+            if (2 * r[g] - ratio) % (2 * D):
+                raise InconsistentExtractionError(
+                    f"B{v, e} = {b_phase[r[g]]}, theta ratio {t_phase[ratio]}")
+        values = [0]
+        for rh, o in zip(r, orders):
+            values = [a + rh * j for a in values for j in range(o)]
+        braiding.update(((v, w), b_phase[e % D]) for w, e in zip(box, values))
 
     # Quotient by the measured transparent vectors.
-    k = len(names)
-    units = [tuple(1 if t == i else 0 for t in range(k)) for i in range(k)]
-    columns = [[orders[i] if r == i else 0 for r in range(k)]
-               for i in range(k)]
-    for vec in box:
-        if any(vec) and not theta[vec] and not any(
-                braiding[(vec, g)] for g in units):
-            columns.append(list(vec))
+    columns = [[o * t for t in e] for o, e in zip(orders, units)] + [
+        list(v) for v in box if any(v) and not theta[v] and not any(rows[v])]
     relations = IntMatrix([[col[r] for col in columns] for r in range(k)],
                           rows=k, cols=len(columns))
     presented = anyon.theory_from_presentation(
         k, lambda vec: t_phase[t_of(vec)],
-        lambda v1, v2: b_phase[probe.braid(label(v1), label(v2))],
+        lambda v1, v2: b_phase[probe.braid(_combine(gen_labels, v1),
+                                           _combine(gen_labels, v2))],
         relations)
     return ExtractedTheory(
         names, gen_labels, orders,
         {vec: t_phase[e] for vec, e in theta.items()},
-        {pair: b_phase[e] for pair, e in braiding.items()}, presented.theory)
+        braiding, presented.theory)
 
 
 def extraction_report(model: LatticeModel) -> dict:

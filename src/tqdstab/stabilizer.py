@@ -400,13 +400,32 @@ def member_with_phase(S: StabilizerGroup, P: PauliOperator) -> MembershipResult:
                             "MemberUpToPhase")
 
 
+def _commutation_columns(gens: Sequence[PauliOperator],
+                         probes: Sequence[PauliOperator]) -> list[list[int]]:
+    """[[commutation_exponent(g, probe) for probe in probes] for g in gens].
+
+    Probes are indexed by site, as assert_commuting indexes generators, so
+    only pairs that share a site are evaluated; every other entry is 0.
+    """
+    touching: dict[int, list[int]] = {}
+    for j, probe in enumerate(probes):
+        for site in probe.support:
+            touching.setdefault(site, []).append(j)
+    columns = []
+    for g in gens:
+        column = [0] * len(probes)
+        for j in {j for site in g.support for j in touching.get(site, ())}:
+            column[j] = commutation_exponent(g, probes[j])
+        columns.append(column)
+    return columns
+
+
 def centralizer_in_group(S: StabilizerGroup,
                          probes: Sequence[PauliOperator]) -> StabilizerGroup:
     """Generators of the subgroup of <S> commuting with every probe."""
     if not probes:
         return S
-    columns = [[commutation_exponent(g, probe) for probe in probes]
-               for g in S.generators]
+    columns = _commutation_columns(S.generators, probes)
     basis = ModSolver(columns, [S.system.D] * len(probes)).kernel_basis()
     gens = []
     seen = set()

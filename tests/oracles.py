@@ -9,7 +9,9 @@ from itertools import product as iproduct
 from math import gcd, prod
 from typing import Sequence
 
-from tqdstab.exactmath import ModSolver, Rational01, _unit_for, _xgcd
+from tqdstab import anyon, extraction
+from tqdstab.exactmath import (IntMatrix, ModSolver, Rational01, _unit_for,
+                                _xgcd)
 from tqdstab.pauli import (PauliOperator, adjoint, multiply, power, product,
                            product_of_powers)
 from tqdstab.stabilizer import (MembershipResult, NonCommutingError,
@@ -156,6 +158,69 @@ def junction_exponent_by_products(w1, w2, w3) -> int:
     if lhs.x != rhs.x or lhs.z != rhs.z:
         raise ValueError("operators differ by more than a phase")
     return (lhs.phase - rhs.phase) % (2 * w1.system.D)
+
+
+def extraction_tables_by_all_pairs(model, junction=None):
+    """`extraction.extract_theory` by measuring every pair: the braiding of
+    each pair of box vectors is the commutation exponent of their loops,
+    and the theta ratio 2 b(v1, v2) = theta(v1 + v2) - theta(v1) -
+    theta(v2) is checked on every pair, with a T-junction on each sum.
+    Returns an `ExtractedTheory` with the same fields."""
+    labels = extraction.generating_labels(model)
+    names = tuple(labels)
+    probe = extraction._Probe(model, junction)
+    gen_labels = tuple(probe.deconfined(labels[n]) for n in names)
+    partners = tuple(labels.values())
+    orders = tuple(probe.fusion_order(g, partners) for g in gen_labels)
+
+    label_of: dict = {}
+
+    def label(vec):
+        vec = tuple(vec)
+        lab = label_of.get(vec)
+        if lab is None:
+            lab = label_of[vec] = extraction._combine(gen_labels, vec)
+        return lab
+
+    def t_of(vec) -> int:
+        return probe.theta(label(vec))
+
+    box = list(iproduct(*map(range, orders)))
+    theta = {vec: t_of(vec) for vec in box}
+    horizontal = [probe.loop(label(v), "horizontal") for v in box]
+    vertical = [probe.loop(label(v), "vertical") for v in box]
+    braiding = {(v1, v2): extraction._braid_exponent(w1, w2)
+                for v1, w1 in zip(box, horizontal)
+                for v2, w2 in zip(box, vertical)}
+    D = probe.D
+    for (v1, v2), e in braiding.items():
+        ratio = (t_of(tuple(x + y for x, y in zip(v1, v2)))
+                 - theta[v1] - theta[v2])
+        if (2 * e - ratio) % (2 * D):
+            raise extraction.InconsistentExtractionError(
+                f"B{v1, v2} != theta-ratio")
+
+    k = len(names)
+    units = [tuple(int(t == i) for t in range(k)) for i in range(k)]
+    columns = [[orders[i] if r == i else 0 for r in range(k)]
+               for i in range(k)]
+    for vec in box:
+        if any(vec) and not theta[vec] and not any(
+                braiding[(vec, g)] for g in units):
+            columns.append(list(vec))
+    relations = IntMatrix([[col[r] for col in columns] for r in range(k)],
+                          rows=k, cols=len(columns))
+    b_phase = [Rational01(e, D) for e in range(D)]
+    t_phase = [Rational01(e, 2 * D) for e in range(2 * D)]
+    presented = anyon.theory_from_presentation(
+        k, lambda vec: t_phase[t_of(vec)],
+        lambda v1, v2: b_phase[probe.braid(label(v1), label(v2))],
+        relations)
+    return extraction.ExtractedTheory(
+        names, gen_labels, orders,
+        {vec: t_phase[e] for vec, e in theta.items()},
+        {pair: b_phase[e] for pair, e in braiding.items()},
+        presented.theory)
 
 
 def qpp_dense(op, sites: Sequence):

@@ -6,7 +6,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from oracles import junction_exponent_by_products
+from oracles import (extraction_tables_by_all_pairs,
+                     junction_exponent_by_products)
 from tqdstab import cli, extraction
 from tqdstab.anyon import (RelationError, TheoryCheckError, ds_theory,
                            theories_isomorphic, topological_spins_census,
@@ -24,7 +25,7 @@ from tqdstab.lattice import (AnyonLabel, LatticeModel, PathSpec, TqdParams,
                              build_ds, build_from_spec, build_hatted_ds,
                              build_spt, build_tqd, build_zn_tc,
                              string_operator)
-from tqdstab.pauli import PauliOperator, QuditSystem
+from tqdstab.pauli import PauliOperator, QuditSystem, multiply
 
 R = Rational01
 
@@ -33,6 +34,33 @@ JUNCTIONS = [
     default_junction((1, 1)),
     JunctionSpec((0, 0), (("E",), ("N",), ("W",))),
 ]
+
+
+TWISTED_22 = TqdParams([2, 2], [1, 1], {(0, 1): 1})
+
+# Models for the all-pairs oracle.
+ORACLE_BUILDS = {
+    "ds": lambda: build_ds(3, 3),
+    "z4-tc": lambda: build_zn_tc(4, 3, 3),
+    "tqd4-twisted": lambda: build_tqd(TqdParams([4], [3]), 3, 3),
+    "tqd22": lambda: build_tqd(TqdParams([2, 2], [0, 0]), 3, 3),
+    "tqd22-twisted": lambda: build_tqd(TWISTED_22, 3, 3),
+    "tqd24-twisted": lambda: build_tqd(
+        TqdParams([2, 4], [1, 1], {(0, 1): 1}), 3, 3),
+}
+
+# (builder, matching `anyons extract` arguments) for the mutants.
+MUTANT_MODELS = {
+    "ds": (lambda: build_ds(3, 3), ["--type", "ds", "--L", "3"]),
+    "tqd22-twisted": (lambda: build_tqd(TWISTED_22, 3, 3),
+                      ["--type", "tqd", "--N", "2,2", "--n", "1,1",
+                       "--nij", "0,1,1", "--L", "3"]),
+}
+
+
+@pytest.fixture(scope="module", params=list(ORACLE_BUILDS))
+def oracle_model(request):
+    return ORACLE_BUILDS[request.param]()[1]
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +319,92 @@ class TestExtractTheory:
         bare = LatticeModel("ds", ds_model.lattice, params=ds_model.params)
         with pytest.raises(ValueError, match="'ds'"):
             model_group(bare)
+
+
+class TestBilinearExtraction:
+    """extract_theory fills the braiding table from the k x k generator
+    crossings, certified by the linearity of every box loop."""
+
+    @pytest.mark.parametrize("center", [(0, 0), (1, 2)])
+    def test_matches_all_pairs_oracle(self, oracle_model, center):
+        junction = default_junction(center)
+        ext = extract_theory(oracle_model, junction)
+        ref = extraction_tables_by_all_pairs(oracle_model, junction)
+        assert ext.fusion_orders == ref.fusion_orders
+        assert ext.theta == ref.theta
+        assert ext.braiding == ref.braiding
+        assert theories_isomorphic(ext.theory, ref.theory)
+
+    @staticmethod
+    def _target(model):
+        """A non-generator box label: every generator once."""
+        gens = tuple(generating_labels(model).values())
+        return extraction._combine(gens, (1,) * len(gens))
+
+    @pytest.mark.parametrize("move", ["E", "N"],
+                             ids=["horizontal", "vertical"])
+    @pytest.mark.parametrize("name", list(MUTANT_MODELS))
+    def test_nonlinear_loop_is_inconsistent(self, monkeypatch, capsys,
+                                            name, move):
+        # Mutant: one extra X on one site of one non-generator loop.
+        build, argv = MUTANT_MODELS[name]
+        _, model = build()
+        target = self._target(model)
+        original = extraction.string_operator
+
+        def mutant(model, label, path):
+            op = original(model, label, path)
+            if (model.label(label) == target and path.closed
+                    and path.moves[0] == move):
+                op = multiply(op, PauliOperator(op.system, x={0: 1}))
+            return op
+
+        monkeypatch.setattr(extraction, "string_operator", mutant)
+        with pytest.raises(InconsistentExtractionError, match="not linear"):
+            extract_theory(model)
+        assert cli.run(["anyons", "extract", *argv]) == 1
+        assert "verification failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(MUTANT_MODELS))
+    def test_corrupted_junction_is_inconsistent(self, monkeypatch, capsys,
+                                                name):
+        # Mutant: theta shifted on one non-generator box label.
+        build, argv = MUTANT_MODELS[name]
+        _, model = build()
+        target = self._target(model)
+        strings = [string_operator(model, target, p)
+                   for p in default_junction().paths(target.path_kind)]
+        two_d = 2 * model.system.D
+        original = extraction._junction_exponent
+
+        def corrupted(*ops):
+            t = original(*ops)
+            return (t + 1) % two_d if list(ops) == strings else t
+
+        monkeypatch.setattr(extraction, "_junction_exponent", corrupted)
+        with pytest.raises(InconsistentExtractionError, match="theta ratio"):
+            extract_theory(model)
+        assert cli.run(["anyons", "extract", *argv]) == 1
+        assert "verification failed" in capsys.readouterr().err
+
+    def test_measurement_counts(self, monkeypatch):
+        # k^2 crossings plus the fusion orders and the presentation's
+        # checks; theta on the box and on each v + e_g leaving it.
+        _, model = build_tqd(TWISTED_22, 3, 3)
+        calls = Counter()
+        for name in ("_braid_exponent", "_junction_exponent"):
+            original = getattr(extraction, name)
+
+            def counting(*ops, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*ops)
+
+            monkeypatch.setattr(extraction, name, counting)
+        ext = extract_theory(model)
+        size = len(ext.box())
+        assert calls["_braid_exponent"] <= 100
+        assert calls["_junction_exponent"] <= size + sum(
+            size // o for o in ext.fusion_orders) + 40
 
 
 class TestLogicalAlgebra:

@@ -836,6 +836,35 @@ class TestMembershipProperties:
 
 
 class TestCentralizerAndMeasure:
+    @pytest.mark.parametrize("build", [
+        lambda: build_zn_tc(2, 3, 3),
+        lambda: build_zn_tc(4, 3, 3),
+        lambda: build_ds(3, 3),
+        lambda: build_tqd(TqdParams([4], [3]), 3, 3),
+        lambda: build_tqd(TqdParams([2, 2], [1, 1], {(0, 1): 1}), 3, 3),
+        lambda: build_spt(3, 3),
+        lambda: build_hatted_ds(3, 3),
+    ], ids=["tc2", "tc4", "ds", "tqd4", "tqd22-twisted", "spt",
+            "hatted-ds"])
+    def test_site_indexed_columns_match_dense(self, build):
+        # Only generator-probe pairs that share a site are evaluated; the
+        # columns equal the dense table over every pair.
+        group, _ = build()
+        system = group.system
+        n, dims = system.n_sites, system.dims
+        rng = random.Random(23)
+        probes = [scalar(system, 1)]
+        for weight in [1] * 10 + [2] * 10 + [3] * 10 + [n]:
+            sites = rng.sample(range(n), weight)
+            probes.append(PauliOperator(
+                system, x={s: rng.randrange(dims[s]) for s in sites},
+                z={s: rng.randrange(dims[s]) for s in sites}))
+        dense = [[pauli.commutation_exponent(g, probe) for probe in probes]
+                 for g in group.generators]
+        assert any(map(any, dense))
+        assert stabilizer._commutation_columns(group.generators,
+                                               probes) == dense
+
     def test_centralizer_drops_anticommuting(self):
         sysm = QuditSystem([2, 2])
         X0, X1 = single(sysm, 0, "X", 1), single(sysm, 1, "X", 1)
