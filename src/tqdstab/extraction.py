@@ -18,6 +18,7 @@ the truncated boundary symmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
 from math import lcm
 from operator import mul
@@ -356,13 +357,14 @@ def extraction_report(model: LatticeModel) -> dict:
         target_name = (f"twisted double N={list(model.params.N)} "
                        f"n={list(model.params.n)}")
     box = ext.box()
+    text = cache(str)  # one conversion per distinct phase (at most 2D)
     report = {
         "generators": list(ext.generator_names),
         "fusion_orders": {name: order for name, order in
                           zip(ext.generator_names, ext.fusion_orders)},
-        "theta": {",".join(map(str, vec)): str(ext.theta[vec])
+        "theta": {",".join(map(str, vec)): text(ext.theta[vec])
                   for vec in box},
-        "braiding": [[str(ext.braiding[(v1, v2)]) for v2 in box]
+        "braiding": [[text(ext.braiding[(v1, v2)]) for v2 in box]
                      for v1 in box],
         "iso_match": anyon.theories_isomorphic(ext.theory, target),
         "target": target_name,

@@ -6,17 +6,19 @@ Geometry: square lattice with periodic boundaries. Cell (x, y) owns
 - vertical edge V(x, y) from v(x, y) to v(x, y+1),
 - plaquette p(x, y) with corners v(x,y), v(x+1,y), v(x+1,y+1), v(x,y+1).
 
-Every generator and string operator is assembled from *transport* segments
-of a flux/charge composite. A flux f in plaquette p(x, y) binds the charge
-prescribed by the model parameters; that bound charge travels with the flux
-and its hop lands on the far edge of the destination cell: moving one cell
-east applies X^{flux} on the crossed edge V(x+1, y) and Z^{bound} on
-H(x+1, y+1); one cell north applies X^{-flux} on H(x, y+1) and Z^{bound} on
-V(x+1, y+1). Any charge in excess of the bound amount hops on the near edge
-of the source cell (H(x, y) for east moves, V(x, y) for north moves), which
-is also where pure charges move on the direct lattice. Closed loops of these
-segments reproduce the vertex and plaquette terms of the models; the
-two-body edge terms use the unbound placement (all charge on the near edge).
+Every generator and string operator is built from *hops*, one-step
+transports of a flux/charge composite, all defined by ``LatticeModel._hop``.
+A flux f binds the charge r prescribed by the model parameters; the bound
+charge lands on the far edge of the destination cell, and the excess charge
+c - r hops on the near edge of the source cell, which is also where pure
+charges move on the direct lattice. Per layer, an E hop from cell (x, y)
+puts X^{f} on the crossed edge V(x+1, y), Z^{c-r} on H(x, y) and Z^{r} on
+H(x+1, y+1); an N hop puts X^{-f} on H(x, y+1), Z^{c-r} on V(x, y) and
+Z^{r} on V(x+1, y+1); a W or S hop is the E or N hop from the cell west or
+south with its exponents negated. A string operator is one walk over its
+path's hops. Closed loops reproduce the vertex and plaquette terms of the
+models; the two-body edge terms are single hops with the unbound placement
+(all charge on the near edge).
 The vertex terms additionally carry a uniform scalar phase per layer, solved
 exactly so every scalar element of the generated group equals +1.
 """
@@ -29,8 +31,7 @@ from math import gcd
 from typing import Literal, Sequence
 
 from .exactmath import ModSolver
-from .pauli import (PauliOperator, QuditSystem, adjoint, multiply, product,
-                    scalar)
+from .pauli import PauliOperator, QuditSystem, _make, multiply, scalar
 from .stabilizer import StabilizerGroup, groups_equal, measure
 
 
@@ -207,6 +208,9 @@ class TorusLattice:
 # ---------------------------------------------------------------------------
 
 _MOVES = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
+# E and N hops: (dx, dy, orientation) of X site, near, far edge; X sign.
+_HOPS = {"E": (((1, 0, V), (0, 0, H), (1, 1, H)), 1),
+         "N": (((0, 1, H), (0, 0, V), (1, 1, V)), -1)}
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,7 @@ class LatticeModel:
         q = int(m.group(2)) if m.group(2) else (1 if "m" in name else 0)
         return AnyonLabel((q,), (p,))
 
-    # -- transport segments --------------------------------------------------
+    # -- transport hops ------------------------------------------------------
 
     def _bound_charge(self, flux: Sequence[int]) -> tuple[int, ...]:
         """Charge bound to a flux by the model parameters (zero for plain
@@ -336,88 +340,84 @@ class LatticeModel:
             bound.append(v)
         return tuple(bound)
 
+    def _hop(self, x: int, y: int, move: str,
+             layers: Sequence[tuple[int, int, int]]) -> tuple[list, list]:
+        """X and Z terms, as (site, exponent) pairs, of one hop from cell
+        (x, y), as the module docstring places them; ``layers`` holds
+        (f, c, r) per layer, with r = 0 when unbound. No hop has X and Z on
+        one site, so its phase is 0 and negating it gives its adjoint."""
+        lat, sign = self.lattice, 1
+        if move in ("W", "S"):
+            dx, dy = _MOVES[move]
+            x, y, move, sign = x + dx, y + dy, "E" if move == "W" else "N", -1
+        offsets, xsign = _HOPS[move]
+        xsite, near, far = [lat.edge_site(x + dx, y + dy, orient)
+                            for dx, dy, orient in offsets]
+        xterms, zterms, stride = [], [], 2 * lat.n_cells
+        for layer, (f, c, r) in enumerate(layers):
+            shift = stride * layer
+            if f:
+                xterms.append((xsite + shift, xsign * sign * f))
+            if c != r:
+                zterms.append((near + shift, sign * (c - r)))
+            if r:
+                zterms.append((far + shift, sign * r))
+        return xterms, zterms
+
     def _segment(self, cell: tuple[int, int], move: str,
                  label: AnyonLabel, bound: bool = True) -> PauliOperator:
-        """Transport the composite one step from `cell` in direction `move`.
-
-        With ``bound=True`` the flux-bound charge hops on the far edge of the
-        destination cell and only the excess charge hops on the near edge;
-        with ``bound=False`` all charge hops on the near edge.
-        """
-        lat = self.lattice
-        x, y = lat.wrap(*cell)
-        system = self.system
-        if move == "W":
-            return adjoint(self._segment((x - 1, y), "E", label, bound))
-        if move == "S":
-            return adjoint(self._segment((x, y - 1), "N", label, bound))
+        """One hop of `label` from `cell` (all charge near when unbound)."""
         rider = self._bound_charge(label.flux) if bound \
             else (0,) * self.n_layers
-        xmap: dict[int, int] = {}
-        zmap: dict[int, int] = {}
-        for layer in range(self.n_layers):
-            f = label.flux[layer]
-            c = label.charge[layer] - rider[layer]
-            r = rider[layer]
-            if move == "E":
-                if f:
-                    xmap[lat.edge_site(x + 1, y, V, layer)] = f
-                if c:
-                    zmap[lat.edge_site(x, y, H, layer)] = c
-                if r:
-                    zmap[lat.edge_site(x + 1, y + 1, H, layer)] = r
-            elif move == "N":
-                if f:
-                    xmap[lat.edge_site(x, y + 1, H, layer)] = -f
-                if c:
-                    zmap[lat.edge_site(x, y, V, layer)] = c
-                if r:
-                    zmap[lat.edge_site(x + 1, y + 1, V, layer)] = r
-            else:
-                raise ValueError(move)
-        return PauliOperator(system, x=xmap, z=zmap)
-
-    def check_path(self, label: AnyonLabel, path: PathSpec) -> None:
-        """Reject a path invalid on this lattice or of the wrong kind."""
-        path.validate(self.lattice)
-        if label.path_kind != path.kind:
-            raise ValueError(
-                f"label needs a {label.path_kind} path, got {path.kind}")
-
-    def string_segments(self, label: AnyonLabel,
-                        path: PathSpec) -> list[PauliOperator]:
-        self.check_path(label, path)
-        segs = []
-        pts = path.points(self.lattice)
-        for cell, move in zip(pts, path.moves):
-            segs.append(self._segment(cell, move, label))
-        return segs
+        xterms, zterms = self._hop(*cell, move,
+                                   tuple(zip(label.flux, label.charge, rider)))
+        return _make(self.system, 0, dict(xterms), dict(zterms))
 
 
 def string_operator(model: LatticeModel, label: "str | AnyonLabel",
                     path: PathSpec) -> PauliOperator:
-    """Product of short transport segments in path order.
+    """Product of the path's hops in order, memoized on the model.
 
-    Memoized on the model. The key is the path plus, per layer, the flux,
-    the charge and the flux-bound charge, each mod the layer dimension d:
-    every segment exponent is one of these or a difference of two of them,
-    mod d, and every phase follows from the reduced exponents. The bound
-    charge has to be in the key because it is computed from the unreduced
-    flux: on twisted N=[2,4] the fluxes (4,1) and (0,1) agree mod the
-    layer dimensions (4, 16) but bind different charges, so their strings
-    differ. The label and path checks run on every call, hit or miss. A hit
-    returns the stored operator itself; Pauli operators are never mutated.
+    The key is the path plus, per layer, the flux, the charge and the
+    flux-bound charge, each mod the layer dimension d: every hop exponent
+    is one of these or a difference of two, mod d, and every phase follows
+    from the reduced exponents. The bound charge is in the key because it
+    comes from the unreduced flux: on twisted N=[2,4] the fluxes (4,1) and
+    (0,1) agree mod the layer dimensions (4, 16) but bind different charges.
+    Every call checks the path kind against the label; a hit then returns
+    the stored operator itself (Pauli operators are never mutated). A miss
+    walks the path once into one x and one z dict, adding multiply's
+    reordering phase 2*(D/d)*z*x where an X term meets Z on its site; that
+    term is unchanged mod 2D when z or x moves by a multiple of d, so one
+    reduction at the end is exact. The walk also rejects a closed path
+    that does not close, so no invalid path (the key holds it) is stored.
     """
     lab = model.label(label)
-    model.check_path(lab, path)
-    rider = model._bound_charge(lab.flux)
-    key = (tuple((f % d, c % d, r % d) for f, c, r, d in
-                 zip(lab.flux, lab.charge, rider, model.lattice.edge_dims)),
-           path)
-    op = model._strings.get(key)
+    if lab.path_kind != path.kind:
+        raise ValueError(
+            f"label needs a {lab.path_kind} path, got {path.kind}")
+    lat = model.lattice
+    layers = tuple((f % d, c % d, r % d) for f, c, r, d in zip(
+        lab.flux, lab.charge, model._bound_charge(lab.flux), lat.edge_dims))
+    op = model._strings.get((layers, path))
     if op is None:
-        op = product(model.string_segments(lab, path), system=model.system)
-        model._strings[key] = op
+        D, dims = model.system.D, model.system.dims
+        phase, xs, zs = 0, {}, {}
+        x, y = path.start
+        for move in path.moves:
+            xterms, zterms = model._hop(x, y, move, layers)
+            for site, e in xterms:
+                z = zs.get(site)
+                if z:
+                    phase += 2 * (D // dims[site]) * z * e
+                xs[site] = xs.get(site, 0) + e
+            for site, e in zterms:
+                zs[site] = zs.get(site, 0) + e
+            dx, dy = _MOVES[move]
+            x, y = x + dx, y + dy
+        if path.closed and lat.wrap(x, y) != lat.wrap(*path.start):
+            raise ValueError("closed path must return to its start")
+        op = model._strings[layers, path] = _make(model.system, phase, xs, zs)
     return op
 
 

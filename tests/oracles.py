@@ -12,6 +12,7 @@ from typing import Sequence
 from tqdstab import anyon, extraction
 from tqdstab.exactmath import (IntMatrix, ModSolver, Rational01, _unit_for,
                                 _xgcd)
+from tqdstab.lattice import H, V
 from tqdstab.pauli import (PauliOperator, adjoint, multiply, power, product,
                            product_of_powers)
 from tqdstab.stabilizer import (MembershipResult, NonCommutingError,
@@ -158,6 +159,55 @@ def junction_exponent_by_products(w1, w2, w3) -> int:
     if lhs.x != rhs.x or lhs.z != rhs.z:
         raise ValueError("operators differ by more than a phase")
     return (lhs.phase - rhs.phase) % (2 * w1.system.D)
+
+
+def string_operator_by_segments(model, label, path,
+                                bound: bool = True) -> PauliOperator:
+    """`lattice.string_operator` as an ordered product of checked one-step
+    segments: each E or N step is its own `PauliOperator`, a W or S step is
+    the `adjoint` of the E or N segment from the cell west or south, and
+    `product` multiplies them in path order. With ``bound=False`` all
+    charge hops on the near edge (the edge terms' placement). Checks the
+    path and its kind first and uses no memo."""
+    lab = model.label(label)
+    lat = model.lattice
+    path.validate(lat)
+    if lab.path_kind != path.kind:
+        raise ValueError(
+            f"label needs a {lab.path_kind} path, got {path.kind}")
+    rider = model._bound_charge(lab.flux) if bound \
+        else (0,) * model.n_layers
+
+    def east_or_north(x, y, move):
+        xmap, zmap = {}, {}
+        for layer in range(model.n_layers):
+            f, r = lab.flux[layer], rider[layer]
+            c = lab.charge[layer] - r
+            if move == "E":
+                xsite, xexp = lat.edge_site(x + 1, y, V, layer), f
+                near = lat.edge_site(x, y, H, layer)
+                far = lat.edge_site(x + 1, y + 1, H, layer)
+            else:
+                xsite, xexp = lat.edge_site(x, y + 1, H, layer), -f
+                near = lat.edge_site(x, y, V, layer)
+                far = lat.edge_site(x + 1, y + 1, V, layer)
+            if xexp:
+                xmap[xsite] = xexp
+            if c:
+                zmap[near] = c
+            if r:
+                zmap[far] = r
+        return PauliOperator(model.system, x=xmap, z=zmap)
+
+    segments = []
+    for (x, y), move in zip(path.points(lat), path.moves):
+        if move == "W":
+            segments.append(adjoint(east_or_north(x - 1, y, "E")))
+        elif move == "S":
+            segments.append(adjoint(east_or_north(x, y - 1, "N")))
+        else:
+            segments.append(east_or_north(x, y, move))
+    return product(segments, system=model.system)
 
 
 def extraction_tables_by_all_pairs(model, junction=None):

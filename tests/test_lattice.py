@@ -15,11 +15,13 @@ from tqdstab.lattice import (AnyonLabel, DS_PARAMS, H, LatticeModel, PathSpec,
                              size_from_spec, spt_d_terms, string_operator,
                              tc_stack_group, vertex_terms)
 from tqdstab.exactmath import ModSolver
-from tqdstab.pauli import PauliOperator, commutes, product
+from tqdstab.pauli import PauliOperator, commutes, multiply, scalar
 from tqdstab.stabilizer import (StabilizerGroup, assert_commuting,
                                 group_order, groups_equal, logical_dimension,
                                 measure, member_with_phase,
                                 scalar_consistency)
+
+from oracles import string_operator_by_segments
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +243,24 @@ class TestStringOperators:
             model.label("zork")
 
 
-def _uncached(model, label, path):
-    return product(model.string_segments(label, path), system=model.system)
+_MEMO_BUILDS = [
+    build_ds,
+    lambda Lx, Ly: build_zn_tc(4, Lx, Ly),
+    lambda Lx, Ly: build_tqd(TqdParams([3], [1]), Lx, Ly),
+    lambda Lx, Ly: build_tqd(TqdParams([2, 2], [1, 1], {(0, 1): 1}), Lx, Ly),
+    lambda Lx, Ly: build_tqd(TqdParams([2, 4], [0, 1], {(0, 1): 1}), Lx, Ly),
+    build_spt,
+]
+_MEMO_TORI = [(2, 2), (2, 3), (3, 3)]
 
 
 @pytest.fixture(scope="module")
 def memo_models():
     """Small models whose string memos persist across hypothesis examples,
-    so later examples hit entries made by earlier ones."""
-    return [build_ds(3, 3)[1],
-            build_zn_tc(4, 3, 3)[1],
-            build_tqd(TqdParams([2, 4], [0, 1], {(0, 1): 1}), 3, 3)[1]]
+    so later examples hit entries made by earlier ones: DS, Z4 toric code,
+    N=[3] (odd d), twisted N=[2,2], mixed-order N=[2,4] and the SPT
+    geometry (vertex layers), each on every torus of _MEMO_TORI."""
+    return [build(*size)[1] for build in _MEMO_BUILDS for size in _MEMO_TORI]
 
 
 class TestStringMemo:
@@ -267,8 +276,9 @@ class TestStringMemo:
             _, model = build_tqd(params, 3, 3)
             op_first = string_operator(model, first, path)
             op_second = string_operator(model, second, path)
-            assert op_first == _uncached(model, first, path)
-            assert op_second == _uncached(model, second, path)
+            assert op_first == string_operator_by_segments(model, first, path)
+            assert op_second == string_operator_by_segments(model, second,
+                                                            path)
             assert op_first != op_second
 
     def test_path_kind_checked_on_a_cache_hit(self):
@@ -280,28 +290,49 @@ class TestStringMemo:
         with pytest.raises(ValueError, match="needs a direct path"):
             string_operator(model, AnyonLabel((0,), (0,)), path)
 
-    @given(data=st.data(), which=st.integers(0, 2),
-           start=st.tuples(st.integers(-3, 5), st.integers(-3, 5)),
-           moves=st.lists(st.sampled_from("ENWS"), min_size=1, max_size=6))
-    @settings(max_examples=150, deadline=None)
+    def test_unclosed_closed_path_is_not_stored(self):
+        _, model = build_ds(3, 3)
+        before = dict(model._strings)
+        with pytest.raises(ValueError, match="return to its start"):
+            string_operator(model, "s",
+                            PathSpec("dual", (0, 0), ("E", "N"), closed=True))
+        assert model._strings == before
+        loop = PathSpec("dual", (0, 0), ("E", "N", "W", "S"), closed=True)
+        assert string_operator(model, "s", loop) == \
+            string_operator_by_segments(model, "s", loop)
+
+    @given(data=st.data(),
+           which=st.integers(0, len(_MEMO_BUILDS) * len(_MEMO_TORI) - 1),
+           start=st.tuples(st.integers(-4, 6), st.integers(-4, 6)),
+           moves=st.lists(st.sampled_from("ENWS"), max_size=6),
+           closing=st.sampled_from(["open", "retrace", "wind"]))
+    @settings(max_examples=300, deadline=None)
     def test_memo_equals_segment_product(self, memo_models, data, which,
-                                         start, moves):
+                                         start, moves, closing):
         model = memo_models[which]
         dims = model.lattice.edge_dims
         k = len(dims)
         entries = st.lists(st.integers(-40, 40), min_size=k, max_size=k)
         shifts = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
-        lab = AnyonLabel(tuple(data.draw(entries)), tuple(data.draw(entries)))
+        flux = (0,) * k if data.draw(st.booleans()) else data.draw(entries)
+        lab = AnyonLabel(tuple(flux), tuple(data.draw(entries)))
         fs, cs = data.draw(shifts), data.draw(shifts)
         # same label mod the layer dimensions, unreduced differently
         twin = AnyonLabel(
             tuple(f + s * d for f, s, d in zip(lab.flux, fs, dims)),
             tuple(c + s * d for c, s, d in zip(lab.charge, cs, dims)))
         assume(twin.path_kind == lab.path_kind)
-        path = PathSpec(lab.path_kind, start, tuple(moves))
+        inverse = {"E": "W", "W": "E", "N": "S", "S": "N"}
+        if closing != "open":
+            # back along the same edges, then around the torus if "wind"
+            moves = moves + [inverse[m] for m in reversed(moves)]
+        if closing == "wind":
+            moves += ["E"] * model.lattice.Lx + ["S"] * model.lattice.Ly
+        path = PathSpec(lab.path_kind, start, tuple(moves),
+                        closed=closing != "open")
         for label in (lab, twin, lab):
             assert string_operator(model, label, path) == \
-                _uncached(model, label, path)
+                string_operator_by_segments(model, label, path)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +502,91 @@ class TestSptBuilders:
 # ---------------------------------------------------------------------------
 # Spec dispatch
 # ---------------------------------------------------------------------------
+
+
+def _oracle_terms(model, flux_labels, charge_labels, edge_labels=()):
+    """A builder's vertex loops, plaquette loops and unbound edge hops, in
+    builder order and before any phase fix, from
+    string_operator_by_segments."""
+    lat = model.lattice
+    cells = [(x, y) for y in range(lat.Ly) for x in range(lat.Lx)]
+    terms = [string_operator_by_segments(model, lab,
+                                         dual_loop_around_vertex(x, y))
+             for lab in flux_labels for x, y in cells]
+    terms += [string_operator_by_segments(model, lab,
+                                          direct_loop_around_plaquette(x, y))
+              for lab in charge_labels for x, y in cells]
+    for lab in edge_labels:
+        for x, y in cells:
+            for cell, move in (((x - 1, y), "E"), ((x, y - 1), "N")):
+                terms.append(string_operator_by_segments(
+                    model, lab, PathSpec("dual", cell, (move,)), bound=False))
+    return terms
+
+
+def _phase_fixed(model, terms):
+    """terms with each layer's vertex terms times its phase_fix scalar."""
+    n = model.lattice.n_cells
+    return [multiply(scalar(model.system, model.phase_fix[k // n]), t)
+            if k < n * len(model.phase_fix) else t
+            for k, t in enumerate(terms)]
+
+
+class TestBuildersFromOracleStrings:
+    """Every builder's generators, phase fix included, equal the terms
+    assembled from strings built segment by segment."""
+
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_toric_code(self, N, L):
+        group, model = build_zn_tc(N, L, L)
+        terms = _oracle_terms(model, [model.labels["m"]], [model.labels["e"]])
+        assert list(group.generators) == terms
+
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("params", [
+        DS_PARAMS,
+        TqdParams([3], [1]),
+        TqdParams([2, 2], [1, 1], {(0, 1): 1}),
+        TqdParams([2, 4], [0, 1], {(0, 1): 1}),
+    ])
+    def test_tqd_and_ds(self, params, L):
+        builds = [build_tqd(params, L, L)]
+        if params == DS_PARAMS:
+            builds.append(build_ds(L, L))
+        for group, model in builds:
+            def labels(prefix):
+                return [model.labels[f"{prefix}{i + 1}"]
+                        for i in range(params.M)]
+            terms = _oracle_terms(model, labels("phi"), labels("c"),
+                                  labels("b"))
+            assert list(group.generators) == _phase_fixed(model, terms)
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_tc_stack(self, L):
+        params = TqdParams([2, 4], [0, 1], {(0, 1): 1})
+        model = LatticeModel("tc", TorusLattice(L, L, (4, 16)))
+        units = [(1, 0), (0, 1)]
+        terms = _oracle_terms(model,
+                              [AnyonLabel(u, (0, 0)) for u in units],
+                              [AnyonLabel((0, 0), u) for u in units])
+        assert list(tc_stack_group(params, L, L).generators) == terms
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_spt_and_hatted(self, L):
+        b1 = build_ds(L, L)[1].labels["b1"]
+        for build in (build_spt, build_hatted_ds):
+            group, model = build(L, L)
+            t = model.lattice
+            terms = _oracle_terms(model, [model.labels["s"]], [], [b1])
+            flips = [PauliOperator(model.system, x={t.vertex_site(x, y): 1})
+                     for y in range(L) for x in range(L)]
+            if build is build_spt:
+                terms = [multiply(g, f) for g, f in zip(terms, flips)] \
+                    + terms[len(flips):] + spt_d_terms(model)
+            else:
+                terms += flips
+            assert list(group.generators) == _phase_fixed(model, terms)
 
 
 class TestBuildFromSpec:
