@@ -440,32 +440,46 @@ def _unit_for(a: int, N: int) -> int:
 
 class _Lanes:
     """Rows of residues mod big packed into one int of fixed-width lanes:
-    entry j sits in bits [j*width, (j+1)*width).
+    entry j sits in bits [j*width, (j+1)*width). This class owns the
+    format; howell_form, ModSolver and the stabilizer module's packed
+    phase passes read rows only through it.
 
-    Every value this module reduces is below 2*big**2 in each lane (a
-    residue plus a product of residues, or two such products), so one
-    multiply-shift by a precomputed constant gives every lane's quotient
-    by big at once (Granlund & Montgomery, "Division by invariant integers
-    using multiplication", PLDI 1994): for x < 2**bits,
-    x // big == x * magic >> shift. The lane is wide enough to hold
-    x * magic, so lanes never carry into each other. Lanes are 8, 16, 32
-    or 64 bits, read in C by a memoryview cast; moduli above 2**15 need
-    wider lanes, read one slice at a time.
+    Every value a caller reduces is below 2*big**2 in each lane (a residue
+    plus a product of residues, or two such products; every call site
+    keeps to it), and the modulus picks the reduction:
+    - big a power of two (every model with D a power of two, and big = 1):
+      x mod big is x & (big - 1) in each lane, one AND. The lane only has
+      to hold 2*big**2 - 1, so big = 4, 8 take 8-bit lanes and big = 16,
+      32 take 16-bit lanes.
+    - any other big (odd and mixed dimensions): one multiply-shift by a
+      precomputed constant gives every lane's quotient by big at once
+      (Granlund & Montgomery, "Division by invariant integers using
+      multiplication", PLDI 1994): for x < 2**bits, x // big ==
+      x * magic >> shift. The lane holds x * magic, about twice the bits.
+    Lanes are the smallest of 8, 16, 32 or 64 bits that fit, read in C by
+    a memoryview cast; wider lanes are whole bytes, read one slice at a
+    time. Lanes never carry into each other.
     """
 
     def __init__(self, big: int):
         self.big = big
         bits = (2 * big * big - 1).bit_length()
-        self.shift = bits + (big - 1).bit_length()
-        self.magic = (1 << self.shift) // big + 1
-        need = bits + self.magic.bit_length()
+        # power of two: the AND mask of a lane; otherwise the multiply-shift
+        self._low = big - 1 if not big & (big - 1) else None
+        need = bits
+        if self._low is None:
+            self.shift = bits + (big - 1).bit_length()
+            self.magic = (1 << self.shift) // big + 1
+            need += self.magic.bit_length()
         nbytes = next((k for k in (1, 2, 4, 8) if 8 * k >= need),
                       -(-need // 8))
         self.nbytes, self.width = nbytes, 8 * nbytes
         self.mask = (1 << self.width) - 1
-        # a lane's quotient bits, below the next lane's shifted product
-        self._quotient_lane = ((1 << (self.width - self.shift)) - 1
-                               ).to_bytes(nbytes, "little")
+        # per lane: the residue bits, or the quotient bits below the next
+        # lane's shifted product
+        self._lane = (self._low if self._low is not None else
+                      (1 << (self.width - self.shift)) - 1
+                      ).to_bytes(nbytes, "little")
         self._code = (next(c for c in "BHILQ" if struct.calcsize(c) == nbytes)
                       if nbytes <= 8 and sys.byteorder == "little" else None)
         # translation table v -> v % big for byte values
@@ -474,11 +488,13 @@ class _Lanes:
 
     def reducer(self, n: int):
         """x -> x with every lane reduced mod big, for rows of n lanes."""
+        lanes = int.from_bytes(self._lane * n, "little")
+        if self._low is not None:
+            return lanes.__and__
         big, magic, shift = self.big, self.magic, self.shift
-        quotients = int.from_bytes(self._quotient_lane * n, "little")
 
         def reduce(x: int) -> int:
-            return x - ((x * magic >> shift) & quotients) * big
+            return x - ((x * magic >> shift) & lanes) * big
         return reduce
 
     def pack(self, values: Sequence[int]) -> int:

@@ -18,7 +18,6 @@ the truncated boundary symmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product as iproduct
 from math import lcm
 from operator import mul
@@ -279,6 +278,14 @@ class ExtractedTheory:
         return list(iproduct(*map(range, self.fusion_orders)))
 
 
+def _box_products(r, orders) -> list[int]:
+    """r . w for every w in the box of `orders`, in box order."""
+    values = [0]
+    for rh, o in zip(r, orders):
+        values = [a + rh * j for a in values for j in range(o)]
+    return values
+
+
 def extract_theory(model: LatticeModel,
                    junction: JunctionSpec | None = None) -> ExtractedTheory:
     """Measure theta/B tables over the generating labels and assemble the
@@ -323,10 +330,8 @@ def extract_theory(model: LatticeModel,
             if (2 * r[g] - ratio) % (2 * D):
                 raise InconsistentExtractionError(
                     f"B{v, e} = {b_phase[r[g]]}, theta ratio {t_phase[ratio]}")
-        values = [0]
-        for rh, o in zip(r, orders):
-            values = [a + rh * j for a in values for j in range(o)]
-        braiding.update(((v, w), b_phase[e % D]) for w, e in zip(box, values))
+        braiding.update(((v, w), b_phase[e % D])
+                        for w, e in zip(box, _box_products(r, orders)))
 
     # Quotient by the measured transparent vectors.
     columns = [[o * t for t in e] for o, e in zip(orders, units)] + [
@@ -356,16 +361,27 @@ def extraction_report(model: LatticeModel) -> dict:
                                   model.params.nij)
         target_name = (f"twisted double N={list(model.params.N)} "
                        f"n={list(model.params.n)}")
-    box = ext.box()
-    text = cache(str)  # one conversion per distinct phase (at most 2D)
+    box, orders, D = ext.box(), ext.fusion_orders, model.system.D
+    # (g, e_g) for each generator g of order > 1; the others have w_g = 0
+    # throughout the box
+    units = [(w.index(1), w) for w in box if sum(w) == 1]
+    b_text = [str(Rational01(e, D)) for e in range(D)]
+
+    def braiding_row(v) -> list[str]:
+        # b(v, w) = r_v . w mod D, with r_v[g] = b(v, e_g) as an exponent
+        r = [0] * len(orders)
+        for g, e in units:
+            b = ext.braiding[(v, e)]
+            r[g] = b.numerator * (D // b.denominator)
+        return [b_text[e % D] for e in _box_products(r, orders)]
+
     report = {
         "generators": list(ext.generator_names),
         "fusion_orders": {name: order for name, order in
-                          zip(ext.generator_names, ext.fusion_orders)},
-        "theta": {",".join(map(str, vec)): text(ext.theta[vec])
+                          zip(ext.generator_names, orders)},
+        "theta": {",".join(map(str, vec)): str(ext.theta[vec])
                   for vec in box},
-        "braiding": [[text(ext.braiding[(v1, v2)]) for v2 in box]
-                     for v1 in box],
+        "braiding": [braiding_row(v) for v in box],
         "iso_match": anyon.theories_isomorphic(ext.theory, target),
         "target": target_name,
     }

@@ -176,6 +176,8 @@ class StabilizerGroup:
                         -e * (D // dims[site]) % (2 * D) * lane)
                     if e & 1:
                         parities[coord] = parities.get(coord, 0) | lane
+        # lanes stay below 2D + (D - 1)(2D - 1) < 2 (2D)**2, the reducer's
+        # bound: e < d_s, and sums and columns hold residues mod 2D
         for g, col in zip(self.generators, columns):
             for offset, exps in ((0, g.x), (n, g.z)):
                 for site, e in exps.items():
@@ -215,6 +217,7 @@ class StabilizerGroup:
         reduce = lanes.reducer(count)
         acc = sum(_reordering(P) << r * lanes.width
                   for r, P in enumerate(targets))
+        # lanes stay below 2D + (2D - 1)**2, within the reducer's bound
         for g, col in zip(self.generators, columns):
             weight = (g.phase - _reordering(g)) % (2 * D)
             if weight:

@@ -692,13 +692,41 @@ def test_unit_for_walks_to_the_scanned_unit():
             assert exactmath._unit_for(a, N) == scan_unit_for(a, N), (a, N)
 
 
-# Moduli with every lane width: 8, 16, 32 and 64 bits, and wider.
-LANE_MODULI = [2, 6, 12, 360, 2 ** 15, 3 * 2 ** 16, 2 ** 40 * 3 ** 5]
+# Moduli with every lane width of each reduction: a power of two is
+# reduced by one AND in 8, 16, 32 or 64-bit lanes or wider, any other
+# modulus by a multiply-shift in 16, 32 or 64-bit lanes or wider.
+POW2_LANE_MODULI = [2, 16, 256, 2 ** 16, 2 ** 40]
+SHIFT_LANE_MODULI = [6, 12, 360, 3 * 2 ** 16, 2 ** 40 * 3 ** 5]
+LANE_MODULI = POW2_LANE_MODULI + SHIFT_LANE_MODULI
 
 
 def test_lane_moduli_cover_every_width():
-    widths = [exactmath._Lanes(big).width for big in LANE_MODULI]
-    assert widths[:5] == [8, 16, 32, 64, 64] and min(widths[5:]) > 64
+    pow2 = [exactmath._Lanes(big).width for big in POW2_LANE_MODULI]
+    shift = [exactmath._Lanes(big).width for big in SHIFT_LANE_MODULI]
+    assert pow2[:4] == [8, 16, 32, 64] and pow2[4] > 64
+    assert shift[:3] == [16, 32, 64] and min(shift[3:]) > 64
+
+
+def test_power_of_two_lanes_are_half_width():
+    # 2D for the paper's D = 2, 8 and 16: lanes that hold 2 * big**2 - 1,
+    # with no room for a multiply-shift product
+    assert [exactmath._Lanes(big).width for big in (4, 16, 32)] == [8, 16, 16]
+
+
+@given(st.sampled_from([1, 3, 4, 8, 32] + LANE_MODULI), st.data())
+@settings(max_examples=300, deadline=None)
+def test_reducer_is_lanewise_mod(big, data):
+    # lanes up to 2 * big**2 - 1, the bound every caller keeps, on both
+    # reductions and every width; big = 1 is the trivial code's modulus
+    lanes, top = exactmath._Lanes(big), 2 * big * big - 1
+    assert top <= lanes.mask
+    n = data.draw(st.integers(1, 6))
+    values = data.draw(st.lists(st.one_of(st.just(top), st.integers(0, top)),
+                                min_size=n, max_size=n))
+    for lane_values in (values, [top] * n):
+        x = sum(v << j * lanes.width for j, v in enumerate(lane_values))
+        assert lanes.read(lanes.reducer(n)(x), n) == [
+            v % big for v in lane_values]
 
 
 @st.composite

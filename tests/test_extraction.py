@@ -335,6 +335,14 @@ class TestBilinearExtraction:
         assert ext.braiding == ref.braiding
         assert theories_isomorphic(ext.theory, ref.theory)
 
+    def test_report_rows_equal_the_table(self, oracle_model):
+        # extraction_report writes each braiding row from r_v . w, with
+        # r_v read off the generator columns of the table
+        ext = extract_theory(oracle_model)
+        box = ext.box()
+        assert extraction_report(oracle_model)["braiding"] == [
+            [str(ext.braiding[(v1, v2)]) for v2 in box] for v1 in box]
+
     @staticmethod
     def _target(model):
         """A non-generator box label: every generator once."""

@@ -669,6 +669,61 @@ class TestClosedFormMembership:
         assert groups_equal(other, S)
 
 
+def extreme_pow2_group():
+    """A commuting group on dims 2, 2, 4, 4, 16, 16 (D = 16, packed mod
+    2D = 32) whose exponents are mostly d - 1 and whose phases are all
+    2D - 1: the largest lane values the packed passes multiply. Per pair
+    (a, b) of dimension d: A = X_a^{d-1} X_b, B = Z_a^{d-1} Z_b^{d-1}, and
+    C with A's and B's exponents (a kernel vector with a phase); then the
+    products of all A's and of all B's."""
+    dims = [2, 2, 4, 4, 16, 16]
+    system = QuditSystem(dims)
+    top = 2 * system.D - 1
+    per_pair = []
+    for a in range(0, len(dims), 2):
+        d, b = dims[a], a + 1
+        per_pair.append(({a: d - 1, b: 1}, {a: d - 1, b: d - 1}))
+    gens = []
+    for x, z in per_pair:
+        gens += [PauliOperator(system, phase=top, x=x),
+                 PauliOperator(system, phase=top, z=z),
+                 PauliOperator(system, phase=top, x=x, z=z)]
+    for part in (0, 1):
+        exps = {s: e for pair in per_pair for s, e in pair[part].items()}
+        gens.append(PauliOperator(system, phase=top,
+                                  **{"xz"[part]: exps}))
+    return StabilizerGroup(system, gens)
+
+
+class TestMixedPowerOfTwoExtremes:
+    """The packed phase passes on 16-bit lanes mod 32 at their largest
+    values, against multiplying the combinations out."""
+
+    def test_kernel_table_equals_products(self):
+        S = extreme_pow2_group()
+        assert exactmath._Lanes(2 * S.system.D).width == 16
+        table = S._get_kernel_phases()
+        assert table == kernel_phases_by_products(S)
+        assert any(phase for _, phase in table)
+
+    @given(st.lists(st.lists(st.sampled_from([-1, 29, 30, 31, 32, 33]),
+                             min_size=11, max_size=11),
+                    min_size=1, max_size=6),
+           st.integers(0, 31))
+    @settings(max_examples=60, deadline=None)
+    def test_combination_phases_equal_products(self, vectors, phase):
+        S = extreme_pow2_group()
+        system, gens = S.system, S.generators
+        products = [product_of_powers(system, list(zip(gens, vec)))
+                    for vec in vectors]
+        assert S._combination_phases(vectors, products) == [
+            P.phase for P in products]
+        for P in products:
+            P = multiply(scalar(system, phase), P)
+            assert member_with_phase(S, P) == member_with_phase_by_products(
+                S, P)
+
+
 def phase_closure(phases, two_d):
     """Subgroup of Z_{2D} generated by phases, by breadth-first closure
     (the membership test's reachability check before the gcd form)."""
