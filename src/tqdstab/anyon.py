@@ -565,12 +565,12 @@ def ds_theory() -> AnyonTheory:
     return tqd_theory([2], [1])
 
 
-def stack_condense_to_tqd(N, n=None, nij=None) -> tuple[CondensationResult,
-                                                        bool]:
+def stack_condense_to_tqd(N, n=None, nij=None, target=None
+                          ) -> tuple[CondensationResult, bool]:
     """Condense the model's bosons b_i in a stack of Z_{N_i^2} toric codes.
 
     Returns the condensation result and whether the condensed theory is
-    isomorphic to tqd_theory(params).
+    isomorphic to `target`, tqd_theory(params) unless the caller built it.
     """
     params = _as_params(N, n, nij)
     M = params.M
@@ -585,7 +585,8 @@ def stack_condense_to_tqd(N, n=None, nij=None) -> tuple[CondensationResult,
             vec[2 * j] = params.N[j] * params.nij[i][j]
         bosons.append(vec)
     result = condense(stacked, bosons)
-    verdict = theories_isomorphic(result.theory, tqd_theory(params))
+    verdict = theories_isomorphic(
+        result.theory, tqd_theory(params) if target is None else target)
     return result, verdict
 
 

@@ -207,8 +207,7 @@ def cmd_theory(args) -> int:
     if what == "iso":
         t_direct = anyon.tqd_theory(params.N, params.n, params.nij)
         t_k = kmatrix.theory_from_k(kmatrix.build_k_tqd(params))
-        _, iso_cond = anyon.stack_condense_to_tqd(params.N, params.n,
-                                                  params.nij)
+        _, iso_cond = anyon.stack_condense_to_tqd(params, target=t_direct)
         report = {"kmatrix_match": anyon.theories_isomorphic(t_direct, t_k),
                   "condensation_match": bool(iso_cond)}
         _emit(report, args)

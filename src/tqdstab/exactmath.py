@@ -11,9 +11,9 @@ Provides:
   Gauss-Jordan pass (determinants, unimodular inverses, K-matrix statistics).
 - smith_normal_form: U*A*V = S with unimodular U, V and divisibility chain.
 - howell_form: Howell form over Z_N. Input rows are dense integer
-  sequences; each Howell row is one int of fixed-width lanes, one residue
-  per lane (unpack_row reads it), so a row update is a few big-int
-  operations and a lane-wise reduction mod N.
+  sequences or PackedRows; each Howell row is one int of fixed-width
+  lanes, one residue per lane (unpack_row reads it), so a row update is a
+  few big-int operations and a lane-wise reduction mod N.
 - ModSolver: linear systems sum_j x_j * columns[j] = b with per-entry
   moduli, given as the columns the unknowns multiply; solves, least
   solutions, kernels and image sizes from one Howell form.
@@ -112,9 +112,6 @@ class Rational01:
 
     def __repr__(self) -> str:
         return f"Rational01({self.numerator}, {self.denominator})"
-
-
-RAT0 = Rational01(0, 1)
 
 
 def rat_sum(values: Iterable[Rational01]) -> Rational01:
@@ -511,11 +508,23 @@ class _Lanes:
         lanes[::nb] = data
         return int.from_bytes(lanes, "little")
 
-    def columns_of(self, vectors: Sequence[Sequence[int]],
-                   n: int) -> list[int]:
-        """The n columns of `vectors` (rows of n integers, read mod big),
-        packed: lane r of column j is entry j of vectors[r]."""
-        return list(map(self.pack, zip(*vectors))) if vectors else [0] * n
+    def transpose(self, rows: Sequence[int], n: int,
+                  src: "_Lanes") -> list[int]:
+        """The n columns of packed `rows` (at most n lanes of `src` each)
+        in these lanes: lane r of column j is lane j of rows[r]. Lanes are
+        copied, not reduced: src lanes hold residues below big in no more
+        bytes. Each byte of a column's lanes is one strided read of the
+        rows' byte matrix, zero-extended to this width (little-endian)."""
+        sb, db, stride = src.nbytes, self.nbytes, n * src.nbytes
+        data = memoryview(b"".join(row.to_bytes(stride, "little")
+                                   for row in rows))
+        columns = []
+        for j in range(n):
+            column = bytearray(len(rows) * db)
+            for b in range(sb):
+                column[b::db] = data[j * sb + b::stride]
+            columns.append(int.from_bytes(column, "little"))
+        return columns
 
     def ones(self, n: int) -> int:
         """n lanes holding 1: `x & ones(n)` keeps each lane's low bit."""
@@ -538,13 +547,31 @@ def unpack_row(row: int, big: int, width: int) -> list[int]:
     return _Lanes(big).read(row, width)
 
 
-def howell_form(rows: Sequence[Sequence[int]], big: int, *,
+class PackedRows:
+    """Rows of `width` residues mod big, already packed in _Lanes(big)
+    lanes, for howell_form. Indexing reads a row back dense, so this is
+    also a plain sequence of rows."""
+
+    __slots__ = ("packed", "big", "width")
+
+    def __init__(self, packed: list[int], big: int, width: int):
+        self.packed, self.big, self.width = packed, big, width
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, i: int) -> list[int]:
+        return unpack_row(self.packed[i], self.big, self.width)
+
+
+def howell_form(rows: Sequence[Sequence[int]] | PackedRows, big: int, *,
                 stop: int | None = None) -> tuple:
     """Howell form of the Z_big row span of `rows`.
 
-    `rows` are dense sequences of integers of one width (any residues).
-    Returns (H, pivots). Each H row is one int of fixed-width lanes holding
-    its residues mod big, entry j in lane j (read it with unpack_row).
+    `rows` are dense sequences of integers of one width (any residues), or
+    PackedRows, taken as they are. Returns (H, pivots). Each H row is one
+    int of fixed-width lanes holding its residues mod big, entry j in lane
+    j (read it with unpack_row).
     pivots is a staircase list of (row_index, col, value); each pivot
     value divides big. The Howell property guarantees that any span
     element with zeros in its first k coordinates is a Z_big combination
@@ -569,8 +596,11 @@ def howell_form(rows: Sequence[Sequence[int]], big: int, *,
     same elimination: its rows and pivots, shifted by `stop` columns and
     len(H) rows, are the rest of the uninterrupted form.
     """
-    width = len(rows[0]) if rows else 0
     lanes = _Lanes(big)
+    if isinstance(rows, PackedRows):
+        width, packed = rows.width, rows.packed
+    else:
+        width, packed = len(rows[0]) if rows else 0, map(lanes.pack, rows)
     W, mask = lanes.width, lanes.mask
     reduce = lanes.reducer(width)
     buckets: dict[int, list[int]] = {}
@@ -580,8 +610,8 @@ def howell_form(rows: Sequence[Sequence[int]], big: int, *,
             buckets.setdefault(((row & -row).bit_length() - 1) // W,
                                []).append(row)
 
-    for row in rows:
-        push(lanes.pack(row))
+    for row in packed:
+        push(row)
     H: list[int] = []
     pivots: list[tuple[int, int, int]] = []
     for col in range(width if stop is None else min(width, stop)):
@@ -619,54 +649,62 @@ class ModSolver:
     """Solves sum_j x_j * columns[j] = b (mod moduli) via one Howell form.
 
     Each column is the vector that the unknown x_j multiplies, one entry
-    per modulus; entry i is lifted to the lcm modulus by the factor
-    lcm/moduli[i]. Row j of [M | I] is lifted column j followed by the
-    unit vector e_j, so the rows span {(x M, x) : x in Z_lcm^cols} and
-    their Howell form answers solve, kernel and image-size queries with
-    all arithmetic mod lcm. Construction eliminates only the M-block
-    columns, which is all that solve and image_size read; the rows then
-    pending generate the kernel (kernel_generators). Their own Howell form
-    is built once, on the first call that reads it (kernel_basis and
-    least_solution). Rows stay packed as howell_form returns them: solves
-    reduce a packed vector, and kernel vectors are read off the lanes.
+    per modulus, lifted to the lcm modulus by the factor lcm/moduli[i]; or
+    one int, its lifted residues already packed in lanes 0..m-1 of
+    _Lanes(lcm) (StabilizerGroup packs its generators from their sparse
+    exponents). Row j of [M | I] is packed column j with lane m + j set to
+    1, so the rows span {(x M, x) : x in Z_lcm^cols} and their Howell form
+    answers solve, kernel and image-size queries mod lcm. Construction
+    eliminates only the M-block columns, which is all that solve and
+    image_size read; the rows then pending vanish on the M block, and
+    their packed identity parts (kernel_rows) generate the kernel. Their
+    own Howell form is built on the first call that reads it (kernel_basis
+    and least_solution). Nothing is unpacked on the way: solve_packed
+    takes and returns packed rows; solve and kernel_basis read them.
     """
 
-    def __init__(self, columns: Sequence[Sequence[int]],
+    def __init__(self, columns: Sequence[Sequence[int] | int],
                  moduli: Sequence[int]):
         self.moduli = [int(m) for m in moduli]
         self.big = big = lcm(*self.moduli) if self.moduli else 1
         m, n = len(self.moduli), len(columns)
         self._m, self._n = m, n
-        self._lanes = _Lanes(big)
-        self._reduce = self._lanes.reducer(m + n)
-        scales = [big // mod for mod in self.moduli]
-        lift = any(s != 1 for s in scales)
-        identity_block = [0] * n
-        rows = []
-        for j, col in enumerate(columns):
-            if len(col) != m:
-                raise ValueError("each column needs one entry per modulus")
-            row = [s * x for s, x in zip(scales, col)] if lift else list(col)
-            row += identity_block
-            row[m + j] = 1
-            rows.append(row)
-        self._H, self._pivots, self._pending = howell_form(rows, big,
-                                                          stop=m)
+        self._lanes = lanes = _Lanes(big)
+        self._reduce = lanes.reducer(m + n)
+        self._bigs = big * lanes.ones(n)  # minuend of the lane-wise negation
+        self._scales = (None if all(mod == big for mod in self.moduli)
+                        else [big // mod for mod in self.moduli])
+        one, W = 1 % big, lanes.width
+        rows = [(col if isinstance(col, int) else self._lift(col))
+                | one << (m + j) * W for j, col in enumerate(columns)]
+        self._H, self._pivots, pending = howell_form(
+            PackedRows(rows, big, m + n), big, stop=m)
+        self._pending = [row >> m * W for row in pending]
         # one Howell row per pivot column
         self._pivot_at = {col: (self._H[idx], d)
                           for idx, col, d in self._pivots}
 
-    def solve(self, b: Sequence[int]) -> list[int] | None:
+    def _lift(self, b: Sequence[int]) -> int:
+        """b's entries lifted to Z_big, packed (a column or a target)."""
         if len(b) != self._m:
-            raise ValueError("b length must equal the number of moduli")
+            raise ValueError("columns and targets need one entry per modulus")
+        scales = self._scales
+        return self._lanes.pack(b if scales is None else
+                                [s * int(v) for s, v in zip(scales, b)])
+
+    def solve(self, b: Sequence[int]) -> list[int] | None:
+        x = self.solve_packed(self._lift(b))
+        return None if x is None else self._lanes.read(x, self._n)
+
+    def solve_packed(self, w: int) -> int | None:
+        """solve for a packed target (lifted residues in lanes 0..m-1, as
+        _lift gives): x packed in lanes 0..n-1, residues mod big."""
         big, m, lanes = self.big, self._m, self._lanes
         W, mask, reduce = lanes.width, lanes.mask, self._reduce
         # w = (res, -coeff): subtracting q * row clears res at the pivot and
         # adds q to the combination of the row's identity-block half. Rows
         # vanish before their pivot, so the lowest nonzero lane only moves
         # right; in the M block it must sit on a pivot divisible by d.
-        w = lanes.pack([(big // mod) * int(v)
-                        for mod, v in zip(self.moduli, b)])
         while w:
             col = ((w & -w).bit_length() - 1) // W
             if col >= m:
@@ -679,44 +717,35 @@ class ModSolver:
             if r:
                 return None
             w = reduce(w + (big - q) * row)
-        return [-x % big for x in lanes.read(w >> m * W, self._n)]
-
-    def _with_unit_vectors(self, vectors: list[list[int]]) -> list[list[int]]:
-        """vectors, then big * e_i for each column i, so the integer kernel
-        (not just its mod big reduction) is generated."""
-        n, big = self._n, self.big
-        for i in range(n):
-            unit = [0] * n
-            unit[i] = big
-            vectors.append(unit)
-        return vectors
-
-    def _pending_vectors(self) -> list[list[int]]:
-        shift, read, n = self._m * self._lanes.width, self._lanes.read, self._n
-        return [read(row >> shift, n) for row in self._pending]
+        # each lane big - c lies in [1, big]
+        return reduce(self._bigs - (w >> m * W))
 
     @cached_property
     def _kernel_form(self) -> tuple:
         """Howell form of the pending identity parts: by the Howell
         property, the identity-block rows and pivots of one uninterrupted
         elimination, shifted back by the M-block width."""
-        return howell_form(self._pending_vectors(), self.big)
+        return howell_form(PackedRows(self._pending, self.big, self._n),
+                           self.big)
 
-    def kernel_generators(self) -> list[list[int]]:
-        """Generators of the lattice {x in Z^cols : sum x_j columns[j] = 0
-        mod moduli}: the identity parts of the rows pending after the
-        M-block columns, then big * e_i for each column i. By the Howell
-        property they generate every kernel vector; they are not reduced
-        among themselves."""
-        return self._with_unit_vectors(self._pending_vectors())
+    def kernel_rows(self) -> list[int]:
+        """The packed identity parts of the rows pending after the M-block
+        columns: with big * e_i per column i they generate the lattice
+        {x in Z^cols : sum x_j columns[j] = 0 mod moduli} (Howell
+        property). They are not reduced among themselves."""
+        return list(self._pending)
 
     def kernel_basis(self) -> list[list[int]]:
-        """Generators of the same lattice as kernel_generators, read off
-        the kernel's Howell form: its rows, then big * e_i for each
-        column i."""
-        H, _ = self._kernel_form
-        read, n = self._lanes.read, self._n
-        return self._with_unit_vectors([read(row, n) for row in H])
+        """Generators of the same lattice as kernel_rows, read off the
+        kernel's Howell form: its rows, then big * e_i for each column i,
+        so the integer kernel (not just its mod big reduction) is
+        generated."""
+        n, read = self._n, self._lanes.read
+        basis = [read(row, n) for row in self._kernel_form[0]]
+        for i in range(n):
+            basis.append([0] * n)
+            basis[-1][i] = self.big
+        return basis
 
     def least_solution(self, b: Sequence[int]) -> list[int] | None:
         """The lexicographically smallest solution with entries in
@@ -728,13 +757,12 @@ class ModSolver:
         mod d; by the Howell property a column without a pivot cannot move
         at all.
         """
-        sol = self.solve(b)
-        if sol is None:
+        x = self.solve_packed(self._lift(b))
+        if x is None:
             return None
         big, lanes = self.big, self._lanes
         W, mask, reduce = lanes.width, lanes.mask, self._reduce
         H, pivots = self._kernel_form
-        x = lanes.pack(sol)
         for idx, col, d in pivots:
             q = (x >> col * W & mask) // d
             if q:

@@ -9,10 +9,9 @@ in Z_{2D}, braiding in Z_D) and become Rational01 values only on the way
 out. extract_theory measures theta on the box of generator exponents and
 the k^2 generator crossings, certifies that each box loop is the matching
 combination of generator loops (so braiding is bilinear), and checks the
-theta ratio on each (vector, generator) pair. The module also builds the
-torus logical algebra from noncontractible strings and extracts the
-boundary 3-cocycle of the SPT model from the failure of the group law of
-the truncated boundary symmetry.
+theta ratio on each (vector, generator) pair. The module also extracts
+the boundary 3-cocycle of the SPT model from the failure of the group law
+of the truncated boundary symmetry.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from operator import mul
 
 from .exactmath import IntMatrix, ModSolver, Rational01
 from .pauli import (PauliOperator, adjoint, commutation_exponent,
-                    commutation_phase, identity, multiply, product,
-                    product_of_powers)
+                    identity, multiply, product, product_of_powers)
 from .stabilizer import StabilizerGroup, VerificationError, member_with_phase
 from . import anyon
 from . import lattice as lat
@@ -389,7 +387,7 @@ def extraction_report(model: LatticeModel) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Logical algebra on the torus
+# The model's group
 # ---------------------------------------------------------------------------
 
 
@@ -399,59 +397,6 @@ def model_group(model: LatticeModel) -> StabilizerGroup:
         raise ValueError(f"the {model.kind!r} model carries no stabilizer "
                          "group; build it with a lattice builder")
     return model.group
-
-
-def logical_labels(model: LatticeModel) -> list[tuple[str, str]]:
-    """(X-bar label, Z-bar label) per logical pair."""
-    if model.kind == "tc":
-        return [("m", "e"), ("m", "e")]
-    if model.kind == "ds":
-        return [("s", "s"), ("sbar", "sbar")]
-    if model.kind == "tqd":
-        return [(f"phi{i + 1}", f"phi{i + 1}")
-                for i in range(model.params.M)]
-    raise ValueError(f"no logical strings for model kind {model.kind!r}")
-
-
-def logical_algebra(model: LatticeModel) -> dict:
-    """Noncontractible-string logical operators and their exact algebra.
-
-    Pair i is (X-bar_i, Z-bar_i); for the toric code the second pair uses the
-    swapped cycle directions. Reports the pairwise commutation phases and,
-    for each operator, the smallest power that is a stabilizer member.
-    """
-    group = model_group(model)
-    probe = _Probe(model)
-    ops: list[tuple[str, PauliOperator]] = []
-    pairs = logical_labels(model)
-    for i, (xname, zname) in enumerate(pairs):
-        xdir, zdir = "horizontal", "vertical"
-        if model.kind == "tc" and i == 1:
-            xdir, zdir = "vertical", "horizontal"
-        ops.append((f"X{i + 1}", probe.loop(probe.deconfined(xname), xdir)))
-        ops.append((f"Z{i + 1}", probe.loop(probe.deconfined(zname), zdir)))
-    commutation = {
-        na: {nb: str(commutation_phase(pa, pb)) for nb, pb in ops}
-        for na, pa in ops}
-    orders = {}
-    members = {}
-    cap = lcm(*model.lattice.edge_dims)
-    for name, op in ops:
-        acc = identity(group.system)
-        for n in range(1, cap + 1):
-            acc = multiply(acc, op)
-            res = member_with_phase(group, acc)
-            if res.verdict != "NotMember":
-                orders[name] = n
-                members[name] = res.verdict
-                break
-        else:
-            orders[name] = None
-            members[name] = "NotMember"
-    return {"operators": [name for name, _ in ops],
-            "commutation": commutation,
-            "orders": orders,
-            "power_membership": members}
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +430,12 @@ def _partial_member(group: StabilizerGroup, gen_indices, target,
     Returns the matching product (phase included), or None if no combination
     agrees with `target` on every listed site.
     """
-    n = group.system.n_sites
-    parts = [part for s in row_sites for part in (s, n + s)]
+    D, dims = group.system.D, group.system.dims
     ops = [target] + [group.generators[i] for i in gen_indices]
-    rhs, *columns = [[lifted[part] for part in parts]
-                     for lifted in map(group._lifted, ops)]
-    coeffs = ModSolver(columns, [group.system.D] * len(parts)).solve(rhs)
+    # each op's exponents at row_sites lifted into Z_D: x, then z, per site
+    rhs, *columns = [[e * (D // dims[s]) for s in row_sites
+                      for e in (op.x.get(s, 0), op.z.get(s, 0))] for op in ops]
+    coeffs = ModSolver(columns, [D] * (2 * len(row_sites))).solve(rhs)
     if coeffs is None:
         return None
     return product_of_powers(

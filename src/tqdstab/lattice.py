@@ -468,14 +468,14 @@ def _flux_phase_corrections(group: StabilizerGroup, per_layer: int,
     layer's total coefficient; solve for the m_i that cancel all such phases.
     The answer is the lexicographically smallest solution mod 2D.
     """
-    table = group._get_kernel_phases()
-    if not table:
+    phases = group._get_kernel_phases()
+    if not phases:
         return [0] * n_layers
     D2 = 2 * group.system.D
-    columns = [[sum(vec[i * per_layer:(i + 1) * per_layer]) % D2
-                for vec, _ in table] for i in range(n_layers)]
-    rhs = [(-phase) % D2 for _, phase in table]
-    sol = ModSolver(columns, [D2] * len(table)).least_solution(rhs)
+    columns = group._kernel_sums([range(i * per_layer, (i + 1) * per_layer)
+                                  for i in range(n_layers)])
+    rhs = [(-phase) % D2 for phase in phases]
+    sol = ModSolver(columns, [D2] * len(phases)).least_solution(rhs)
     if sol is None:
         raise ValueError(
             "no uniform vertex-term phase makes the group scalar-consistent")

@@ -68,10 +68,9 @@ class StabilizerGroup:
         self._noncommuting: list[tuple[int, int]] | None = None
         self._odd_pairs = array("I")
         self._solver: ModSolver | None = None
-        # the kernel generators, and the packed columns and brackets of the
-        # pending ones
-        self._kernel: tuple[list[list[int]], list[int], int] | None = None
-        self._kernel_phases: list[tuple[list[int], int]] | None = None
+        # the solver's packed kernel rows, their packed columns and brackets
+        self._kernel: tuple[list[int], list[int], int] | None = None
+        self._kernel_phases: list[int] | None = None
         if validate:
             self._check_commuting()
 
@@ -86,23 +85,21 @@ class StabilizerGroup:
 
     # -- lifted exponent coordinates ----------------------------------------
 
-    def _lifted(self, P: PauliOperator) -> list[int]:
-        """P's exponents lifted into Z_D: x parts, then z parts."""
+    def _packed(self, P: PauliOperator, width: int) -> int:
+        """P's exponents lifted into Z_D and packed in lanes of `width`
+        bits, from its sparse maps: x parts in lanes 0..n-1, then z parts."""
         D, dims = self.system.D, self.system.dims
         n = len(dims)
-        vec = [0] * (2 * n)
-        for q, e in P.x.items():
-            vec[q] = e * (D // dims[q])
-        for q, e in P.z.items():
-            vec[n + q] = e * (D // dims[q])
-        return vec
+        return sum(e * (D // dims[q]) << (offset + q) * width
+                   for offset, exps in ((0, P.x), (n, P.z))
+                   for q, e in exps.items())
 
     def _get_solver(self) -> ModSolver:
         if self._solver is None:
-            n2 = 2 * len(self.system.dims)
+            D, width = self.system.D, _Lanes(self.system.D).width
             self._solver = ModSolver(
-                [self._lifted(g) for g in self.generators],
-                [self.system.D] * n2)
+                [self._packed(g, width) for g in self.generators],
+                [D] * (2 * len(self.system.dims)))
         return self._solver
 
     def combination(self, coefficients: Sequence[int]) -> PauliOperator:
@@ -115,10 +112,10 @@ class StabilizerGroup:
         """The group of `generators`, each a scalar multiple of the matching
         generator here. The lifted exponent vectors are unchanged, so the
         result shares this group's solver, its commutation record (scalars
-        commute with everything) and its kernel vectors with their beta
-        bits, but computes its own kernel phases. Raises ValueError if any
-        generator's exponents differ; checks commutation like the
-        constructor."""
+        commute with everything) and its kernel rows with their columns
+        and beta bits, but computes its own kernel phases. Raises
+        ValueError if any generator's exponents differ; checks commutation
+        like the constructor."""
         generators = tuple(generators)
         if len(generators) != len(self.generators) or any(
                 g.x != h.x or g.z != h.z
@@ -134,23 +131,22 @@ class StabilizerGroup:
 
     # -- phases of generator combinations, in closed form -------------------
 
-    def _combination_phases(self, vectors: Sequence[Sequence[int]],
+    def _combination_phases(self, columns: Sequence[int], count: int,
                             targets: Sequence[PauliOperator]) -> list[int]:
-        """phi mod 2D for each coefficient vector a, with prod_i g_i^{a_i}
-        = w^phi P for P the matching target in normal form (formula in
-        member_with_phase's docstring). One packed pass for the whole
-        batch; SolverCheckError if some combination does not have its
-        target's exponents."""
-        return self._phase_part(*self._exponent_part(vectors, targets),
-                                len(vectors), targets)
+        """phi mod 2D for each of `count` coefficient vectors a, with
+        prod_i g_i^{a_i} = w^phi P for P the matching target in normal form
+        (formula in member_with_phase's docstring); column i holds a_i mod
+        2D in lane r for vector r (_Lanes(2D)). One packed pass for the
+        batch; SolverCheckError if a combination misses its target's
+        exponents."""
+        return self._phase_part(columns, self._exponent_part(
+            columns, count, targets), count, targets)
 
-    def _exponent_part(self, vectors: Sequence[Sequence[int]],
-                       targets: Sequence[PauliOperator] = ()
-                       ) -> tuple[list[int], int]:
+    def _exponent_part(self, columns: Sequence[int], count: int,
+                       targets: Sequence[PauliOperator] = ()) -> int:
         """The part of _combination_phases that reads exponents only: the
-        vectors' columns, one per generator, packed one lane per vector
-        mod 2D, and the packed GF(2) bracket of each vector against its
-        target (the identity where `targets` is empty).
+        packed GF(2) bracket of each vector against its target (the
+        identity where `targets` is empty).
 
         This is also the exact re-check that each combination has its
         target's exponents: at each lifted coordinate the lanes of
@@ -161,10 +157,9 @@ class StabilizerGroup:
         """
         self._check_commuting()
         D, dims = self.system.D, self.system.dims
-        n, count = len(dims), len(vectors)
+        n = len(dims)
         lanes = _Lanes(2 * D)
         reduce, ones = lanes.reducer(count), lanes.ones(count)
-        columns = lanes.columns_of(vectors, len(self.generators))
         sums: dict[int, int] = {}  # lifted coordinate -> packed D u_s
         parities: dict[int, int] = {}  # target's coordinate -> its parities
         for r, P in enumerate(targets):
@@ -205,9 +200,9 @@ class StabilizerGroup:
                                                    & u)
             if dims[site] & 1:
                 beta ^= u & v
-        return columns, beta
+        return beta
 
-    def _phase_part(self, columns: list[int], beta: int, count: int,
+    def _phase_part(self, columns: Sequence[int], beta: int, count: int,
                     targets: Sequence[PauliOperator] = ()) -> list[int]:
         """The lanes of the packed linear term sum_i a_i (p_i - h_i) + h_P
         plus D times the bracket, mod 2D: _combination_phases from
@@ -224,44 +219,66 @@ class StabilizerGroup:
                 acc = reduce(acc + weight * col)
         return lanes.read(reduce(acc + D * beta), count)
 
-    def _get_kernel(self) -> tuple[list[list[int]], list[int], int]:
-        """The solver's kernel_generators, read once, with the packed
-        columns and brackets (_exponent_part) of all but the trailing
-        big * e_i. They depend on the exponents only, so rephased groups
-        share the triple: the brackets hold for these vectors only."""
+    def _get_kernel(self) -> tuple[list[int], list[int], int]:
+        """The solver's kernel_rows, read once, with their packed columns
+        mod 2D (one transpose) and brackets (_exponent_part); the trailing
+        D * e_i stay implicit. They depend on the exponents only, so
+        rephased groups share the triple."""
         if self._kernel is None:
-            vectors = self._get_solver().kernel_generators()
-            self._kernel = (vectors, *self._exponent_part(
-                vectors[:len(vectors) - len(self.generators)]))
+            solver = self._get_solver()
+            rows = solver.kernel_rows()
+            columns = _Lanes(2 * self.system.D).transpose(
+                rows, len(self.generators), solver._lanes)
+            self._kernel = (rows, columns,
+                            self._exponent_part(columns, len(rows)))
         return self._kernel
 
-    def _get_kernel_phases(self) -> list[tuple[list[int], int]]:
-        """(vector, phase) for each of the solver's kernel_generators: the
-        combination is a scalar, and phase is its exponent mod 2D. Computed
-        once per group, multiplying no operators. The phases generate the
-        subgroup gcd(2D, *phases) Z of Z_{2D}.
+    def _kernel_vector(self, i: int) -> list[int]:
+        """Kernel generator i (_get_kernel_phases order) as a vector: row i
+        read off its lanes, or D * e_j for the j-th past the rows."""
+        rows, k = self._get_kernel()[0], len(self.generators)
+        if i < len(rows):
+            return self._get_solver()._lanes.read(rows[i], k)
+        return [self.system.D * (j == i - len(rows)) for j in range(k)]
 
-        A pending kernel vector is the identity-target case of
-        _combination_phases, its bracket shared through _get_kernel. A
-        trailing big * e_i (big = D) gives
-        g_i^D = w^{D p_i + D (D - 1) h_i}: it is a scalar because every d_s
-        divides D.
+    def _get_kernel_phases(self) -> list[int]:
+        """The scalar combination's phase mod 2D for each kernel generator:
+        the kernel rows, then D * e_i per generator (_kernel_vector reads
+        the vectors). Computed once per group from packed columns only; the
+        phases generate the subgroup gcd(2D, *phases) Z of Z_{2D}.
+
+        A kernel row is the identity-target case of _combination_phases,
+        its bracket shared through _get_kernel. A trailing D * e_i gives
+        g_i^D = w^{D p_i + D (D - 1) h_i}, a scalar as every d_s divides D.
         """
         if self._kernel_phases is None:
-            vectors, columns, beta = self._get_kernel()
+            rows, columns, beta = self._get_kernel()
             D = self.system.D
-            rows = len(vectors) - len(self.generators)
-            phases = self._phase_part(columns, beta, rows)
-            phases += [D * (g.phase + (D - 1) * _reordering(g)) % (2 * D)
-                       for g in self.generators]
-            self._kernel_phases = list(zip(vectors, phases))
+            self._kernel_phases = self._phase_part(
+                columns, beta, len(rows)) + [
+                D * (g.phase + (D - 1) * _reordering(g)) % (2 * D)
+                for g in self.generators]
         return self._kernel_phases
+
+    def _kernel_sums(self, blocks: Sequence[range]) -> list[list[int]]:
+        """Per block of generator indices, each kernel generator's
+        coefficient sum over it mod 2D (_get_kernel_phases order): the
+        block's packed columns added lane-wise, then D per D * e_j in it."""
+        rows, columns, _ = self._get_kernel()
+        D, lanes = self.system.D, _Lanes(2 * self.system.D)
+        reduce, sums = lanes.reducer(len(rows)), []
+        for block in blocks:
+            acc = 0
+            for j in block:  # lanes stay below 4D
+                acc = reduce(acc + columns[j])
+            sums.append(lanes.read(acc, len(rows)) + [
+                D * (j in block) for j in range(len(self.generators))])
+        return sums
 
     def _scalar_step(self) -> int:
         """gcd(2D, kernel phases): the group's scalars are exactly the
         w^phi with phi a multiple of it."""
-        return gcd(2 * self.system.D,
-                   *(phase for _, phase in self._get_kernel_phases()))
+        return gcd(2 * self.system.D, *self._get_kernel_phases())
 
     def to_json_dict(self) -> dict:
         return {
@@ -333,9 +350,10 @@ class ScalarConsistency:
 def scalar_consistency(S: StabilizerGroup) -> ScalarConsistency:
     """Consistent iff no combination of generators is a nonzero scalar."""
     S._check_commuting()
-    for vec, phase in S._get_kernel_phases():
+    for i, phase in enumerate(S._get_kernel_phases()):
         if phase:
-            return ScalarConsistency(False, (tuple(vec), phase))
+            return ScalarConsistency(False,
+                                     (tuple(S._kernel_vector(i)), phase))
     return ScalarConsistency(True, None)
 
 
@@ -378,25 +396,29 @@ def member_with_phase(S: StabilizerGroup, P: PauliOperator) -> MembershipResult:
     exactly.
     """
     S._check_commuting()
-    coeffs = S._get_solver().solve(S._lifted(P))
-    if coeffs is None:
+    solver = S._get_solver()
+    x = solver.solve_packed(S._packed(P, solver._lanes.width))
+    if x is None:
         return MembershipResult((), Rational01(0), "NotMember")
+    coeffs = solver._lanes.read(x, len(S.generators))
     two_d = 2 * S.system.D
-    delta = (P.phase - S._combination_phases([coeffs], [P])[0]) % two_d
+    delta = (P.phase - S._combination_phases(coeffs, 1, [P])[0]) % two_d
     if delta == 0:
         return MembershipResult(tuple(coeffs), Rational01(0), "Member")
-    table = S._get_kernel_phases()
     if delta % S._scalar_step() == 0:
         # Some identity-exponent combination supplies the missing phase;
         # fold it into the coefficients so the combination is exact.
-        fix = ModSolver([[p] for _, p in table], [two_d]).solve([delta])
+        fix = ModSolver([[p] for p in S._get_kernel_phases()],
+                        [two_d]).solve([delta])
         if fix is None:
             raise SolverCheckError(
                 "no kernel combination has the missing phase")
-        for f, (vec, _) in zip(fix, table):
+        for i, f in enumerate(fix):
             if f:
-                coeffs = [c + f * a for c, a in zip(coeffs, vec)]
-        if S._combination_phases([coeffs], [P]) != [P.phase]:
+                coeffs = [c + f * a
+                          for c, a in zip(coeffs, S._kernel_vector(i))]
+        if S._combination_phases([c % two_d for c in coeffs], 1,
+                                 [P]) != [P.phase]:
             raise SolverCheckError("phase-corrected combination mismatch")
         return MembershipResult(tuple(coeffs), Rational01(0), "Member")
     return MembershipResult(tuple(coeffs), Rational01(delta, two_d),
@@ -466,13 +488,15 @@ def groups_equal(S1: StabilizerGroup, S2: StabilizerGroup) -> bool:
     solver = S2._get_solver()
     if S1._get_solver().image_size() != solver.image_size():
         return False
-    vectors = []
+    rows = []
     for g in S1.generators:
-        coeffs = solver.solve(S2._lifted(g))
-        if coeffs is None:
+        x = solver.solve_packed(S2._packed(g, solver._lanes.width))
+        if x is None:
             return False
-        vectors.append(coeffs)
-    phases = S2._combination_phases(vectors, S1.generators)
+        rows.append(x)
+    columns = _Lanes(2 * S2.system.D).transpose(rows, len(S2.generators),
+                                                solver._lanes)
+    phases = S2._combination_phases(columns, len(rows), S1.generators)
     step = S2._scalar_step()
     two_d = 2 * S2.system.D
     if any((g.phase - phi) % two_d % step

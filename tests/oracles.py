@@ -6,18 +6,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from tqdstab import anyon, extraction
-from tqdstab.exactmath import (IntMatrix, ModSolver, Rational01, _unit_for,
-                                _xgcd)
-from tqdstab.lattice import H, V
-from tqdstab.pauli import (PauliOperator, adjoint, multiply, power, product,
+from tqdstab.exactmath import (IntMatrix, ModSolver, Rational01, _Lanes,
+                                _unit_for, _xgcd, unpack_row)
+from tqdstab.lattice import H, LatticeModel, V
+from tqdstab.pauli import (PauliOperator, adjoint, commutation_phase,
+                           identity, multiply, power, product,
                            product_of_powers)
 from tqdstab.stabilizer import (MembershipResult, NonCommutingError,
                                 SolverCheckError, StabilizerGroup,
-                                group_order)
+                                group_order, member_with_phase)
 
 
 def scan_unit_for(a: int, N: int) -> int:
@@ -76,12 +77,95 @@ def dense_howell_form(rows: Sequence[Sequence[int]],
     return H, pivots
 
 
+def lifted(group, P: PauliOperator) -> list[int]:
+    """P's exponents lifted into Z_D as one dense 2n-entry vector, x parts
+    then z parts: the list `StabilizerGroup` built for its solver and its
+    targets before it packed them straight from the sparse maps."""
+    D, dims = group.system.D, group.system.dims
+    n = len(dims)
+    vec = [0] * (2 * n)
+    for q, e in P.x.items():
+        vec[q] = e * (D // dims[q])
+    for q, e in P.z.items():
+        vec[n + q] = e * (D // dims[q])
+    return vec
+
+
+def columns_of(lanes: _Lanes, vectors: Sequence[Sequence[int]],
+               n: int) -> list[int]:
+    """The n columns of `vectors` (rows of n integers, read mod lanes.big),
+    packed in `lanes` one column at a time: lane r of column j is entry j
+    of vectors[r]. `_Lanes.columns_of` before `_Lanes.transpose` read the
+    columns off the packed rows."""
+    return list(map(lanes.pack, zip(*vectors))) if vectors else [0] * n
+
+
+def pending_vectors(solver: ModSolver) -> list[list[int]]:
+    """The solver's kernel rows unpacked one by one into dense vectors
+    (`ModSolver._pending_vectors`)."""
+    return [unpack_row(row, solver.big, solver._n)
+            for row in solver.kernel_rows()]
+
+
+def kernel_generators(solver: ModSolver) -> list[list[int]]:
+    """The solver's kernel rows as dense vectors, then big * e_i for each
+    column i: generators of the lattice {x in Z^cols : sum x_j columns[j]
+    = 0 mod moduli}, not reduced among themselves. The dense view
+    `ModSolver.kernel_generators` gave before the stabilizer module read
+    the packed rows."""
+    n = solver._n
+    return pending_vectors(solver) + [
+        [solver.big if j == i else 0 for j in range(n)] for i in range(n)]
+
+
+def solve_by_dense_rows(solver: ModSolver,
+                        b: Sequence[int]) -> list[int] | None:
+    """`ModSolver.solve` on dense lists: the lifted target, a full list of
+    m + n entries, is reduced against each pivot row unpacked, entry by
+    entry, and the answer is its negated identity part, one entry at a
+    time. The route before targets and answers stayed packed."""
+    big, m, n = solver.big, solver._m, solver._n
+    w = [(big // mod) * int(v) % big
+         for mod, v in zip(solver.moduli, b)] + [0] * n
+    pivot_at = {col: (unpack_row(solver._H[idx], big, m + n), d)
+                for idx, col, d in solver._pivots}
+    for col in range(m):
+        if not w[col]:
+            continue
+        if col not in pivot_at:
+            return None
+        row, d = pivot_at[col]
+        q, r = divmod(w[col], d)
+        if r:
+            return None
+        w = [(x - q * y) % big for x, y in zip(w, row)]
+    return [-x % big for x in w[m:]]
+
+
+def combination_phases(group, vectors: Sequence[Sequence[int]],
+                       targets: Sequence[PauliOperator]) -> list[int]:
+    """`StabilizerGroup._combination_phases` on dense coefficient vectors
+    (any integers), packed column by column (columns_of)."""
+    lanes = _Lanes(2 * group.system.D)
+    return group._combination_phases(
+        columns_of(lanes, vectors, len(group.generators)), len(vectors),
+        targets)
+
+
+def kernel_table(group) -> list[tuple[list[int], int]]:
+    """The group's kernel phases paired with their vectors, each read off
+    its packed row (`_kernel_vector`): the shape kernel_phases_by_products
+    returns."""
+    return [(group._kernel_vector(i), phase)
+            for i, phase in enumerate(group._get_kernel_phases())]
+
+
 def transposed_solver_rows(group) -> list[list[int]]:
     """The [M | I] Howell input rows of a stabilizer group's solver, built
     entry by entry through the 2n x k lifted generator matrix A: A[i][j] is
     entry i of generator j's lifted vector, and row j is column j of A,
     each entry times big / D = 1, then the unit vector e_j."""
-    cols = [group._lifted(g) for g in group.generators]
+    cols = [lifted(group, g) for g in group.generators]
     m, n = 2 * group.system.n_sites, len(cols)
     A = [[cols[j][i] for j in range(n)] for i in range(m)]
     rows = [[A[i][j] for i in range(m)] + [1 if k == j else 0
@@ -91,13 +175,13 @@ def transposed_solver_rows(group) -> list[list[int]]:
 
 
 def kernel_phases_by_products(group) -> list[tuple[list[int], int]]:
-    """(vector, phase) for each of the group's kernel_generators, by
+    """(vector, phase) for each of the solver's kernel_generators, by
     multiplying out the combination: one product_of_powers over the
     nonzero entries of each pending row, one power for each big * e_i.
     The route `StabilizerGroup._get_kernel_phases` took before its closed
     form."""
     solver = group._get_solver()
-    vectors = solver.kernel_generators()
+    vectors = kernel_generators(solver)
     gens = group.generators
     n_rows = len(vectors) - len(gens)
     ops = [product_of_powers(group.system,
@@ -117,8 +201,9 @@ def member_with_phase_by_products(S: StabilizerGroup,
     """`stabilizer.member_with_phase` by multiplying out the combination
     the solver gives (and the folded one) in generator order, with the
     kernel table of kernel_phases_by_products: the route it took before
-    its closed form."""
-    coeffs = S._get_solver().solve(S._lifted(P))
+    its closed form. The target is solved on dense lists
+    (solve_by_dense_rows)."""
+    coeffs = solve_by_dense_rows(S._get_solver(), lifted(S, P))
     if coeffs is None:
         return MembershipResult((), Rational01(0), "NotMember")
     combo = S.combination(coeffs)
@@ -271,6 +356,64 @@ def extraction_tables_by_all_pairs(model, junction=None):
         {vec: t_phase[e] for vec, e in theta.items()},
         {pair: b_phase[e] for pair, e in braiding.items()},
         presented.theory)
+
+
+# ---------------------------------------------------------------------------
+# Torus logical algebra (test-only: no library route reads it)
+# ---------------------------------------------------------------------------
+
+
+def logical_labels(model: LatticeModel) -> list[tuple[str, str]]:
+    """(X-bar label, Z-bar label) per logical pair."""
+    if model.kind == "tc":
+        return [("m", "e"), ("m", "e")]
+    if model.kind == "ds":
+        return [("s", "s"), ("sbar", "sbar")]
+    if model.kind == "tqd":
+        return [(f"phi{i + 1}", f"phi{i + 1}")
+                for i in range(model.params.M)]
+    raise ValueError(f"no logical strings for model kind {model.kind!r}")
+
+
+def logical_algebra(model: LatticeModel) -> dict:
+    """Noncontractible-string logical operators and their exact algebra.
+
+    Pair i is (X-bar_i, Z-bar_i); for the toric code the second pair uses the
+    swapped cycle directions. Reports the pairwise commutation phases and,
+    for each operator, the smallest power that is a stabilizer member.
+    """
+    group = extraction.model_group(model)
+    probe = extraction._Probe(model)
+    ops: list[tuple[str, PauliOperator]] = []
+    pairs = logical_labels(model)
+    for i, (xname, zname) in enumerate(pairs):
+        xdir, zdir = "horizontal", "vertical"
+        if model.kind == "tc" and i == 1:
+            xdir, zdir = "vertical", "horizontal"
+        ops.append((f"X{i + 1}", probe.loop(probe.deconfined(xname), xdir)))
+        ops.append((f"Z{i + 1}", probe.loop(probe.deconfined(zname), zdir)))
+    commutation = {
+        na: {nb: str(commutation_phase(pa, pb)) for nb, pb in ops}
+        for na, pa in ops}
+    orders = {}
+    members = {}
+    cap = lcm(*model.lattice.edge_dims)
+    for name, op in ops:
+        acc = identity(group.system)
+        for n in range(1, cap + 1):
+            acc = multiply(acc, op)
+            res = member_with_phase(group, acc)
+            if res.verdict != "NotMember":
+                orders[name] = n
+                members[name] = res.verdict
+                break
+        else:
+            orders[name] = None
+            members[name] = "NotMember"
+    return {"operators": [name for name, _ in ops],
+            "commutation": commutation,
+            "orders": orders,
+            "power_membership": members}
 
 
 def qpp_dense(op, sites: Sequence):

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dense_howell_form, scan_unit_for,
+from oracles import (columns_of, dense_howell_form, kernel_generators,
+                     pending_vectors, scan_unit_for, solve_by_dense_rows,
                      transposed_solver_rows)
 from tqdstab import exactmath
 from tqdstab.exactmath import (IntegralityError, IntMatrix, ModSolver,
@@ -483,7 +484,7 @@ def walk_least_solution(columns, b, moduli):
     solutions = {tuple(s % big for s in sol)}
     frontier = list(solutions)
     shifts = {tuple(s % big for s in vec)
-              for vec in solver.kernel_generators()}
+              for vec in kernel_generators(solver)}
     shifts.discard((0,) * len(columns))
     while frontier:
         base = frontier.pop()
@@ -539,7 +540,8 @@ class TestSolverProperties:
     @given(mod_systems(max_rows=4, max_cols=6))
     @settings(max_examples=150, deadline=None)
     def test_kernel_views_agree_with_smith_form(self, system):
-        # kernel_generators (rows pending after the M block) and
+        # kernel_generators (oracle: the kernel rows, pending after the M
+        # block, read dense) and
         # kernel_basis (the kernel's own Howell form) against Smith normal
         # form of the lifted matrix whose columns are the inputs.
         columns, b, moduli = system
@@ -555,7 +557,7 @@ class TestSolverProperties:
             image *= big // gcd(d, big)
         assert solver.image_size() == image
         before = solver.solve(b)
-        generators = solver.kernel_generators()
+        generators = kernel_generators(solver)
         zero = [0] * len(moduli)
         assert all(_satisfies(columns, vec, zero, moduli)
                    for vec in generators)
@@ -576,14 +578,18 @@ class TestSolverProperties:
     @given(mod_systems(), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_columns_of_transposes_the_vectors(self, system, rng):
-        # kernel vectors packed mod big and mod 2 * big, as the stabilizer
-        # module packs combination coefficients mod 2D
+        # the kernel rows transposed into lanes mod big and mod 2 * big, as
+        # the stabilizer module reads combination coefficients mod 2D, equal
+        # the columns packed one by one from the dense vectors (oracle)
         columns, _, moduli = system
-        vectors = ModSolver(columns, moduli).kernel_generators()
+        solver = ModSolver(columns, moduli)
+        vectors = pending_vectors(solver)
         for big in (lcm(*moduli), 2 * lcm(*moduli)):
             lanes = exactmath._Lanes(big)
             n, ones = len(vectors), lanes.ones(len(vectors))
-            packed = lanes.columns_of(vectors, len(columns))
+            packed = lanes.transpose(solver.kernel_rows(), len(columns),
+                                     solver._lanes)
+            assert packed == columns_of(lanes, vectors, len(columns))
             assert len(packed) == len(columns)
             for j, col in enumerate(packed):
                 assert lanes.read(col, n) == [vec[j] % big for vec in vectors]
@@ -596,7 +602,31 @@ class TestSolverProperties:
             assert lanes.read(acc, n) == [
                 sum(w * v for w, v in zip(weights, vec)) % big
                 for vec in vectors]
-            assert lanes.columns_of([], len(columns)) == [0] * len(columns)
+            assert lanes.transpose([], len(columns), solver._lanes) == [
+                0] * len(columns)
+
+    @given(mod_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_packed_solve_matches_dense_route(self, system):
+        # The packed target and packed answer against solving on dense
+        # lists (oracle), on targets in the image and off it; packed input
+        # columns give the same Howell rows as dense ones.
+        columns, b, moduli = system
+        big = lcm(*moduli)
+        solver = ModSolver(columns, moduli)
+        expected = solve_by_dense_rows(solver, b)
+        x = solver.solve_packed(solver._lift(b))
+        assert (x is None) == (expected is None)
+        if x is not None:
+            assert solver._lanes.read(x, len(columns)) == expected
+            assert x >> len(columns) * solver._lanes.width == 0
+        assert solver.solve(b) == expected
+        assert (expected is None) == (_all_solutions(columns, b, moduli)
+                                      == [])
+        packed = ModSolver([solver._lift(col) for col in columns], moduli)
+        assert (packed._H, packed._pivots, packed.kernel_rows()) == (
+            solver._H, solver._pivots, solver.kernel_rows())
+        assert packed.solve(b) == expected
 
     @given(mod_systems())
     @settings(max_examples=150, deadline=None)
@@ -729,6 +759,41 @@ def test_reducer_is_lanewise_mod(big, data):
             v % big for v in lane_values]
 
 
+# (solver modulus D, phase modulus 2D) pairs for the transpose: equal
+# lane widths, 8 -> 16 bits (the Z_8 toric code), 32 -> 64 bits, and
+# lanes wider than any memoryview code (192 -> 200 bits)
+TRANSPOSE_MODULI = [(4, 8), (16, 32), (8, 16), (72, 144),
+                    (2 ** 39 * 3 ** 5, 2 ** 40 * 3 ** 5)]
+
+
+def test_transpose_moduli_cover_every_widening():
+    widths = [(exactmath._Lanes(d).width, exactmath._Lanes(two_d).width)
+              for d, two_d in TRANSPOSE_MODULI]
+    assert widths[:4] == [(8, 8), (16, 16), (8, 16), (32, 64)]
+    assert widths[4] == (192, 200)
+    assert exactmath._Lanes(2 ** 40 * 3 ** 5)._code is None
+
+
+@given(st.sampled_from(TRANSPOSE_MODULI), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_transpose_matches_columns_of(moduli, same, data):
+    # packed rows of residues mod D, each with at most n nonzero lanes
+    # (top lanes may be zero), transposed into lanes mod D or mod 2D,
+    # against the columns packed one by one from the dense rows; no rows
+    # gives n zero columns
+    d, two_d = moduli
+    src = exactmath._Lanes(d)
+    dest = src if same else exactmath._Lanes(two_d)
+    n = data.draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.just(d - 1), st.integers(0, d - 1))
+    vectors = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                 max_size=5))
+    rows = [src.pack(vec) for vec in vectors]
+    assert dest.transpose(rows, n, src) == columns_of(dest, vectors, n)
+    if not vectors:
+        assert dest.transpose(rows, n, src) == [0] * n
+
+
 @st.composite
 def lane_systems(draw):
     """Dense rows over Z_big for big in LANE_MODULI, entries lifted from a
@@ -782,7 +847,7 @@ class TestLaneWidths:
         assert all(_satisfies(columns, vec, zero, [big] * width)
                    for vec in solver.kernel_basis())
         assert all(_satisfies(columns, vec, zero, [big] * width)
-                   for vec in solver.kernel_generators())
+                   for vec in kernel_generators(solver))
 
 
 class TestSparseHowell:
@@ -847,14 +912,18 @@ class TestSparseHowell:
         [(rows, big)] = calls
         expected_rows = transposed_solver_rows(group)
         assert big == group.system.D
-        assert rows == expected_rows
+        # packed straight from the sparse exponents, read back dense
+        assert isinstance(rows, exactmath.PackedRows)
+        assert list(rows) == expected_rows
 
     def test_solver_rows_scale_by_row_modulus(self, monkeypatch):
         calls = _record_howell_inputs(monkeypatch)
+        # rows arrive packed, so read back as residues: lifted 3, 6, 0 and
+        # 6, 2, 5 mod 6, and nothing at all mod 1
         ModSolver([[1, 3, 0], [2, 1, 5]], [2, 3, 6])
         ModSolver([[], []], [])
-        assert calls == [([[3, 6, 0, 1, 0], [6, 2, 5, 0, 1]], 6),
-                         ([[1, 0], [0, 1]], 1)]
+        assert [(list(rows), big) for rows, big in calls] == [
+            ([[3, 0, 0, 1, 0], [0, 2, 5, 0, 1]], 6), ([[0, 0], [0, 0]], 1)]
 
     def test_benchmark_trace_reads_arguments_and_result(self, monkeypatch):
         # The benchmark's layer trace records the dense input width and the

@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import pytest
 
 from oracles import (extraction_tables_by_all_pairs,
-                     junction_exponent_by_products)
+                     junction_exponent_by_products, logical_algebra)
 from tqdstab import cli, extraction
 from tqdstab.anyon import (RelationError, TheoryCheckError, ds_theory,
                            theories_isomorphic, topological_spins_census,
@@ -18,9 +18,8 @@ from tqdstab.extraction import (ConfinedLabelError,
                                 cocycle_is_valid, crossing_braiding,
                                 default_junction, extract_theory,
                                 extraction_report, fusion_order,
-                                generating_labels, logical_algebra,
-                                model_group, spt_cocycle, spt_report,
-                                t_junction_theta)
+                                generating_labels, model_group,
+                                spt_cocycle, spt_report, t_junction_theta)
 from tqdstab.lattice import (AnyonLabel, LatticeModel, PathSpec, TqdParams,
                              build_ds, build_from_spec, build_hatted_ds,
                              build_spt, build_tqd, build_zn_tc,

@@ -391,12 +391,12 @@ class TestTwistedBuilders:
     ], ids=["ds-3x3", "ds-4x4", "tqd22-twisted-3x3", "spt-4x4"])
     def test_phase_fix_same_from_reduced_kernel_basis(self, monkeypatch,
                                                       build):
-        # The fix is read from the unreduced kernel generators; a build
-        # whose kernel table comes from the finished form's reduced basis
-        # (same lattice, so the same solution set) gives the same fix.
+        # The fix is read from the unreduced kernel rows; a build whose
+        # kernel table comes from the rows of the finished form's reduced
+        # basis (same lattice, so the same solution set) gives the same fix.
         group, model = build()
-        monkeypatch.setattr(ModSolver, "kernel_generators",
-                            ModSolver.kernel_basis)
+        monkeypatch.setattr(ModSolver, "kernel_rows",
+                            lambda self: list(self._kernel_form[0]))
         reference_group, reference = build()
         assert model.phase_fix == reference.phase_fix
         assert reference_group.generators == group.generators

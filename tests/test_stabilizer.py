@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (groups_equal_by_members, kernel_phases_by_products,
-                     member_with_phase_by_products)
+from oracles import (combination_phases, groups_equal_by_members,
+                     kernel_generators, kernel_phases_by_products,
+                     kernel_table, lifted, member_with_phase_by_products)
 
 from tqdstab import exactmath, pauli, stabilizer
 from tqdstab.exactmath import Rational01
@@ -138,8 +139,10 @@ class TestConstruction:
         sysm = QuditSystem([2, 3, 6])
         S = StabilizerGroup(sysm, [], validate=False)
         P = PauliOperator(sysm, phase=1, x={0: 1, 2: 5}, z={1: 2, 2: 3})
-        assert S._lifted(P) == [3, 0, 5, 0, 4, 3]
-        assert S._lifted(PauliOperator(sysm)) == [0] * 6
+        lanes = exactmath._Lanes(6)
+        assert lanes.read(S._packed(P, lanes.width), 6) == [3, 0, 5, 0, 4, 3]
+        assert lifted(S, P) == [3, 0, 5, 0, 4, 3]
+        assert S._packed(PauliOperator(sysm), lanes.width) == 0
 
 
 class TestOrderAndDimension:
@@ -305,7 +308,7 @@ class TestRephased:
         assert solver._pivots
         assert all(col < m for _, col, _ in solver._pivots)
         assert "_kernel_form" not in vars(solver)
-        columns = [group._lifted(g) for g in group.generators]
+        columns = [lifted(group, g) for g in group.generators]
         finished = exactmath.ModSolver(columns, solver.moduli)
         finished.kernel_basis()
         assert finished._kernel_form[1]
@@ -392,7 +395,7 @@ class TestMembership:
             "from tqdstab.stabilizer import (SolverCheckError, "
             "StabilizerGroup, member_with_phase)\n"
             "assert False, 'asserts must be stripped under -O'\n"
-            "ModSolver.solve = lambda self, rhs: [1]\n"
+            "ModSolver.solve_packed = lambda self, w: 1\n"
             "sysm = QuditSystem([2])\n"
             "S = StabilizerGroup(sysm, [single(sysm, 0, 'X', 1)])\n"
             "try:\n"
@@ -411,6 +414,8 @@ KERNEL_BUILDS = {
     "ds": build_ds,
     "tc3": lambda Lx, Ly: build_zn_tc(3, Lx, Ly),
     "tc6": lambda Lx, Ly: build_zn_tc(6, Lx, Ly),
+    # D = 8: solver lanes of 8 bits, phase lanes (mod 16) of 16 bits
+    "tc8": lambda Lx, Ly: build_zn_tc(8, Lx, Ly),
     "tqd3-n1": lambda Lx, Ly: build_tqd(TqdParams([3], [1]), Lx, Ly),
     "tqd3-n2": lambda Lx, Ly: build_tqd(TqdParams([3], [2]), Lx, Ly),
     "tqd4": lambda Lx, Ly: build_tqd(TqdParams([4], [1]), Lx, Ly),
@@ -442,33 +447,33 @@ class TestKernelPhaseClosedForm:
     def test_table_equals_products(self, name, size, seed):
         group = kernel_build(name, size)
         rng = random.Random(seed)
-        assert group._get_kernel_phases() == kernel_phases_by_products(group)
+        assert kernel_table(group) == kernel_phases_by_products(group)
         two_d = 2 * group.system.D
         gens = [multiply(scalar(group.system, rng.randrange(two_d)), g)
                 for g in group.generators]
-        # a fresh group runs every step; a rephased one reuses the vectors
-        # and brackets and computes only its own linear term
+        # a fresh group runs every step; a rephased one reuses the kernel
+        # rows, columns and brackets and computes only its own linear term
         fresh = StabilizerGroup(group.system, gens, validate=False)
-        table = fresh._get_kernel_phases()
+        table = kernel_table(fresh)
         assert table == kernel_phases_by_products(fresh)
         assert any(phase for _, phase in table)
         rephased = group.rephased(gens)
         assert rephased._kernel is group._kernel
-        assert rephased._get_kernel_phases() == table
+        assert kernel_table(rephased) == table
 
     @pytest.mark.parametrize("name", ["ds", "tqd3-n1", "spt"])
     def test_corrupted_kernel_vector_is_rejected(self, monkeypatch, name):
         group = kernel_build(name, (3, 3))
-        generators = exactmath.ModSolver.kernel_generators
+        kernel_rows = exactmath.ModSolver.kernel_rows
 
         def corrupted(self):
-            vectors = generators(self)
-            row = vectors[len(vectors) // 4]
+            rows = kernel_rows(self)
+            row = self._lanes.read(rows[len(rows) // 4], self._n)
             row[len(row) // 2] = (row[len(row) // 2] + 1) % self.big
-            return vectors
+            rows[len(rows) // 4] = self._lanes.pack(row)
+            return rows
 
-        monkeypatch.setattr(exactmath.ModSolver, "kernel_generators",
-                            corrupted)
+        monkeypatch.setattr(exactmath.ModSolver, "kernel_rows", corrupted)
         S = StabilizerGroup(group.system, group.generators, validate=False)
         with pytest.raises(SolverCheckError, match="not scalar"):
             S._get_kernel_phases()
@@ -632,15 +637,15 @@ class TestClosedFormMembership:
     def test_wrong_solve_raises(self, monkeypatch, check):
         group = kernel_build("tqd3-n1", (3, 3))
         other = StabilizerGroup(group.system, group.generators)
-        solve = exactmath.ModSolver.solve
+        solve = exactmath.ModSolver.solve_packed
 
-        def wrong(self, b):
-            x = solve(self, b)
-            if x is not None:
-                x[len(x) // 2] += 1
+        def wrong(self, w):
+            x = solve(self, w)
+            if x is not None:  # one more in the middle lane
+                x += 1 << self._n // 2 * self._lanes.width
             return x
 
-        monkeypatch.setattr(exactmath.ModSolver, "solve", wrong)
+        monkeypatch.setattr(exactmath.ModSolver, "solve_packed", wrong)
         with pytest.raises(SolverCheckError, match="not scalar"):
             if check == "member":
                 member_with_phase(group, group.generators[7])
@@ -702,7 +707,7 @@ class TestMixedPowerOfTwoExtremes:
     def test_kernel_table_equals_products(self):
         S = extreme_pow2_group()
         assert exactmath._Lanes(2 * S.system.D).width == 16
-        table = S._get_kernel_phases()
+        table = kernel_table(S)
         assert table == kernel_phases_by_products(S)
         assert any(phase for _, phase in table)
 
@@ -716,7 +721,7 @@ class TestMixedPowerOfTwoExtremes:
         system, gens = S.system, S.generators
         products = [product_of_powers(system, list(zip(gens, vec)))
                     for vec in vectors]
-        assert S._combination_phases(vectors, products) == [
+        assert combination_phases(S, vectors, products) == [
             P.phase for P in products]
         for P in products:
             P = multiply(scalar(system, phase), P)
@@ -746,23 +751,23 @@ class TestKernelPhases:
         X = single(sysm, 0, "X", 1)
         S = StabilizerGroup(sysm, [X, multiply(scalar(sysm, 2), X)])
         reads, calls = [], []
-        generators = exactmath.ModSolver.kernel_generators
-        monkeypatch.setattr(exactmath.ModSolver, "kernel_generators",
+        kernel_rows = exactmath.ModSolver.kernel_rows
+        monkeypatch.setattr(exactmath.ModSolver, "kernel_rows",
                             lambda self: reads.append(self)
-                            or generators(self))
+                            or kernel_rows(self))
         original = StabilizerGroup.combination
         monkeypatch.setattr(StabilizerGroup, "combination",
                             lambda self, vec: calls.append(vec)
                             or original(self, vec))
         assert not scalar_consistency(S).consistent
         assert reads == [S._get_solver()]
-        assert [vec for vec, _ in S._get_kernel_phases()] == generators(
-            S._get_solver())
         for target in (scalar(sysm, 2), X):
             res = member_with_phase(S, target)
             assert res.is_member
             assert original(S, res.coefficients) == target
         assert len(reads) == 1
+        assert [vec for vec, _ in kernel_table(S)] == (
+            kernel_generators(S._get_solver()))
         # the solve and the fold are re-checked in closed form
         assert calls == []
 
@@ -779,10 +784,18 @@ class TestKernelPhases:
         gens = list(group.generators)
         gens[0] = multiply(scalar(group.system, 1), gens[0])
         S = group.rephased(gens)
-        table = S._get_kernel_phases()
+        table = kernel_table(S)
         assert any(phase for _, phase in table)
         assert table == [(vec, S.combination(vec).phase)
-                         for vec in S._get_solver().kernel_generators()]
+                         for vec in kernel_generators(S._get_solver())]
+
+    def test_power_row_reads_the_reordering_term(self):
+        # g = X Z on a qubit: h = 1 is odd, so g^D = g^2 = -1 comes only
+        # from the D (D - 1) h term of the trailing D * e_0 row
+        sysm = QuditSystem([2])
+        S = StabilizerGroup(sysm, [PauliOperator(sysm, x={0: 1}, z={0: 1})])
+        assert kernel_table(S) == kernel_phases_by_products(S) == [([2], 2)]
+        assert scalar_consistency(S).witness == ((2,), 2)
 
     def test_rephased_group_computes_its_own_table(self):
         # The builder's phase fix read the unfixed group's table; the final
@@ -791,7 +804,7 @@ class TestKernelPhases:
         assert model.phase_fix == (2,)
         assert group._kernel_phases is None
         assert scalar_consistency(group).consistent
-        assert all(phase == 0 for _, phase in group._kernel_phases)
+        assert not any(group._kernel_phases)
 
     @given(st.sampled_from([2, 4, 6, 8, 12, 16]),
            st.lists(st.integers(0, 15), max_size=4), st.integers(0, 15))
