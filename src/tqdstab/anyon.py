@@ -553,6 +553,8 @@ def tqd_theory(N: Sequence[int], n: Sequence[int] | None = None,
 
 
 def _as_params(N, n=None, nij=None):
+    """N itself when it is a TqdParams, validated when it was made; else
+    TqdParams(N, n, nij)."""
     from .lattice import TqdParams
     if isinstance(N, TqdParams):
         return N

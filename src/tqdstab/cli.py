@@ -135,7 +135,7 @@ def cmd_verify(args) -> int:
         return 0 if equal else 1
     group, model = lat.build_from_spec(spec)
     if check == "commuting":
-        bad = assert_commuting(group)
+        bad, _ = assert_commuting(group.system, group.generators)
         _emit({"check": check, "commuting": not bad,
                "violations": [list(pair) for pair in bad]}, args)
         return 0 if not bad else 1
@@ -178,20 +178,19 @@ def cmd_theory(args) -> int:
     params = lat.params_from_spec(_load_spec(args))
     what = args.what
     if what == "tqd":
-        theory = anyon.tqd_theory(params.N, params.n, params.nij)
+        theory = anyon.tqd_theory(params)
         report = theory.to_json_dict()
         report["census"] = anyon.topological_spins_census(theory)
         _emit(report, args)
         return 0
     if what == "condense":
-        result, iso = anyon.stack_condense_to_tqd(params.N, params.n,
-                                                  params.nij)
+        result, iso = anyon.stack_condense_to_tqd(params)
         report = {"condensed": result.theory.to_json_dict(),
                   "matches_tqd": bool(iso)}
         _emit(report, args)
         return 0 if iso else 1
     if what == "lagrangian":
-        theory = anyon.tqd_theory(params.N, params.n, params.nij)
+        theory = anyon.tqd_theory(params)
         subs = anyon.lagrangian_subgroups(theory)
         report = {"count": len(subs),
                   "subgroups": [sorted(map(list, sub)) for sub in subs]}
@@ -205,7 +204,7 @@ def cmd_theory(args) -> int:
         _emit(report, args)
         return 0
     if what == "iso":
-        t_direct = anyon.tqd_theory(params.N, params.n, params.nij)
+        t_direct = anyon.tqd_theory(params)
         t_k = kmatrix.theory_from_k(kmatrix.build_k_tqd(params))
         _, iso_cond = anyon.stack_condense_to_tqd(params, target=t_direct)
         report = {"kmatrix_match": anyon.theories_isomorphic(t_direct, t_k),
@@ -213,9 +212,8 @@ def cmd_theory(args) -> int:
         _emit(report, args)
         return 0 if all(report.values()) else 1
     if what == "fusion-group":
-        direct = anyon.fusion_group(params.N, params.n, params.nij)
-        via_cocycle = anyon.fusion_group_from_cocycle(params.N, params.n,
-                                                      params.nij)
+        direct = anyon.fusion_group(params)
+        via_cocycle = anyon.fusion_group_from_cocycle(params)
         report = {"fusion_group": direct, "via_cocycle": via_cocycle,
                   "match": direct == via_cocycle}
         _emit(report, args)
@@ -227,7 +225,7 @@ def cmd_theory(args) -> int:
         samples = {}
         for g, h, k in ((zero, zero, zero), (one, one, one),
                         (one, zero, one), (zero, one, one)):
-            val = anyon.cocycle_value(params.N, params.n, params.nij, g, h, k)
+            val = anyon.cocycle_value(params, None, None, g, h, k)
             samples[f"{g}|{h}|{k}"] = str(val)
         _emit({"samples": samples}, args)
         return 0

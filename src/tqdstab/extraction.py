@@ -181,12 +181,11 @@ class _Probe:
 
 
 def t_junction_theta(model: LatticeModel, label,
-                     junction: JunctionSpec | None = None,
-                     check: bool = True) -> Rational01:
-    """Exchange statistics theta(a) from the T-junction relation."""
+                     junction: JunctionSpec | None = None) -> Rational01:
+    """Exchange statistics theta(a) from the T-junction relation, after the
+    deconfinement pre-check on the label."""
     probe = _Probe(model, junction)
-    lab = probe.deconfined(label) if check else model.label(label)
-    return Rational01(probe.theta(lab), 2 * probe.D)
+    return Rational01(probe.theta(probe.deconfined(label)), 2 * probe.D)
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +205,12 @@ def _noncontractible(model: LatticeModel, lab: AnyonLabel,
     return string_operator(model, lab, path)
 
 
-def crossing_braiding(model: LatticeModel, a, b,
-                      check: bool = True) -> Rational01:
-    """Full-braid phase B(a, b) from two transversally crossing strings."""
+def crossing_braiding(model: LatticeModel, a, b) -> Rational01:
+    """Full-braid phase B(a, b) from two transversally crossing strings,
+    after the deconfinement pre-check on both labels."""
     probe = _Probe(model)
-    if check:
-        lab_a, lab_b = probe.deconfined(a), probe.deconfined(b)
-    else:
-        lab_a, lab_b = model.label(a), model.label(b)
-    return Rational01(probe.braid(lab_a, lab_b), probe.D)
+    return Rational01(probe.braid(probe.deconfined(a), probe.deconfined(b)),
+                      probe.D)
 
 
 def generating_labels(model: LatticeModel) -> dict[str, AnyonLabel]:
@@ -355,8 +351,7 @@ def extraction_report(model: LatticeModel) -> dict:
         target = anyon.zn_tc_theory(model.tc_N)
         target_name = f"Z{model.tc_N} toric code"
     else:
-        target = anyon.tqd_theory(model.params.N, model.params.n,
-                                  model.params.nij)
+        target = anyon.tqd_theory(model.params)
         target_name = (f"twisted double N={list(model.params.N)} "
                        f"n={list(model.params.n)}")
     box, orders, D = ext.box(), ext.fusion_orders, model.system.D
@@ -519,7 +514,7 @@ def spt_cocycle(model: LatticeModel, ell: int) -> dict:
 
     # R-supported stabilizer group used for the residual-phase query.
     r_group = StabilizerGroup(
-        system, [group.generators[i] for i in r_gen_indices], validate=False)
+        system, [group.generators[i] for i in r_gen_indices])
 
     def p_of(g: int) -> PauliOperator:
         return p_ell if g % 2 else identity(system)

@@ -484,11 +484,12 @@ def _flux_phase_corrections(group: StabilizerGroup, per_layer: int,
 
 def _with_phase_fix(model: LatticeModel, gens: list[PauliOperator],
                     n_layers: int) -> tuple[StabilizerGroup, LatticeModel]:
-    """Fix the vertex-term phases, validate the group once and hand it to
-    the model. The fix multiplies generators by scalars only, so the final
-    group keeps the solver built for the unfixed one."""
+    """Fix the vertex-term phases and hand the group to the model. The fix
+    multiplies generators by scalars only, so the final group is a rephased
+    copy of the unfixed one: it keeps that group's one commutation pass and
+    its solver."""
     system, per_layer = model.system, model.lattice.n_cells
-    unfixed = StabilizerGroup(system, gens, validate=False)
+    unfixed = StabilizerGroup(system, gens)
     fix = _flux_phase_corrections(unfixed, per_layer, n_layers)
     gens = list(gens)
     for i, m in enumerate(fix):

@@ -7,6 +7,7 @@ Z_D after lifting site-q exponents by D/d_q into Z_D coordinates.
 
 from __future__ import annotations
 
+import copy
 import json
 from array import array
 from dataclasses import dataclass
@@ -53,35 +54,29 @@ def _reordering(P: PauliOperator) -> int:
 
 
 class StabilizerGroup:
-    """A qudit system together with a list of Pauli generators."""
+    """A qudit system together with a list of commuting Pauli generators.
+
+    The constructor runs the one pairwise commutation pass (assert_commuting)
+    and raises NonCommutingError on any non-commuting pair, so every group
+    that exists commutes and no query checks again.
+    """
 
     def __init__(self, system: QuditSystem,
-                 generators: Sequence[PauliOperator],
-                 validate: bool = True):
+                 generators: Sequence[PauliOperator]):
         self.system = system
         self.generators = tuple(generators)
         for g in self.generators:
             if g.system.dims != system.dims:
                 raise ValueError("generator on a different system")
-        # non-commuting generator pairs, recorded by the first check, and
-        # the commuting ones whose total is an odd multiple of D, flattened
-        self._noncommuting: list[tuple[int, int]] | None = None
-        self._odd_pairs = array("I")
+        # the one pairwise pass: the non-commuting pairs, and the commuting
+        # ones whose total is an odd multiple of D, flattened
+        bad, self._odd_pairs = assert_commuting(system, self.generators)
+        if bad:
+            raise NonCommutingError(f"non-commuting generator pairs: {bad}")
         self._solver: ModSolver | None = None
         # the solver's packed kernel rows, their packed columns and brackets
         self._kernel: tuple[list[int], list[int], int] | None = None
         self._kernel_phases: list[int] | None = None
-        if validate:
-            self._check_commuting()
-
-    def _check_commuting(self) -> None:
-        """Raise NonCommutingError unless the generators commute. The
-        pairwise check runs once; later calls reuse its record."""
-        if self._noncommuting is None:
-            self._noncommuting = assert_commuting(self)
-        if self._noncommuting:
-            raise NonCommutingError(
-                f"non-commuting generator pairs: {self._noncommuting}")
 
     # -- lifted exponent coordinates ----------------------------------------
 
@@ -110,23 +105,20 @@ class StabilizerGroup:
     def rephased(self, generators: Sequence[PauliOperator]
                  ) -> "StabilizerGroup":
         """The group of `generators`, each a scalar multiple of the matching
-        generator here. The lifted exponent vectors are unchanged, so the
-        result shares this group's solver, its commutation record (scalars
-        commute with everything) and its kernel rows with their columns
-        and beta bits, but computes its own kernel phases. Raises
-        ValueError if any generator's exponents differ; checks commutation
-        like the constructor."""
+        generator here: a copy of this group with the new generators and
+        its kernel phases reset. The lifted exponent vectors are unchanged,
+        so the copy shares this group's solver, its odd pairs (scalars
+        commute with everything) and its kernel rows with their columns and
+        beta bits, and runs no second commutation pass. Raises ValueError
+        if any generator's exponents differ."""
         generators = tuple(generators)
         if len(generators) != len(self.generators) or any(
                 g.x != h.x or g.z != h.z
                 for g, h in zip(generators, self.generators)):
             raise ValueError("rephased generators must keep the exponents")
-        group = StabilizerGroup(self.system, generators, validate=False)
-        group._solver = self._solver
-        group._noncommuting = self._noncommuting
-        group._odd_pairs = self._odd_pairs
-        group._kernel = self._kernel
-        group._check_commuting()
+        group = copy.copy(self)
+        group.generators = generators
+        group._kernel_phases = None
         return group
 
     # -- phases of generator combinations, in closed form -------------------
@@ -155,7 +147,6 @@ class StabilizerGroup:
         (likewise v_s on the z coordinates); the bracket is one AND per
         odd pair and a few per site on lane bits.
         """
-        self._check_commuting()
         D, dims = self.system.D, self.system.dims
         n = len(dims)
         lanes = _Lanes(2 * D)
@@ -295,49 +286,57 @@ class StabilizerGroup:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @staticmethod
-    def from_json_dict(data: dict, validate: bool = True) -> "StabilizerGroup":
+    def from_json_dict(data: dict) -> "StabilizerGroup":
         system = QuditSystem(data["dims"])
         gens = [PauliOperator(system, phase=g.get("phase", 0),
                               x={int(s): e for s, e in g.get("x", {}).items()},
                               z={int(s): e for s, e in g.get("z", {}).items()})
                 for g in data["generators"]]
-        return StabilizerGroup(system, gens, validate=validate)
+        return StabilizerGroup(system, gens)
 
 
-def assert_commuting(S: StabilizerGroup) -> list[tuple[int, int]]:
-    """Indices (i, j), i < j, of generator pairs that fail to commute, in
-    lexicographic order (empty iff abelian).
-
-    Generators with disjoint supports commute, so only pairs that share a
-    site are tested: O(k*w) pairs for k generators of weight w. The same
-    pass records on S the commuting pairs whose commutation_total is an
-    odd multiple of D, which its kernel phases read.
-    """
-    gens = S.generators
-    supports = [g.support for g in gens]
+def _site_index(supports: Sequence[set[int]]) -> dict[int, list[int]]:
+    """Site -> the indices, ascending, of the operators with these supports
+    that act on it: only operators that share a site can fail to commute."""
     touching: dict[int, list[int]] = {}
     for j, support in enumerate(supports):
         for site in support:
             touching.setdefault(site, []).append(j)
-    D = S.system.D
+    return touching
+
+
+def assert_commuting(system: QuditSystem,
+                     generators: Sequence[PauliOperator]
+                     ) -> tuple[list[tuple[int, int]], array]:
+    """The pairwise commutation pass that StabilizerGroup runs once, when
+    it is made. Returns the indices (i, j), i < j, of generator pairs that
+    fail to commute, in lexicographic order (empty iff abelian), and the
+    commuting pairs whose commutation_total is an odd multiple of D,
+    flattened, which the group's kernel phases read.
+
+    Generators with disjoint supports commute, so only pairs that share a
+    site are tested (_site_index): O(k*w) pairs for k generators of weight
+    w.
+    """
+    supports = [g.support for g in generators]
+    touching = _site_index(supports)
+    D = system.D
     bad = []
     odd = array("I")
-    for i, g in enumerate(gens):
+    for i, g in enumerate(generators):
         partners = {j for site in supports[i] for j in touching[site] if j > i}
         for j in sorted(partners):
-            total = commutation_total(g, gens[j]) % (2 * D)
+            total = commutation_total(g, generators[j]) % (2 * D)
             if total % D:
                 bad.append((i, j))
             elif total:
                 odd.extend((i, j))
-    S._odd_pairs = odd
-    return bad
+    return bad, odd
 
 
 def group_order(S: StabilizerGroup) -> int:
     """Order of the generated group modulo phases: the size of the span of
     the lifted generator columns inside Z_D^{2n}."""
-    S._check_commuting()
     return S._get_solver().image_size()
 
 
@@ -349,7 +348,6 @@ class ScalarConsistency:
 
 def scalar_consistency(S: StabilizerGroup) -> ScalarConsistency:
     """Consistent iff no combination of generators is a nonzero scalar."""
-    S._check_commuting()
     for i, phase in enumerate(S._get_kernel_phases()):
         if phase:
             return ScalarConsistency(False,
@@ -371,10 +369,9 @@ def logical_dimension(S: StabilizerGroup) -> int:
 def member_with_phase(S: StabilizerGroup, P: PauliOperator) -> MembershipResult:
     """Express P as a generator combination, tracking the phase residual.
 
-    The group must commute (NonCommutingError otherwise). The solver gives
-    coefficients a with the exponents of P; the phase of the combination
-    is read in closed form, with no operator products. For g_i =
-    w^{p_i} X^{x_i} Z^{z_i} (w = e^{i pi/D}) and P = w^{p_P} X^{x_P}
+    The solver gives coefficients a with the exponents of P; the phase of
+    the combination is read in closed form, with no operator products. For
+    g_i = w^{p_i} X^{x_i} Z^{z_i} (w = e^{i pi/D}) and P = w^{p_P} X^{x_P}
     Z^{z_P} in normal form, write X_s = sum_i a_i x_i[s] = x_P[s] + d_s u_s
     and Z_s = sum_i a_i z_i[s] = z_P[s] + d_s v_s as unreduced integers.
     Then prod_i g_i^{a_i} = w^phi X^{x_P} Z^{z_P} with, mod 2D and with
@@ -395,7 +392,6 @@ def member_with_phase(S: StabilizerGroup, P: PauliOperator) -> MembershipResult:
     into the coefficients, and the folded vector is re-checked to give P
     exactly.
     """
-    S._check_commuting()
     solver = S._get_solver()
     x = solver.solve_packed(S._packed(P, solver._lanes.width))
     if x is None:
@@ -429,13 +425,10 @@ def _commutation_columns(gens: Sequence[PauliOperator],
                          probes: Sequence[PauliOperator]) -> list[list[int]]:
     """[[commutation_exponent(g, probe) for probe in probes] for g in gens].
 
-    Probes are indexed by site, as assert_commuting indexes generators, so
-    only pairs that share a site are evaluated; every other entry is 0.
+    Probes are indexed by site (_site_index), so only pairs that share a
+    site are evaluated; every other entry is 0.
     """
-    touching: dict[int, list[int]] = {}
-    for j, probe in enumerate(probes):
-        for site in probe.support:
-            touching.setdefault(site, []).append(j)
+    touching = _site_index([probe.support for probe in probes])
     columns = []
     for g in gens:
         column = [0] * len(probes)
@@ -446,10 +439,13 @@ def _commutation_columns(gens: Sequence[PauliOperator],
 
 
 def centralizer_in_group(S: StabilizerGroup,
-                         probes: Sequence[PauliOperator]) -> StabilizerGroup:
-    """Generators of the subgroup of <S> commuting with every probe."""
+                         probes: Sequence[PauliOperator]
+                         ) -> tuple[PauliOperator, ...]:
+    """Generators of the subgroup of <S> commuting with every probe: distinct
+    non-identity combinations of S's generators. They commute, as elements
+    of <S>, so no group is made of them here."""
     if not probes:
-        return S
+        return S.generators
     columns = _commutation_columns(S.generators, probes)
     basis = ModSolver(columns, [S.system.D] * len(probes)).kernel_basis()
     gens = []
@@ -460,19 +456,19 @@ def centralizer_in_group(S: StabilizerGroup,
             continue
         seen.add(op)
         gens.append(op)
-    return StabilizerGroup(S.system, gens, validate=False)
+    return tuple(gens)
 
 
 def measure(S: StabilizerGroup,
             ops: Sequence[PauliOperator]) -> StabilizerGroup:
-    """Condense by measuring ops with +1 outcomes: <centralizer(S, ops), ops>
-    (validated, so non-commuting ops raise NonCommutingError)."""
-    central = centralizer_in_group(S, ops)
-    return StabilizerGroup(S.system, tuple(central.generators) + tuple(ops))
+    """Condense by measuring ops with +1 outcomes: <centralizer(S, ops), ops>,
+    the one group made here, so non-commuting ops raise NonCommutingError."""
+    return StabilizerGroup(S.system,
+                           centralizer_in_group(S, ops) + tuple(ops))
 
 
 def groups_equal(S1: StabilizerGroup, S2: StabilizerGroup) -> bool:
-    """<S1> == <S2> exactly, phases included; both groups must commute.
+    """<S1> == <S2> exactly, phases included.
 
     One direction suffices. Each generator of S1 is solved against S2
     (stopping at the first non-member), and one packed pass of
@@ -483,8 +479,6 @@ def groups_equal(S1: StabilizerGroup, S2: StabilizerGroup) -> bool:
     scalar lies in <S1> iff scalars(<S2>) is inside scalars(<S1>), i.e.
     iff the two gcds are equal.
     """
-    S1._check_commuting()
-    S2._check_commuting()
     solver = S2._get_solver()
     if S1._get_solver().image_size() != solver.image_size():
         return False

@@ -16,9 +16,9 @@ from tqdstab.lattice import H, LatticeModel, V
 from tqdstab.pauli import (PauliOperator, adjoint, commutation_phase,
                            identity, multiply, power, product,
                            product_of_powers)
-from tqdstab.stabilizer import (MembershipResult, NonCommutingError,
-                                SolverCheckError, StabilizerGroup,
-                                group_order, member_with_phase)
+from tqdstab.stabilizer import (MembershipResult, SolverCheckError,
+                                StabilizerGroup, group_order,
+                                member_with_phase)
 
 
 def scan_unit_for(a: int, N: int) -> int:
@@ -481,7 +481,7 @@ def dense_ground_space(group: StabilizerGroup, tol: float = 1e-9,
         return out
 
     rng = np.random.default_rng(7)
-    expected = max(1, total // max(1, _order_hint(group)))
+    expected = max(1, total // group_order(group))
     cols = min(total, expected + extra_probes)
     V = rng.standard_normal((total, cols)) + 1j * rng.standard_normal(
         (total, cols))
@@ -507,13 +507,6 @@ def _pauli_order(P: PauliOperator) -> int:
         if k > 4 * P.system.D:
             raise ValueError("operator order too large (nontrivial scalar?)")
     return k
-
-
-def _order_hint(group: StabilizerGroup) -> int:
-    try:
-        return group_order(group)
-    except NonCommutingError:
-        return 1
 
 
 def _laplace_det(rows: Sequence[Sequence[int]]) -> int:

@@ -44,7 +44,7 @@ class TestDoubleSemionModel:
     @pytest.mark.parametrize("L", [3, 4])
     def test_small_tori(self, L):
         group, _ = lat.build_ds(L, L)
-        assert not assert_commuting(group)
+        assert not assert_commuting(group.system, group.generators)[0]
         assert scalar_consistency(group).consistent
         assert logical_dimension(group) == 4
 
@@ -120,7 +120,7 @@ class TestFourWayAgreement:
                              ids=lambda p: f"N{list(p.N)}-n{list(p.n)}")
     def test_lattice_direct_condensed_and_k(self, params):
         group, model = lat.build_tqd(params, 3, 3)
-        assert not assert_commuting(group)
+        assert not assert_commuting(group.system, group.generators)[0]
         expected_dim = 1
         for N in params.N:
             expected_dim *= N * N
@@ -255,7 +255,7 @@ class TestSptModel:
     @pytest.mark.parametrize("L", [3, 4])
     def test_unique_ground_state(self, L):
         group, _ = lat.build_spt(L, L)
-        assert not assert_commuting(group)
+        assert not assert_commuting(group.system, group.generators)[0]
         assert logical_dimension(group) == 1
 
     def test_global_flip_commutes(self):

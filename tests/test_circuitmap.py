@@ -370,12 +370,6 @@ class TestDenseGroundSpace:
         dim, _ = dense_ground_space(S)
         assert dim == 6
 
-    def test_noncommuting_group_gets_no_order_hint(self):
-        sysm = QuditSystem([2])
-        S = StabilizerGroup(sysm, [single(sysm, 0, "X", 1),
-                                   single(sysm, 0, "Z", 1)], validate=False)
-        assert oracles._order_hint(S) == 1
-
     def test_other_errors_propagate(self, monkeypatch):
         def broken(group):
             raise RuntimeError("solver failure")

@@ -876,8 +876,7 @@ class TestSparseHowell:
     def test_lattice_systems_match_dense_oracle(self, monkeypatch, build):
         group, _ = build()
         calls = _record_howell_inputs(monkeypatch)
-        fresh = StabilizerGroup(group.system, group.generators,
-                                validate=False)
+        fresh = StabilizerGroup(group.system, group.generators)
         solver = fresh._get_solver()
         [(rows, big)] = calls
         # [M | I]: 2n lifted exponent columns, then one column per generator
@@ -906,8 +905,7 @@ class TestSparseHowell:
         # columns, equal the entry-by-entry transposes on DS 4x4.
         group, _ = build_ds(4, 4)
         calls = _record_howell_inputs(monkeypatch)
-        fresh = StabilizerGroup(group.system, group.generators,
-                                validate=False)
+        fresh = StabilizerGroup(group.system, group.generators)
         fresh._get_solver()
         [(rows, big)] = calls
         expected_rows = transposed_solver_rows(group)

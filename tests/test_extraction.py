@@ -174,7 +174,7 @@ class TestExtractTheory:
             for v2 in ext.box():
                 s = tuple(a + b for a, b in zip(v1, v2))
                 lhs = ext.braiding[(v1, v2)]
-                rhs = (t_junction_theta(ds_model, ext.combine(s), check=False)
+                rhs = (t_junction_theta(ds_model, ext.combine(s))
                        - ext.theta[v1] - ext.theta[v2])
                 assert lhs == rhs
 
@@ -199,15 +199,14 @@ class TestExtractTheory:
         ext = extract_theory(model)
         box = ext.box()
         for v in box:
-            assert ext.theta[v] == t_junction_theta(model, ext.combine(v),
-                                                    check=False)
+            assert ext.theta[v] == t_junction_theta(model, ext.combine(v))
         # Every pair up to 16 vectors; on the 512-vector N=[2,4] box each
         # row is checked on 16 columns, with offsets covering every column.
         stride = max(1, len(box) // 16)
         for i, v1 in enumerate(box):
             for v2 in box[i % stride::stride]:
                 assert ext.braiding[(v1, v2)] == crossing_braiding(
-                    model, ext.combine(v1), ext.combine(v2), check=False)
+                    model, ext.combine(v1), ext.combine(v2))
 
     @pytest.mark.parametrize("build", [
         lambda: build_ds(3, 3),
@@ -225,9 +224,9 @@ class TestExtractTheory:
                 lab = extraction._combine(gens, vec)
                 strings = [string_operator(model, lab, p)
                            for p in junction.paths(lab.path_kind)]
-                assert t_junction_theta(model, lab, junction, check=False) \
-                    == R(junction_exponent_by_products(*strings),
-                         2 * model.system.D)
+                assert t_junction_theta(model, lab, junction) == R(
+                    junction_exponent_by_products(*strings),
+                    2 * model.system.D)
 
     @pytest.mark.parametrize("dims", [[2, 2], [4], [2, 4, 3], [9, 3]])
     def test_junction_exponent_on_random_operators(self, dims):

@@ -344,7 +344,7 @@ class TestToricCodeBuilder:
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_degeneracy(self, N):
         group, _ = build_zn_tc(N, 3, 3)
-        assert not assert_commuting(group)
+        assert not assert_commuting(group.system, group.generators)[0]
         assert scalar_consistency(group).consistent
         assert logical_dimension(group) == N * N
 
@@ -364,7 +364,7 @@ class TestToricCodeBuilder:
 class TestTwistedBuilders:
     def test_ds_model(self):
         group, model = build_ds(3, 3)
-        assert not assert_commuting(group)
+        assert not assert_commuting(group.system, group.generators)[0]
         assert scalar_consistency(group).consistent
         assert logical_dimension(group) == 4
         assert model.phase_fix == (2,)
@@ -378,7 +378,7 @@ class TestTwistedBuilders:
     ])
     def test_general_params(self, params, dim, fix):
         group, model = build_tqd(params, 3, 3)
-        assert not assert_commuting(group)
+        assert not assert_commuting(group.system, group.generators)[0]
         assert scalar_consistency(group).consistent
         assert logical_dimension(group) == dim
         assert model.phase_fix == fix
@@ -442,7 +442,7 @@ class TestTwistedBuilders:
 class TestCondensation:
     def test_stack_group(self):
         stack = tc_stack_group(DS_PARAMS, 3, 3)
-        assert not assert_commuting(stack)
+        assert not assert_commuting(stack.system, stack.generators)[0]
         assert logical_dimension(stack) == 16  # plain Z4 toric code
 
     @pytest.mark.parametrize("params", [
@@ -464,7 +464,7 @@ class TestSptBuilders:
     @pytest.mark.parametrize("L", [3, 4])
     def test_unique_ground_state(self, L):
         group, _ = build_spt(L, L)
-        assert not assert_commuting(group)
+        assert not assert_commuting(group.system, group.generators)[0]
         assert scalar_consistency(group).consistent
         assert logical_dimension(group) == 1
 
@@ -488,7 +488,7 @@ class TestSptBuilders:
 
     def test_hatted_model_degeneracy(self):
         group, _ = build_hatted_ds(3, 3)
-        assert not assert_commuting(group)
+        assert not assert_commuting(group.system, group.generators)[0]
         assert scalar_consistency(group).consistent
         assert logical_dimension(group) == 16
 

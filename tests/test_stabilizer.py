@@ -18,8 +18,10 @@ from oracles import (combination_phases, groups_equal_by_members,
 
 from tqdstab import exactmath, pauli, stabilizer
 from tqdstab.exactmath import Rational01
+from tqdstab.extraction import spt_report
 from tqdstab.lattice import (DS_PARAMS, TqdParams, build_ds, build_hatted_ds,
-                             build_spt, build_tqd, build_zn_tc)
+                             build_spt, build_tqd, build_zn_tc,
+                             condensation_equal)
 from tqdstab.pauli import (PauliOperator, QuditSystem, commutation_phase,
                            commutes, multiply, product_of_powers, scalar,
                            single)
@@ -72,7 +74,8 @@ def count_commuting_checks(monkeypatch):
     calls = []
     original = stabilizer.assert_commuting
     monkeypatch.setattr(stabilizer, "assert_commuting",
-                        lambda group: calls.append(group) or original(group))
+                        lambda system, generators: calls.append(generators)
+                        or original(system, generators))
     return calls
 
 
@@ -86,18 +89,17 @@ def forbid_products(monkeypatch):
     monkeypatch.setattr(StabilizerGroup, "combination", refuse)
 
 
-def all_pairs_noncommuting(S):
+def all_pairs_noncommuting(gens):
     """Every generator pair tested (the check written before the site
     index)."""
-    gens = S.generators
     return [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
             if not commutation_phase(gens[i], gens[j]).is_zero()]
 
 
 @st.composite
 def sparse_groups(draw):
-    """Unvalidated groups of low-weight generators on a mixed-dimension
-    system: many pairs share no site, and some pairs fail to commute."""
+    """A system and generator lists of low weight on it, mixed dimensions:
+    many pairs share no site, and some pairs fail to commute."""
     dims = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1,
                          max_size=6))
     sysm = QuditSystem(dims)
@@ -106,7 +108,7 @@ def sparse_groups(draw):
     gens = [PauliOperator(sysm, phase=draw(st.integers(0, 23)),
                           x=draw(exps), z=draw(exps))
             for _ in range(draw(st.integers(0, 8)))]
-    return StabilizerGroup(sysm, gens, validate=False)
+    return sysm, gens
 
 
 class TestConstruction:
@@ -115,8 +117,7 @@ class TestConstruction:
         X, Z = single(sysm, 0, "X", 1), single(sysm, 0, "Z", 1)
         with pytest.raises(NonCommutingError):
             StabilizerGroup(sysm, [X, Z])
-        S = StabilizerGroup(sysm, [X, Z], validate=False)
-        assert assert_commuting(S) == [(0, 1)]
+        assert assert_commuting(sysm, [X, Z])[0] == [(0, 1)]
 
     def test_system_mismatch(self):
         with pytest.raises(ValueError):
@@ -128,16 +129,21 @@ class TestConstruction:
         S = StabilizerGroup(sysm, [
             PauliOperator(sysm, phase=3, x={0: 1}, z={1: 2}),
             PauliOperator(sysm, x={1: 2}),
-        ], validate=False)
+        ])
         S2 = StabilizerGroup.from_json_dict(
-            __import__("json").loads(S.to_json()), validate=False)
+            __import__("json").loads(S.to_json()))
         assert S2.system.dims == S.system.dims
         assert S2.generators == S.generators
+
+    def test_json_with_noncommuting_generators_is_rejected(self):
+        data = {"dims": [2], "generators": [{"x": {"0": 1}}, {"z": {"0": 1}}]}
+        with pytest.raises(NonCommutingError, match=r"\(0, 1\)"):
+            StabilizerGroup.from_json_dict(data)
 
     def test_lifted_scales_each_site_into_z_d(self):
         # x exponents, then z exponents, each times D / d_q (D = 6)
         sysm = QuditSystem([2, 3, 6])
-        S = StabilizerGroup(sysm, [], validate=False)
+        S = StabilizerGroup(sysm, [])
         P = PauliOperator(sysm, phase=1, x={0: 1, 2: 5}, z={1: 2, 2: 3})
         lanes = exactmath._Lanes(6)
         assert lanes.read(S._packed(P, lanes.width), 6) == [3, 0, 5, 0, 4, 3]
@@ -185,26 +191,13 @@ class TestOrderAndDimension:
         S = StabilizerGroup(sysm, [XX, XX])
         assert group_order(S) == 2
 
-    def test_noncommuting_rejected(self):
+    def test_noncommuting_rejected(self, monkeypatch):
         sysm = QuditSystem([2])
-        S = StabilizerGroup(sysm, [single(sysm, 0, "X", 1),
-                                   single(sysm, 0, "Z", 1)], validate=False)
-        with pytest.raises(NonCommutingError):
-            group_order(S)
-        with pytest.raises(NonCommutingError):
-            scalar_consistency(S)
-
-    def test_noncommuting_rejected_on_every_call(self, monkeypatch):
-        sysm = QuditSystem([2])
-        S = StabilizerGroup(sysm, [single(sysm, 0, "X", 1),
-                                   single(sysm, 0, "Z", 1)], validate=False)
         calls = count_commuting_checks(monkeypatch)
-        for _ in range(2):
-            with pytest.raises(NonCommutingError, match=r"\(0, 1\)"):
-                group_order(S)
-        with pytest.raises(NonCommutingError):
-            scalar_consistency(S)
-        assert calls == [S]  # the pairwise check ran once
+        with pytest.raises(NonCommutingError, match=r"\(0, 1\)"):
+            StabilizerGroup(sysm, [single(sysm, 0, "X", 1),
+                                   single(sysm, 0, "Z", 1)])
+        assert len(calls) == 1  # the pairwise check ran once, when made
 
     def test_builder_group_is_not_rechecked(self, monkeypatch):
         groups = [build_ds(3, 3)[0], build_tqd(DS_PARAMS, 3, 3)[0]]
@@ -212,22 +205,37 @@ class TestOrderAndDimension:
         assert [logical_dimension(g) for g in groups] == [4, 4]
         assert calls == []
 
+    @pytest.mark.parametrize("run,passes", [
+        (lambda: logical_dimension(build_ds(4, 4)[0]), 1),
+        # the stack, the measured group and the twisted model
+        (lambda: condensation_equal(TqdParams([2], [1]), 4, 4), 3),
+        # the model and the R-supported group
+        (lambda: spt_report(build_spt(7, 5)[1], 4), 2),
+        (lambda: groups_equal(build_ds(4, 4)[0],
+                              build_tqd(TqdParams([2], [0]), 4, 4)[0]), 2),
+    ], ids=["degeneracy", "condensation", "spt", "groups-equal"])
+    def test_one_pass_per_group_made(self, monkeypatch, run, passes):
+        # rephased copies and centralizer generators make no group
+        calls = count_commuting_checks(monkeypatch)
+        run()
+        assert len(calls) == passes
+
     @given(sparse_groups())
     @settings(max_examples=120, deadline=None)
-    def test_site_index_finds_the_all_pairs_list(self, S):
-        assert assert_commuting(S) == all_pairs_noncommuting(S)
+    def test_site_index_finds_the_all_pairs_list(self, drawn):
+        sysm, gens = drawn
+        assert assert_commuting(sysm, gens)[0] == all_pairs_noncommuting(gens)
 
     def test_site_index_reports_noncommuting_pairs_in_order(self):
         sysm = QuditSystem([2, 4, 2])
         X0, Z0 = single(sysm, 0, "X", 1), single(sysm, 0, "Z", 1)
         Z1, X1 = single(sysm, 1, "Z", 2), single(sysm, 1, "X", 1)
-        S = StabilizerGroup(sysm, [Z1, X0, single(sysm, 2, "X", 1), X1, Z0,
-                                   multiply(X0, X1)], validate=False)
+        gens = [Z1, X0, single(sysm, 2, "X", 1), X1, Z0, multiply(X0, X1)]
         expected = [(0, 3), (0, 5), (1, 4), (4, 5)]
-        assert all_pairs_noncommuting(S) == expected
-        assert assert_commuting(S) == expected
+        assert all_pairs_noncommuting(gens) == expected
+        assert assert_commuting(sysm, gens)[0] == expected
         with pytest.raises(NonCommutingError, match=r"\(0, 3\)"):
-            group_order(S)
+            StabilizerGroup(sysm, gens)
 
     @pytest.mark.parametrize("dims,n_gens,seed", [
         ((2, 2), 2, 0), ((2, 2, 2), 3, 1), ((3, 3), 2, 2),
@@ -242,11 +250,11 @@ class TestOrderAndDimension:
 
 
 class TestRephased:
-    def _group(self, validate=True):
+    def _group(self):
         sysm = QuditSystem([2, 2])
         gens = [PauliOperator(sysm, x={0: 1, 1: 1}),
                 PauliOperator(sysm, z={0: 1, 1: 1})]
-        return StabilizerGroup(sysm, gens, validate=validate)
+        return StabilizerGroup(sysm, gens)
 
     def test_shares_solver_and_keeps_order(self):
         S = self._group()
@@ -270,18 +278,11 @@ class TestRephased:
             S.rephased(S.generators[:1])
 
     def test_commutation_is_checked_once(self, monkeypatch):
-        sysm = QuditSystem([2])
-        bad = StabilizerGroup(sysm, [single(sysm, 0, "X", 1),
-                                     single(sysm, 0, "Z", 1)],
-                              validate=False)
-        calls = count_commuting_checks(monkeypatch)
-        with pytest.raises(NonCommutingError):
-            bad.rephased(bad.generators)
-        assert len(calls) == 1  # the unchecked parent leaves it to the result
         good = self._group()  # checked at construction
-        calls.clear()
-        good.rephased(good.generators)
+        calls = count_commuting_checks(monkeypatch)
+        R = good.rephased(good.generators)
         assert calls == []
+        assert R._odd_pairs is good._odd_pairs
 
     def test_builder_computes_the_wide_howell_form_once(self, monkeypatch):
         widths = []
@@ -453,7 +454,7 @@ class TestKernelPhaseClosedForm:
                 for g in group.generators]
         # a fresh group runs every step; a rephased one reuses the kernel
         # rows, columns and brackets and computes only its own linear term
-        fresh = StabilizerGroup(group.system, gens, validate=False)
+        fresh = StabilizerGroup(group.system, gens)
         table = kernel_table(fresh)
         assert table == kernel_phases_by_products(fresh)
         assert any(phase for _, phase in table)
@@ -474,26 +475,15 @@ class TestKernelPhaseClosedForm:
             return rows
 
         monkeypatch.setattr(exactmath.ModSolver, "kernel_rows", corrupted)
-        S = StabilizerGroup(group.system, group.generators, validate=False)
+        S = StabilizerGroup(group.system, group.generators)
         with pytest.raises(SolverCheckError, match="not scalar"):
             S._get_kernel_phases()
-
-    def test_noncommuting_group_has_no_table(self):
-        sysm = QuditSystem([3])
-        S = StabilizerGroup(sysm, [single(sysm, 0, "X", 1),
-                                   single(sysm, 0, "Z", 1)], validate=False)
-        with pytest.raises(NonCommutingError):
-            S._get_kernel_phases()
-        # so a phase-fixed membership query on it raises too
-        P = multiply(scalar(sysm, 1), single(sysm, 0, "X", 1))
-        with pytest.raises(NonCommutingError):
-            member_with_phase(S, P)
 
     def test_table_multiplies_no_combinations(self, monkeypatch):
         # Not even the k single-generator powers g^big are multiplied out.
         group = kernel_build("tqd22-twisted", (3, 3))
         forbid_products(monkeypatch)
-        S = StabilizerGroup(group.system, group.generators, validate=False)
+        S = StabilizerGroup(group.system, group.generators)
         assert scalar_consistency(S).consistent
 
 
@@ -651,15 +641,6 @@ class TestClosedFormMembership:
                 member_with_phase(group, group.generators[7])
             else:
                 groups_equal(other, group)
-
-    def test_noncommuting_group_raises_at_zero_gap(self):
-        sysm = QuditSystem([2])
-        X, Z = single(sysm, 0, "X", 1), single(sysm, 0, "Z", 1)
-        S = StabilizerGroup(sysm, [X, Z], validate=False)
-        with pytest.raises(NonCommutingError):
-            member_with_phase(S, X)
-        with pytest.raises(NonCommutingError):
-            groups_equal(StabilizerGroup(sysm, [X]), S)
 
     def test_no_operator_products(self, monkeypatch):
         group = kernel_build("tqd22-twisted", (3, 3))
@@ -939,10 +920,11 @@ class TestCentralizerAndMeasure:
         S = StabilizerGroup(sysm, [X0, X1])
         Z01 = PauliOperator(sysm, z={0: 1, 1: 1})
         C = centralizer_in_group(S, [Z01])
-        for g in C.generators:
+        for g in C:
             assert commutes(g, Z01)
             assert member_with_phase(S, g).verdict != "NotMember"
-        assert group_order(C) == 2  # only <X0 X1> survives
+        # only <X0 X1> survives
+        assert group_order(StabilizerGroup(sysm, C)) == 2
 
     def test_measure_bell(self):
         sysm = QuditSystem([2, 2])
