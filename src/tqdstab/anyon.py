@@ -8,18 +8,22 @@ and b is its symmetric polarization:
     q(sum a_i g_i) = sum_i a_i^2 q(g_i) + sum_{i<j} a_i a_j b(g_i, g_j),
     b(x, y) = q(x + y) - q(x) - q(y).
 
-Provides twisted-double theories from group-cocycle parameters (N_i; n_i,
-n_ij), boson condensation, stacking, Lagrangian subgroups, fusion groups, and
-exact isomorphism search. Condensation and both fusion-group routes read
-their groups off relations (kernel solves and Smith forms), never by
-enumerating anyons.
+Statistics are data: quadratic_form and bilinear_form read q and b off the
+generator tables (q_gen, b_gen), and every presentation (twisted double, K
+matrix, condensation, lattice extraction) hands theory_from_presentation
+such tables. One pairing kernel, the anyons braiding trivially with given
+targets, is both a condensation's deconfined subgroup and the modularity
+test. Also provided: twisted-double theories from a TqdParams (N_i; n_i,
+n_ij), stacking, Lagrangian subgroups, fusion groups, and exact isomorphism
+search. Condensation, modularity and both fusion-group routes read their
+groups off relations (kernel solves and Smith forms), never by enumerating
+anyons.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Sequence
 
@@ -142,12 +146,11 @@ class AnyonTheory:
         if len(q_gen) != k or len(b_gen) != k or any(len(r) != k
                                                      for r in b_gen):
             raise ValueError("q_gen/b_gen shape mismatch")
-        for i in range(k):
-            for j in range(k):
-                if b_gen[i][j] != b_gen[j][i]:
-                    raise ValueError("b_gen must be symmetric")
-            if b_gen[i][i] != 2 * q_gen[i]:
-                raise ValueError("b(g,g) must equal 2 q(g)")
+        for i in range(k):  # the one check on generator tables
+            if b_gen[i][i] != 2 * q_gen[i] or any(b_gen[i][j] != b_gen[j][i]
+                                                  for j in range(i)):
+                raise TheoryCheckError(f"generator tables are not a "
+                                       f"quadratic form's: row {i} of b")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "q_gen", q_gen)
         object.__setattr__(self, "b_gen", b_gen)
@@ -224,14 +227,29 @@ def braiding(theory: AnyonTheory, a: Sequence[int],
 
 
 def is_modular(theory: AnyonTheory) -> bool:
-    """True iff every nontrivial anyon braids nontrivially with something."""
-    gens = theory.generators()
-    for a in theory.elements():
-        if a == theory.group.identity():
-            continue
-        if all(theory.b(a, g).is_zero() for g in gens):
-            return False
-    return True
+    """True iff no nontrivial anyon braids trivially with every generator:
+    the pairing kernel against the generators is trivial. The kernel is
+    read on the group, so a theory failing validate_theory raises
+    TheoryCheckError."""
+    if validate_theory(theory):
+        raise TheoryCheckError("q is not a quadratic form on the group")
+    return not _pairing_kernel(theory, theory.generators())
+
+
+def _pairing_kernel(theory: AnyonTheory,
+                    targets: Sequence[Sequence[int]]) -> list[Element]:
+    """Nonzero, distinct, reduced generators of the subgroup of anyons x
+    with b(x, t) = 0 for every target t. The pairings b(g_i, t), scaled to
+    one denominator, are the columns of one ModSolver; its kernel vectors
+    reduce to the subgroup's generators."""
+    pairings = [[theory.b(g, t) for t in targets]
+                for g in theory.generators()]
+    den = lcm(*(v.denominator for row in pairings for v in row))
+    kernel = ModSolver([[v.numerator * (den // v.denominator) for v in row]
+                        for row in pairings],
+                       [den] * len(targets)).kernel_basis()
+    return [g for g in dict.fromkeys(theory.group.reduce(v) for v in kernel)
+            if any(g)]
 
 
 def topological_spins_census(theory: AnyonTheory) -> dict[str, int]:
@@ -319,24 +337,26 @@ class PresentedTheory:
         return self._project(vec)
 
 
-def theory_from_presentation(k: int,
-                             q_fn: Callable[[Sequence[int]], Rational01],
-                             b_fn: Callable[[Sequence[int], Sequence[int]],
-                                            Rational01],
+def theory_from_presentation(q_gen: Sequence[Rational01],
+                             b_gen: Sequence[Sequence[Rational01]],
                              relations: IntMatrix) -> PresentedTheory:
     """Split Z^k / <relation columns> into cyclic factors carrying q and b.
 
-    The relation lattice must have full rank k (finite quotient). Each
-    relation r must satisfy q(r) = 0 and b(r, .) = 0 so that q descends;
-    this is checked on the presentation generators (RelationError).
+    q_gen and b_gen tabulate the k = len(q_gen) presentation generators;
+    quadratic_form and bilinear_form read every q and b here off them. The
+    tables must pass AnyonTheory's table check (TheoryCheckError), the
+    relation lattice must have full rank k, and each relation r must
+    satisfy q(r) = 0 and b(r, e_i) = 0 so that q descends (RelationError).
     """
+    k = len(q_gen)
+    AnyonTheory([1] * k, q_gen, b_gen)  # checks the tables
     basis = [tuple(1 if t == i else 0 for t in range(k)) for i in range(k)]
     for c in range(relations.cols):
         rel = [relations[r, c] for r in range(k)]
-        if not q_fn(rel).is_zero():
+        if not quadratic_form(q_gen, b_gen, rel).is_zero():
             raise RelationError(f"relation {rel} is not a boson")
         for e in basis:
-            if not b_fn(rel, e).is_zero():
+            if not bilinear_form(b_gen, rel, e).is_zero():
                 raise RelationError(
                     f"relation {rel} braids with generator {e}")
     snf = smith_normal_form(relations)
@@ -347,9 +367,10 @@ def theory_from_presentation(k: int,
     keep = [r for r in range(k) if diag[r] != 1]
     gen_exprs = [tuple(u_inv[i, r] for i in range(k)) for r in keep]
     orders = [diag[r] for r in keep]
-    q_gen = [q_fn(w) for w in gen_exprs]
-    b_gen = [[b_fn(w1, w2) for w2 in gen_exprs] for w1 in gen_exprs]
-    theory = AnyonTheory(orders, q_gen, b_gen)
+    theory = AnyonTheory(
+        orders, [quadratic_form(q_gen, b_gen, w) for w in gen_exprs],
+        [[bilinear_form(b_gen, w1, w2) for w2 in gen_exprs]
+         for w1 in gen_exprs])
 
     U = snf.U
 
@@ -384,11 +405,12 @@ def condense(theory: AnyonTheory,
     Anyons braiding nontrivially with a condensed boson are confined and
     dropped; the rest are identified modulo fusion with the boson subgroup
     B (Bais & Slingerland, PRB 79, 045316, 2009). The deconfined subgroup
-    is a kernel: exponent vectors x with sum_i x_i b(g_i, beta) = 0 (mod 1)
-    for every boson beta, read off one ModSolver. Its reduced kernel
-    vectors present the condensed theory, with relations {x : sum x_i
-    gens_i in B}. project(a) maps a deconfined parent anyon to its class
-    by one solve; a confined one raises TheoryCheckError.
+    is the pairing kernel against the bosons: exponent vectors x with
+    sum_i x_i b(g_i, beta) = 0 (mod 1) for every boson beta. Its generators
+    present the condensed theory with their parent q and b as tables, and
+    relations {x : sum x_i gens_i in B}. project(a) maps a deconfined
+    parent anyon to its class by one solve; a confined one raises
+    TheoryCheckError.
     """
     group = theory.group
     bos = [group.reduce(b) for b in bosons]
@@ -400,14 +422,7 @@ def condense(theory: AnyonTheory,
             if not theory.b(b1, b2).is_zero():
                 raise ValueError("condensed bosons must braid trivially")
 
-    pairings = [[theory.b(g, b) for b in bos] for g in theory.generators()]
-    den = lcm(*(v.denominator for row in pairings for v in row))
-    kernel = ModSolver([[v.numerator * (den // v.denominator) for v in row]
-                        for row in pairings],
-                       [den] * len(bos)).kernel_basis()
-    gens = [g for g in dict.fromkeys(group.reduce(v) for v in kernel)
-            if any(g)]
-
+    gens = _pairing_kernel(theory, bos)
     k = len(gens)
     # relation lattice: {x in Z^k : sum x_i gens_i in B}, via the integer
     # kernel of [gens | bosons | diag(orders)] projected to the x block.
@@ -419,19 +434,9 @@ def condense(theory: AnyonTheory,
     kern = integer_kernel(A)
     proj = IntMatrix([[vec[i] for vec in kern] for i in range(k)],
                      cols=len(kern)) if kern else IntMatrix.zeros(k, 0)
-
-    def element(vec):
-        """The reduced parent element sum x_i gens_i. q and b evaluate on it
-        with no correction: q(sum x_i g_i) equals q of the reduced element
-        because order relations are bosonic and transparent in the parent."""
-        combo = group.identity()
-        for x, g in zip(vec, gens):
-            combo = group.add(combo, group.scale(x, g))
-        return combo
-
     presented = theory_from_presentation(
-        k, lambda v: theory.q(element(v)),
-        lambda v1, v2: theory.b(element(v1), element(v2)), proj)
+        [theory.q(g) for g in gens],
+        [[theory.b(g, h) for h in gens] for g in gens], proj)
 
     solver = ModSolver(cols[:k + len(bos)], group.orders)
 
@@ -534,17 +539,17 @@ def _tqd_relation_matrix(params) -> IntMatrix:
 
 def tqd_presented(params) -> PresentedTheory:
     """Split presentation of the twisted-double theory for TqdParams."""
-    qd, bd = _tqd_generator_data(params)
-    return theory_from_presentation(2 * params.M,
-                                    partial(quadratic_form, qd, bd),
-                                    partial(bilinear_form, bd),
+    return theory_from_presentation(*_tqd_generator_data(params),
                                     _tqd_relation_matrix(params))
 
 
 def tqd_theory(N: Sequence[int], n: Sequence[int] | None = None,
                nij=None) -> AnyonTheory:
-    """Anyon theory of the Abelian twisted double for (N_i; n_i, n_ij)."""
-    params = _as_params(N, n, nij)
+    """Anyon theory of the Abelian twisted double for (N_i; n_i, n_ij), or
+    for N itself when it is a TqdParams (validated when it was made)."""
+    from .lattice import TqdParams
+    params = N if isinstance(N, TqdParams) else TqdParams(
+        N, [0] * len(N) if n is None else n, nij)
     theory = tqd_presented(params).theory
     problems = validate_theory(theory)
     if problems:
@@ -552,29 +557,17 @@ def tqd_theory(N: Sequence[int], n: Sequence[int] | None = None,
     return theory
 
 
-def _as_params(N, n=None, nij=None):
-    """N itself when it is a TqdParams, validated when it was made; else
-    TqdParams(N, n, nij)."""
-    from .lattice import TqdParams
-    if isinstance(N, TqdParams):
-        return N
-    if n is None:
-        n = [0] * len(N)
-    return TqdParams(N, n, nij)
-
-
 def ds_theory() -> AnyonTheory:
     return tqd_theory([2], [1])
 
 
-def stack_condense_to_tqd(N, n=None, nij=None, target=None
+def stack_condense_to_tqd(params, target=None
                           ) -> tuple[CondensationResult, bool]:
     """Condense the model's bosons b_i in a stack of Z_{N_i^2} toric codes.
 
     Returns the condensation result and whether the condensed theory is
     isomorphic to `target`, tqd_theory(params) unless the caller built it.
     """
-    params = _as_params(N, n, nij)
     M = params.M
     stacked = stack_theories([zn_tc_theory(Ni * Ni) for Ni in params.N])
     # coordinates: (e_1, m_1, e_2, m_2, ...)
@@ -597,10 +590,9 @@ def stack_condense_to_tqd(N, n=None, nij=None, target=None
 # ---------------------------------------------------------------------------
 
 
-def fusion_group(N, n=None, nij=None) -> list[int]:
+def fusion_group(params) -> list[int]:
     """Invariant factors (> 1) of the anyon fusion group, via SNF of the
     presentation relations."""
-    params = _as_params(N, n, nij)
     return _fusion_invariants(_tqd_relation_matrix(params), params)
 
 
@@ -616,14 +608,13 @@ def _fusion_invariants(relations: IntMatrix, params) -> list[int]:
     return sorted(d for d in diag if d != 1)
 
 
-def fusion_group_from_cocycle(N, n=None, nij=None) -> list[int]:
+def fusion_group_from_cocycle(params) -> list[int]:
     """Fusion group from the central extension of the flux group G by the
     charge group G*, with multiplication twisted by the 2-cocycle
     lambda(g, h). Unit fluxes f_i and unit charges c_i generate it. Each
     f_i^{N_i}, taken through the twisted product by square-and-multiply,
     must be a pure charge; with c_i^{N_i} = 1 these are 2M relations, a
     presentation of a group of order |G|^2."""
-    params = _as_params(N, n, nij)
     M = params.M
     Ns = params.N
 
@@ -664,7 +655,7 @@ def fusion_group_from_cocycle(N, n=None, nij=None) -> list[int]:
         IntMatrix([[c[r] for c in cols] for r in range(2 * M)]), params)
 
 
-def cocycle_value(N, n, nij, g: Sequence[int], h: Sequence[int],
+def cocycle_value(params, g: Sequence[int], h: Sequence[int],
                   k: Sequence[int]) -> Rational01:
     """Phase exponent of the group 3-cocycle omega(g, h, k) (coboundary-free
     representative):
@@ -672,7 +663,6 @@ def cocycle_value(N, n, nij, g: Sequence[int], h: Sequence[int],
     sum_i n_i g_i (h_i + k_i - [h_i+k_i]_{N_i}) / N_i^2
       + sum_{j>i} n_ij g_i (h_j + k_j - [h_j+k_j]_{N_j}) / (N_i N_j).
     """
-    params = _as_params(N, n, nij)
     M = params.M
     Ns = params.N
     for vec in (g, h, k):

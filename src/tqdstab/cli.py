@@ -225,7 +225,7 @@ def cmd_theory(args) -> int:
         samples = {}
         for g, h, k in ((zero, zero, zero), (one, one, one),
                         (one, zero, one), (zero, one, one)):
-            val = anyon.cocycle_value(params, None, None, g, h, k)
+            val = anyon.cocycle_value(params, g, h, k)
             samples[f"{g}|{h}|{k}"] = str(val)
         _emit({"samples": samples}, args)
         return 0

@@ -9,9 +9,10 @@ in Z_{2D}, braiding in Z_D) and become Rational01 values only on the way
 out. extract_theory measures theta on the box of generator exponents and
 the k^2 generator crossings, certifies that each box loop is the matching
 combination of generator loops (so braiding is bilinear), and checks the
-theta ratio on each (vector, generator) pair. The module also extracts
-the boundary 3-cocycle of the SPT model from the failure of the group law
-of the truncated boundary symmetry.
+theta ratio on each (vector, generator) pair; the measured theta(e_g) and
+crossings are the generator tables of the extracted presentation. The
+module also extracts the boundary 3-cocycle of the SPT model from the
+failure of the group law of the truncated boundary symmetry.
 """
 
 from __future__ import annotations
@@ -287,7 +288,10 @@ def extract_theory(model: LatticeModel,
     braidings B. Certified: each box vector's two loops carry the exponents
     of that combination of generator loops, so b(v, w) = v B w mod D.
     Checked: 2 b(v, e_g) = theta(v + e_g) - theta(v) - theta(e_g) on every
-    (box vector v, generator g), hence on every pair summing into the box."""
+    (box vector v, generator g), hence on every pair summing into the box.
+    The quotient by the measured transparent box vectors is presented with
+    q(e_g) = theta(e_g) and b(e_g, e_h) = B[g][h] as generator tables, so
+    no loop is built for a relation or split generator outside the box."""
     labels = generating_labels(model)
     names = tuple(labels)
     probe = _Probe(model, junction)
@@ -333,10 +337,8 @@ def extract_theory(model: LatticeModel,
     relations = IntMatrix([[col[r] for col in columns] for r in range(k)],
                           rows=k, cols=len(columns))
     presented = anyon.theory_from_presentation(
-        k, lambda vec: t_phase[t_of(vec)],
-        lambda v1, v2: b_phase[probe.braid(_combine(gen_labels, v1),
-                                           _combine(gen_labels, v2))],
-        relations)
+        [t_phase[t_of(e)] for e in units],
+        [[b_phase[e] for e in row] for row in B], relations)
     return ExtractedTheory(
         names, gen_labels, orders,
         {vec: t_phase[e] for vec, e in theta.items()},

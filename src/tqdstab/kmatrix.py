@@ -13,10 +13,12 @@ collected in the column matrix Q; the deconfined generators form L and
 L^{-1} K_TC L^{-T} recovers the layered K.
 
 Every anyon answer (theory, fusion group, census) is read off one split
-presentation: `theory_from_k` hands K's columns as relations to
-`anyon.theory_from_presentation`. The census is defined only for even K
-(even diagonal), where q is well defined on cosets; for an odd K, such as
-[[3]], a relation is not a boson and the split raises RelationError.
+presentation: `theory_from_k` hands `anyon.theory_from_presentation` K's
+columns as relations and `_statistics(K)`, K^{-1} on the unit vectors, as
+generator tables; `q_of` and `b_of` read the same tables. The census is
+defined only for even K (even diagonal), where q is well defined on
+cosets; for an odd K, such as [[3]], a relation is not a boson and the
+split raises RelationError.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .anyon import (AnyonTheory, theory_from_presentation,
-                    topological_spins_census)
+from .anyon import (AnyonTheory, bilinear_form, quadratic_form,
+                    theory_from_presentation, topological_spins_census)
 from .exactmath import IntMatrix, Rational01, det_adjugate
 from .lattice import TqdParams
 from .stabilizer import VerificationError
@@ -127,32 +129,32 @@ def transform(K: IntMatrix, W: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _pairing(det_adj: tuple[int, IntMatrix], l: Sequence[int],
-             lp: Sequence[int], scale: int) -> Rational01:
-    """l^T adj l' / (scale * det) mod 1, from K's (det, adj)."""
-    det, adj = det_adj
-    return Rational01(sum(x * y for x, y in zip(l, adj.mat_vec(lp))),
-                      scale * det)
+def _statistics(K: IntMatrix
+                ) -> tuple[list[Rational01], list[list[Rational01]]]:
+    """K^{-1}'s generator tables: q(e_i) = adj_ii / (2 det) and
+    b(e_i, e_j) = adj_ij / det mod 1, from one (det, adj)."""
+    det, adj = _det_adjugate(K)
+    k = K.rows
+    return ([Rational01(adj[i, i], 2 * det) for i in range(k)],
+            [[Rational01(adj[i, j], det) for j in range(k)] for i in range(k)])
 
 
 def q_of(K: IntMatrix, l: Sequence[int]) -> Rational01:
-    """Exchange statistic q(l) = (1/2) l^T K^{-1} l = l^T adj l / (2 det)."""
-    return _pairing(_det_adjugate(K), l, l, 2)
+    """Exchange statistic q(l) = (1/2) l^T K^{-1} l mod 1."""
+    return quadratic_form(*_statistics(K), l)
 
 
 def b_of(K: IntMatrix, l: Sequence[int], lp: Sequence[int]) -> Rational01:
-    """Braiding phase b(l, l') = l^T K^{-1} l' = l^T adj l' / det mod 1."""
-    return _pairing(_det_adjugate(K), l, lp, 1)
+    """Braiding phase b(l, l') = l^T K^{-1} l' mod 1."""
+    return bilinear_form(_statistics(K)[1], l, lp)
 
 
 def theory_from_k(K: IntMatrix) -> AnyonTheory:
     """AnyonTheory carried by Z^k / K Z^k with statistics from K^{-1}: the
-    presentation with K's columns as relations, split into cyclic factors.
-    Raises RelationError unless K is even."""
-    det_adj = _det_adjugate(K)
-    return theory_from_presentation(
-        K.rows, lambda l: _pairing(det_adj, l, l, 2),
-        lambda l, lp: _pairing(det_adj, l, lp, 1), K).theory
+    presentation with K's columns as relations and _statistics(K) as its
+    generator tables, split into cyclic factors. Raises RelationError
+    unless K is even."""
+    return theory_from_presentation(*_statistics(K), K).theory
 
 
 # ---------------------------------------------------------------------------

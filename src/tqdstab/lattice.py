@@ -365,12 +365,11 @@ class LatticeModel:
         return xterms, zterms
 
     def _segment(self, cell: tuple[int, int], move: str,
-                 label: AnyonLabel, bound: bool = True) -> PauliOperator:
-        """One hop of `label` from `cell` (all charge near when unbound)."""
-        rider = self._bound_charge(label.flux) if bound \
-            else (0,) * self.n_layers
-        xterms, zterms = self._hop(*cell, move,
-                                   tuple(zip(label.flux, label.charge, rider)))
+                 label: AnyonLabel) -> PauliOperator:
+        """A two-body edge term: one hop of `label` from `cell` with the
+        unbound placement (all charge on the near edge)."""
+        xterms, zterms = self._hop(*cell, move, tuple(
+            zip(label.flux, label.charge, (0,) * self.n_layers)))
         return _make(self.system, 0, dict(xterms), dict(zterms))
 
 
@@ -450,11 +449,9 @@ def _tc_like_generators(model: LatticeModel,
             for y in range(lat.Ly):
                 for x in range(lat.Lx):
                     # C for V(x, y): one east dual step from cell (x-1, y).
-                    gens.append(model._segment((x - 1, y), "E", lab,
-                                               bound=False))
+                    gens.append(model._segment((x - 1, y), "E", lab))
                     # C for H(x, y): one north dual step from cell (x, y-1).
-                    gens.append(model._segment((x, y - 1), "N", lab,
-                                               bound=False))
+                    gens.append(model._segment((x, y - 1), "N", lab))
     return gens
 
 

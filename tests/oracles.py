@@ -299,8 +299,10 @@ def extraction_tables_by_all_pairs(model, junction=None):
     """`extraction.extract_theory` by measuring every pair: the braiding of
     each pair of box vectors is the commutation exponent of their loops,
     and the theta ratio 2 b(v1, v2) = theta(v1 + v2) - theta(v1) -
-    theta(v2) is checked on every pair, with a T-junction on each sum.
-    Returns an `ExtractedTheory` with the same fields."""
+    theta(v2) is checked on every pair, with a T-junction on each sum. The
+    split theory's q and b are compared with T-junctions and crossings
+    measured on the split generators' own loops, which may lie outside
+    the box. Returns an `ExtractedTheory` with the same fields."""
     labels = extraction.generating_labels(model)
     names = tuple(labels)
     probe = extraction._Probe(model, junction)
@@ -348,9 +350,17 @@ def extraction_tables_by_all_pairs(model, junction=None):
     b_phase = [Rational01(e, D) for e in range(D)]
     t_phase = [Rational01(e, 2 * D) for e in range(2 * D)]
     presented = anyon.theory_from_presentation(
-        k, lambda vec: t_phase[t_of(vec)],
-        lambda v1, v2: b_phase[probe.braid(label(v1), label(v2))],
-        relations)
+        [t_phase[t_of(e)] for e in units],
+        [[b_phase[probe.braid(label(e), label(f))] for f in units]
+         for e in units], relations)
+    # the split generators' statistics, measured on their own loops
+    words = presented.gen_exprs
+    if list(presented.theory.q_gen) != [t_phase[t_of(w)] for w in words] or \
+            [list(row) for row in presented.theory.b_gen] != [
+                [b_phase[probe.braid(label(w1), label(w2))] for w2 in words]
+                for w1 in words]:
+        raise extraction.InconsistentExtractionError(
+            "split generator statistics differ from their loops")
     return extraction.ExtractedTheory(
         names, gen_labels, orders,
         {vec: t_phase[e] for vec, e in theta.items()},
@@ -567,6 +577,19 @@ def exhaustive_theory_problems(theory) -> list[str]:
                                   - theory.q(a) - theory.q(c)):
                 problems.append(f"b({a},{c}) fails polarization")
     return problems
+
+
+def is_modular_by_enumeration(theory) -> bool:
+    """`anyon.is_modular` by enumeration, as it was before it read the
+    pairing kernel: every nontrivial anyon must braid nontrivially with
+    some generator."""
+    gens = theory.generators()
+    for a in theory.elements():
+        if a == theory.group.identity():
+            continue
+        if all(theory.b(a, g).is_zero() for g in gens):
+            return False
+    return True
 
 
 def condensed_census_by_scan(theory, bosons) -> tuple[int, dict[str, int]]:

@@ -129,8 +129,7 @@ class TestFourWayAgreement:
         extracted = extract_theory(model).theory
         direct = anyon.tqd_theory(params.N, params.n, params.nij)
         from_k = kmatrix.theory_from_k(kmatrix.build_k_tqd(params))
-        _, iso_condensed = anyon.stack_condense_to_tqd(params.N, params.n,
-                                                       params.nij)
+        _, iso_condensed = anyon.stack_condense_to_tqd(params)
         assert anyon.theories_isomorphic(extracted, direct)
         assert anyon.theories_isomorphic(direct, from_k)
         assert bool(iso_condensed)
@@ -221,13 +220,14 @@ class TestKMatrixIdentities:
 
 class TestFusionGroups:
     def test_headline_groups(self):
-        assert anyon.fusion_group([2], [1]) == [2, 2]
-        assert anyon.fusion_group([3], [1]) == [9]
-        assert anyon.fusion_group([2, 2], [0, 0], {(0, 1): 1}) == [4, 4]
+        assert anyon.fusion_group(TqdParams([2], [1])) == [2, 2]
+        assert anyon.fusion_group(TqdParams([3], [1])) == [9]
+        assert anyon.fusion_group(
+            TqdParams([2, 2], [0, 0], {(0, 1): 1})) == [4, 4]
 
     def test_untwisted_is_g_times_g(self):
-        assert anyon.fusion_group([2, 3], [0, 0]) == [6, 6]
-        assert anyon.fusion_group([2, 2], [0, 0]) == [2, 2, 2, 2]
+        assert anyon.fusion_group(TqdParams([2, 3], [0, 0])) == [6, 6]
+        assert anyon.fusion_group(TqdParams([2, 2], [0, 0])) == [2, 2, 2, 2]
 
     @pytest.mark.parametrize("N,n,nij", [
         ([2], [1], None),
@@ -241,8 +241,9 @@ class TestFusionGroups:
         ([2, 2, 2], [1, 0, 1], {(0, 1): 1, (1, 2): 1}),
     ])
     def test_routes_agree(self, N, n, nij):
-        direct = anyon.fusion_group(N, n, nij)
-        via_cocycle = anyon.fusion_group_from_cocycle(N, n, nij)
+        params = TqdParams(N, n, nij)
+        direct = anyon.fusion_group(params)
+        via_cocycle = anyon.fusion_group_from_cocycle(params)
         assert direct == via_cocycle
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (condensed_census_by_scan, exhaustive_theory_problems,
-                     fusion_group_by_census)
+                     fusion_group_by_census, is_modular_by_enumeration)
 
 from tqdstab import anyon
 from tqdstab.anyon import (AnyonTheory, RelationError, TheoryCheckError,
@@ -127,6 +127,70 @@ class TestValidateTheory:
         assert time.perf_counter() - start < 5
 
 
+@st.composite
+def valid_theories(draw):
+    """A random theory on up to three generators of order <= 6 whose tables
+    satisfy validate_theory: q_i = m / (2 o_i) with o_i m even, and
+    b_ij = t / gcd(o_i, o_j)."""
+    orders = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    k = len(orders)
+    q = []
+    for o in orders:
+        m = draw(st.integers(0, 2 * o - 1))
+        q.append(R(m + m * (o % 2), 2 * o))
+    b = [[2 * qi if i == j else None for j in range(k)]
+         for i, qi in enumerate(q)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = gcd(orders[i], orders[j])
+            b[i][j] = b[j][i] = R(draw(st.integers(0, g - 1)), g)
+    theory = AnyonTheory(orders, q, b)
+    assert not validate_theory(theory)
+    return theory
+
+
+TRANSPARENT_FERMION = AnyonTheory((2,), (R(1, 2),), ((R(0),),))
+TRANSPARENT_BOSON = AnyonTheory((2,), (R(0),), ((R(0),),))
+
+
+class TestModularity:
+    """is_modular reads the pairing kernel against the generators; the
+    enumeration over every anyon is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_theories())
+    def test_kernel_matches_enumeration(self, theory):
+        assert is_modular(theory) == is_modular_by_enumeration(theory)
+
+    @pytest.mark.parametrize("theory,modular", [
+        (anyon.TRIVIAL_THEORY, True),
+        (stack(ds_theory(), TRANSPARENT_FERMION), False),
+        (stack(zn_tc_theory(3), TRANSPARENT_BOSON), False),
+        (stack_theories([semion_theory(), TRANSPARENT_FERMION,
+                         zn_tc_theory(2)]), False),
+        (stack(tqd_theory([2, 4], [1, 1], [[0, 1], [1, 0]]),
+               zn_tc_theory(4)), True),
+    ], ids=["trivial", "ds-fermion", "tc3-boson", "semion-fermion-tc2",
+            "tqd24-tc4"])
+    def test_known_theories(self, theory, modular):
+        assert is_modular(theory) == is_modular_by_enumeration(theory) == \
+            modular
+
+    def test_invalid_theory_is_rejected(self):
+        # 2 b(g, g) = 2/3 != 0: b is not defined on Z_2, and the kernel
+        # of big * e_i would not reduce to zero there
+        theory = AnyonTheory((2,), (R(1, 6),), ((R(1, 3),),))
+        assert validate_theory(theory)
+        with pytest.raises(TheoryCheckError, match="quadratic form"):
+            is_modular(theory)
+
+    def test_enumerates_no_anyon(self, monkeypatch):
+        theory = tqd_theory([8, 8], [1, 3])
+        assert theory.size == 4096
+        monkeypatch.setattr(AnyonTheory, "elements", None)
+        assert is_modular(theory)
+
+
 class TestLagrangian:
     def test_toric_code_has_two(self):
         subs = lagrangian_subgroups(zn_tc_theory(2))
@@ -149,27 +213,30 @@ class TestLagrangian:
 
 class TestPresentation:
     def test_cyclic_quotient(self):
-        # Z^1 / <4>: a single order-4 generator with q(g) = 1/16-style data
-        def q_fn(v):
-            return R(v[0] * v[0], 8)
-
-        def b_fn(v, w):
-            return R(2 * v[0] * w[0], 8)
-
-        pres = theory_from_presentation(1, q_fn, b_fn, IntMatrix([[4]]))
+        # Z^1 / <4>: a single order-4 generator with q(g) = 1/8
+        pres = theory_from_presentation([R(1, 8)], [[R(1, 4)]],
+                                        IntMatrix([[4]]))
         assert pres.theory.orders == (4,)
         assert pres.theory.q((1,)) == R(1, 8)
         assert pres.project([5]) == pres.project([1])
 
     def test_nonboson_relation_rejected(self):
-        def q_fn(v):
-            return R(v[0], 2)
-
-        def b_fn(v, w):
-            return R(0)
-
         with pytest.raises(RelationError):
-            theory_from_presentation(1, q_fn, b_fn, IntMatrix([[1]]))
+            theory_from_presentation([R(1, 2)], [[R(0)]], IntMatrix([[1]]))
+
+    @pytest.mark.parametrize("q_gen,b_gen", [
+        ([R(1, 4), R(0)], [[R(1, 2), R(1, 2)], [R(0), R(0)]]),
+        ([R(1, 4)], [[R(0)]]),
+    ], ids=["asymmetric", "diagonal"])
+    def test_tables_are_checked(self, q_gen, b_gen):
+        # One check on generator data: b symmetric with b_ii = 2 q_i.
+        k = len(q_gen)
+        relations = IntMatrix.diagonal([4] * k)
+        with pytest.raises(TheoryCheckError, match="generator tables"):
+            theory_from_presentation(q_gen, b_gen, relations)
+        # AnyonTheory runs the same check, with the same error
+        with pytest.raises(TheoryCheckError, match="generator tables"):
+            AnyonTheory([4] * k, q_gen, b_gen)
 
     def test_nonboson_relation_rejected_under_optimize(self):
         # The check must not be an assert: run the same case under python -O.
@@ -179,8 +246,8 @@ class TestPresentation:
             "from tqdstab.exactmath import IntMatrix, Rational01 as R\n"
             "assert False, 'asserts must be stripped under -O'\n"
             "try:\n"
-            "    theory_from_presentation(1, lambda v: R(v[0], 2),\n"
-            "                             lambda v, w: R(0), IntMatrix([[1]]))\n"
+            "    theory_from_presentation([R(1, 2)], [[R(0)]], "
+            "IntMatrix([[1]]))\n"
             "except RelationError:\n"
             "    print('rejected')\n")
         src = Path(__file__).resolve().parents[1] / "src"
@@ -251,7 +318,7 @@ class TestCondensation:
 
     @pytest.mark.parametrize("N,n,nij", STACK_PARAMS)
     def test_stack_condense_to_tqd(self, N, n, nij):
-        result, verdict = stack_condense_to_tqd(N, n, nij)
+        result, verdict = stack_condense_to_tqd(TqdParams(N, n, nij))
         assert verdict
         expected = 1
         for Ni in N:
@@ -384,7 +451,7 @@ class TestFusionGroups:
         ([4], [1], None, [2, 8]),
     ])
     def test_known_groups(self, N, n, nij, expect):
-        assert fusion_group(N, n, nij) == sorted(expect)
+        assert fusion_group(TqdParams(N, n, nij)) == sorted(expect)
 
     @pytest.mark.parametrize("N,n,nij", [
         ([2], [1], None),
@@ -394,14 +461,16 @@ class TestFusionGroups:
         ([2, 3], [1, 1], None),
     ])
     def test_cocycle_route_agrees(self, N, n, nij):
-        assert fusion_group(N, n, nij) == fusion_group_from_cocycle(N, n, nij)
+        params = TqdParams(N, n, nij)
+        assert fusion_group(params) == fusion_group_from_cocycle(params)
 
     def test_cocycle_route_answers_large_extensions(self):
         # |G|^2 = 1024^2 elements: the route reads a presentation, so no
         # element is enumerated and no size limit applies
         start = time.perf_counter()
-        assert fusion_group_from_cocycle([32, 32], [1, 1]) == \
-            fusion_group([32, 32], [1, 1]) == [2, 2, 512, 512]
+        params = TqdParams([32, 32], [1, 1])
+        assert fusion_group_from_cocycle(params) == \
+            fusion_group(params) == [2, 2, 512, 512]
         assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("N", [
@@ -416,32 +485,33 @@ class TestFusionGroups:
         for n in itertools.product(*(range(Ni) for Ni in N)):
             for v in nij_range:
                 nij = [[0, v], [v, 0]] if len(N) == 2 else [[0]]
-                assert fusion_group_from_cocycle(N, n, nij) == \
+                assert fusion_group_from_cocycle(TqdParams(N, n, nij)) == \
                     fusion_group_by_census(N, n, nij), (N, n, v)
 
     def test_untwisted_is_square(self):
         # untwisted models fuse as G x G
-        assert fusion_group([2, 3], [0, 0]) == [6, 6]
-        assert fusion_group([5], [0]) == [5, 5]
+        assert fusion_group(TqdParams([2, 3], [0, 0])) == [6, 6]
+        assert fusion_group(TqdParams([5], [0])) == [5, 5]
 
 
 class TestCocycle:
     def test_z2_twisted_value(self):
-        assert cocycle_value([2], [1], None, (1,), (1,), (1,)) == R(1, 2)
-        assert cocycle_value([2], [1], None, (0,), (1,), (1,)) == R(0)
-        assert cocycle_value([2], [0], None, (1,), (1,), (1,)) == R(0)
+        ds = TqdParams([2], [1])
+        assert cocycle_value(ds, (1,), (1,), (1,)) == R(1, 2)
+        assert cocycle_value(ds, (0,), (1,), (1,)) == R(0)
+        assert cocycle_value(TqdParams([2], [0]), (1,), (1,), (1,)) == R(0)
 
     def test_cocycle_condition(self):
         # delta omega = 0: omega(h,k,l) - omega(g+h,k,l) + omega(g,h+k,l)
         #                 - omega(g,h,k+l) + omega(g,h,k) = 0
-        params = ([2, 2], [1, 0], [[0, 1], [1, 0]])
+        params = TqdParams([2, 2], [1, 0], [[0, 1], [1, 0]])
         group = [(a, b) for a in range(2) for b in range(2)]
 
         def add(x, y):
             return tuple((xi + yi) % 2 for xi, yi in zip(x, y))
 
         def w(g, h, k):
-            return cocycle_value(*params, g, h, k)
+            return cocycle_value(params, g, h, k)
 
         for g in group:
             for h in group:
@@ -454,7 +524,7 @@ class TestCocycle:
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            cocycle_value([2], [1], None, (2,), (0,), (0,))
+            cocycle_value(TqdParams([2], [1]), (2,), (0,), (0,))
 
 
 class TestIsomorphism:

@@ -413,3 +413,22 @@ def test_cli_imports_without_numpy():
                          capture_output=True, timeout=120)
     assert out.returncode == 0, out.stderr.decode()
     assert json.loads(out.stdout)["logical_dimension"] == 4
+
+
+PRESENTATION_ROUTES = Path(__file__).resolve().parent / "data" / \
+    "presentation_routes"
+ROUTE_PARAMS = {"N2-4": "--N 2,4 --n 1,1 --nij 0,1,1",
+                "N3-9": "--N 3,9 --n 1,2 --nij 0,1,2"}
+
+
+@pytest.mark.parametrize("command", ["theory tqd", "theory condense",
+                                     "theory iso", "kmatrix build"])
+@pytest.mark.parametrize("tag", sorted(ROUTE_PARAMS))
+def test_presentation_routes_are_pinned(capsys, command, tag):
+    # Every route to a presented theory (generator data, condensation,
+    # K matrix) prints the recorded report byte for byte.
+    code = run(f"{command} {ROUTE_PARAMS[tag]}".split())
+    out = capsys.readouterr().out
+    assert code == 0
+    name = f"{command.replace(' ', '_')}_{tag}.json"
+    assert out.encode() == (PRESENTATION_ROUTES / name).read_bytes()

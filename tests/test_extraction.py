@@ -296,8 +296,13 @@ class TestExtractTheory:
         assert issubclass(RelationError, TheoryCheckError)
         original = extraction.anyon.theory_from_presentation
 
-        def fermionic_relations(k, q_fn, b_fn, relations):
-            return original(k, lambda vec: R(1, 2), b_fn, relations)
+        def fermionic_relations(q_gen, b_gen, relations):
+            # q = 1/8 with b_ii = 1/4 passes the table check, and makes
+            # o_g e_g a fermion for the order-2 generators.
+            return original(
+                [R(1, 8)] * len(q_gen),
+                [[R(1, 4) if i == j else v for j, v in enumerate(row)]
+                 for i, row in enumerate(b_gen)], relations)
 
         monkeypatch.setattr(extraction.anyon, "theory_from_presentation",
                             fermionic_relations)

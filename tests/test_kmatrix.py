@@ -259,9 +259,28 @@ class TestNoRepeats:
         assert calls == {"det_adjugate": 2, "smith_normal_form": 1}
 
     def test_theory_from_k_matches_per_vector_statistics(self):
+        # q and b straight from the exact inverse, independent of the
+        # generator tables kmatrix hands the splitter
         K = build_k_tqd(TqdParams([2, 2], [1, 1], [[0, 1], [1, 0]]))
+        k = K.rows
+        inv = k_inverse(K)
+        assert [[sum(K[i, t] * inv[t][j] for t in range(k))
+                 for j in range(k)] for i in range(k)] == \
+            [[int(i == j) for j in range(k)] for i in range(k)]
+
+        def pair(l, lp, scale):
+            return R(sum(l[i] * inv[i][j] * lp[j] for i in range(k)
+                         for j in range(k)) / scale)
+
+        units = [[int(i == j) for j in range(k)] for i in range(k)]
         presented = theory_from_presentation(
-            K.rows, lambda l: q_of(K, l), lambda l, lp: b_of(K, l, lp), K)
+            [pair(e, e, 2) for e in units],
+            [[pair(e, f, 1) for f in units] for e in units], K)
         assert theory_from_k(K) == presented.theory
         gens = presented.gen_exprs
-        assert list(presented.theory.q_gen) == [q_of(K, g) for g in gens]
+        assert list(presented.theory.q_gen) == [pair(g, g, 2) for g in gens]
+        assert [list(row) for row in presented.theory.b_gen] == \
+            [[pair(g, h, 1) for h in gens] for g in gens]
+        assert [q_of(K, g) for g in gens] == [pair(g, g, 2) for g in gens]
+        assert [[b_of(K, g, h) for h in gens] for g in gens] == \
+            [[pair(g, h, 1) for h in gens] for g in gens]

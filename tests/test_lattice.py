@@ -191,27 +191,27 @@ class TestStringOperators:
         # with the bound charge hopping on the far-corner horizontal edge.
         _, model = build_ds(3, 3)
         t = model.lattice
-        seg = model._segment((0, 0), "E", model.labels["phi1"])
+        seg = string_operator(model, "phi1", PathSpec("dual", (0, 0), ("E",)))
         assert dict(seg.x) == {t.edge_site(1, 0, V): 1}
         assert dict(seg.z) == {t.edge_site(1, 1, H): 1}
 
     def test_flux_segment_north(self):
         _, model = build_ds(3, 3)
         t = model.lattice
-        seg = model._segment((0, 0), "N", model.labels["phi1"])
+        seg = string_operator(model, "phi1", PathSpec("dual", (0, 0), ("N",)))
         assert dict(seg.x) == {t.edge_site(0, 1, H): 3}
         assert dict(seg.z) == {t.edge_site(1, 1, V): 1}
 
     def test_west_is_adjoint_of_east(self):
         from tqdstab.pauli import adjoint, multiply
         _, model = build_ds(3, 3)
-        east = model._segment((1, 1), "E", model.labels["phi1"])
-        west = model._segment((2, 1), "W", model.labels["phi1"])
+        east = string_operator(model, "phi1", PathSpec("dual", (1, 1), ("E",)))
+        west = string_operator(model, "phi1", PathSpec("dual", (2, 1), ("W",)))
         assert multiply(east, west).is_identity()
 
     def test_charge_segment_has_no_x(self):
         _, model = build_ds(3, 3)
-        seg = model._segment((0, 0), "E", model.labels["c1"])
+        seg = string_operator(model, "c1", PathSpec("direct", (0, 0), ("E",)))
         assert not seg.x and seg.z
 
     def test_kind_mismatch_rejected(self):

@@ -60,6 +60,7 @@ def test_locator_finds_function_asserts():
 # stripped.
 CHECKS_UNDER_O = (
     "from tqdstab import anyon, circuitmap\n"
+    "from tqdstab.lattice import DS_PARAMS\n"
     "from tqdstab.stabilizer import VerificationError\n"
     "assert False, 'asserts must be stripped under -O'\n"
     "def rejected(call, owner=None, name=None, value=None):\n"
@@ -76,9 +77,9 @@ CHECKS_UNDER_O = (
     "tc = anyon.zn_tc_theory(2)\n"
     "rejected(lambda: anyon.lagrangian_subgroups(tc),\n"
     "         anyon.AnyonTheory, 'size', property(lambda self: 3))\n"
-    "rejected(lambda: anyon.fusion_group([2], [1]),\n"
+    "rejected(lambda: anyon.fusion_group(DS_PARAMS),\n"
     "         anyon, 'invariant_factors', lambda A: [1, 2, 0])\n"
-    "rejected(lambda: anyon.fusion_group_from_cocycle([2], [1]),\n"
+    "rejected(lambda: anyon.fusion_group_from_cocycle(DS_PARAMS),\n"
     "         anyon, 'invariant_factors', lambda A: [1, 2])\n"
     "tri = circuitmap.TriangularLattice(3)\n"
     "edge = next(iter(tri.edges()))\n"
