@@ -15,8 +15,8 @@ Provides:
   lanes, one residue per lane (unpack_row reads it), so a row update is a
   few big-int operations and a lane-wise reduction mod N.
 - ModSolver: linear systems sum_j x_j * columns[j] = b with per-entry
-  moduli, given as the columns the unknowns multiply; solves, least
-  solutions, kernels and image sizes from one Howell form.
+  moduli, given as the columns the unknowns multiply; solves, kernels
+  and image sizes from one Howell form.
 """
 
 from __future__ import annotations
@@ -658,8 +658,8 @@ class ModSolver:
     eliminates only the M-block columns, which is all that solve and
     image_size read; the rows then pending vanish on the M block, and
     their packed identity parts (kernel_rows) generate the kernel. Their
-    own Howell form is built on the first call that reads it (kernel_basis
-    and least_solution). Nothing is unpacked on the way: solve_packed
+    own Howell form is built on the first call that reads it
+    (kernel_basis). Nothing is unpacked on the way: solve_packed
     takes and returns packed rows; solve and kernel_basis read them.
     """
 
@@ -746,28 +746,6 @@ class ModSolver:
             basis.append([0] * n)
             basis[-1][i] = self.big
         return basis
-
-    def least_solution(self, b: Sequence[int]) -> list[int] | None:
-        """The lexicographically smallest solution with entries in
-        [0, big); None if there is none.
-
-        Every solution is one solution plus a kernel vector. Reduce it left
-        to right against the kernel's Howell form: at a pivot (col, d) the
-        entry can move only by multiples of d, so it becomes its residue
-        mod d; by the Howell property a column without a pivot cannot move
-        at all.
-        """
-        x = self.solve_packed(self._lift(b))
-        if x is None:
-            return None
-        big, lanes = self.big, self._lanes
-        W, mask, reduce = lanes.width, lanes.mask, self._reduce
-        H, pivots = self._kernel_form
-        for idx, col, d in pivots:
-            q = (x >> col * W & mask) // d
-            if q:
-                x = reduce(x + (big - q) * H[idx])
-        return lanes.read(x, self._n)
 
     def image_size(self) -> int:
         """|{sum x_j columns[j] mod moduli}| as a subgroup of

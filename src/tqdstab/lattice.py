@@ -19,8 +19,10 @@ south with its exponents negated. A string operator is one walk over its
 path's hops. Closed loops reproduce the vertex and plaquette terms of the
 models; the two-body edge terms are single hops with the unbound placement
 (all charge on the near edge).
-The vertex terms additionally carry a uniform scalar phase per layer, solved
-exactly so every scalar element of the generated group equals +1.
+Each layer-i vertex term also carries the scalar phase theta(phi_i) =
+e^{2 pi i n_i / N_i^2}, the spin of the flux it moves around its vertex;
+with it every scalar element of the generated group equals +1, which the
+builder checks on the group it makes.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from dataclasses import dataclass, field, replace
 from math import gcd
 from typing import Literal, Sequence
 
-from .exactmath import ModSolver
-from .pauli import PauliOperator, QuditSystem, _make, multiply, scalar
-from .stabilizer import StabilizerGroup, groups_equal, measure
+from .pauli import PauliOperator, QuditSystem, _make, multiply
+from .stabilizer import (InconsistentGroupError, StabilizerGroup,
+                         groups_equal, measure, scalar_consistency)
 
 
 def _is_prime_power(n: int) -> bool:
@@ -284,7 +286,7 @@ class LatticeModel:
     params: TqdParams | None = None
     tc_N: int | None = None
     labels: dict = field(default_factory=dict)
-    # per-layer scalar phase exponents carried by the vertex terms
+    # per layer, the vertex terms' scalar phase exponent (theta(phi_i))
     phase_fix: tuple[int, ...] = ()
     # the builder's stabilizer group; None on a hand-built model
     group: StabilizerGroup | None = field(default=None, repr=False,
@@ -455,46 +457,29 @@ def _tc_like_generators(model: LatticeModel,
     return gens
 
 
-def _flux_phase_corrections(group: StabilizerGroup, per_layer: int,
-                            n_layers: int) -> list[int]:
-    """Uniform scalar phase exponent per layer for the vertex terms.
-
-    The first ``n_layers * per_layer`` generators are the vertex terms in
-    layer-major order. For every combination of generators that is a scalar,
-    adding m_i to each layer-i vertex term shifts its phase by m_i times the
-    layer's total coefficient; solve for the m_i that cancel all such phases.
-    The answer is the lexicographically smallest solution mod 2D.
-    """
-    phases = group._get_kernel_phases()
-    if not phases:
-        return [0] * n_layers
-    D2 = 2 * group.system.D
-    columns = group._kernel_sums([range(i * per_layer, (i + 1) * per_layer)
-                                  for i in range(n_layers)])
-    rhs = [(-phase) % D2 for phase in phases]
-    sol = ModSolver(columns, [D2] * len(phases)).least_solution(rhs)
-    if sol is None:
-        raise ValueError(
-            "no uniform vertex-term phase makes the group scalar-consistent")
-    return sol
-
-
-def _with_phase_fix(model: LatticeModel, gens: list[PauliOperator],
-                    n_layers: int) -> tuple[StabilizerGroup, LatticeModel]:
-    """Fix the vertex-term phases and hand the group to the model. The fix
-    multiplies generators by scalars only, so the final group is a rephased
-    copy of the unfixed one: it keeps that group's one commutation pass and
-    its solver."""
-    system, per_layer = model.system, model.lattice.n_cells
-    unfixed = StabilizerGroup(system, gens)
-    fix = _flux_phase_corrections(unfixed, per_layer, n_layers)
-    gens = list(gens)
+def _with_phase_fix(model: LatticeModel, gens: list[PauliOperator]
+                    ) -> tuple[StabilizerGroup, LatticeModel]:
+    """Give every layer-i vertex term (the first M * n_cells generators,
+    layer-major) the spin of its flux, theta(phi_i) = e^{2 pi i n_i /
+    N_i^2} for the model's params: phase exponent 2 n_i D / N_i^2 mod 2D
+    in units of e^{i pi/D}. The terms are replaced in `gens` itself, so
+    the unphased ones can be freed before the group is made. Then make the
+    one group and check it there: InconsistentGroupError if a combination
+    of its generators is a nontrivial scalar."""
+    p, system, per_layer = model.params, model.system, model.lattice.n_cells
+    D = system.D
+    fix = tuple(2 * n * D // N ** 2 % (2 * D) for N, n in zip(p.N, p.n))
     for i, m in enumerate(fix):
-        if m:
-            for k in range(i * per_layer, (i + 1) * per_layer):
-                gens[k] = multiply(scalar(system, m), gens[k])
-    group = unfixed.rephased(gens)
-    return group, replace(model, phase_fix=tuple(fix), group=group)
+        for k in range(i * per_layer, (i + 1) * per_layer):
+            g = gens[k]
+            gens[k] = _make(system, g.phase + m, g.x, g.z)
+    group = StabilizerGroup(system, gens)
+    witness = scalar_consistency(group).witness
+    if witness is not None:
+        raise InconsistentGroupError(
+            f"vertex-term phases {fix} leave a nontrivial scalar (phase "
+            f"{witness[1]}/{2 * D}) in the group")
+    return group, replace(model, phase_fix=fix, group=group)
 
 
 def build_zn_tc(N: int, Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
@@ -550,7 +535,7 @@ def build_tqd(params: TqdParams, Lx: int,
         [labels[f"phi{i + 1}"] for i in range(M)],
         [labels[f"c{i + 1}"] for i in range(M)],
         [labels[f"b{i + 1}"] for i in range(M)])
-    return _with_phase_fix(model, gens, M)
+    return _with_phase_fix(model, gens)
 
 
 # The double semion's own names: s is phi1 (flux 1, charge 1), sbar has
@@ -644,7 +629,7 @@ def build_spt(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
     for k, x_v in enumerate(_vertex_flips(model)):
         gens[k] = multiply(gens[k], x_v)
     gens.extend(spt_d_terms(model))
-    return _with_phase_fix(model, gens, 1)
+    return _with_phase_fix(model, gens)
 
 
 def spt_d_terms(model: LatticeModel) -> list[PauliOperator]:
@@ -663,13 +648,15 @@ def spt_d_terms(model: LatticeModel) -> list[PauliOperator]:
 
 
 def build_hatted_ds(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
-    """DS terms on the SPT geometry plus X_v on every vertex qubit.
+    """DS terms on the SPT geometry plus X_v on every vertex qubit, the
+    vertex terms carrying theta(s) as in the SPT model.
 
-    Measuring the D_e operators on this group yields the SPT model.
+    Measuring the D_e operators on this group yields the SPT model
+    (groups_equal, phases included) on every torus.
     """
     model = _spt_model(Lx, Ly)
     gens = _spt_ds_terms(model) + _vertex_flips(model)
-    return _with_phase_fix(model, gens, 1)
+    return _with_phase_fix(model, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -187,17 +187,9 @@ def product(ops: Iterable[PauliOperator],
 
 
 def adjoint(P: PauliOperator) -> PauliOperator:
-    """Hermitian conjugate: multiply(P, adjoint(P)) is the identity."""
-    system = P.system
-    D = system.D
-    phase = -P.phase
-    for site, zq in P.z.items():
-        xq = P.x.get(site)
-        if xq:
-            # (X^x Z^z)^dag = Z^-z X^-x; reorder back to normal form.
-            phase += 2 * (D // system.dims[site]) * zq * xq
-    return _make(system, phase, {s: -e for s, e in P.x.items()},
-                 {s: -e for s, e in P.z.items()})
+    """Hermitian conjugate, P^{-1}: multiply(P, adjoint(P)) is the
+    identity."""
+    return product_of_powers(P.system, [(P, -1)])
 
 
 def power(P: PauliOperator, k: int) -> PauliOperator:

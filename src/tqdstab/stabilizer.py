@@ -7,7 +7,6 @@ Z_D after lifting site-q exponents by D/d_q into Z_D coordinates.
 
 from __future__ import annotations
 
-import copy
 import json
 from array import array
 from dataclasses import dataclass
@@ -74,8 +73,8 @@ class StabilizerGroup:
         if bad:
             raise NonCommutingError(f"non-commuting generator pairs: {bad}")
         self._solver: ModSolver | None = None
-        # the solver's packed kernel rows, their packed columns and brackets
-        self._kernel: tuple[list[int], list[int], int] | None = None
+        # the solver's packed kernel rows and every kernel generator's phase
+        self._kernel_rows: list[int] | None = None
         self._kernel_phases: list[int] | None = None
 
     # -- lifted exponent coordinates ----------------------------------------
@@ -101,25 +100,6 @@ class StabilizerGroup:
         """prod_i g_i^{a_i} in generator order (exact phase)."""
         return product_of_powers(self.system,
                                  zip(self.generators, coefficients))
-
-    def rephased(self, generators: Sequence[PauliOperator]
-                 ) -> "StabilizerGroup":
-        """The group of `generators`, each a scalar multiple of the matching
-        generator here: a copy of this group with the new generators and
-        its kernel phases reset. The lifted exponent vectors are unchanged,
-        so the copy shares this group's solver, its odd pairs (scalars
-        commute with everything) and its kernel rows with their columns and
-        beta bits, and runs no second commutation pass. Raises ValueError
-        if any generator's exponents differ."""
-        generators = tuple(generators)
-        if len(generators) != len(self.generators) or any(
-                g.x != h.x or g.z != h.z
-                for g, h in zip(generators, self.generators)):
-            raise ValueError("rephased generators must keep the exponents")
-        group = copy.copy(self)
-        group.generators = generators
-        group._kernel_phases = None
-        return group
 
     # -- phases of generator combinations, in closed form -------------------
 
@@ -210,61 +190,39 @@ class StabilizerGroup:
                 acc = reduce(acc + weight * col)
         return lanes.read(reduce(acc + D * beta), count)
 
-    def _get_kernel(self) -> tuple[list[int], list[int], int]:
-        """The solver's kernel_rows, read once, with their packed columns
-        mod 2D (one transpose) and brackets (_exponent_part); the trailing
-        D * e_i stay implicit. They depend on the exponents only, so
-        rephased groups share the triple."""
-        if self._kernel is None:
-            solver = self._get_solver()
-            rows = solver.kernel_rows()
-            columns = _Lanes(2 * self.system.D).transpose(
-                rows, len(self.generators), solver._lanes)
-            self._kernel = (rows, columns,
-                            self._exponent_part(columns, len(rows)))
-        return self._kernel
-
     def _kernel_vector(self, i: int) -> list[int]:
         """Kernel generator i (_get_kernel_phases order) as a vector: row i
         read off its lanes, or D * e_j for the j-th past the rows."""
-        rows, k = self._get_kernel()[0], len(self.generators)
+        self._get_kernel_phases()
+        rows, k = self._kernel_rows, len(self.generators)
         if i < len(rows):
             return self._get_solver()._lanes.read(rows[i], k)
         return [self.system.D * (j == i - len(rows)) for j in range(k)]
 
     def _get_kernel_phases(self) -> list[int]:
         """The scalar combination's phase mod 2D for each kernel generator:
-        the kernel rows, then D * e_i per generator (_kernel_vector reads
-        the vectors). Computed once per group from packed columns only; the
-        phases generate the subgroup gcd(2D, *phases) Z of Z_{2D}.
+        the solver's kernel_rows, read once and kept for _kernel_vector,
+        then D * e_i per generator. Computed once per group from packed
+        columns only; the phases generate the subgroup gcd(2D, *phases) Z
+        of Z_{2D}.
 
-        A kernel row is the identity-target case of _combination_phases,
-        its bracket shared through _get_kernel. A trailing D * e_i gives
-        g_i^D = w^{D p_i + D (D - 1) h_i}, a scalar as every d_s divides D.
+        The kernel rows are the identity-target case of _combination_phases:
+        one transpose gives their packed columns mod 2D, read by
+        _exponent_part and _phase_part and then dropped. A trailing D * e_i
+        gives g_i^D = w^{D p_i + D (D - 1) h_i}, a scalar as every d_s
+        divides D.
         """
         if self._kernel_phases is None:
-            rows, columns, beta = self._get_kernel()
-            D = self.system.D
+            solver, D = self._get_solver(), self.system.D
+            rows = self._kernel_rows = solver.kernel_rows()
+            columns = _Lanes(2 * D).transpose(rows, len(self.generators),
+                                              solver._lanes)
             self._kernel_phases = self._phase_part(
-                columns, beta, len(rows)) + [
+                columns, self._exponent_part(columns, len(rows)),
+                len(rows)) + [
                 D * (g.phase + (D - 1) * _reordering(g)) % (2 * D)
                 for g in self.generators]
         return self._kernel_phases
-
-    def _kernel_sums(self, blocks: Sequence[range]) -> list[list[int]]:
-        """Per block of generator indices, each kernel generator's
-        coefficient sum over it mod 2D (_get_kernel_phases order): the
-        block's packed columns added lane-wise, then D per D * e_j in it."""
-        rows, columns, _ = self._get_kernel()
-        D, lanes = self.system.D, _Lanes(2 * self.system.D)
-        reduce, sums = lanes.reducer(len(rows)), []
-        for block in blocks:
-            acc = 0
-            for j in block:  # lanes stay below 4D
-                acc = reduce(acc + columns[j])
-            sums.append(lanes.read(acc, len(rows)) + [
-                D * (j in block) for j in range(len(self.generators))])
-        return sums
 
     def _scalar_step(self) -> int:
         """gcd(2D, kernel phases): the group's scalars are exactly the

@@ -15,7 +15,7 @@ from tqdstab.exactmath import (IntMatrix, ModSolver, Rational01, _Lanes,
 from tqdstab.lattice import H, LatticeModel, V
 from tqdstab.pauli import (PauliOperator, adjoint, commutation_phase,
                            identity, multiply, power, product,
-                           product_of_powers)
+                           product_of_powers, scalar)
 from tqdstab.stabilizer import (MembershipResult, SolverCheckError,
                                 StabilizerGroup, group_order,
                                 member_with_phase)
@@ -158,6 +158,53 @@ def kernel_table(group) -> list[tuple[list[int], int]]:
     returns."""
     return [(group._kernel_vector(i), phase)
             for i, phase in enumerate(group._get_kernel_phases())]
+
+
+def walk_least_solution(columns, b, moduli):
+    """Lexicographically smallest solution by walking every element of
+    sol + span(kernel) mod lcm(moduli), starting from ModSolver.solve and
+    stepping by its unreduced kernel generators; None if there is none."""
+    big = lcm(*moduli)
+    solver = ModSolver(columns, moduli)
+    sol = solver.solve(b)
+    if sol is None:
+        return None
+    solutions = {tuple(s % big for s in sol)}
+    frontier = list(solutions)
+    shifts = {tuple(s % big for s in vec)
+              for vec in kernel_generators(solver)}
+    shifts.discard((0,) * len(columns))
+    while frontier:
+        base = frontier.pop()
+        for shift in shifts:
+            nxt = tuple((u + v) % big for u, v in zip(base, shift))
+            if nxt not in solutions:
+                solutions.add(nxt)
+                frontier.append(nxt)
+    return list(min(solutions))
+
+
+def phase_fix_system(group, model):
+    """The system the vertex-term phases solve, from a built group with its
+    model's phase_fix taken off again: one equation per kernel generator of
+    that unfixed group, sum_i m_i s_i = -phi mod 2D, where phi is the
+    generator's scalar phase and s_i its coefficient sum over layer i's
+    vertex terms (the first M * n_cells generators, layer-major), read off
+    the dense vectors of `_kernel_vector`. Returns (columns, rhs, moduli)
+    in ModSolver's form, one column per layer: the builders' solve before
+    they wrote each layer's phase as the spin of its flux."""
+    system, per_layer = group.system, model.lattice.n_cells
+    two_d = 2 * system.D
+    gens = list(group.generators)
+    for i, m in enumerate(model.phase_fix):
+        for k in range(i * per_layer, (i + 1) * per_layer):
+            gens[k] = multiply(scalar(system, -m), gens[k])
+    unfixed = StabilizerGroup(system, gens)
+    phases = unfixed._get_kernel_phases()
+    vectors = [unfixed._kernel_vector(r) for r in range(len(phases))]
+    columns = [[sum(vec[i * per_layer:(i + 1) * per_layer]) % two_d
+                for vec in vectors] for i in range(len(model.phase_fix))]
+    return columns, [-phi % two_d for phi in phases], [two_d] * len(phases)
 
 
 def transposed_solver_rows(group) -> list[list[int]]:

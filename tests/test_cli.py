@@ -11,6 +11,7 @@ import pytest
 
 from tqdstab import cli, extraction, lattice
 from tqdstab.cli import run
+from tqdstab.pauli import multiply, scalar
 from tqdstab.stabilizer import NonCommutingError
 
 
@@ -261,6 +262,22 @@ class TestExitCodes:
         code = run(["model", "build", "--type", "ds", "--L", "3"])
         capsys.readouterr()
         assert code == 1
+
+    def test_inconsistent_build_exits_1(self, capsys, monkeypatch):
+        # one vertex term times -1: the builder's check on the group it
+        # makes finds a nontrivial scalar
+        original = lattice._tc_like_generators
+
+        def spoiled(model, *labels):
+            gens = original(model, *labels)
+            gens[0] = multiply(scalar(model.system, model.system.D), gens[0])
+            return gens
+
+        monkeypatch.setattr(lattice, "_tc_like_generators", spoiled)
+        code = run(["verify", "scalar", "--type", "ds", "--L", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "nontrivial scalar" in err
 
     def test_spt_has_no_anyons_to_extract(self, capsys):
         code = run(["anyons", "extract", "--type", "spt", "--L", "3"])

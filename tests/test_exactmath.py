@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import (columns_of, dense_howell_form, kernel_generators,
                      pending_vectors, scan_unit_for, solve_by_dense_rows,
-                     transposed_solver_rows)
+                     transposed_solver_rows, walk_least_solution)
 from tqdstab import exactmath
 from tqdstab.exactmath import (IntegralityError, IntMatrix, ModSolver,
                                Rational01, det_adjugate,
@@ -470,32 +470,6 @@ def _reduces_to_zero(vec, H, pivots, big):
     return not any(w)
 
 
-def walk_least_solution(columns, b, moduli):
-    """Lexicographically smallest solution by walking every element of
-    sol + span(kernel) mod lcm(moduli): the vertex-term phase fix's search
-    before it reduced against a Howell form, kept as an oracle. It walks
-    the unreduced kernel generators, not the kernel's Howell form that
-    least_solution reduces against."""
-    big = lcm(*moduli)
-    solver = ModSolver(columns, moduli)
-    sol = solver.solve(b)
-    if sol is None:
-        return None
-    solutions = {tuple(s % big for s in sol)}
-    frontier = list(solutions)
-    shifts = {tuple(s % big for s in vec)
-              for vec in kernel_generators(solver)}
-    shifts.discard((0,) * len(columns))
-    while frontier:
-        base = frontier.pop()
-        for shift in shifts:
-            nxt = tuple((u + v) % big for u, v in zip(base, shift))
-            if nxt not in solutions:
-                solutions.add(nxt)
-                frontier.append(nxt)
-    return list(min(solutions))
-
-
 class TestSolverProperties:
     @given(mod_systems())
     @settings(max_examples=150, deadline=None)
@@ -630,29 +604,12 @@ class TestSolverProperties:
 
     @given(mod_systems())
     @settings(max_examples=150, deadline=None)
-    def test_least_solution_matches_walk_and_enumeration(self, system):
+    def test_walk_least_solution_is_the_enumerated_least(self, system):
+        # the oracle behind the vertex-term phase tests in test_lattice.py
         columns, b, moduli = system
-        least = ModSolver(columns, moduli).least_solution(b)
-        assert least == walk_least_solution(columns, b, moduli)
         solutions = _all_solutions(columns, b, moduli)
-        assert least == (solutions[0] if solutions else None)
-
-    @given(st.lists(st.lists(st.integers(0, 7), min_size=2, max_size=2),
-                    min_size=1, max_size=4),
-           st.lists(st.integers(0, 7), min_size=4, max_size=4),
-           st.sampled_from([2, 4, 6, 8]))
-    @settings(max_examples=100, deadline=None)
-    def test_least_solution_on_phase_fix_systems(self, rows, rhs, two_d):
-        # The shape the vertex-term phase fix solves: one entry per scalar
-        # relation, one column per layer, every modulus 2D.
-        columns = [list(col) for col in zip(*rows)]
-        b = rhs[:len(rows)]
-        moduli = [two_d] * len(rows)
-        solver = ModSolver(columns, moduli)
-        assert solver.least_solution(b) == walk_least_solution(
-            columns, b, moduli)
-        # repeated calls reuse the kernel form and agree
-        assert solver.least_solution(b) == solver.least_solution(b)
+        assert walk_least_solution(columns, b, moduli) == (
+            solutions[0] if solutions else None)
 
 
 # ---------------------------------------------------------------------------
@@ -841,9 +798,8 @@ class TestLaneWidths:
                                max_size=len(columns)))
         b = _combine(columns, x, width)
         zero = [0] * width
-        for sol in (solver.solve(b), solver.least_solution(b)):
-            assert sol is not None and _satisfies(columns, sol, b,
-                                                  [big] * width)
+        sol = solver.solve(b)
+        assert sol is not None and _satisfies(columns, sol, b, [big] * width)
         assert all(_satisfies(columns, vec, zero, [big] * width)
                    for vec in solver.kernel_basis())
         assert all(_satisfies(columns, vec, zero, [big] * width)

@@ -14,14 +14,17 @@ from tqdstab.lattice import (AnyonLabel, DS_PARAMS, H, LatticeModel, PathSpec,
                              dual_loop_around_vertex, plaquette_terms,
                              size_from_spec, spt_d_terms, string_operator,
                              tc_stack_group, vertex_terms)
-from tqdstab.exactmath import ModSolver
+from tqdstab import lattice
+from tqdstab.anyon import _tqd_generator_data
+from tqdstab.exactmath import Rational01
 from tqdstab.pauli import PauliOperator, commutes, multiply, scalar
-from tqdstab.stabilizer import (StabilizerGroup, assert_commuting,
+from tqdstab.stabilizer import (InconsistentGroupError, assert_commuting,
                                 group_order, groups_equal, logical_dimension,
                                 measure, member_with_phase,
                                 scalar_consistency)
 
-from oracles import string_operator_by_segments
+from oracles import (phase_fix_system, string_operator_by_segments,
+                     walk_least_solution)
 
 
 # ---------------------------------------------------------------------------
@@ -383,26 +386,6 @@ class TestTwistedBuilders:
         assert logical_dimension(group) == dim
         assert model.phase_fix == fix
 
-    @pytest.mark.parametrize("build", [
-        lambda: build_ds(3, 3),
-        lambda: build_ds(4, 4),
-        lambda: build_tqd(TqdParams([2, 2], [1, 1], {(0, 1): 1}), 3, 3),
-        lambda: build_spt(4, 4),
-    ], ids=["ds-3x3", "ds-4x4", "tqd22-twisted-3x3", "spt-4x4"])
-    def test_phase_fix_same_from_reduced_kernel_basis(self, monkeypatch,
-                                                      build):
-        # The fix is read from the unreduced kernel rows; a build whose
-        # kernel table comes from the rows of the finished form's reduced
-        # basis (same lattice, so the same solution set) gives the same fix.
-        group, model = build()
-        monkeypatch.setattr(ModSolver, "kernel_rows",
-                            lambda self: list(self._kernel_form[0]))
-        reference_group, reference = build()
-        assert model.phase_fix == reference.phase_fix
-        assert reference_group.generators == group.generators
-        assert logical_dimension(group) == logical_dimension(
-            reference_group)
-
     def test_layer_dimensions_are_squares(self):
         _, model = build_tqd(TqdParams([2, 3], [0, 0]), 3, 3)
         assert model.lattice.edge_dims == (4, 9)
@@ -497,6 +480,83 @@ class TestSptBuilders:
         spt_group, _ = build_spt(3, 3)
         measured = measure(hat_group, spt_d_terms(hat_model))
         assert groups_equal(measured, spt_group)
+
+    @pytest.mark.parametrize("size", [(2, 2), (4, 3), (4, 4)], ids=str)
+    def test_measuring_d_terms_recovers_spt_on_even_areas(self, size):
+        # with the hatted vertex terms carrying theta(s) on every torus,
+        # not only where the area is odd as at 3x3 above
+        hat_group, hat_model = build_hatted_ds(*size)
+        spt_group, _ = build_spt(*size)
+        measured = measure(hat_group, spt_d_terms(hat_model))
+        assert groups_equal(measured, spt_group)
+
+
+# Vertex-term phases against the solve they replaced (tests/oracles.py):
+# N in {2, 3, 4, 5, 9}, every two-factor pattern with N_i <= 4 and
+# n_12 != 0, and three Z_2 factors with every n_ij = 1.
+PHASE_MODELS = [
+    TqdParams([2], [0]), TqdParams([2], [1]), TqdParams([3], [1]),
+    TqdParams([3], [2]), TqdParams([4], [1]), TqdParams([4], [2]),
+    TqdParams([4], [3]), TqdParams([5], [2]), TqdParams([9], [1]),
+    TqdParams([9], [7]),
+    TqdParams([2, 2], [1, 1], {(0, 1): 1}),
+    TqdParams([2, 2], [0, 1], {(0, 1): 1}),
+    TqdParams([2, 4], [1, 1], {(0, 1): 1}),
+    TqdParams([2, 4], [0, 3], {(0, 1): 1}),
+    TqdParams([3, 3], [1, 2], {(0, 1): 1}),
+    TqdParams([3, 3], [0, 0], {(0, 1): 2}),
+    TqdParams([4, 4], [1, 3], {(0, 1): 2}),
+    TqdParams([4, 4], [2, 0], {(0, 1): 1}),
+    TqdParams([4, 4], [3, 1], {(0, 1): 3}),
+    TqdParams([2, 2, 2], [1, 1, 1], {(0, 1): 1, (0, 2): 1, (1, 2): 1}),
+]
+
+
+def _params_id(p):
+    return f"N{list(p.N)}-n{list(p.n)}-nij{[list(r) for r in p.nij]}"
+
+
+class TestVertexPhases:
+    """Each layer's vertex terms carry theta(phi_i), the spin of their
+    flux; that is the least solution of the system the builders solved
+    before (oracles.phase_fix_system, oracles.walk_least_solution)."""
+
+    @pytest.mark.parametrize("size", [(3, 3), (4, 3)], ids=str)
+    @pytest.mark.parametrize("params", PHASE_MODELS, ids=_params_id)
+    def test_tqd_phase_is_the_flux_spin_and_the_least_solution(
+            self, params, size):
+        group, model = build_tqd(params, *size)
+        two_d = 2 * model.system.D
+        spins = _tqd_generator_data(params)[0][params.M:]
+        assert [Rational01(m, two_d) for m in model.phase_fix] == spins
+        assert list(model.phase_fix) == walk_least_solution(
+            *phase_fix_system(group, model))
+
+    @pytest.mark.parametrize("size", [(3, 3), (4, 4)], ids=str)
+    def test_spt_phase_is_the_least_solution(self, size):
+        group, model = build_spt(*size)
+        assert model.phase_fix == (2,)
+        assert walk_least_solution(*phase_fix_system(group, model)) == [2]
+
+    @pytest.mark.parametrize("size", [(3, 3), (5, 3), (4, 3), (4, 4)],
+                             ids=str)
+    def test_hatted_ds_phase_solves_the_system(self, size):
+        # every phase that solves the system makes a consistent group; the
+        # least one is theta(s) only on odd areas (0 on even ones)
+        group, model = build_hatted_ds(*size)
+        assert model.phase_fix == (2,)
+        (column,), rhs, moduli = phase_fix_system(group, model)
+        assert all((2 * c - r) % mod == 0
+                   for c, r, mod in zip(column, rhs, moduli))
+        least = walk_least_solution([column], rhs, moduli)
+        assert (least == [2]) == (size[0] * size[1] % 2 == 1)
+
+    def test_inconsistent_phases_raise_where_the_group_is_made(self):
+        # a second fix adds theta(s) twice, and the product of the vertex
+        # terms is then a nontrivial scalar
+        group, model = build_ds(3, 3)
+        with pytest.raises(InconsistentGroupError, match="scalar"):
+            lattice._with_phase_fix(model, list(group.generators))
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ class TestOrderAndDimension:
                               build_tqd(TqdParams([2], [0]), 4, 4)[0]), 2),
     ], ids=["degeneracy", "condensation", "spt", "groups-equal"])
     def test_one_pass_per_group_made(self, monkeypatch, run, passes):
-        # rephased copies and centralizer generators make no group
+        # centralizer generators make no group
         calls = count_commuting_checks(monkeypatch)
         run()
         assert len(calls) == passes
@@ -250,39 +250,7 @@ class TestOrderAndDimension:
 
 
 class TestRephased:
-    def _group(self):
-        sysm = QuditSystem([2, 2])
-        gens = [PauliOperator(sysm, x={0: 1, 1: 1}),
-                PauliOperator(sysm, z={0: 1, 1: 1})]
-        return StabilizerGroup(sysm, gens)
-
-    def test_shares_solver_and_keeps_order(self):
-        S = self._group()
-        order = group_order(S)
-        minus_xx = multiply(scalar(S.system, 2), S.generators[0])
-        R = S.rephased([minus_xx, S.generators[1]])
-        assert R._solver is S._solver
-        assert R.generators == (minus_xx, S.generators[1])
-        assert group_order(R) == order
-        assert member_with_phase(R, minus_xx).is_member
-        assert member_with_phase(S, minus_xx).verdict == "MemberUpToPhase"
-
-    def test_rejects_changed_exponents(self):
-        S = self._group()
-        sysm = S.system
-        with pytest.raises(ValueError, match="keep the exponents"):
-            S.rephased([single(sysm, 0, "X", 1), S.generators[1]])
-        with pytest.raises(ValueError, match="keep the exponents"):
-            S.rephased([S.generators[0], single(sysm, 1, "Z", 1)])
-        with pytest.raises(ValueError, match="keep the exponents"):
-            S.rephased(S.generators[:1])
-
-    def test_commutation_is_checked_once(self, monkeypatch):
-        good = self._group()  # checked at construction
-        calls = count_commuting_checks(monkeypatch)
-        R = good.rephased(good.generators)
-        assert calls == []
-        assert R._odd_pairs is good._odd_pairs
+    """The builders' one solver and what it eliminates."""
 
     def test_builder_computes_the_wide_howell_form_once(self, monkeypatch):
         widths = []
@@ -298,8 +266,29 @@ class TestRephased:
         wide = 2 * group.system.n_sites + len(group.generators)
         assert widths.count(wide) == 1
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_ds(4, 4),
+        lambda: build_tqd(TqdParams([2, 2], [1, 1], {(0, 1): 1}), 4, 3),
+        lambda: build_spt(4, 4),
+        lambda: build_hatted_ds(4, 3),
+    ], ids=["ds", "tqd22-twisted", "spt", "hatted-ds"])
+    def test_twisted_build_runs_one_howell_form(self, monkeypatch, build):
+        # the vertex-term phases are written, not solved for: the build's
+        # scalar check and logical_dimension share the group's one form
+        calls = []
+        original = exactmath.howell_form
+
+        def counting(rows, big, **kwargs):
+            calls.append(big)
+            return original(rows, big, **kwargs)
+
+        monkeypatch.setattr(exactmath, "howell_form", counting)
+        group, _ = build()
+        logical_dimension(group)
+        assert len(calls) == 1
+
     def test_counting_never_reduces_the_identity_block(self):
-        # The builder's phase fix and logical_dimension read M-block pivots
+        # The builder's scalar check and logical_dimension read M-block pivots
         # and kernel generators only, so no identity-block column is ever
         # eliminated (DS has relations, so a finished form would have some).
         group, _ = build_ds(4, 4)
@@ -452,15 +441,10 @@ class TestKernelPhaseClosedForm:
         two_d = 2 * group.system.D
         gens = [multiply(scalar(group.system, rng.randrange(two_d)), g)
                 for g in group.generators]
-        # a fresh group runs every step; a rephased one reuses the kernel
-        # rows, columns and brackets and computes only its own linear term
         fresh = StabilizerGroup(group.system, gens)
         table = kernel_table(fresh)
         assert table == kernel_phases_by_products(fresh)
         assert any(phase for _, phase in table)
-        rephased = group.rephased(gens)
-        assert rephased._kernel is group._kernel
-        assert kernel_table(rephased) == table
 
     @pytest.mark.parametrize("name", ["ds", "tqd3-n1", "spt"])
     def test_corrupted_kernel_vector_is_rejected(self, monkeypatch, name):
@@ -605,7 +589,7 @@ class TestClosedFormMembership:
                 for p, g in zip(phases, [X0, Z1, X0])]
         S = StabilizerGroup(sysm, gens)
         gens[1] = multiply(scalar(sysm, flip), Z1)
-        flipped = S.rephased(gens)
+        flipped = StabilizerGroup(sysm, gens)
         assert group_order(flipped) == group_order(S)
         assert S._scalar_step() == flipped._scalar_step()
         assert not groups_equal(flipped, S)
@@ -764,7 +748,7 @@ class TestKernelPhases:
         group, _ = build()
         gens = list(group.generators)
         gens[0] = multiply(scalar(group.system, 1), gens[0])
-        S = group.rephased(gens)
+        S = StabilizerGroup(group.system, gens)
         table = kernel_table(S)
         assert any(phase for _, phase in table)
         assert table == [(vec, S.combination(vec).phase)
@@ -779,13 +763,13 @@ class TestKernelPhases:
         assert scalar_consistency(S).witness == ((2,), 2)
 
     def test_rephased_group_computes_its_own_table(self):
-        # The builder's phase fix read the unfixed group's table; the final
-        # group does not inherit it, so scalar_consistency re-checks the fix.
+        # The builder checks the group it makes: its kernel table is
+        # already computed, and all zero.
         group, model = build_ds(3, 3)
         assert model.phase_fix == (2,)
-        assert group._kernel_phases is None
-        assert scalar_consistency(group).consistent
+        assert group._kernel_phases is not None
         assert not any(group._kernel_phases)
+        assert scalar_consistency(group).consistent
 
     @given(st.sampled_from([2, 4, 6, 8, 12, 16]),
            st.lists(st.integers(0, 15), max_size=4), st.integers(0, 15))
