@@ -11,12 +11,15 @@ the k^2 generator crossings, certifies that each box loop is the matching
 combination of generator loops (so braiding is bilinear), and checks the
 theta ratio on each (vector, generator) pair; the measured theta(e_g) and
 crossings are the generator tables of the extracted presentation. The
-module also extracts the boundary 3-cocycle of the SPT model from the
+braiding over the box is kept as one row r_v = v B mod D per box vector,
+and b(v, w) is the lookup r_v . w mod D, so no box x box table is formed.
+The module also extracts the boundary 3-cocycle of the SPT model from the
 failure of the group law of the truncated boundary symmetry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import lcm
@@ -251,19 +254,50 @@ def _combine(gen_labels: tuple[AnyonLabel, ...], vec) -> AnyonLabel:
                       tuple(sum(map(mul, vec, c)) for c in charge))
 
 
+class BoxBraiding(Mapping):
+    """Read-only braiding table b(v, w) over the box pairs, kept as rows.
+
+    `rows` maps each box vector v, in box order, to r_v = v B mod D for the
+    generator braiding matrix B; a lookup is phases[r_v . w mod D], with
+    phases[e] = e/D. Keys, their order (v-major) and equality are those of
+    the full dict of box pairs, and a key outside the box raises KeyError.
+    """
+
+    def __init__(self, rows: dict[tuple[int, ...], list[int]],
+                 phases: list[Rational01]):
+        self.rows = rows
+        self._phases = phases
+        self._D = len(phases)
+
+    def __getitem__(self, key) -> Rational01:
+        v, w = key
+        r = self.rows.get(v)
+        if r is None or w not in self.rows:
+            raise KeyError(key)
+        return self._phases[sum(map(mul, r, w)) % self._D]
+
+    def __iter__(self):
+        return ((v, w) for v in self.rows for w in self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows) ** 2
+
+
 @dataclass(frozen=True)
 class ExtractedTheory:
     """Measured statistics tables over the group generated by the labels.
 
-    theta and braiding are keyed by exponent vectors over the generators;
-    theory is the quotient by the measured trivial (transparent) vectors.
+    theta and braiding are keyed by exponent vectors over the generators:
+    theta is a dict over the box, and braiding a BoxBraiding lookup over
+    box pairs, stored as one row r_v per box vector. theory is the quotient
+    by the measured trivial (transparent) vectors.
     """
 
     generator_names: tuple[str, ...]
     generator_labels: tuple[AnyonLabel, ...]
     fusion_orders: tuple[int, ...]
     theta: dict[tuple[int, ...], Rational01]
-    braiding: dict[tuple[tuple[int, ...], tuple[int, ...]], Rational01]
+    braiding: BoxBraiding
     theory: anyon.AnyonTheory
 
     def combine(self, vec) -> AnyonLabel:
@@ -286,7 +320,8 @@ def extract_theory(model: LatticeModel,
     """Measure theta/B tables over the generating labels and assemble the
     quotient theory. Measured: theta on the box and the k x k generator
     braidings B. Certified: each box vector's two loops carry the exponents
-    of that combination of generator loops, so b(v, w) = v B w mod D.
+    of that combination of generator loops, so b(v, w) = v B w mod D, which
+    the braiding answers as r_v . w from the stored rows r_v = v B mod D.
     Checked: 2 b(v, e_g) = theta(v + e_g) - theta(v) - theta(e_g) on every
     (box vector v, generator g), hence on every pair summing into the box.
     The quotient by the measured transparent box vectors is presented with
@@ -319,7 +354,7 @@ def extract_theory(model: LatticeModel,
     units = [tuple(int(t == g) for t in range(k)) for g in range(k)]
     b_phase = [Rational01(e, D) for e in range(D)]
     t_phase = [Rational01(e, 2 * D) for e in range(2 * D)]
-    braiding, rows = {}, {}
+    rows = {}
     for v in box:
         r = rows[v] = [sum(c * Bg[h] for c, Bg in zip(v, B)) % D
                        for h in range(k)]
@@ -328,8 +363,6 @@ def extract_theory(model: LatticeModel,
             if (2 * r[g] - ratio) % (2 * D):
                 raise InconsistentExtractionError(
                     f"B{v, e} = {b_phase[r[g]]}, theta ratio {t_phase[ratio]}")
-        braiding.update(((v, w), b_phase[e % D])
-                        for w, e in zip(box, _box_products(r, orders)))
 
     # Quotient by the measured transparent vectors.
     columns = [[o * t for t in e] for o, e in zip(orders, units)] + [
@@ -342,13 +375,22 @@ def extract_theory(model: LatticeModel,
     return ExtractedTheory(
         names, gen_labels, orders,
         {vec: t_phase[e] for vec, e in theta.items()},
-        braiding, presented.theory)
+        BoxBraiding(rows, b_phase), presented.theory)
+
+
+# The report's theta and braiding tables hold |box| and |box|^2 strings;
+# a box above this many vectors is refused rather than written.
+REPORT_MAX_BOX = 4096
 
 
 def extraction_report(model: LatticeModel) -> dict:
     """JSON-ready report; iso_match compares against the theory the model's
-    kind predicts."""
+    kind predicts. A box above REPORT_MAX_BOX vectors raises ValueError."""
     ext = extract_theory(model)
+    box, orders, D = ext.box(), ext.fusion_orders, model.system.D
+    if len(box) > REPORT_MAX_BOX:
+        raise ValueError(f"the box holds {len(box)} vectors, above the "
+                         f"report bound of {REPORT_MAX_BOX}")
     if model.kind == "tc":
         target = anyon.zn_tc_theory(model.tc_N)
         target_name = f"Z{model.tc_N} toric code"
@@ -356,19 +398,12 @@ def extraction_report(model: LatticeModel) -> dict:
         target = anyon.tqd_theory(model.params)
         target_name = (f"twisted double N={list(model.params.N)} "
                        f"n={list(model.params.n)}")
-    box, orders, D = ext.box(), ext.fusion_orders, model.system.D
-    # (g, e_g) for each generator g of order > 1; the others have w_g = 0
-    # throughout the box
-    units = [(w.index(1), w) for w in box if sum(w) == 1]
     b_text = [str(Rational01(e, D)) for e in range(D)]
 
     def braiding_row(v) -> list[str]:
-        # b(v, w) = r_v . w mod D, with r_v[g] = b(v, e_g) as an exponent
-        r = [0] * len(orders)
-        for g, e in units:
-            b = ext.braiding[(v, e)]
-            r[g] = b.numerator * (D // b.denominator)
-        return [b_text[e % D] for e in _box_products(r, orders)]
+        # b(v, w) = r_v . w mod D
+        return [b_text[e % D]
+                for e in _box_products(ext.braiding.rows[v], orders)]
 
     report = {
         "generators": list(ext.generator_names),

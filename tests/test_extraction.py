@@ -337,14 +337,48 @@ class TestBilinearExtraction:
         assert ext.theta == ref.theta
         assert ext.braiding == ref.braiding
         assert theories_isomorphic(ext.theory, ref.theory)
+        # the row lookup has the dict's keys, in the same order
+        box = ext.box()
+        assert list(ext.braiding) == list(ref.braiding)
+        assert len(ext.braiding) == len(box) ** 2
+        v = box[-1]
+        for g, order in enumerate(ext.fusion_orders):
+            past = v[:g] + (order,) + v[g + 1:]
+            for key in ((past, v), (v, past)):
+                assert key not in ext.braiding
+                with pytest.raises(KeyError):
+                    ext.braiding[key]
+        for key in ((v + (0,), v), (v, v[:-1])):
+            with pytest.raises(KeyError):
+                ext.braiding[key]
+
+    def test_box_4096(self):
+        # N=[4,4] n=[2,0] n_12=1: fusion orders (16, 16, 4, 4)
+        p = TqdParams([4, 4], [2, 0], {(0, 1): 1})
+        _, model = build_tqd(p, 3, 3)
+        ext = extract_theory(model)
+        box = ext.box()
+        assert len(box) == 4096
+        assert theories_isomorphic(ext.theory, tqd_theory(p))
+        for i in range(64):
+            v, w = box[i * 61 % 4096], box[i * 997 % 4096]
+            assert ext.braiding[(v, w)] == crossing_braiding(
+                model, ext.combine(v), ext.combine(w))
 
     def test_report_rows_equal_the_table(self, oracle_model):
-        # extraction_report writes each braiding row from r_v . w, with
-        # r_v read off the generator columns of the table
+        # extraction_report writes each braiding row from the stored r_v
         ext = extract_theory(oracle_model)
         box = ext.box()
         assert extraction_report(oracle_model)["braiding"] == [
             [str(ext.braiding[(v1, v2)]) for v2 in box] for v1 in box]
+
+    def test_report_size_bound_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(extraction, "REPORT_MAX_BOX", 16)
+        assert cli.run(["anyons", "extract", "--type", "tqd", "--N", "2,2",
+                        "--n", "1,1", "--nij", "0,1,1"]) == 2
+        assert ("the box holds 64 vectors, above the report bound of 16"
+                in capsys.readouterr().err)
+        assert cli.run(["anyons", "extract", "--type", "ds"]) == 0
 
     @staticmethod
     def _target(model):
