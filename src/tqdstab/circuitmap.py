@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .pauli import CliffordGate, PauliOperator, qudit_cx
+from .pauli import PauliOperator, QuditCX, qudit_cx
 from .stabilizer import VerificationError
 
 Vertex = tuple[int, int]
@@ -237,7 +237,7 @@ def domain_wall_count(lattice: TriangularLattice, b: dict[Vertex, int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def ucx_circuit(lattice: TriangularLattice) -> list[CliffordGate]:
+def ucx_circuit(lattice: TriangularLattice) -> list[QuditCX]:
     """prod_{up faces} CX_{<12>,<13>} CX_{<23>,<13>} on edge-indexed qudits."""
     gates = []
     for y in range(lattice.L):

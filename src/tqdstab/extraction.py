@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .exactmath import IntMatrix, ModSolver, Rational01
@@ -327,11 +327,22 @@ def extract_theory(model: LatticeModel,
     The quotient by the measured transparent box vectors is presented with
     q(e_g) = theta(e_g) and b(e_g, e_h) = B[g][h] as generator tables, so
     no loop is built for a relation or split generator outside the box."""
-    labels = generating_labels(model)
-    names = tuple(labels)
     probe = _Probe(model, junction)
-    gen_labels = tuple(probe.deconfined(labels[n]) for n in names)
-    orders = tuple(probe.fusion_order(g, gen_labels) for g in gen_labels)
+    return _extract(probe, _generators(probe))
+
+
+def _generators(probe: _Probe) -> tuple:
+    """The generators' names, deconfined labels and fusion orders: the
+    measurements that fix the box, made before any is made on it."""
+    labels = generating_labels(probe.model)
+    gen_labels = tuple(probe.deconfined(lab) for lab in labels.values())
+    return (tuple(labels), gen_labels,
+            tuple(probe.fusion_order(g, gen_labels) for g in gen_labels))
+
+
+def _extract(probe: _Probe, generators: tuple) -> ExtractedTheory:
+    """extract_theory's measurements on the box the generators fix."""
+    names, gen_labels, orders = generators
 
     def t_of(vec) -> int:
         return probe.theta(_combine(gen_labels, vec))
@@ -341,7 +352,7 @@ def extract_theory(model: LatticeModel,
     for direction in ("horizontal", "vertical"):
         gen_loops = [probe.loop(g, direction) for g in gen_labels]
         for vec in box:
-            combo = product_of_powers(model.system, zip(gen_loops, vec))
+            combo = product_of_powers(probe.model.system, zip(gen_loops, vec))
             loop = probe.loop(_combine(gen_labels, vec), direction)
             if (loop.x, loop.z) != (combo.x, combo.z):
                 raise InconsistentExtractionError(f"the {direction} loop of "
@@ -352,14 +363,18 @@ def extract_theory(model: LatticeModel,
     D, k = probe.D, len(names)
     B = [[probe.braid(g, h) for h in gen_labels] for g in gen_labels]
     units = [tuple(int(t == g) for t in range(k)) for g in range(k)]
+    t_units = [t_of(e) for e in units]
     b_phase = [Rational01(e, D) for e in range(D)]
     t_phase = [Rational01(e, 2 * D) for e in range(2 * D)]
     rows = {}
     for v in box:
         r = rows[v] = [sum(c * Bg[h] for c, Bg in zip(v, B)) % D
                        for h in range(k)]
-        for g, e in enumerate(units):
-            ratio = (t_of(map(sum, zip(v, e))) - theta[v] - t_of(e)) % (2 * D)
+        for g, (e, t_e) in enumerate(zip(units, t_units)):
+            # measured here only where v_g + 1 wraps past the order o_g
+            w = v[:g] + (v[g] + 1,) + v[g + 1:]
+            t_w = theta[w] if w in theta else t_of(w)
+            ratio = (t_w - theta[v] - t_e) % (2 * D)
             if (2 * r[g] - ratio) % (2 * D):
                 raise InconsistentExtractionError(
                     f"B{v, e} = {b_phase[r[g]]}, theta ratio {t_phase[ratio]}")
@@ -370,7 +385,7 @@ def extract_theory(model: LatticeModel,
     relations = IntMatrix([[col[r] for col in columns] for r in range(k)],
                           rows=k, cols=len(columns))
     presented = anyon.theory_from_presentation(
-        [t_phase[t_of(e)] for e in units],
+        [t_phase[t] for t in t_units],
         [[b_phase[e] for e in row] for row in B], relations)
     return ExtractedTheory(
         names, gen_labels, orders,
@@ -386,11 +401,14 @@ REPORT_MAX_BOX = 4096
 def extraction_report(model: LatticeModel) -> dict:
     """JSON-ready report; iso_match compares against the theory the model's
     kind predicts. A box above REPORT_MAX_BOX vectors raises ValueError."""
-    ext = extract_theory(model)
-    box, orders, D = ext.box(), ext.fusion_orders, model.system.D
-    if len(box) > REPORT_MAX_BOX:
-        raise ValueError(f"the box holds {len(box)} vectors, above the "
+    probe = _Probe(model)
+    generators = _generators(probe)
+    size = prod(generators[2])
+    if size > REPORT_MAX_BOX:
+        raise ValueError(f"the box holds {size} vectors, above the "
                          f"report bound of {REPORT_MAX_BOX}")
+    ext = _extract(probe, generators)
+    box, orders, D = ext.box(), ext.fusion_orders, model.system.D
     if model.kind == "tc":
         target = anyon.zn_tc_theory(model.tc_N)
         target_name = f"Z{model.tc_N} toric code"

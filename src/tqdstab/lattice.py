@@ -188,22 +188,6 @@ class TorusLattice:
             object.__setattr__(self, "_system", system)
         return system
 
-    def site_legend(self) -> dict:
-        """Human/CLI-readable description of the site indexing."""
-        legend = {}
-        for layer, d in enumerate(self.edge_dims):
-            for y in range(self.Ly):
-                for x in range(self.Lx):
-                    for o, name in ((H, "H"), (V, "V")):
-                        legend[self.edge_site(x, y, o, layer)] = (
-                            f"edge {name}({x},{y}) layer {layer} (d={d})")
-        for layer, d in enumerate(self.vertex_dims):
-            for y in range(self.Ly):
-                for x in range(self.Lx):
-                    legend[self.vertex_site(x, y, layer)] = (
-                        f"vertex ({x},{y}) layer {layer} (d={d})")
-        return {str(k): legend[k] for k in sorted(legend)}
-
 
 # ---------------------------------------------------------------------------
 # Path specifications
@@ -240,26 +224,6 @@ class PathSpec:
         pts = self.points(lattice)
         if self.closed and pts[0] != pts[-1]:
             raise ValueError("closed path must return to its start")
-
-    @staticmethod
-    def from_points(kind: str, points: Sequence[tuple[int, int]],
-                    lattice: TorusLattice, closed: bool = False) -> "PathSpec":
-        """Build a move list from consecutive (wrapped) lattice points."""
-        moves = []
-        for (x0, y0), (x1, y1) in zip(points, points[1:]):
-            dx = (x1 - x0) % lattice.Lx
-            dy = (y1 - y0) % lattice.Ly
-            if (dx, dy) == (1, 0):
-                moves.append("E")
-            elif (dx, dy) == (lattice.Lx - 1, 0):
-                moves.append("W")
-            elif (dx, dy) == (0, 1):
-                moves.append("N")
-            elif (dx, dy) == (0, lattice.Ly - 1):
-                moves.append("S")
-            else:
-                raise ValueError("consecutive points must be adjacent")
-        return PathSpec(kind, tuple(points[0]), tuple(moves), closed=closed)
 
 
 def dual_loop_around_vertex(x: int, y: int) -> PathSpec:
@@ -551,30 +515,14 @@ def build_ds(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
     return group, replace(tqd_model, kind="ds", labels=labels)
 
 
-def _tqd_terms(model: LatticeModel, first: int,
-               last: int) -> list[PauliOperator]:
-    """Blocks [first, last) of a DS/TQD builder's generators, each block
-    M * n_cells long: A terms, then B terms, then two blocks of C terms."""
+def ds_edge_terms(model: LatticeModel) -> list[PauliOperator]:
+    """The {C_e} terms of the DS/TQD model (same order as in the builders):
+    the last two of a DS/TQD builder's four generator blocks (A terms, B
+    terms, then two blocks of C terms, each M * n_cells long)."""
     if model.kind not in ("ds", "tqd") or model.group is None:
         raise ValueError(f"no built DS/TQD terms on a {model.kind!r} model")
     block = model.n_layers * model.lattice.n_cells
-    return list(model.group.generators[first * block:last * block])
-
-
-def ds_edge_terms(model: LatticeModel) -> list[PauliOperator]:
-    """The {C_e} terms of the DS/TQD model (same order as in the builders)."""
-    return _tqd_terms(model, 2, 4)
-
-
-def vertex_terms(model: LatticeModel) -> list[PauliOperator]:
-    """The {A_{v,i}} flux-loop terms (with their scalar phases),
-    layer-major, then vertex order."""
-    return _tqd_terms(model, 0, 1)
-
-
-def plaquette_terms(model: LatticeModel) -> list[PauliOperator]:
-    """The {B_{p,i}} charge-loop terms, layer-major, then plaquette order."""
-    return _tqd_terms(model, 1, 2)
+    return list(model.group.generators[2 * block:4 * block])
 
 
 def tc_stack_group(params: TqdParams, Lx: int, Ly: int) -> StabilizerGroup:

@@ -277,122 +277,56 @@ def commutes(P: PauliOperator, Q: PauliOperator) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Clifford conjugation
+# Control-X conjugation
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CliffordGate:
-    """One of QuditCX / QubitCZ / QubitS / QubitCXab, identified by kind."""
+class QuditCX:
+    """The qudit control-X gate |a, b> -> |a, a + b> on (control, target)."""
 
-    kind: Literal["QuditCX", "QubitCZ", "QubitS", "QubitCXab"]
-    sites: tuple[int, ...]
+    control: int
+    target: int
 
     def validate(self, system: QuditSystem) -> None:
-        for s in self.sites:
-            system.check_site(s)
-        dims = [system.dims[s] for s in self.sites]
-        if self.kind == "QuditCX":
-            if len(self.sites) != 2 or dims[0] != dims[1]:
-                raise ValueError("QuditCX requires two equal-dimension sites")
-        elif self.kind in ("QubitCZ", "QubitCXab"):
-            if len(self.sites) != 2 or dims != [2, 2]:
-                raise ValueError(f"{self.kind} requires two qubit sites")
-        elif self.kind == "QubitS":
-            if len(self.sites) != 1 or dims != [2]:
-                raise ValueError("QubitS requires one qubit site")
-        else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+        c, t = self.control, self.target
+        system.check_site(c)
+        system.check_site(t)
+        if c == t or system.dims[c] != system.dims[t]:
+            raise ValueError("control-X needs two distinct sites of equal "
+                             f"dimension, got sites {c} and {t}")
 
 
-def qudit_cx(control: int, target: int) -> CliffordGate:
-    return CliffordGate("QuditCX", (control, target))
+def qudit_cx(control: int, target: int) -> QuditCX:
+    return QuditCX(control, target)
 
 
-def qubit_cz(a: int, b: int) -> CliffordGate:
-    return CliffordGate("QubitCZ", (a, b))
-
-
-def qubit_s(a: int) -> CliffordGate:
-    return CliffordGate("QubitS", (a,))
-
-
-def qubit_cx(control: int, target: int) -> CliffordGate:
-    return CliffordGate("QubitCXab", (control, target))
-
-
-def _conjugate_one(P: PauliOperator, gate: CliffordGate) -> PauliOperator:
-    """Image of one single-site factor under a gate already validated on
-    P's system (by _conjugate_exact)."""
-    system = P.system
-    D = system.D
-    phase = P.phase
-    x = dict(P.x)
-    z = dict(P.z)
-
-    def bump(table: dict[int, int], site: int, delta: int) -> None:
-        table[site] = table.get(site, 0) + delta
-
-    # Inputs here are elementary single-site factors (see _conjugate_exact),
-    # so the gate images below are already normal ordered with no extra
-    # reordering phase.
-    if gate.kind == "QuditCX":
-        c, t = gate.sites
-        # X_c -> X_c X_t, Z_t -> Z_c^{-1} Z_t; X_t, Z_c fixed.
-        if P.x.get(c):
-            bump(x, t, P.x[c])
-        if P.z.get(t):
-            bump(z, c, -P.z[t])
-    elif gate.kind == "QubitCZ":
-        a, b = gate.sites
-        if P.x.get(a):
-            bump(z, b, P.x[a])
-        if P.x.get(b):
-            bump(z, a, P.x[b])
-    elif gate.kind == "QubitS":
-        (a,) = gate.sites
-        xa = P.x.get(a, 0)
-        if xa:
-            # S X S^dag = i X Z (normal ordered).
-            bump(z, a, xa)
-            phase += (D // 2) * xa
-    elif gate.kind == "QubitCXab":
-        c, t = gate.sites
-        if P.x.get(c):
-            bump(x, t, P.x[c])
-        if P.z.get(t):
-            bump(z, c, P.z[t])
-    return _make(system, phase, x, z)
-
-
-def conjugate(P: PauliOperator,
-              circuit: Sequence[CliffordGate]) -> PauliOperator:
+def conjugate(P: PauliOperator, circuit: Sequence[QuditCX]) -> PauliOperator:
     """U P U^dag for U the ordered product of the circuit's gates.
 
     Gates are applied in sequence order: the first gate is the innermost
     (applied first to states), so conjugation proceeds left to right.
+
+    Each gate acts on the exponents alone: x_t += x_c and z_c -= z_t, from
+    CX X_c CX^dag = X_c X_t and CX Z_t CX^dag = Z_c^{-1} Z_t, with X_t and
+    Z_c fixed. No phase appears: P's X factors commute among themselves and
+    so do its Z factors, so the images of the product of all X powers and of
+    the product of all Z powers are again such products, in normal order.
     """
-    result = P
-    for gate in circuit:
-        result = _conjugate_exact(result, gate)
-    return result
-
-
-def _conjugate_exact(P: PauliOperator, gate: CliffordGate) -> PauliOperator:
-    """Exact conjugation: decompose P into elementary factors, map each, and
-    re-multiply in order so no reordering phase is missed."""
-    gate.validate(P.system)
     system = P.system
-    factors: list[PauliOperator] = []
-    for site in sorted(set(P.x) | set(P.z)):
-        if P.x.get(site):
-            factors.append(single(system, site, "X", P.x[site]))
-        if P.z.get(site):
-            factors.append(single(system, site, "Z", P.z[site]))
-    out = scalar(system, P.phase)
-    for f in factors:
-        out = multiply(out, _conjugate_one(f, gate))
-    return out
+    dims = system.dims
+    x = dict(P.x)
+    z = dict(P.z)
+    for gate in circuit:
+        gate.validate(system)
+        c, t = gate.control, gate.target
+        xc = x.get(c)
+        if xc:
+            x[t] = (x.get(t, 0) + xc) % dims[t]
+        zt = z.get(t)
+        if zt:
+            z[c] = (z.get(c, 0) - zt) % dims[c]
+    return _make(system, P.phase, x, z)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from tqdstab.circuitmap import (Cochain, OddXExponentError, QubitGate,
                                 map_qudit_to_qubits, table1_identity,
                                 uaa_circuit, uab_circuit, ucx_circuit,
                                 vertex_cochain)
-from tqdstab.pauli import PauliOperator, QuditSystem, multiply, single
+from tqdstab.pauli import PauliOperator, QuditCX, QuditSystem, multiply, single
 from tqdstab.stabilizer import StabilizerGroup
 
 
@@ -315,9 +315,9 @@ class TestCircuits:
         sysm = QuditSystem([4] * 27)
         for g in gates:
             g.validate(sysm)
-            assert g.kind == "QuditCX"
+            assert isinstance(g, QuditCX)
             # targets are diagonal edges
-            assert g.sites[1] % 3 == 2
+            assert g.target % 3 == 2
 
     def test_uab_layer_shape(self):
         lat = TriangularLattice(3)

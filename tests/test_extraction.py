@@ -380,6 +380,26 @@ class TestBilinearExtraction:
                 in capsys.readouterr().err)
         assert cli.run(["anyons", "extract", "--type", "ds"]) == 0
 
+    def test_report_refused_before_the_box_is_measured(self, monkeypatch):
+        calls = []
+        original = extraction._junction_exponent
+        monkeypatch.setattr(extraction, "_junction_exponent",
+                            lambda *w: calls.append(w) or original(*w))
+        _, model = build_tqd(TWISTED_22, 3, 3)
+        # The fusion-order scan alone, on one probe.
+        probe = extraction._Probe(model)
+        gens = [probe.deconfined(g)
+                for g in generating_labels(model).values()]
+        for g in gens:
+            probe.fusion_order(g, gens)
+        scan = len(calls)
+        assert scan < 64  # well below the 64 box vectors
+        calls.clear()
+        monkeypatch.setattr(extraction, "REPORT_MAX_BOX", 16)
+        with pytest.raises(ValueError, match="the box holds 64 vectors"):
+            extraction_report(model)
+        assert 0 < len(calls) <= scan
+
     @staticmethod
     def _target(model):
         """A non-generator box label: every generator once."""

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdstab.exactmath import Rational01
-from tqdstab.pauli import (CliffordGate, PauliOperator, QuditSystem, _make,
+from tqdstab.pauli import (PauliOperator, QuditCX, QuditSystem, _make,
                            adjoint, commutation_exponent, commutation_phase,
                            commutes, conjugate, identity, multiply, power,
-                           product, product_of_powers, qubit_cx, qubit_cz,
-                           qubit_s, qudit_cx, render, scalar, single)
+                           product, product_of_powers, qudit_cx, render,
+                           scalar, single)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +301,12 @@ class TestIntegerKernel:
 
 
 # ---------------------------------------------------------------------------
-# Clifford conjugation
+# Control-X conjugation
 # ---------------------------------------------------------------------------
 
 
 def dense_gate(gate, system):
+    """The permutation matrix |..a..b..> -> |..a..a+b..> of a control-X."""
     dims = system.dims
     total = 1
     for d in dims:
@@ -325,23 +326,31 @@ def dense_gate(gate, system):
         for v in range(dims[q]):
             yield from all_configs(prefix + [v], q + 1)
 
+    c, t = gate.control, gate.target
     for cfg in all_configs([], 0):
         out = list(cfg)
-        amp = 1.0 + 0j
-        if gate.kind == "QuditCX":
-            c, t = gate.sites
-            out[t] = (out[t] + out[c]) % dims[t]
-        elif gate.kind == "QubitCXab":
-            c, t = gate.sites
-            out[t] = (out[t] + out[c]) % 2
-        elif gate.kind == "QubitCZ":
-            a, b = gate.sites
-            amp = (-1.0) ** (cfg[a] * cfg[b])
-        elif gate.kind == "QubitS":
-            (a,) = gate.sites
-            amp = 1j ** cfg[a]
-        U[index(out), index(cfg)] += amp
+        out[t] = (out[t] + out[c]) % dims[t]
+        U[index(out), index(cfg)] += 1.0
     return U
+
+
+@st.composite
+def cx_cases(draw, n_ops=1):
+    """A mixed-dimension system with two sites of equal dimension d among
+    spectators of other dimensions, a control-X on that pair, and n_ops
+    operators with unreduced and negative phase and exponents."""
+    dims = draw(st.lists(st.sampled_from([2, 3, 4, 6]), max_size=3))
+    d = draw(st.sampled_from([2, 3, 4, 8, 9]))
+    for _ in range(2):
+        dims.insert(draw(st.integers(0, len(dims))), d)
+    pair = [s for s, e in enumerate(dims) if e == d]
+    c, t = draw(st.permutations(pair))[:2]
+    sysm = QuditSystem(dims)
+    sites = st.sampled_from(range(len(dims)))
+    exps = st.dictionaries(sites, st.integers(-13, 13), max_size=len(dims))
+    ops = [PauliOperator(sysm, phase=draw(st.integers(-50, 50)),
+                         x=draw(exps), z=draw(exps)) for _ in range(n_ops)]
+    return d, qudit_cx(c, t), ops
 
 
 class TestConjugation:
@@ -349,10 +358,10 @@ class TestConjugation:
         (QuditSystem([2, 2]), qudit_cx(0, 1)),
         (QuditSystem([3, 3]), qudit_cx(1, 0)),
         (QuditSystem([4, 4]), qudit_cx(0, 1)),
-        (QuditSystem([2, 2]), qubit_cz(0, 1)),
-        (QuditSystem([2, 2]), qubit_cx(0, 1)),
-        (QuditSystem([2]), qubit_s(0)),
-        (QuditSystem([2, 3]), qubit_s(0)),
+        (QuditSystem([2, 3, 2]), qudit_cx(2, 0)),
+        (QuditSystem([3, 2, 3]), qudit_cx(0, 2)),
+        (QuditSystem([6, 6]), qudit_cx(1, 0)),
+        (QuditSystem([4, 3, 4]), qudit_cx(0, 2)),
     ])
     def test_against_dense(self, sysm, gate):
         rng = random.Random(7)
@@ -375,17 +384,38 @@ class TestConjugation:
         assert conjugate(single(sysm, 0, "Z", 1), [gate]) == \
             single(sysm, 0, "Z", 1)
 
-    def test_s_gate_phase(self):
-        sysm = QuditSystem([2])
-        X = single(sysm, 0, "X", 1)
-        out = conjugate(X, [qubit_s(0)])
-        # S X S^dag = i X Z
-        assert out == PauliOperator(sysm, phase=1, x={0: 1}, z={0: 1})
+    @given(cx_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_cx_to_the_d_is_the_identity_map(self, case):
+        d, gate, (P,) = case
+        assert conjugate(P, [gate] * d) == P
+        assert conjugate(P, [gate] * (d + 1)) == conjugate(P, [gate])
+
+    @given(cx_cases(n_ops=2))
+    @settings(max_examples=100, deadline=None)
+    def test_conjugation_is_multiplicative(self, case):
+        # U PQ U^dag = (U P U^dag)(U Q U^dag), phases included
+        _, gate, (P, Q) = case
+        circ = [gate, qudit_cx(gate.target, gate.control)]
+        assert conjugate(multiply(P, Q), circ) == \
+            multiply(conjugate(P, circ), conjugate(Q, circ))
+
+    @given(cx_cases(n_ops=2))
+    @settings(max_examples=100, deadline=None)
+    def test_conjugation_keeps_commutation(self, case):
+        _, gate, (P, Q) = case
+        circ = [gate, qudit_cx(gate.target, gate.control), gate]
+        assert commutation_exponent(conjugate(P, circ),
+                                    conjugate(Q, circ)) == \
+            commutation_exponent(P, Q)
 
     def test_circuit_order(self):
-        sysm = QuditSystem([2, 2])
-        circ = [qubit_cx(0, 1), qubit_cz(0, 1)]
-        U = dense_gate(circ[1], sysm) @ dense_gate(circ[0], sysm)
+        sysm = QuditSystem([3, 3, 3])
+        circ = [qudit_cx(0, 1), qudit_cx(1, 2)]
+        first, second = (dense_gate(g, sysm) for g in circ)
+        U = second @ first
+        # the two gates do not commute, so the order is tested
+        assert not np.allclose(U, first @ second)
         rng = random.Random(9)
         for _ in range(10):
             P = random_op(rng, sysm)
@@ -394,8 +424,8 @@ class TestConjugation:
 
     def test_gate_validated_once_per_conjugation(self, monkeypatch):
         calls = []
-        original = CliffordGate.validate
-        monkeypatch.setattr(CliffordGate, "validate",
+        original = QuditCX.validate
+        monkeypatch.setattr(QuditCX, "validate",
                             lambda gate, system: calls.append(gate)
                             or original(gate, system))
         sysm = QuditSystem([3, 3])
@@ -408,6 +438,6 @@ class TestConjugation:
             conjugate(identity(QuditSystem([2, 3])),
                       [qudit_cx(0, 1)])
         with pytest.raises(ValueError):
-            conjugate(identity(QuditSystem([3])), [qubit_s(0)])
+            conjugate(identity(QuditSystem([3, 3])), [qudit_cx(1, 1)])
         with pytest.raises(ValueError):
-            CliffordGate("Nope", (0,)).validate(QuditSystem([2]))
+            conjugate(identity(QuditSystem([3, 3])), [qudit_cx(0, 2)])
