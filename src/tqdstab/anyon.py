@@ -220,12 +220,6 @@ def validate_theory(theory: AnyonTheory) -> list[str]:
     return problems
 
 
-def braiding(theory: AnyonTheory, a: Sequence[int],
-             c: Sequence[int]) -> Rational01:
-    """b_q(a, c) = q(a+c) - q(a) - q(c) mod 1."""
-    return theory.b(theory.group.reduce(a), theory.group.reduce(c))
-
-
 def is_modular(theory: AnyonTheory) -> bool:
     """True iff no nontrivial anyon braids trivially with every generator:
     the pairing kernel against the generators is trivial. The kernel is
@@ -486,14 +480,6 @@ def zn_tc_theory(N: int) -> AnyonTheory:
     return AnyonTheory((N, N), (zero, zero), ((zero, inv), (inv, zero)))
 
 
-def semion_theory() -> AnyonTheory:
-    return AnyonTheory((2,), (Rational01(1, 4),), ((Rational01(1, 2),),))
-
-
-def antisemion_theory() -> AnyonTheory:
-    return AnyonTheory((2,), (Rational01(3, 4),), ((Rational01(1, 2),),))
-
-
 # ---------------------------------------------------------------------------
 # Twisted quantum double theories
 # ---------------------------------------------------------------------------
@@ -555,10 +541,6 @@ def tqd_theory(N: Sequence[int], n: Sequence[int] | None = None,
     if problems:
         raise TheoryCheckError(f"twisted-double theory is invalid: {problems}")
     return theory
-
-
-def ds_theory() -> AnyonTheory:
-    return tqd_theory([2], [1])
 
 
 def stack_condense_to_tqd(params, target=None

@@ -2,15 +2,16 @@
 
 Pieces verified here:
 - a branched triangular lattice on the torus (all edges oriented towards
-  increasing coordinates, so no face is cyclic), with mod-N cochains, the
-  coboundary operator, and cup products;
+  increasing coordinates, so no face is cyclic), with mod-N cochains and
+  the coboundary operator;
 - the amplitude identity Psi(b) = (-1)^{number of domain walls of b};
 - the control-X layer that couples the square-lattice code to ancilla
   qudits placed on the diagonal edges;
 - the qudit-to-qubit-pair substitution Z -> S^A Z^B, X -> X^A CX^{AB},
-  whose even-X images close in a class of operators of the form
-  phase * (prod_s X_s) * Diag(i^{sum lambda_s b_s} (-1)^{sum kappa b_s b_t});
-- conjugation of that class by CZ / CX / S circuits;
+  whose even-X images are operators of the form
+  phase * (prod_s X_s) * Diag(i^{sum lambda_s b_s});
+- conjugation of that class by the CZ layers U_AB and U_AA, given as
+  qubit pairs;
 - the CZ_{12,23} = S'_{12} S_{13} S'_{23} eigenvalue table on the
   even-boundary subspace.
 """
@@ -18,7 +19,7 @@ Pieces verified here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 from .pauli import PauliOperator, QuditCX, qudit_cx
 from .stabilizer import VerificationError
@@ -111,25 +112,8 @@ class Cochain:
     def __call__(self, simplex) -> int:
         return self.values.get(simplex, 0)
 
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if (self.degree, self.modulus) != (other.degree, other.modulus):
-            raise ValueError("mismatched cochains")
-        keys = set(self.values) | set(other.values)
-        return Cochain(self.lattice, self.degree, self.modulus,
-                       {k: self(k) + other(k) for k in keys})
-
     def is_zero(self) -> bool:
         return not self.values
-
-
-def vertex_cochain(lattice: TriangularLattice, v: Vertex,
-                   modulus: int = 2) -> Cochain:
-    return Cochain(lattice, 0, modulus, {v: 1})
-
-
-def edge_cochain(lattice: TriangularLattice, e: Edge,
-                 modulus: int = 2) -> Cochain:
-    return Cochain(lattice, 1, modulus, {e: 1})
 
 
 def coboundary(c: Cochain) -> Cochain:
@@ -148,39 +132,6 @@ def coboundary(c: Cochain) -> Cochain:
             vals[f] = c(e23) - c(e13) + c(e12)
         return Cochain(lat, 2, c.modulus, vals)
     raise ValueError("coboundary of a 2-cochain vanishes in two dimensions")
-
-
-def cup_product(a: Cochain, b: Cochain) -> Cochain:
-    """(a cup b)(<1..p+q+1>) = a(<1..p+1>) b(<p+1..p+q+1>)."""
-    if a.modulus != b.modulus:
-        raise ValueError("mismatched coefficient moduli")
-    lat = a.lattice
-    p, q = a.degree, b.degree
-    if p + q > 2:
-        raise ValueError("cup product degree exceeds 2")
-    vals = {}
-    if p + q == 0:
-        for v in lat.vertices():
-            vals[v] = a(v) * b(v)
-        return Cochain(lat, 0, a.modulus, vals)
-    if p + q == 1:
-        for e in lat.edges():
-            tail, head = lat.edge_endpoints(e)
-            if p == 0:
-                vals[e] = a(tail) * b(e)
-            else:
-                vals[e] = a(e) * b(head)
-        return Cochain(lat, 1, a.modulus, vals)
-    for f in lat.faces():
-        v1, v2, v3 = lat.face_vertices(f)
-        e12, e23, e13 = lat.face_edges(f)
-        if (p, q) == (1, 1):
-            vals[f] = a(e12) * b(e23)
-        elif (p, q) == (0, 2):
-            vals[f] = a(v1) * b(f)
-        else:  # (2, 0)
-            vals[f] = a(f) * b(v3)
-    return Cochain(lat, 2, a.modulus, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -258,80 +209,29 @@ class OddXExponentError(ValueError):
     """A d=4 X appears to an odd power; its image keeps a control-X residue."""
 
 
-def _normalize_kappa(kap: Iterable[frozenset]) -> frozenset:
-    out = set()
-    for pair in kap:
-        if len(pair) != 2:
-            raise ValueError("kappa couples distinct site pairs")
-        out.add(frozenset(pair))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class QuadraticPhaseOperator:
-    """phase * (prod_{s in x} X_s) * Diag(i^{sum lam_s b_s} (-1)^{sum kap b_s b_t}).
+    """phase * (prod_{s in x} X_s) * Diag(i^{sum lam_s b_s}).
 
-    `phase` is an exponent of e^{i pi / 4} (mod 8), `lam` holds Z_4
-    coefficients, and `kap` is a set of unordered site pairs with coupling 1.
-    The class is closed under multiplication and under conjugation by CZ,
-    CX, and S gates.
+    `phase` is an exponent of e^{i pi / 4} (mod 8) and `lam` holds Z_4
+    coefficients. Conjugation by CZ circuits keeps the class (conjugate_qpp).
     """
 
     phase: int = 0
     x: frozenset = frozenset()
     lam: tuple = ()
-    kap: frozenset = frozenset()
 
     def __init__(self, phase: int = 0, x: Iterable = (),
-                 lam: dict | tuple = (), kap: Iterable = ()):
+                 lam: dict | tuple = ()):
         object.__setattr__(self, "phase", phase % 8)
         object.__setattr__(self, "x", frozenset(x))
         lam_d = dict(lam)
         object.__setattr__(self, "lam", tuple(sorted(
             (s, v % 4) for s, v in lam_d.items() if v % 4)))
-        object.__setattr__(self, "kap", _normalize_kappa(kap))
 
     @property
     def lam_dict(self) -> dict:
         return dict(self.lam)
-
-    def is_identity(self) -> bool:
-        return not (self.phase or self.x or self.lam or self.kap)
-
-    def support(self) -> set:
-        out = set(self.x) | {s for s, _ in self.lam}
-        for pair in self.kap:
-            out |= set(pair)
-        return out
-
-    def __mul__(self, other: "QuadraticPhaseOperator") -> "QuadraticPhaseOperator":
-        # (g1 X^{x1} D1)(g2 X^{x2} D2) = g1 g2 X^{x1+x2} (X^{x2} D1 X^{x2}) D2.
-        phase = self.phase + other.phase
-        lam = self.lam_dict
-        kap = {pair: 1 for pair in self.kap}
-        flip = other.x
-        # Substitute b_s -> 1 - b_s for s in flip inside D1.
-        for s in list(lam):
-            if s in flip:
-                phase += 2 * lam[s]
-                lam[s] = -lam[s] % 4
-        for pair in list(kap):
-            s, t = tuple(pair)
-            ins, int_ = (s in flip), (t in flip)
-            if ins and int_:
-                phase += 4
-                lam[s] = (lam.get(s, 0) + 2) % 4
-                lam[t] = (lam.get(t, 0) + 2) % 4
-            elif ins:
-                lam[t] = (lam.get(t, 0) + 2) % 4
-            elif int_:
-                lam[s] = (lam.get(s, 0) + 2) % 4
-        for s, v in other.lam:
-            lam[s] = (lam.get(s, 0) + v) % 4
-        kap_set = set(kap)
-        for pair in other.kap:
-            kap_set ^= {pair}
-        return QuadraticPhaseOperator(phase, self.x ^ other.x, lam, kap_set)
 
 
 def map_qudit_to_qubits(P: PauliOperator) -> QuadraticPhaseOperator:
@@ -356,100 +256,54 @@ def map_qudit_to_qubits(P: PauliOperator) -> QuadraticPhaseOperator:
         if e:
             lam[(s, "A")] = e
             lam[(s, "B")] = (2 * e) % 4
-    return QuadraticPhaseOperator(P.phase, x_bits, lam, ())
+    return QuadraticPhaseOperator(P.phase, x_bits, lam)
 
 
-# -- conjugation by qubit circuits ------------------------------------------
-
-
-@dataclass(frozen=True)
-class QubitGate:
-    kind: Literal["CZ", "CX", "S"]
-    sites: tuple
-
-    def __post_init__(self):
-        expected = 1 if self.kind == "S" else 2
-        if len(self.sites) != expected:
-            raise ValueError(f"{self.kind} takes {expected} site(s)")
-
-
-def _conjugate_x_factor(site, gate: QubitGate) -> QuadraticPhaseOperator:
-    """Image of a single X_site under one gate."""
-    if gate.kind == "CZ":
-        a, b = gate.sites
-        if site == a:
-            return QuadraticPhaseOperator(0, {a}, {b: 2}, ())
-        if site == b:
-            return QuadraticPhaseOperator(0, {b}, {a: 2}, ())
-    elif gate.kind == "S":
-        (a,) = gate.sites
-        if site == a:
-            return QuadraticPhaseOperator(2, {a}, {a: 2}, ())  # i X Z
-    elif gate.kind == "CX":
-        c, t = gate.sites
-        if site == c:
-            return QuadraticPhaseOperator(0, {c, t}, {}, ())
-    return QuadraticPhaseOperator(0, {site}, {}, ())
-
-
-def _conjugate_diagonal(op: QuadraticPhaseOperator,
-                        gate: QubitGate) -> QuadraticPhaseOperator:
-    """Conjugate the diagonal part; only CX acts nontrivially."""
-    if gate.kind != "CX":
-        return QuadraticPhaseOperator(op.phase, (), op.lam_dict, op.kap)
-    c, t = gate.sites
-    # Substitute b_t -> b_t xor b_c = b_c + b_t - 2 b_c b_t.
-    lam = op.lam_dict
-    new_kap = set()
-    for pair in op.kap:
-        if t in pair and c not in pair:
-            (u,) = pair - {t}
-            new_kap ^= {pair, frozenset({c, u})}
-        elif pair == frozenset({c, t}):
-            lam[c] = (lam.get(c, 0) + 2) % 4
-            new_kap ^= {pair}
-        else:
-            new_kap ^= {pair}
-    lt = lam.get(t, 0)
-    if lt:
-        lam[c] = (lam.get(c, 0) + lt) % 4
-        if lt % 2:
-            new_kap ^= {frozenset({c, t})}
-    return QuadraticPhaseOperator(op.phase, (), lam, new_kap)
+# -- conjugation by CZ circuits ----------------------------------------------
 
 
 def conjugate_qpp(op: QuadraticPhaseOperator,
-                  circuit: Sequence[QubitGate]) -> QuadraticPhaseOperator:
-    """U op U^dag, gate by gate; the class is closed so this is exact."""
-    for gate in circuit:
-        out = QuadraticPhaseOperator(op.phase, (), {}, ())
-        for site in sorted(op.x):
-            out = out * _conjugate_x_factor(site, gate)
-        out = out * _conjugate_diagonal(
-            QuadraticPhaseOperator(0, (), op.lam_dict, op.kap), gate)
-        op = out
-    return op
+                  pairs: Iterable[tuple]) -> QuadraticPhaseOperator:
+    """U op U^dag for U the product of CZ gates on the qubit pairs (a, b).
+
+    From CZ_ab X_a CZ_ab = X_a Z_b, each pair adds 2 to lam at the partner
+    of every X site among a and b; when both carry X it also adds 4 to the
+    phase, as X_a Z_b X_b Z_a = -X_a X_b Z_a Z_b. The diagonal part commutes
+    with CZ and x never changes, so the gates' order does not matter.
+    """
+    lam = op.lam_dict
+    phase = op.phase
+    for a, b in pairs:
+        if a == b:
+            raise ValueError(f"CZ needs two distinct qubits, got {a!r} twice")
+        if a in op.x:
+            lam[b] = lam.get(b, 0) + 2
+        if b in op.x:
+            lam[a] = lam.get(a, 0) + 2
+            if a in op.x:
+                phase += 4
+    return QuadraticPhaseOperator(phase, op.x, lam)
 
 
-def uab_circuit(lattice: TriangularLattice) -> list[QubitGate]:
-    """prod_{all faces} CZ between A on <12> and B on <23>."""
-    gates = []
+def uab_circuit(lattice: TriangularLattice) -> list[tuple]:
+    """prod_{all faces} CZ between A on <12> and B on <23>, as qubit pairs."""
+    pairs = []
     for f in lattice.faces():
         e12, e23, _ = lattice.face_edges(f)
-        gates.append(QubitGate("CZ", ((lattice.edge_index(e12), "A"),
-                                      (lattice.edge_index(e23), "B"))))
-    return gates
+        pairs.append(((lattice.edge_index(e12), "A"),
+                      (lattice.edge_index(e23), "B")))
+    return pairs
 
 
-def uaa_circuit(lattice: TriangularLattice) -> list[QubitGate]:
-    """prod_{up faces} CZ between A on <12> and A on <23>."""
-    gates = []
+def uaa_circuit(lattice: TriangularLattice) -> list[tuple]:
+    """prod_{up faces} CZ between A on <12> and A on <23>, as qubit pairs."""
+    pairs = []
     for y in range(lattice.L):
         for x in range(lattice.L):
             e12, e23, _ = lattice.face_edges(("up", x, y))
-            gates.append(QubitGate("CZ", ((lattice.edge_index(e12), "A"),
-                                          (lattice.edge_index(e23), "A"))))
-    return gates
+            pairs.append(((lattice.edge_index(e12), "A"),
+                          (lattice.edge_index(e23), "A")))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

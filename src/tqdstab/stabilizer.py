@@ -207,19 +207,18 @@ class StabilizerGroup:
         of Z_{2D}.
 
         The kernel rows are the identity-target case of _combination_phases:
-        one transpose gives their packed columns mod 2D, read by
-        _exponent_part and _phase_part and then dropped. A trailing D * e_i
-        gives g_i^D = w^{D p_i + D (D - 1) h_i}, a scalar as every d_s
-        divides D.
+        one transpose gives their packed columns mod 2D, which it reads with
+        no targets (exponent re-check included) before they are dropped. A
+        trailing D * e_i gives g_i^D = w^{D p_i + D (D - 1) h_i}, a scalar as
+        every d_s divides D.
         """
         if self._kernel_phases is None:
             solver, D = self._get_solver(), self.system.D
             rows = self._kernel_rows = solver.kernel_rows()
             columns = _Lanes(2 * D).transpose(rows, len(self.generators),
                                               solver._lanes)
-            self._kernel_phases = self._phase_part(
-                columns, self._exponent_part(columns, len(rows)),
-                len(rows)) + [
+            self._kernel_phases = self._combination_phases(
+                columns, len(rows), ()) + [
                 D * (g.phase + (D - 1) * _reordering(g)) % (2 * D)
                 for g in self.generators]
         return self._kernel_phases

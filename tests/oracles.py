@@ -486,9 +486,7 @@ def qpp_dense(op, sites: Sequence):
     for col in range(dim):
         bits = [(col >> (n - 1 - i)) & 1 for i in range(n)]
         exp_i = sum(lam.get(s, 0) * bits[pos[s]] for s in lam if s in pos)
-        sign = sum(bits[pos[s]] * bits[pos[t]]
-                   for pair in op.kap for s, t in [tuple(pair)])
-        val = (root ** op.phase) * (1j ** exp_i) * ((-1) ** sign)
+        val = (root ** op.phase) * (1j ** exp_i)
         row_bits = list(bits)
         for s in op.x:
             row_bits[pos[s]] ^= 1

@@ -362,7 +362,7 @@ class TestAmplitudeAndCircuits:
             own_edge = cell * 3 + (1 - which)  # V first, then H
             image = conjugate_qpp(map_qudit_to_qubits(conjugate(term, circ)),
                                   uab)
-            assert image.phase == 0 and not image.lam and not image.kap
+            assert image.phase == 0 and not image.lam
             # The image is X^B on the term's own edge times X^B on one
             # diagonal; the latter is an ancilla stabilizer image and is
             # absorbed into the term definition.

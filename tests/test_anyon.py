@@ -17,18 +17,20 @@ from oracles import (condensed_census_by_scan, exhaustive_theory_problems,
 
 from tqdstab import anyon
 from tqdstab.anyon import (AnyonTheory, RelationError, TheoryCheckError,
-                           antisemion_theory, braiding, cocycle_value,
-                           condense, ds_theory, fusion_group,
+                           cocycle_value, condense, fusion_group,
                            fusion_group_from_cocycle, is_modular,
-                           lagrangian_subgroups, semion_theory,
+                           lagrangian_subgroups,
                            stack, stack_condense_to_tqd, stack_theories,
                            theories_isomorphic, theory_from_presentation,
                            topological_spins_census, tqd_theory,
                            validate_theory, zn_tc_theory)
 from tqdstab.exactmath import IntMatrix, Rational01
-from tqdstab.lattice import TqdParams
+from tqdstab.lattice import DS_PARAMS, TqdParams
 
 R = Rational01
+SEMION = AnyonTheory((2,), (R(1, 4),), ((R(1, 2),),))
+ANTISEMION = AnyonTheory((2,), (R(3, 4),), ((R(1, 2),),))
+DS = tqd_theory(DS_PARAMS)
 
 
 class TestStandardTheories:
@@ -51,13 +53,12 @@ class TestStandardTheories:
         assert not validate_theory(t)
 
     def test_semion_pair(self):
-        s, sb = semion_theory(), antisemion_theory()
-        assert s.q((1,)) == R(1, 4) and sb.q((1,)) == R(3, 4)
-        assert not theories_isomorphic(s, sb)
-        assert theories_isomorphic(stack(s, sb), ds_theory())
+        assert SEMION.q((1,)) == R(1, 4) and ANTISEMION.q((1,)) == R(3, 4)
+        assert not theories_isomorphic(SEMION, ANTISEMION)
+        assert theories_isomorphic(stack(SEMION, ANTISEMION), DS)
 
     def test_double_semion(self):
-        t = ds_theory()
+        t = DS
         assert t.size == 4
         assert topological_spins_census(t) == \
             {"0/1": 2, "1/4": 1, "3/4": 1}
@@ -164,9 +165,9 @@ class TestModularity:
 
     @pytest.mark.parametrize("theory,modular", [
         (anyon.TRIVIAL_THEORY, True),
-        (stack(ds_theory(), TRANSPARENT_FERMION), False),
+        (stack(DS, TRANSPARENT_FERMION), False),
         (stack(zn_tc_theory(3), TRANSPARENT_BOSON), False),
-        (stack_theories([semion_theory(), TRANSPARENT_FERMION,
+        (stack_theories([SEMION, TRANSPARENT_FERMION,
                          zn_tc_theory(2)]), False),
         (stack(tqd_theory([2, 4], [1, 1], [[0, 1], [1, 0]]),
                zn_tc_theory(4)), True),
@@ -199,16 +200,15 @@ class TestLagrangian:
             frozenset({(0, 0), (1, 0)}), frozenset({(0, 0), (0, 1)})}
 
     def test_double_semion_has_one(self):
-        subs = lagrangian_subgroups(ds_theory())
+        subs = lagrangian_subgroups(DS)
         assert len(subs) == 1
         (sub,) = subs
         assert len(sub) == 2
 
     def test_semion_has_none_but_stack_does(self):
         # chiral semion alone admits no Lagrangian subgroup
-        assert lagrangian_subgroups(semion_theory()) == []
-        assert lagrangian_subgroups(stack(semion_theory(),
-                                          antisemion_theory()))
+        assert lagrangian_subgroups(SEMION) == []
+        assert lagrangian_subgroups(stack(SEMION, ANTISEMION))
 
 
 class TestPresentation:
@@ -314,7 +314,7 @@ class TestCondensation:
 
         monkeypatch.setattr(anyon, "theory_from_presentation", skewed)
         with pytest.raises(TheoryCheckError, match="statistics"):
-            condense(stack(semion_theory(), semion_theory()), [])
+            condense(stack(SEMION, SEMION), [])
 
     @pytest.mark.parametrize("N,n,nij", STACK_PARAMS)
     def test_stack_condense_to_tqd(self, N, n, nij):
@@ -392,7 +392,7 @@ class TestChecksUnderOptimize:
 
     SCRIPT = (
         "from tqdstab import anyon, exactmath, kmatrix\n"
-        "from tqdstab.exactmath import IntMatrix\n"
+        "from tqdstab.exactmath import IntMatrix, Rational01\n"
         "from tqdstab.lattice import TqdParams\n"
         "from tqdstab.stabilizer import VerificationError\n"
         "assert False, 'asserts must be stripped under -O'\n"
@@ -407,10 +407,12 @@ class TestChecksUnderOptimize:
         "        setattr(owner, name, saved)\n"
         "rejected(exactmath.ModSolver, 'solve', lambda self, b: None,\n"
         "         lambda: anyon.condense(anyon.zn_tc_theory(2), [(1, 0)]))\n"
+        "semion = anyon.AnyonTheory((2,), (Rational01(1, 4),),\n"
+        "                           ((Rational01(1, 2),),))\n"
         "rejected(anyon.PresentedTheory, 'project',\n"
         "         lambda self, vec: (0,) * self.theory.rank,\n"
         "         lambda: anyon.condense(anyon.stack(anyon.zn_tc_theory(2),\n"
-        "                                            anyon.semion_theory()),\n"
+        "                                            semion),\n"
         "                                [(1, 0, 0)]))\n"
         "rejected(anyon, 'validate_theory', lambda theory: ['broken'],\n"
         "         lambda: anyon.tqd_theory([2], [1]))\n"
@@ -529,15 +531,15 @@ class TestCocycle:
 
 class TestIsomorphism:
     def test_self_isomorphic(self):
-        for t in [zn_tc_theory(3), ds_theory(), tqd_theory([4], [1])]:
+        for t in [zn_tc_theory(3), DS, tqd_theory([4], [1])]:
             assert theories_isomorphic(t, t)
 
     def test_census_obstruction(self):
-        assert not theories_isomorphic(zn_tc_theory(2), ds_theory())
+        assert not theories_isomorphic(zn_tc_theory(2), DS)
 
     def test_stack_order_irrelevant(self):
-        t1 = stack(zn_tc_theory(2), ds_theory())
-        t2 = stack(ds_theory(), zn_tc_theory(2))
+        t1 = stack(zn_tc_theory(2), DS)
+        t2 = stack(DS, zn_tc_theory(2))
         assert theories_isomorphic(t1, t2)
 
     def test_target_statistics_read_once_per_anyon(self, monkeypatch):
@@ -558,11 +560,6 @@ class TestIsomorphism:
         t = stack_theories([])
         assert t.size == 1
 
-    def test_braiding_wrapper_reduces(self):
-        t = zn_tc_theory(2)
-        assert braiding(t, (3, 0), (0, 5)) == R(1, 2)
-
-
 class TestJsonRoundTrip:
     def test_round_trip(self):
         t = tqd_theory([2, 2], [1, 0], [[0, 1], [1, 0]])
@@ -574,4 +571,4 @@ class TestJsonRoundTrip:
 class TestParamsValidation:
     def test_tqd_params_accepts_params_object(self):
         p = TqdParams([2], [1], None)
-        assert theories_isomorphic(tqd_theory(p), ds_theory())
+        assert theories_isomorphic(tqd_theory(p), DS)

@@ -1,4 +1,4 @@
-"""Tests for the triangulation, cup products, amplitude identity, and the
+"""Tests for the triangulation, cochains, amplitude identity, and the
 qudit-to-qubit substitution machinery."""
 
 import itertools
@@ -9,13 +9,12 @@ import pytest
 
 import oracles
 from oracles import dense_ground_space, qpp_dense
-from tqdstab.circuitmap import (Cochain, OddXExponentError, QubitGate,
+from tqdstab.circuitmap import (Cochain, OddXExponentError,
                                 QuadraticPhaseOperator, TriangularLattice,
                                 amplitude_psi, coboundary, conjugate_qpp,
-                                cup_product, domain_wall_count, edge_cochain,
-                                map_qudit_to_qubits, table1_identity,
-                                uaa_circuit, uab_circuit, ucx_circuit,
-                                vertex_cochain)
+                                domain_wall_count, map_qudit_to_qubits,
+                                table1_identity, uaa_circuit, uab_circuit,
+                                ucx_circuit)
 from tqdstab.pauli import PauliOperator, QuditCX, QuditSystem, multiply, single
 from tqdstab.stabilizer import StabilizerGroup
 
@@ -79,35 +78,33 @@ class TestCochains:
         c = Cochain(lat, 0, 2, {v: 1 for v in lat.vertices()})
         assert coboundary(c).is_zero()
 
-    def test_cup_leibniz_mod2(self):
-        # delta(a cup b) = delta a cup b + a cup delta b over Z_2
-        lat = TriangularLattice(3)
-        rng = random.Random(1)
-        for _ in range(10):
-            a = Cochain(lat, 0, 2,
-                        {v: rng.randrange(2) for v in lat.vertices()})
-            b = Cochain(lat, 1, 2,
-                        {e: rng.randrange(2) for e in lat.edges()})
-            lhs = coboundary(cup_product(a, b))
-            rhs = cup_product(coboundary(a), b) + cup_product(a, coboundary(b))
-            assert (lhs + rhs).is_zero()
-
-    def test_cup_degree_guard(self):
-        lat = TriangularLattice(3)
-        b = Cochain(lat, 1, 2, {})
-        f = Cochain(lat, 2, 2, {})
-        with pytest.raises(ValueError):
-            cup_product(b, f)
+    def test_coboundary_degree_guard(self):
+        f = Cochain(TriangularLattice(3), 2, 2, {})
         with pytest.raises(ValueError):
             coboundary(f)
 
-    def test_unit_cochains(self):
+    def test_degree_guard(self):
+        with pytest.raises(ValueError, match="degree"):
+            Cochain(TriangularLattice(3), 3, 2, {})
+
+    def test_values_reduced_and_zeros_dropped(self):
         lat = TriangularLattice(3)
-        v = vertex_cochain(lat, (0, 0))
-        e = edge_cochain(lat, ("h", 0, 0))
-        assert v((0, 0)) == 1 and v((1, 0)) == 0
-        assert e(("h", 0, 0)) == 1
-        assert cup_product(v, e)(("h", 0, 0)) == 1
+        c = Cochain(lat, 1, 4, {("h", 0, 0): 5, ("v", 0, 0): 8,
+                                ("d", 1, 1): -1})
+        assert c.values == {("h", 0, 0): 1, ("d", 1, 1): 3}
+        assert c(("v", 0, 0)) == 0
+        assert Cochain(lat, 0, 3, {(0, 0): 3}).is_zero()
+
+    def test_coboundary_of_unit_edge_cochains(self):
+        # delta c(f) = c(<23>) - c(<13>) + c(<12>): an h or v edge enters
+        # its two faces with sign +1, a diagonal enters both as <13>
+        lat = TriangularLattice(4)
+        L = lat.L
+        cases = {("h", 1, 2): {("up", 1, 2): 1, ("down", 1, 1): 1},
+                 ("v", 0, 0): {("down", 0, 0): 1, ("up", L - 1, 0): 1},
+                 ("d", 3, 1): {("up", 3, 1): 2, ("down", 3, 1): 2}}
+        for e, expected in cases.items():
+            assert coboundary(Cochain(lat, 1, 3, {e: 1})).values == expected
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +137,16 @@ class TestAmplitude:
             b = {v: rng.randrange(2) for v in lat.vertices()}
             assert amplitude_psi(lat, b) == \
                 (-1) ** domain_wall_count(lat, b)
+
+    def test_global_flip_keeps_domain_walls(self):
+        lat = TriangularLattice(4)
+        rng = random.Random(7)
+        for _ in range(30):
+            b = {v: rng.randrange(2) for v in lat.vertices()}
+            flipped = {v: 1 - bit for v, bit in b.items()}
+            assert domain_wall_count(lat, flipped) == \
+                domain_wall_count(lat, b)
+            assert amplitude_psi(lat, flipped) == amplitude_psi(lat, b)
 
     def test_exhaustive_l3(self):
         lat = TriangularLattice(3)
@@ -177,87 +184,78 @@ SITES = list(range(4))
 def random_qpp(rng):
     x = {s for s in SITES if rng.random() < 0.4}
     lam = {s: rng.randrange(4) for s in SITES if rng.random() < 0.5}
-    pairs = [frozenset(p) for p in itertools.combinations(SITES, 2)]
-    kap = {p for p in pairs if rng.random() < 0.3}
-    return QuadraticPhaseOperator(rng.randrange(8), x, lam, kap)
+    return QuadraticPhaseOperator(rng.randrange(8), x, lam)
 
 
-def dense_qubit_gate(gate, sites):
+def dense_cz(pair, sites):
+    """diag((-1)^{b_a b_b}) over the listed qubit sites."""
     n = len(sites)
-    pos = {s: i for i, s in enumerate(sites)}
-    dim = 1 << n
-    U = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        bits = [(col >> (n - 1 - i)) & 1 for i in range(n)]
-        amp = 1.0 + 0j
-        out = list(bits)
-        if gate.kind == "CZ":
-            a, b = gate.sites
-            amp = (-1.0) ** (bits[pos[a]] * bits[pos[b]])
-        elif gate.kind == "S":
-            (a,) = gate.sites
-            amp = 1j ** bits[pos[a]]
-        elif gate.kind == "CX":
-            c, t = gate.sites
-            out[pos[t]] ^= bits[pos[c]]
-        row = 0
-        for bit in out:
-            row = (row << 1) | bit
-        U[row, col] += amp
-    return U
+    i, j = (n - 1 - sites.index(s) for s in pair)
+    return np.diag([(-1.0) ** ((col >> i) & (col >> j) & 1)
+                    for col in range(1 << n)]).astype(complex)
 
 
 class TestQuadraticPhaseOperators:
-    def test_multiplication_matches_dense(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            a, b = random_qpp(rng), random_qpp(rng)
-            assert np.allclose(qpp_dense(a * b, SITES),
-                               qpp_dense(a, SITES) @ qpp_dense(b, SITES))
-
-    def test_identity_and_support(self):
-        assert QuadraticPhaseOperator().is_identity()
-        op = QuadraticPhaseOperator(0, {0}, {1: 2}, [frozenset({2, 3})])
-        assert op.support() == {0, 1, 2, 3}
-
-    def test_kappa_validation(self):
-        with pytest.raises(ValueError):
-            QuadraticPhaseOperator(0, (), {}, [frozenset({1})])
-
-    @pytest.mark.parametrize("gate", [
-        QubitGate("CZ", (0, 1)),
-        QubitGate("CZ", (2, 3)),
-        QubitGate("CX", (0, 1)),
-        QubitGate("CX", (3, 2)),
-        QubitGate("S", (1,)),
-    ])
-    def test_conjugation_matches_dense(self, gate):
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (2, 3), (0, 3)])
+    def test_conjugation_matches_dense(self, pair):
         rng = random.Random(13)
-        U = dense_qubit_gate(gate, SITES)
-        for _ in range(25):
-            op = random_qpp(rng)
-            out = conjugate_qpp(op, [gate])
+        U = dense_cz(pair, SITES)
+        ops = [random_qpp(rng) for _ in range(25)]
+        # X on both sites: the reordering sign
+        ops.append(QuadraticPhaseOperator(0, set(pair), {pair[0]: 1}))
+        for op in ops:
+            out = conjugate_qpp(op, [pair])
             assert np.allclose(qpp_dense(out, SITES),
                                U @ qpp_dense(op, SITES) @ U.conj().T)
 
     def test_circuit_conjugation(self):
         rng = random.Random(15)
-        circ = [QubitGate("CX", (0, 2)), QubitGate("CZ", (1, 3)),
-                QubitGate("S", (0,))]
-        U = np.eye(1 << 4, dtype=complex)
-        for g in circ:
-            U = dense_qubit_gate(g, SITES) @ U
-        for _ in range(10):
-            op = random_qpp(rng)
-            out = conjugate_qpp(op, circ)
-            assert np.allclose(qpp_dense(out, SITES),
-                               U @ qpp_dense(op, SITES) @ U.conj().T)
+        # sites repeat across pairs, and one pair appears twice
+        circuits = [[], [(0, 2), (1, 3), (2, 1), (0, 2)], [(3, 0), (0, 3)]]
+        circuits += [[tuple(rng.sample(SITES, 2))
+                      for _ in range(rng.randrange(1, 7))] for _ in range(8)]
+        for circ in circuits:
+            U = np.eye(1 << len(SITES), dtype=complex)
+            for pair in circ:
+                U = dense_cz(pair, SITES) @ U
+            for _ in range(10):
+                op = random_qpp(rng)
+                out = conjugate_qpp(op, circ)
+                assert np.allclose(qpp_dense(out, SITES),
+                                   U @ qpp_dense(op, SITES) @ U.conj().T)
 
-    def test_gate_arity(self):
-        with pytest.raises(ValueError):
-            QubitGate("S", (0, 1))
-        with pytest.raises(ValueError):
-            QubitGate("CZ", (0,))
+    def test_constructor_normalizes(self):
+        op = QuadraticPhaseOperator(9, [0, 0, 2], {3: 5, 1: 4, 2: -2})
+        assert op.phase == 1
+        assert op.x == frozenset({0, 2})
+        assert op.lam == ((2, 2), (3, 1))
+        assert op == QuadraticPhaseOperator(1, {2, 0}, {3: 1, 2: 2})
+
+    def test_conjugation_is_an_involution(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            circ = [tuple(rng.sample(SITES, 2))
+                    for _ in range(rng.randrange(1, 6))]
+            op = random_qpp(rng)
+            assert conjugate_qpp(conjugate_qpp(op, circ), circ) == op
+            assert conjugate_qpp(op, circ + circ) == op
+
+    def test_gate_order_irrelevant(self):
+        rng = random.Random(19)
+        for _ in range(20):
+            circ = [tuple(rng.sample(SITES, 2))
+                    for _ in range(rng.randrange(1, 6))]
+            shuffled = rng.sample(circ, len(circ))
+            op = random_qpp(rng)
+            assert conjugate_qpp(op, shuffled) == conjugate_qpp(op, circ)
+            assert conjugate_qpp(op, circ) == \
+                conjugate_qpp(conjugate_qpp(op, circ[:1]), circ[1:])
+
+    def test_single_qubit_cz_rejected(self):
+        # CZ_aa would be Z_a, which maps X_a to -X_a, not to X_a Z_a
+        op = QuadraticPhaseOperator(0, {0}, {})
+        with pytest.raises(ValueError, match="distinct qubits, got 0 twice"):
+            conjugate_qpp(op, [(1, 2), (0, 0)])
 
 
 class TestQuditToQubitMap:
@@ -280,6 +278,12 @@ class TestQuditToQubitMap:
         sysm = self._sysm(1)
         with pytest.raises(OddXExponentError):
             map_qudit_to_qubits(single(sysm, 0, "X", 1))
+
+    def test_odd_x_error_names_site(self):
+        sysm = self._sysm(2)
+        P = PauliOperator(sysm, x={0: 2, 1: 3})
+        with pytest.raises(OddXExponentError, match="site 1 carries X\\^3"):
+            map_qudit_to_qubits(P)
 
     def test_homomorphism_on_even_sector(self):
         rng = random.Random(21)
@@ -321,20 +325,26 @@ class TestCircuits:
 
     def test_uab_layer_shape(self):
         lat = TriangularLattice(3)
-        gates = uab_circuit(lat)
-        assert len(gates) == 18
-        for g in gates:
-            assert g.kind == "CZ"
-            (i1, ab1), (i2, ab2) = g.sites
+        pairs = uab_circuit(lat)
+        assert len(pairs) == 18
+        for (i1, ab1), (i2, ab2) in pairs:
             assert (ab1, ab2) == ("A", "B")
 
     def test_uaa_layer_shape(self):
         lat = TriangularLattice(3)
-        gates = uaa_circuit(lat)
-        assert len(gates) == 9
-        for g in gates:
-            (i1, ab1), (i2, ab2) = g.sites
-            assert ab1 == ab2 == "A"
+        pairs = uaa_circuit(lat)
+        assert len(pairs) == 9
+        for (i1, ab1), (i2, ab2) in pairs:
+            assert ab1 == ab2 == "A" and i1 != i2
+
+    @pytest.mark.parametrize("L", [3, 4])
+    def test_layers_act_on_distinct_lattice_pairs(self, L):
+        lat = TriangularLattice(L)
+        n_edges = len(lat.edges())
+        for pairs in (uab_circuit(lat), uaa_circuit(lat)):
+            assert len({frozenset(p) for p in pairs}) == len(pairs)
+            for (i1, _), (i2, _) in pairs:
+                assert 0 <= i1 < n_edges and 0 <= i2 < n_edges
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from oracles import (extraction_tables_by_all_pairs,
                      junction_exponent_by_products, logical_algebra)
 from tqdstab import cli, extraction
-from tqdstab.anyon import (RelationError, TheoryCheckError, ds_theory,
+from tqdstab.anyon import (RelationError, TheoryCheckError,
                            theories_isomorphic, topological_spins_census,
                            tqd_theory, zn_tc_theory)
 from tqdstab.exactmath import Rational01
@@ -20,10 +20,10 @@ from tqdstab.extraction import (ConfinedLabelError,
                                 extraction_report, fusion_order,
                                 generating_labels, model_group,
                                 spt_cocycle, spt_report, t_junction_theta)
-from tqdstab.lattice import (AnyonLabel, LatticeModel, PathSpec, TqdParams,
-                             build_ds, build_from_spec, build_hatted_ds,
-                             build_spt, build_tqd, build_zn_tc,
-                             string_operator)
+from tqdstab.lattice import (DS_PARAMS, AnyonLabel, LatticeModel, PathSpec,
+                             TqdParams, build_ds, build_from_spec,
+                             build_hatted_ds, build_spt, build_tqd,
+                             build_zn_tc, string_operator)
 from tqdstab.pauli import PauliOperator, QuditSystem, multiply
 
 R = Rational01
@@ -150,7 +150,7 @@ class TestExtractTheory:
     def test_ds_matches_target(self, ds_model):
         ext = extract_theory(ds_model)
         assert ext.fusion_orders == (2, 2)
-        assert theories_isomorphic(ext.theory, ds_theory())
+        assert theories_isomorphic(ext.theory, tqd_theory(DS_PARAMS))
 
     def test_z3_twisted(self):
         _, model = build_tqd(TqdParams([3], [1]), 3, 3)

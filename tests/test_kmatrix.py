@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oracles import census_by_box
-from tqdstab.anyon import (RelationError, ds_theory, theories_isomorphic,
+from tqdstab.anyon import (RelationError, theories_isomorphic,
                            theory_from_presentation,
                            topological_spins_census, tqd_theory,
                            zn_tc_theory)
@@ -16,7 +16,7 @@ from tqdstab.kmatrix import (SingularMatrixError, b_of, build_k_tc_stack,
                              coupling_matrix, k_inverse, q_of, signature,
                              theory_from_k, to_json_dict, transform,
                              upper_coupling_matrix)
-from tqdstab.lattice import TqdParams
+from tqdstab.lattice import DS_PARAMS, TqdParams
 
 R = Rational01
 
@@ -79,7 +79,7 @@ class TestStatistics:
         assert theories_isomorphic(theory_from_k(IntMatrix([[0, 2], [2, 0]])),
                                    zn_tc_theory(2))
         assert theories_isomorphic(
-            theory_from_k(build_k_tqd(TqdParams([2], [1]))), ds_theory())
+            theory_from_k(build_k_tqd(DS_PARAMS)), tqd_theory(DS_PARAMS))
         assert theories_isomorphic(
             theory_from_k(build_k_tqd(TqdParams([3], [1]))),
             tqd_theory([3], [1]))
