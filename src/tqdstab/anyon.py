@@ -11,13 +11,17 @@ and b is its symmetric polarization:
 Statistics are data: quadratic_form and bilinear_form read q and b off the
 generator tables (q_gen, b_gen), and every presentation (twisted double, K
 matrix, condensation, lattice extraction) hands theory_from_presentation
-such tables. One pairing kernel, the anyons braiding trivially with given
-targets, is both a condensation's deconfined subgroup and the modularity
-test. Also provided: twisted-double theories from a TqdParams (N_i; n_i,
-n_ij), stacking, Lagrangian subgroups, fusion groups, and exact isomorphism
-search. Condensation, modularity and both fusion-group routes read their
-groups off relations (kernel solves and Smith forms), never by enumerating
-anyons.
+such tables. A theory is checked once, when it is made: AnyonTheory
+refuses tables that are not a quadratic form on its group, whichever route
+(or JSON) they come from. A split, a condensation included, returns the
+theory with its generators in the presentation's coordinates and a
+projection onto it. One pairing kernel, the anyons braiding trivially with
+given targets, is both a condensation's deconfined subgroup and the
+modularity test. Also provided: twisted-double theories from a TqdParams
+(N_i; n_i, n_ij), stacking, Lagrangian subgroups, fusion groups, and exact
+isomorphism search. Condensation, modularity and both fusion-group routes
+read their groups off relations (kernel solves and Smith forms), never by
+enumerating anyons.
 """
 
 from __future__ import annotations
@@ -44,63 +48,6 @@ class RelationError(TheoryCheckError):
     every generator, so the quadratic form does not descend to the quotient.
     Every caller derives its relations itself, so this is a failed check
     (exit 1), not bad input."""
-
-
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    """prod_i Z_{orders[i]}; elements are exponent tuples."""
-
-    orders: tuple[int, ...]
-
-    def __init__(self, orders: Sequence[int]):
-        orders = tuple(int(o) for o in orders)
-        if any(o < 1 for o in orders):
-            raise ValueError("orders must be positive")
-        object.__setattr__(self, "orders", orders)
-
-    @property
-    def rank(self) -> int:
-        return len(self.orders)
-
-    @property
-    def size(self) -> int:
-        return prod(self.orders)
-
-    def reduce(self, a: Sequence[int]) -> Element:
-        return tuple(x % o for x, o in zip(a, self.orders))
-
-    def add(self, a: Sequence[int], b: Sequence[int]) -> Element:
-        return self.reduce([x + y for x, y in zip(a, b)])
-
-    def scale(self, k: int, a: Sequence[int]) -> Element:
-        return self.reduce([k * x for x in a])
-
-    def identity(self) -> Element:
-        return (0,) * self.rank
-
-    def elements(self) -> list[Element]:
-        return [tuple(v) for v in itertools.product(
-            *(range(o) for o in self.orders))]
-
-    def order_of(self, a: Sequence[int]) -> int:
-        a = self.reduce(a)
-        out = 1
-        for x, o in zip(a, self.orders):
-            out = out * (o // gcd(x, o)) // gcd(out, o // gcd(x, o))
-        return out
-
-    def subgroup(self, gens: Sequence[Sequence[int]]) -> set[Element]:
-        group = {self.identity()}
-        frontier = [self.identity()]
-        gens = [self.reduce(g) for g in gens]
-        while frontier:
-            base = frontier.pop()
-            for g in gens:
-                nxt = self.add(base, g)
-                if nxt not in group:
-                    group.add(nxt)
-                    frontier.append(nxt)
-        return group
 
 
 def quadratic_form(q_gen: Sequence[Rational01],
@@ -131,47 +78,76 @@ def bilinear_form(b_gen: Sequence[Sequence[Rational01]], a: Sequence[int],
 
 @dataclass(frozen=True)
 class AnyonTheory:
-    """Anyon theory presented on cyclic generators with q and b data."""
+    """Anyon theory on prod_i Z_{orders[i]} (elements are exponent tuples),
+    presented on its cyclic generators by q and b tables.
 
-    group: FiniteAbelianGroup
+    The one check on a theory runs here, when it is made (TheoryCheckError).
+    The tables must be a quadratic form's: b symmetric with b_ii = 2 q_i.
+    On integer vectors q(x) then satisfies q(n x) = n^2 q(x) and polarizes
+    to b, so it is a quadratic form on the group iff x -> x + o_i e_i leaves
+    it fixed: o_i^2 q_i = 0 and o_i b_ij = 0 (mod 1) for generators of
+    order > 1. Order-1 generators carry only the zero exponent and are not
+    checked.
+    """
+
+    orders: tuple[int, ...]
     q_gen: tuple[Rational01, ...]
     b_gen: tuple[tuple[Rational01, ...], ...]
 
     def __init__(self, orders, q_gen, b_gen):
-        group = (orders if isinstance(orders, FiniteAbelianGroup)
-                 else FiniteAbelianGroup(orders))
+        orders = tuple(int(o) for o in orders)
+        if any(o < 1 for o in orders):
+            raise ValueError("orders must be positive")
         q_gen = tuple(q_gen)
         b_gen = tuple(tuple(row) for row in b_gen)
-        k = group.rank
+        k = len(orders)
         if len(q_gen) != k or len(b_gen) != k or any(len(r) != k
                                                      for r in b_gen):
             raise ValueError("q_gen/b_gen shape mismatch")
-        for i in range(k):  # the one check on generator tables
+        for i in range(k):
             if b_gen[i][i] != 2 * q_gen[i] or any(b_gen[i][j] != b_gen[j][i]
                                                   for j in range(i)):
                 raise TheoryCheckError(f"generator tables are not a "
                                        f"quadratic form's: row {i} of b")
-        object.__setattr__(self, "group", group)
+        live = [i for i, o in enumerate(orders) if o > 1]
+        for i in live:
+            o = orders[i]
+            if not (q_gen[i] * (o * o)).is_zero() or any(
+                    not (b_gen[i][j] * o).is_zero() for j in live):
+                raise TheoryCheckError(f"q is not a quadratic form on the "
+                                       f"group: generator {i} of order {o}")
+        object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "q_gen", q_gen)
         object.__setattr__(self, "b_gen", b_gen)
 
     @property
-    def orders(self) -> tuple[int, ...]:
-        return self.group.orders
-
-    @property
-    def rank(self) -> int:
-        return self.group.rank
-
-    @property
     def size(self) -> int:
-        return self.group.size
+        return prod(self.orders)
+
+    def reduce(self, a: Sequence[int]) -> Element:
+        return tuple(x % o for x, o in zip(a, self.orders))
 
     def elements(self) -> list[Element]:
-        return self.group.elements()
+        return list(itertools.product(*(range(o) for o in self.orders)))
+
+    def order_of(self, a: Sequence[int]) -> int:
+        return lcm(*(o // gcd(x, o) for x, o in zip(a, self.orders)))
+
+    def subgroup(self, gens: Sequence[Sequence[int]]) -> set[Element]:
+        zero = (0,) * len(self.orders)
+        group, frontier = {zero}, [zero]
+        gens = [self.reduce(g) for g in gens]
+        while frontier:
+            base = frontier.pop()
+            for g in gens:
+                nxt = self.reduce([x + y for x, y in zip(base, g)])
+                if nxt not in group:
+                    group.add(nxt)
+                    frontier.append(nxt)
+        return group
 
     def generators(self) -> list[Element]:
-        k = self.rank
+        k = len(self.orders)
         return [tuple(1 if t == i else 0 for t in range(k)) for i in range(k)]
 
     def q(self, a: Sequence[int]) -> Rational01:
@@ -200,33 +176,9 @@ class AnyonTheory:
 TRIVIAL_THEORY = AnyonTheory((), (), ())
 
 
-def validate_theory(theory: AnyonTheory) -> list[str]:
-    """Check that q is well defined on the group; empty list iff valid.
-
-    On integer vectors q(x) already satisfies q(n x) = n^2 q(x) and
-    polarizes to b (b is symmetric with b_ii = 2 q_i). So it is a
-    quadratic form on prod Z_{o_i} iff x -> x + o_i e_i leaves it fixed:
-    o_i^2 q_i = 0 and o_i b_ij = 0 (mod 1) for generators of order > 1.
-    Order-1 generators carry only the zero exponent and are not checked.
-    """
-    problems = []
-    live = [i for i, o in enumerate(theory.orders) if o > 1]
-    for i in live:
-        o = theory.orders[i]
-        if not (theory.q_gen[i] * (o * o)).is_zero():
-            problems.append(f"{o}^2 q(g{i}) != 0")
-        problems.extend(f"{o} b(g{i},g{j}) != 0" for j in live
-                        if not (theory.b_gen[i][j] * o).is_zero())
-    return problems
-
-
 def is_modular(theory: AnyonTheory) -> bool:
     """True iff no nontrivial anyon braids trivially with every generator:
-    the pairing kernel against the generators is trivial. The kernel is
-    read on the group, so a theory failing validate_theory raises
-    TheoryCheckError."""
-    if validate_theory(theory):
-        raise TheoryCheckError("q is not a quadratic form on the group")
+    the pairing kernel against the generators is trivial."""
     return not _pairing_kernel(theory, theory.generators())
 
 
@@ -242,7 +194,7 @@ def _pairing_kernel(theory: AnyonTheory,
     kernel = ModSolver([[v.numerator * (den // v.denominator) for v in row]
                         for row in pairings],
                        [den] * len(targets)).kernel_basis()
-    return [g for g in dict.fromkeys(theory.group.reduce(v) for v in kernel)
+    return [g for g in dict.fromkeys(theory.reduce(v) for v in kernel)
             if any(g)]
 
 
@@ -273,7 +225,6 @@ def lagrangian_subgroups(theory: AnyonTheory) -> list[set[Element]]:
     """
     elems = theory.elements()
     bosons = [a for a in elems if theory.is_boson(a)]
-    group = theory.group
     found: set[frozenset] = set()
 
     def is_candidate_subgroup(sub: set[Element]) -> bool:
@@ -295,12 +246,12 @@ def lagrangian_subgroups(theory: AnyonTheory) -> list[set[Element]]:
                 continue
             if not all(theory.b(c, x).is_zero() for x in current):
                 continue
-            new = group.subgroup(list(current) + [c])
+            new = theory.subgroup(list(current) + [c])
             if not is_candidate_subgroup(new):
                 continue
             grow(new, idx + 1)
 
-    grow({group.identity()}, 0)
+    grow({(0,) * len(theory.orders)}, 0)
     out = [set(f) for f in sorted(found, key=lambda f: sorted(f))]
     for sub in out:
         if len(sub) ** 2 != theory.size:
@@ -319,7 +270,8 @@ class PresentedTheory:
     """A split cyclic presentation of a quotient theory.
 
     theory: the split theory; gen_exprs[r] is the integer exponent vector of
-    the r-th new generator over the original presentation generators.
+    the r-th new generator over the original generators (the presentation's,
+    or a condensation's parent theory's).
     """
 
     theory: AnyonTheory
@@ -343,7 +295,7 @@ def theory_from_presentation(q_gen: Sequence[Rational01],
     satisfy q(r) = 0 and b(r, e_i) = 0 so that q descends (RelationError).
     """
     k = len(q_gen)
-    AnyonTheory([1] * k, q_gen, b_gen)  # checks the tables
+    AnyonTheory([1] * k, q_gen, b_gen)  # order 1: the table check only
     basis = [tuple(1 if t == i else 0 for t in range(k)) for i in range(k)]
     for c in range(relations.cols):
         rel = [relations[r, c] for r in range(k)]
@@ -380,20 +332,8 @@ def theory_from_presentation(q_gen: Sequence[Rational01],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CondensationResult:
-    """Outcome of condensing bosons in a parent theory."""
-
-    theory: AnyonTheory
-    # deconfined parent element -> class coordinates in `theory`
-    _project: Callable
-
-    def project(self, a: Sequence[int]) -> Element:
-        return self._project(a)
-
-
 def condense(theory: AnyonTheory,
-             bosons: Sequence[Sequence[int]]) -> CondensationResult:
+             bosons: Sequence[Sequence[int]]) -> PresentedTheory:
     """Condense mutually transparent bosons.
 
     Anyons braiding nontrivially with a condensed boson are confined and
@@ -402,12 +342,13 @@ def condense(theory: AnyonTheory,
     is the pairing kernel against the bosons: exponent vectors x with
     sum_i x_i b(g_i, beta) = 0 (mod 1) for every boson beta. Its generators
     present the condensed theory with their parent q and b as tables, and
-    relations {x : sum x_i gens_i in B}. project(a) maps a deconfined
-    parent anyon to its class by one solve; a confined one raises
+    relations {x : sum x_i gens_i in B}. The result's gen_exprs are its
+    generators in parent coordinates; project(a) maps a deconfined parent
+    anyon to its class by one solve, and a confined one raises
     TheoryCheckError.
     """
-    group = theory.group
-    bos = [group.reduce(b) for b in bosons]
+    k_parent = len(theory.orders)
+    bos = [theory.reduce(b) for b in bosons]
     for b in bos:
         if not theory.q(b).is_zero():
             raise ValueError(f"{b} is not a boson")
@@ -421,9 +362,9 @@ def condense(theory: AnyonTheory,
     # relation lattice: {x in Z^k : sum x_i gens_i in B}, via the integer
     # kernel of [gens | bosons | diag(orders)] projected to the x block.
     cols = ([list(g) for g in gens] + [list(b) for b in bos]
-            + [[o if r == i else 0 for r in range(group.rank)]
-               for i, o in enumerate(group.orders)])
-    A = IntMatrix([[col[r] for col in cols] for r in range(group.rank)],
+            + [[o if r == i else 0 for r in range(k_parent)]
+               for i, o in enumerate(theory.orders)])
+    A = IntMatrix([[col[r] for col in cols] for r in range(k_parent)],
                   cols=len(cols))
     kern = integer_kernel(A)
     proj = IntMatrix([[vec[i] for vec in kern] for i in range(k)],
@@ -432,7 +373,7 @@ def condense(theory: AnyonTheory,
         [theory.q(g) for g in gens],
         [[theory.b(g, h) for h in gens] for g in gens], proj)
 
-    solver = ModSolver(cols[:k + len(bos)], group.orders)
+    solver = ModSolver(cols[:k + len(bos)], theory.orders)
 
     def project(a: Sequence[int]) -> Element:
         sol = solver.solve(a)
@@ -449,7 +390,11 @@ def condense(theory: AnyonTheory,
                 condensed.b(x, y) != theory.b(g, h)
                 for h, y in zip(gens[:i], images)):
             raise TheoryCheckError("statistics not preserved by condensation")
-    return CondensationResult(condensed, project)
+    gen_exprs = tuple(
+        theory.reduce([sum(w * g[r] for w, g in zip(expr, gens))
+                       for r in range(k_parent)])
+        for expr in presented.gen_exprs)
+    return PresentedTheory(condensed, gen_exprs, project)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +404,7 @@ def condense(theory: AnyonTheory,
 
 def stack(t1: AnyonTheory, t2: AnyonTheory) -> AnyonTheory:
     """Direct product theory: additive q, zero cross-braiding."""
-    k1, k2 = t1.rank, t2.rank
+    k1, k2 = len(t1.orders), len(t2.orders)
     zero = Rational01(0)
     b_gen = [tuple(t1.b_gen[i]) + (zero,) * k2 for i in range(k1)]
     b_gen += [(zero,) * k1 + tuple(t2.b_gen[i]) for i in range(k2)]
@@ -523,28 +468,20 @@ def _tqd_relation_matrix(params) -> IntMatrix:
                      cols=len(cols))
 
 
-def tqd_presented(params) -> PresentedTheory:
-    """Split presentation of the twisted-double theory for TqdParams."""
-    return theory_from_presentation(*_tqd_generator_data(params),
-                                    _tqd_relation_matrix(params))
-
-
 def tqd_theory(N: Sequence[int], n: Sequence[int] | None = None,
                nij=None) -> AnyonTheory:
     """Anyon theory of the Abelian twisted double for (N_i; n_i, n_ij), or
-    for N itself when it is a TqdParams (validated when it was made)."""
+    for N itself when it is a TqdParams (validated when it was made): the
+    split presentation of its generator tables and relations."""
     from .lattice import TqdParams
     params = N if isinstance(N, TqdParams) else TqdParams(
         N, [0] * len(N) if n is None else n, nij)
-    theory = tqd_presented(params).theory
-    problems = validate_theory(theory)
-    if problems:
-        raise TheoryCheckError(f"twisted-double theory is invalid: {problems}")
-    return theory
+    return theory_from_presentation(*_tqd_generator_data(params),
+                                    _tqd_relation_matrix(params)).theory
 
 
 def stack_condense_to_tqd(params, target=None
-                          ) -> tuple[CondensationResult, bool]:
+                          ) -> tuple[PresentedTheory, bool]:
     """Condense the model's bosons b_i in a stack of Z_{N_i^2} toric codes.
 
     Returns the condensation result and whether the condensed theory is
@@ -678,8 +615,7 @@ def theories_isomorphism(t1: AnyonTheory,
     if topological_spins_census(t1) != _census(q2):
         return None
     gens1 = t1.generators()
-    g2 = t2.group
-    order2 = [g2.order_of(a) for a in elems2]
+    order2 = [t2.order_of(a) for a in elems2]
     cands = []
     for i, g in enumerate(gens1):
         qi = t1.q(g)
@@ -697,7 +633,7 @@ def theories_isomorphism(t1: AnyonTheory,
 
     def backtrack(idx):
         if idx == len(gens1):
-            return len(g2.subgroup(assignment)) == t2.size
+            return len(t2.subgroup(assignment)) == t2.size
         for a in cands[idx]:
             if consistent(a, idx):
                 assignment.append(a)

@@ -168,21 +168,32 @@ def census(K: IntMatrix) -> dict[str, int]:
 
 
 def signature(K: IntMatrix) -> int:
-    """Signature of K via symmetric (congruence) diagonalization."""
+    """Signature of K via symmetric (congruence) diagonalization.
+
+    A zero pivot a[t][t] takes a nonzero trailing diagonal entry a[j][j] by
+    a symmetric swap of t and j. If every trailing diagonal entry is zero,
+    adding row and column j to t, for a[t][j] != 0, makes the pivot
+    2 a[t][j] != 0.
+    """
     _check_symmetric(K)
     a = [[Fraction(x) for x in K.row(i)] for i in range(K.rows)]
     n = len(a)
     sig = 0
     for t in range(n):
         if a[t][t] == 0:
-            j = next((j for j in range(t + 1, n) if a[t][j] != 0), None)
-            if j is None:
-                continue  # zero row/column: contributes nothing
-            # Symmetric row+col addition makes the pivot nonzero.
-            for c in range(n):
-                a[t][c] += a[j][c]
-            for r in range(n):
-                a[r][t] += a[r][j]
+            j = next((j for j in range(t + 1, n) if a[j][j] != 0), None)
+            if j is not None:
+                a[t], a[j] = a[j], a[t]
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
+            else:
+                j = next((j for j in range(t + 1, n) if a[t][j] != 0), None)
+                if j is None:
+                    continue  # zero row/column: contributes nothing
+                for c in range(n):
+                    a[t][c] += a[j][c]
+                for r in range(n):
+                    a[r][t] += a[r][j]
         pivot = a[t][t]
         sig += 1 if pivot > 0 else -1
         for r in range(t + 1, n):

@@ -220,11 +220,6 @@ class PathSpec:
             pts.append(lattice.wrap(pts[-1][0] + dx, pts[-1][1] + dy))
         return pts
 
-    def validate(self, lattice: TorusLattice) -> None:
-        pts = self.points(lattice)
-        if self.closed and pts[0] != pts[-1]:
-            raise ValueError("closed path must return to its start")
-
 
 def dual_loop_around_vertex(x: int, y: int) -> PathSpec:
     """Counter-clockwise dual loop through the four plaquettes around v(x,y)."""

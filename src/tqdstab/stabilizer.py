@@ -109,19 +109,12 @@ class StabilizerGroup:
         prod_i g_i^{a_i} = w^phi P for P the matching target in normal form
         (formula in member_with_phase's docstring); column i holds a_i mod
         2D in lane r for vector r (_Lanes(2D)). One packed pass for the
-        batch; SolverCheckError if a combination misses its target's
-        exponents."""
-        return self._phase_part(columns, self._exponent_part(
-            columns, count, targets), count, targets)
+        batch: the lanes of the linear term sum_i a_i (p_i - h_i) + h_P plus
+        D times the packed GF(2) bracket of each vector against its target
+        (the identity where `targets` is empty), mod 2D.
 
-    def _exponent_part(self, columns: Sequence[int], count: int,
-                       targets: Sequence[PauliOperator] = ()) -> int:
-        """The part of _combination_phases that reads exponents only: the
-        packed GF(2) bracket of each vector against its target (the
-        identity where `targets` is empty).
-
-        This is also the exact re-check that each combination has its
-        target's exponents: at each lifted coordinate the lanes of
+        The bracket pass is also the exact re-check that each combination
+        has its target's exponents: at each lifted coordinate the lanes of
         sum_i (D/d_s) x_i[s] a_i - (D/d_s) x_P[s] = D u_s (mod 2D) must be 0
         or D, else SolverCheckError. The lanes equal to D are the odd u_s
         (likewise v_s on the z coordinates); the bracket is one AND per
@@ -171,16 +164,9 @@ class StabilizerGroup:
                                                    & u)
             if dims[site] & 1:
                 beta ^= u & v
-        return beta
-
-    def _phase_part(self, columns: Sequence[int], beta: int, count: int,
-                    targets: Sequence[PauliOperator] = ()) -> list[int]:
-        """The lanes of the packed linear term sum_i a_i (p_i - h_i) + h_P
-        plus D times the bracket, mod 2D: _combination_phases from
-        _exponent_part's columns and bracket for `count` vectors."""
-        D = self.system.D
-        lanes = _Lanes(2 * D)
-        reduce = lanes.reducer(count)
+        # the packed exponent tables are dropped before the phase pass
+        # builds acc, so the two never share the peak memory
+        del sums, parities, odd
         acc = sum(_reordering(P) << r * lanes.width
                   for r, P in enumerate(targets))
         # lanes stay below 2D + (2D - 1)**2, within the reducer's bound

@@ -23,7 +23,7 @@ from tqdstab.anyon import (AnyonTheory, RelationError, TheoryCheckError,
                            stack, stack_condense_to_tqd, stack_theories,
                            theories_isomorphic, theory_from_presentation,
                            topological_spins_census, tqd_theory,
-                           validate_theory, zn_tc_theory)
+                           zn_tc_theory)
 from tqdstab.exactmath import IntMatrix, Rational01
 from tqdstab.lattice import DS_PARAMS, TqdParams
 
@@ -40,7 +40,7 @@ class TestStandardTheories:
         assert t.q((1, 0)) == R(0) and t.q((0, 1)) == R(0)
         assert t.q((1, 1)) == R(1, 2)  # the fermion
         assert t.b((1, 0), (0, 1)) == R(1, 2)
-        assert not validate_theory(t)
+        assert not exhaustive_theory_problems(t.orders, t.q_gen, t.b_gen)
         assert is_modular(t)
         assert topological_spins_census(t) == {"0/1": 3, "1/2": 1}
 
@@ -50,7 +50,7 @@ class TestStandardTheories:
         for p in range(4):
             for q in range(4):
                 assert t.q((p, q)) == R(p * q, 4)
-        assert not validate_theory(t)
+        assert not exhaustive_theory_problems(t.orders, t.q_gen, t.b_gen)
 
     def test_semion_pair(self):
         assert SEMION.q((1,)) == R(1, 4) and ANTISEMION.q((1,)) == R(3, 4)
@@ -62,7 +62,7 @@ class TestStandardTheories:
         assert t.size == 4
         assert topological_spins_census(t) == \
             {"0/1": 2, "1/4": 1, "3/4": 1}
-        assert not validate_theory(t)
+        assert not exhaustive_theory_problems(t.orders, t.q_gen, t.b_gen)
         assert is_modular(t)
 
     def test_untwisted_double_is_toric_code(self):
@@ -72,15 +72,16 @@ class TestStandardTheories:
     def test_twisted_z3(self):
         t = tqd_theory([3], [1])
         assert t.size == 9
-        assert not validate_theory(t)
+        assert not exhaustive_theory_problems(t.orders, t.q_gen, t.b_gen)
         assert is_modular(t)
         assert not theories_isomorphic(t, zn_tc_theory(3))
 
 
 @st.composite
-def small_theories(draw):
-    """Theories on up to three generators of order 1..4 whose q and b
-    denominators are drawn so that valid and invalid data are both common.
+def small_tables(draw):
+    """Generator tables (orders, q, b) on up to three generators of order
+    1..4 whose q and b denominators are drawn so that valid and invalid data
+    are both common; b is symmetric with b_ii = 2 q_i.
     """
     orders = draw(st.lists(st.integers(1, 4), max_size=3))
 
@@ -95,15 +96,26 @@ def small_theories(draw):
     for i in range(k):
         for j in range(i + 1, k):
             b[i][j] = b[j][i] = rational(orders[i], orders[j])
-    return AnyonTheory(orders, q, b)
+    return orders, q, b
+
+
+def _constructs(orders, q, b) -> bool:
+    """True iff AnyonTheory accepts the tables; False iff it raises
+    TheoryCheckError."""
+    try:
+        AnyonTheory(orders, q, b)
+    except TheoryCheckError:
+        return False
+    return True
 
 
 class TestValidateTheory:
-    @given(small_theories())
+    @given(small_tables())
     @settings(max_examples=150, deadline=None)
-    def test_generator_conditions_match_exhaustive_check(self, theory):
-        assert (not validate_theory(theory)) == (
-            not exhaustive_theory_problems(theory))
+    def test_generator_conditions_match_exhaustive_check(self, tables):
+        # construction raises iff the exhaustive oracle finds a problem
+        assert _constructs(*tables) == (
+            not exhaustive_theory_problems(*tables))
 
     @pytest.mark.parametrize("orders,q,b01,valid", [
         ((3,), [R(1, 9)], None, False),     # 9 q = 1 but 3 b(g,g) = 2/3
@@ -116,9 +128,14 @@ class TestValidateTheory:
     def test_known_verdicts(self, orders, q, b01, valid):
         b = [[2 * q[i] if i == j else b01 for j in range(len(q))]
              for i in range(len(q))]
-        theory = AnyonTheory(orders, q, b)
-        assert (not validate_theory(theory)) == valid
-        assert (not exhaustive_theory_problems(theory)) == valid
+        assert _constructs(orders, q, b) == valid
+        assert (not exhaustive_theory_problems(orders, q, b)) == valid
+
+    def test_json_is_checked(self):
+        # 2 b(g, g) = 2/3 != 0: the JSON route runs the same check
+        data = {"orders": [2], "q_gen": ["1/6"], "b_gen": [["1/3"]]}
+        with pytest.raises(TheoryCheckError, match="quadratic form"):
+            AnyonTheory.from_json_dict(data)
 
     def test_tqd_theory_iso_check_is_fast(self):
         # N=[3,9] has 729 anyons; the exhaustive check took ~20 s here.
@@ -131,7 +148,7 @@ class TestValidateTheory:
 @st.composite
 def valid_theories(draw):
     """A random theory on up to three generators of order <= 6 whose tables
-    satisfy validate_theory: q_i = m / (2 o_i) with o_i m even, and
+    pass AnyonTheory's check: q_i = m / (2 o_i) with o_i m even, and
     b_ij = t / gcd(o_i, o_j)."""
     orders = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
     k = len(orders)
@@ -145,9 +162,7 @@ def valid_theories(draw):
         for j in range(i + 1, k):
             g = gcd(orders[i], orders[j])
             b[i][j] = b[j][i] = R(draw(st.integers(0, g - 1)), g)
-    theory = AnyonTheory(orders, q, b)
-    assert not validate_theory(theory)
-    return theory
+    return AnyonTheory(orders, q, b)
 
 
 TRANSPARENT_FERMION = AnyonTheory((2,), (R(1, 2),), ((R(0),),))
@@ -179,11 +194,10 @@ class TestModularity:
 
     def test_invalid_theory_is_rejected(self):
         # 2 b(g, g) = 2/3 != 0: b is not defined on Z_2, and the kernel
-        # of big * e_i would not reduce to zero there
-        theory = AnyonTheory((2,), (R(1, 6),), ((R(1, 3),),))
-        assert validate_theory(theory)
+        # of big * e_i would not reduce to zero there; no such theory is
+        # made for is_modular to read
         with pytest.raises(TheoryCheckError, match="quadratic form"):
-            is_modular(theory)
+            AnyonTheory((2,), (R(1, 6),), ((R(1, 3),),))
 
     def test_enumerates_no_anyon(self, monkeypatch):
         theory = tqd_theory([8, 8], [1, 3])
@@ -276,7 +290,8 @@ class TestCondensation:
         assert t.q(boson).is_zero()
         res = condense(t, [boson])
         assert res.theory.size == 4
-        assert not validate_theory(res.theory)
+        t = res.theory
+        assert not exhaustive_theory_problems(t.orders, t.q_gen, t.b_gen)
 
     def test_condense_charge(self):
         # condensing e^2 in a Z4 toric code leaves a Z2 TC-like sector
@@ -350,10 +365,13 @@ class TestCondensation:
         a = data.draw(st.sampled_from(deconfined))
         c = data.draw(st.sampled_from(deconfined))
         x, y = res.project(a), res.project(c)
-        assert res.project(parent.group.add(a, c)) == \
-            res.theory.group.add(x, y)
+        assert res.project(parent.reduce([u + v for u, v in zip(a, c)])) == \
+            res.theory.reduce([u + v for u, v in zip(x, y)])
         assert res.theory.q(x) == parent.q(a)
         assert res.theory.b(x, y) == parent.b(a, c)
+        # gen_exprs are the condensed generators in parent coordinates
+        assert [res.project(w) for w in res.gen_exprs] == \
+            res.theory.generators()
 
 
 def _stack_and_bosons(params):
@@ -396,13 +414,16 @@ class TestChecksUnderOptimize:
         "from tqdstab.lattice import TqdParams\n"
         "from tqdstab.stabilizer import VerificationError\n"
         "assert False, 'asserts must be stripped under -O'\n"
-        "def rejected(owner, name, value, call):\n"
-        "    saved = getattr(owner, name)\n"
-        "    setattr(owner, name, value)\n"
+        "def raised(call):\n"
         "    try:\n"
         "        call()\n"
         "    except VerificationError as exc:\n"
         "        print(type(exc).__name__)\n"
+        "def rejected(owner, name, value, call):\n"
+        "    saved = getattr(owner, name)\n"
+        "    setattr(owner, name, value)\n"
+        "    try:\n"
+        "        raised(call)\n"
         "    finally:\n"
         "        setattr(owner, name, saved)\n"
         "rejected(exactmath.ModSolver, 'solve', lambda self, b: None,\n"
@@ -410,12 +431,12 @@ class TestChecksUnderOptimize:
         "semion = anyon.AnyonTheory((2,), (Rational01(1, 4),),\n"
         "                           ((Rational01(1, 2),),))\n"
         "rejected(anyon.PresentedTheory, 'project',\n"
-        "         lambda self, vec: (0,) * self.theory.rank,\n"
+        "         lambda self, vec: (0,) * len(self.theory.orders),\n"
         "         lambda: anyon.condense(anyon.stack(anyon.zn_tc_theory(2),\n"
         "                                            semion),\n"
         "                                [(1, 0, 0)]))\n"
-        "rejected(anyon, 'validate_theory', lambda theory: ['broken'],\n"
-        "         lambda: anyon.tqd_theory([2], [1]))\n"
+        "raised(lambda: anyon.AnyonTheory((2,), (Rational01(1, 6),),\n"
+        "                                 ((Rational01(1, 3),),)))\n"
         "rejected(kmatrix, 'upper_coupling_matrix',\n"
         "         lambda params: IntMatrix([[1, 1], [0, 1]]),\n"
         "         lambda: kmatrix.condensation_matrices(\n"
@@ -434,7 +455,8 @@ class TestChecksUnderOptimize:
     def test_failed_theory_check_exits_one(self, monkeypatch, capsys):
         from tqdstab import anyon
         from tqdstab.cli import run
-        monkeypatch.setattr(anyon, "validate_theory", lambda t: ["broken"])
+        monkeypatch.setattr(anyon, "tqd_theory", lambda params: AnyonTheory(
+            (2,), (R(1, 6),), ((R(1, 3),),)))
         assert run(["theory", "tqd", "--N", "2", "--n", "1"]) == 1
         assert "verification failed" in capsys.readouterr().err
 

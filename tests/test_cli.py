@@ -157,6 +157,13 @@ class TestKmatrix:
                               "--n", "1")
         assert code == 0 and report["K"] == [[0, 2], [2, -2]]
 
+    def test_build_with_a_zero_pivot_pair(self, capsys):
+        # K has a zero diagonal entry whose partner row would cancel a
+        # row-and-column addition back to a zero pivot
+        code, report = invoke(capsys, "kmatrix", "build", "--N", "3,3",
+                              "--n", "2,2", "--nij", "0,1,2")
+        assert code == 0 and report["signature"] == 0
+
     def test_census(self, capsys):
         code, report = invoke(capsys, "kmatrix", "census", "--N", "2,2",
                               "--n", "1,1", "--nij", "0,1,1")

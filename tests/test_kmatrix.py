@@ -1,8 +1,13 @@
 """Tests for K-matrix presentations and condensation identities."""
 
+import itertools
 import random
+from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import census_by_box
 from tqdstab.anyon import (RelationError, theories_isomorphic,
@@ -48,6 +53,53 @@ class TestConstruction:
                               [0, 0, 0, 9],
                               [4, 0, 0, 0],
                               [0, 9, 0, 0]]
+
+
+def _tqd_params_with(N):
+    """Every valid TqdParams on the factors N: each n_i in Z_{N_i} and each
+    n_ij in Z_gcd(N_i, N_j)."""
+    M = len(N)
+    pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
+    for n in itertools.product(*(range(v) for v in N)):
+        for vals in itertools.product(*(range(gcd(N[i], N[j]))
+                                        for i, j in pairs)):
+            yield TqdParams(N, n, dict(zip(pairs, vals)))
+
+
+SIGNATURE_FACTORS = (2, 3, 4, 5, 7, 8, 9)
+SIGNATURE_SWEEP = (
+    [(a,) for a in SIGNATURE_FACTORS]
+    + [(a, b) for a in SIGNATURE_FACTORS for b in SIGNATURE_FACTORS if a <= b]
+    + list(itertools.combinations_with_replacement((2, 3, 4), 3)))
+
+
+class TestSignature:
+    @pytest.mark.parametrize("N", SIGNATURE_SWEEP,
+                             ids=lambda N: "x".join(map(str, N)))
+    def test_twisted_doubles_are_non_chiral(self, N):
+        # a twisted double is non-chiral; N=[3,3], n=(2,2), n_12=1 has a
+        # zero diagonal entry plus a row whose diagonal is -2 times the
+        # coupling between them
+        for params in _tqd_params_with(N):
+            assert signature(build_k_tqd(params)) == 0, params
+
+    def test_zero_pivot_with_cancelling_partner(self):
+        # adding row and column 1 to 0 would leave 2 * 1 + (-2) = 0
+        assert signature(IntMatrix([[0, 1], [1, -2]])) == 0
+        assert signature(IntMatrix([[0, 1, 0], [1, -2, 0], [0, 0, 0]])) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_matches_eigenvalue_signs(self, k, data):
+        rows = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                rows[i][j] = rows[j][i] = data.draw(st.integers(-3, 3))
+        # |eigenvalue| <= 15 and the nonzero ones multiply to a nonzero
+        # integer, so each nonzero one exceeds 15**-4 in size
+        eig = np.linalg.eigvalsh(np.array(rows, dtype=float))
+        expected = int((eig > 1e-9).sum() - (eig < -1e-9).sum())
+        assert signature(IntMatrix(rows)) == expected
 
 
 class TestStatistics:

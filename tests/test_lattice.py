@@ -138,10 +138,13 @@ class TestPathSpec:
             PathSpec("dual", (0, 0), ("Q",))
 
     def test_closed_validation(self):
-        t = TorusLattice(3, 3, (4,))
-        PathSpec("dual", (0, 0), ("E", "N", "W", "S"), closed=True).validate(t)
-        with pytest.raises(ValueError):
-            PathSpec("dual", (0, 0), ("E",), closed=True).validate(t)
+        # string_operator's walk is the one closure check
+        _, model = build_ds(3, 3)
+        string_operator(model, "phi1", PathSpec(
+            "dual", (0, 0), ("E", "N", "W", "S"), closed=True))
+        with pytest.raises(ValueError, match="closed path"):
+            string_operator(model, "phi1",
+                            PathSpec("dual", (0, 0), ("E",), closed=True))
 
     def test_standard_loops(self):
         assert dual_loop_around_vertex(1, 1).start == (0, 0)
