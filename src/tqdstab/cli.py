@@ -137,7 +137,7 @@ def cmd_verify(args) -> int:
     if check == "commuting":
         # StabilizerGroup ran the commutation pass when it was made and
         # raised NonCommutingError (exit 1) on any violation
-        _emit({"check": check, "commuting": True, "violations": []}, args)
+        _emit({"check": check, "commuting": True}, args)
         return 0
     if check == "scalar":
         result = scalar_consistency(group)

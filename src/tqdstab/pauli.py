@@ -272,10 +272,6 @@ def commutation_phase(P: PauliOperator, Q: PauliOperator) -> Rational01:
     return Rational01(commutation_exponent(P, Q), P.system.D)
 
 
-def commutes(P: PauliOperator, Q: PauliOperator) -> bool:
-    return not commutation_exponent(P, Q)
-
-
 # ---------------------------------------------------------------------------
 # Control-X conjugation
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from math import gcd, prod
 from typing import Literal, Sequence
 
 from .exactmath import ModSolver, Rational01, _Lanes
-from .pauli import (PauliOperator, QuditSystem, commutation_exponent,
-                    commutation_total, product_of_powers)
+from .pauli import (PauliOperator, QuditSystem, _check_system,
+                    product_of_powers)
 
 
 class VerificationError(ValueError):
@@ -55,20 +55,15 @@ def _reordering(P: PauliOperator) -> int:
 class StabilizerGroup:
     """A qudit system together with a list of commuting Pauli generators.
 
-    The constructor runs the one pairwise commutation pass (assert_commuting)
-    and raises NonCommutingError on any non-commuting pair, so every group
-    that exists commutes and no query checks again.
+    The constructor runs assert_commuting, the one site-major commutation
+    sweep, and raises NonCommutingError on any non-commuting pair, so every
+    group that exists commutes and no query checks again.
     """
 
     def __init__(self, system: QuditSystem,
                  generators: Sequence[PauliOperator]):
         self.system = system
         self.generators = tuple(generators)
-        for g in self.generators:
-            if g.system.dims != system.dims:
-                raise ValueError("generator on a different system")
-        # the one pairwise pass: the non-commuting pairs, and the commuting
-        # ones whose total is an odd multiple of D, flattened
         bad, self._odd_pairs = assert_commuting(system, self.generators)
         if bad:
             raise NonCommutingError(f"non-commuting generator pairs: {bad}")
@@ -238,43 +233,54 @@ class StabilizerGroup:
         return StabilizerGroup(system, gens)
 
 
-def _site_index(supports: Sequence[set[int]]) -> dict[int, list[int]]:
-    """Site -> the indices, ascending, of the operators with these supports
-    that act on it: only operators that share a site can fail to commute."""
-    touching: dict[int, list[int]] = {}
-    for j, support in enumerate(supports):
-        for site in support:
-            touching.setdefault(site, []).append(j)
-    return touching
+def _hold(holders: tuple[dict, dict], j: int, P: PauliOperator) -> None:
+    """Add P as operator j to the X and Z holders: site -> [(j, exponent)]."""
+    for index, exps in zip(holders, (P.x, P.z)):
+        for site, e in exps.items():
+            index.setdefault(site, []).append((j, e))
+
+
+def _totals(system: QuditSystem, g: PauliOperator,
+            holders: tuple[dict, dict]) -> dict[int, int]:
+    """j -> commutation_total(g, P_j) for held P_j; a missing j has total 0."""
+    D, dims = system.D, system.dims
+    totals: dict[int, int] = {}
+    for exps, index, sign in ((g.z, holders[0], 1), (g.x, holders[1], -1)):
+        for site, e in exps.items():
+            w = sign * (D // dims[site]) * e
+            for j, f in index.get(site, ()):
+                totals[j] = totals.get(j, 0) + w * f
+    return totals
 
 
 def assert_commuting(system: QuditSystem,
                      generators: Sequence[PauliOperator]
                      ) -> tuple[list[tuple[int, int]], array]:
-    """The pairwise commutation pass that StabilizerGroup runs once, when
-    it is made. Returns the indices (i, j), i < j, of generator pairs that
-    fail to commute, in lexicographic order (empty iff abelian), and the
-    commuting pairs whose commutation_total is an odd multiple of D,
-    flattened, which the group's kernel phases read.
+    """The pairwise commutation pass StabilizerGroup runs once, when it is
+    made: the non-commuting generator pairs (i, j), i < j, in lexicographic
+    order, and the commuting ones whose commutation_total is an odd multiple
+    of D, flattened in that order. ValueError on a generator of another system.
 
-    Generators with disjoint supports commute, so only pairs that share a
-    site are tested (_site_index): O(k*w) pairs for k generators of weight
-    w.
+    One site-major sweep, last generator first: each one's totals against
+    those after it are summed over the holders at its sites (_totals)
+    before it joins them (_hold). The cost is the sum over sites of
+    (X holders x Z holders) multiply-adds.
     """
-    supports = [g.support for g in generators]
-    touching = _site_index(supports)
+    for g in generators:
+        _check_system(system, g)
     D = system.D
-    bad = []
-    odd = array("I")
-    for i, g in enumerate(generators):
-        partners = {j for site in supports[i] for j in touching[site] if j > i}
-        for j in sorted(partners):
-            total = commutation_total(g, generators[j]) % (2 * D)
+    holders, bad, odd = ({}, {}), [], []
+    # filled backwards and reversed, so odd takes each pair as j, i
+    for i in range(len(generators) - 1, -1, -1):
+        totals = _totals(system, generators[i], holders)
+        for j in sorted(totals, reverse=True):
+            total = totals[j] % (2 * D)
             if total % D:
                 bad.append((i, j))
             elif total:
-                odd.extend((i, j))
-    return bad, odd
+                odd += (j, i)
+        _hold(holders, i, generators[i])
+    return bad[::-1], array("I", reversed(odd))
 
 
 def group_order(S: StabilizerGroup) -> int:
@@ -364,20 +370,18 @@ def member_with_phase(S: StabilizerGroup, P: PauliOperator) -> MembershipResult:
                             "MemberUpToPhase")
 
 
-def _commutation_columns(gens: Sequence[PauliOperator],
+def _commutation_columns(S: StabilizerGroup,
                          probes: Sequence[PauliOperator]) -> list[list[int]]:
-    """[[commutation_exponent(g, probe) for probe in probes] for g in gens].
-
-    Probes are indexed by site (_site_index), so only pairs that share a
-    site are evaluated; every other entry is 0.
-    """
-    touching = _site_index([probe.support for probe in probes])
-    columns = []
-    for g in gens:
-        column = [0] * len(probes)
-        for j in {j for site in g.support for j in touching.get(site, ())}:
-            column[j] = commutation_exponent(g, probes[j])
-        columns.append(column)
+    """[[commutation_exponent(g, p) for p in probes] for g in S.generators],
+    summed over the probes held at g's sites; ValueError on another system."""
+    holders: tuple[dict, dict] = ({}, {})
+    for j, probe in enumerate(probes):
+        _check_system(S.system, probe)
+        _hold(holders, j, probe)
+    columns = [[0] * len(probes) for _ in S.generators]
+    for g, column in zip(S.generators, columns):
+        for j, total in _totals(S.system, g, holders).items():
+            column[j] = total % S.system.D
     return columns
 
 
@@ -389,7 +393,7 @@ def centralizer_in_group(S: StabilizerGroup,
     of <S>, so no group is made of them here."""
     if not probes:
         return S.generators
-    columns = _commutation_columns(S.generators, probes)
+    columns = _commutation_columns(S, probes)
     basis = ModSolver(columns, [S.system.D] * len(probes)).kernel_basis()
     gens = []
     seen = set()

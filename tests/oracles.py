@@ -4,6 +4,7 @@ numpy when called; the library itself needs neither numpy nor floats."""
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm, prod
@@ -13,12 +14,33 @@ from tqdstab import anyon, extraction
 from tqdstab.exactmath import (IntMatrix, ModSolver, Rational01, _Lanes,
                                 _unit_for, _xgcd, unpack_row)
 from tqdstab.lattice import H, LatticeModel, V
-from tqdstab.pauli import (PauliOperator, adjoint, commutation_phase,
-                           identity, multiply, power, product,
-                           product_of_powers, scalar)
+from tqdstab.pauli import (PauliOperator, adjoint, commutation_exponent,
+                           commutation_phase, commutation_total, identity,
+                           multiply, power, product, product_of_powers,
+                           scalar)
 from tqdstab.stabilizer import (MembershipResult, SolverCheckError,
                                 StabilizerGroup, group_order,
                                 member_with_phase)
+
+
+def commutes(P: PauliOperator, Q: PauliOperator) -> bool:
+    return not commutation_exponent(P, Q)
+
+
+def commutation_pairs_by_all_pairs(gens: Sequence[PauliOperator]
+                                   ) -> tuple[list[tuple[int, int]], array]:
+    """`stabilizer.assert_commuting`'s (bad, odd) by commutation_total over
+    every pair i < j in lexicographic order: the non-commuting pairs, and
+    the commuting pairs whose total is an odd multiple of D, flattened."""
+    bad, odd = [], array("I")
+    for i, g in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            total = commutation_total(g, gens[j]) % (2 * g.system.D)
+            if total % g.system.D:
+                bad.append((i, j))
+            elif total:
+                odd.extend((i, j))
+    return bad, odd
 
 
 def scan_unit_for(a: int, N: int) -> int:

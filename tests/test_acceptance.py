@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_ground_space
+from oracles import commutes, dense_ground_space
 from tqdstab import anyon, kmatrix
 from tqdstab import lattice as lat
 from tqdstab.circuitmap import (TriangularLattice, amplitude_psi, conjugate_qpp,
@@ -21,8 +21,7 @@ from tqdstab.extraction import (JunctionSpec, crossing_braiding,
                                 default_junction, extract_theory, spt_cocycle,
                                 cocycle_is_valid, t_junction_theta)
 from tqdstab.lattice import AnyonLabel, DS_PARAMS, TqdParams
-from tqdstab.pauli import (PauliOperator, QuditSystem, commutes, conjugate,
-                           single)
+from tqdstab.pauli import PauliOperator, QuditSystem, conjugate, single
 from tqdstab.stabilizer import (StabilizerGroup, assert_commuting,
                                 groups_equal, logical_dimension, measure,
                                 scalar_consistency)

@@ -16,14 +16,14 @@ from tqdstab.lattice import (AnyonLabel, DS_PARAMS, H, LatticeModel, PathSpec,
 from tqdstab import lattice
 from tqdstab.anyon import _tqd_generator_data
 from tqdstab.exactmath import Rational01
-from tqdstab.pauli import PauliOperator, commutes, multiply, scalar
+from tqdstab.pauli import PauliOperator, multiply, scalar
 from tqdstab.stabilizer import (InconsistentGroupError, assert_commuting,
                                 group_order, groups_equal, logical_dimension,
                                 measure, member_with_phase,
                                 scalar_consistency)
 
-from oracles import (phase_fix_system, string_operator_by_segments,
-                     walk_least_solution)
+from oracles import (commutes, phase_fix_system,
+                     string_operator_by_segments, walk_least_solution)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import commutes
+
 from tqdstab.exactmath import Rational01
 from tqdstab.pauli import (PauliOperator, QuditCX, QuditSystem, _make,
                            adjoint, commutation_exponent, commutation_phase,
-                           commutes, conjugate, identity, multiply, power,
-                           product, product_of_powers, qudit_cx, render,
-                           scalar, single)
+                           conjugate, identity, multiply, power, product,
+                           product_of_powers, qudit_cx, render, scalar,
+                           single)
 
 
 # ---------------------------------------------------------------------------

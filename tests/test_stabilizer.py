@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (combination_phases, groups_equal_by_members,
-                     kernel_generators, kernel_phases_by_products,
-                     kernel_table, lifted, member_with_phase_by_products)
+from oracles import (combination_phases, commutation_pairs_by_all_pairs,
+                     commutes, groups_equal_by_members, kernel_generators,
+                     kernel_phases_by_products, kernel_table, lifted,
+                     member_with_phase_by_products)
 
 from tqdstab import exactmath, pauli, stabilizer
 from tqdstab.exactmath import Rational01
@@ -22,9 +24,8 @@ from tqdstab.extraction import spt_report
 from tqdstab.lattice import (DS_PARAMS, TqdParams, build_ds, build_hatted_ds,
                              build_spt, build_tqd, build_zn_tc,
                              condensation_equal)
-from tqdstab.pauli import (PauliOperator, QuditSystem, commutation_phase,
-                           commutes, multiply, product_of_powers, scalar,
-                           single)
+from tqdstab.pauli import (PauliOperator, QuditSystem, multiply,
+                           product_of_powers, scalar, single)
 from tqdstab.stabilizer import (InconsistentGroupError, NonCommutingError,
                                 SolverCheckError, StabilizerGroup,
                                 assert_commuting,
@@ -89,13 +90,6 @@ def forbid_products(monkeypatch):
     monkeypatch.setattr(StabilizerGroup, "combination", refuse)
 
 
-def all_pairs_noncommuting(gens):
-    """Every generator pair tested (the check written before the site
-    index)."""
-    return [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
-            if not commutation_phase(gens[i], gens[j]).is_zero()]
-
-
 @st.composite
 def sparse_groups(draw):
     """A system and generator lists of low weight on it, mixed dimensions:
@@ -123,6 +117,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StabilizerGroup(QuditSystem([2]),
                             [single(QuditSystem([3]), 0, "X", 1)])
+
+    def test_lone_operator_on_another_system_is_refused(self):
+        # it shares no site with another operator, so only the up-front
+        # check sees it
+        other = PauliOperator(QuditSystem([3, 3]), x={1: 1})
+        with pytest.raises(ValueError, match="system mismatch"):
+            assert_commuting(QuditSystem([2]), [other])
 
     def test_json_round_trip(self):
         sysm = QuditSystem([2, 4])
@@ -224,7 +225,33 @@ class TestOrderAndDimension:
     @settings(max_examples=120, deadline=None)
     def test_site_index_finds_the_all_pairs_list(self, drawn):
         sysm, gens = drawn
-        assert assert_commuting(sysm, gens)[0] == all_pairs_noncommuting(gens)
+        assert assert_commuting(sysm, gens) == commutation_pairs_by_all_pairs(
+            gens)
+
+    @pytest.mark.parametrize("build", [
+        build_ds, lambda Lx, Ly: build_tqd(TqdParams([2, 3], [1, 1]), Lx, Ly),
+        lambda Lx, Ly: build_tqd(TqdParams([2, 2], [1, 1], {(0, 1): 1}),
+                                 Lx, Ly),
+        build_spt, build_hatted_ds,
+    ], ids=["ds", "tqd23", "tqd22-twisted", "spt", "hatted-ds"])
+    @pytest.mark.parametrize("size", [(3, 3), (4, 3)], ids=["3x3", "4x3"])
+    def test_sweep_matches_all_pairs_on_builds(self, build, size):
+        # N=[2,3] has D = 36 and site weights D/d_s of 9 and 4
+        group, _ = build(*size)
+        bad, odd = assert_commuting(group.system, group.generators)
+        assert not bad and odd
+        assert (bad, odd) == commutation_pairs_by_all_pairs(group.generators)
+
+    @pytest.mark.parametrize("z1,odd", [(1, [0, 1]), (3, [])],
+                             ids=["odd-multiple", "cancels"])
+    def test_two_shared_sites_are_summed(self, z1, odd):
+        # D = 4: the site terms 2 and 2 z1 are each nonzero mod D; they sum
+        # to D (an odd pair, which commutes) or to 2D (nothing to record)
+        sysm = QuditSystem([2, 4])
+        gens = [PauliOperator(sysm, x={0: 1, 1: 2}),
+                PauliOperator(sysm, z={0: 1, 1: z1})]
+        assert assert_commuting(sysm, gens) == ([], array("I", odd))
+        assert commutation_pairs_by_all_pairs(gens) == ([], array("I", odd))
 
     def test_site_index_reports_noncommuting_pairs_in_order(self):
         sysm = QuditSystem([2, 4, 2])
@@ -232,7 +259,7 @@ class TestOrderAndDimension:
         Z1, X1 = single(sysm, 1, "Z", 2), single(sysm, 1, "X", 1)
         gens = [Z1, X0, single(sysm, 2, "X", 1), X1, Z0, multiply(X0, X1)]
         expected = [(0, 3), (0, 5), (1, 4), (4, 5)]
-        assert all_pairs_noncommuting(gens) == expected
+        assert commutation_pairs_by_all_pairs(gens)[0] == expected
         assert assert_commuting(sysm, gens)[0] == expected
         with pytest.raises(NonCommutingError, match=r"\(0, 3\)"):
             StabilizerGroup(sysm, gens)
@@ -875,9 +902,10 @@ class TestCentralizerAndMeasure:
         lambda: build_ds(3, 3),
         lambda: build_tqd(TqdParams([4], [3]), 3, 3),
         lambda: build_tqd(TqdParams([2, 2], [1, 1], {(0, 1): 1}), 3, 3),
+        lambda: build_tqd(TqdParams([2, 3], [1, 1]), 3, 3),
         lambda: build_spt(3, 3),
         lambda: build_hatted_ds(3, 3),
-    ], ids=["tc2", "tc4", "ds", "tqd4", "tqd22-twisted", "spt",
+    ], ids=["tc2", "tc4", "ds", "tqd4", "tqd22-twisted", "tqd23", "spt",
             "hatted-ds"])
     def test_site_indexed_columns_match_dense(self, build):
         # Only generator-probe pairs that share a site are evaluated; the
@@ -895,8 +923,7 @@ class TestCentralizerAndMeasure:
         dense = [[pauli.commutation_exponent(g, probe) for probe in probes]
                  for g in group.generators]
         assert any(map(any, dense))
-        assert stabilizer._commutation_columns(group.generators,
-                                               probes) == dense
+        assert stabilizer._commutation_columns(group, probes) == dense
 
     def test_centralizer_drops_anticommuting(self):
         sysm = QuditSystem([2, 2])
@@ -909,6 +936,14 @@ class TestCentralizerAndMeasure:
             assert member_with_phase(S, g).verdict != "NotMember"
         # only <X0 X1> survives
         assert group_order(StabilizerGroup(sysm, C)) == 2
+
+    def test_probe_on_another_system_is_refused(self):
+        # its site 1 is no site of the group's one-qubit system
+        sysm = QuditSystem([2])
+        S = StabilizerGroup(sysm, [single(sysm, 0, "X", 1)])
+        probe = PauliOperator(QuditSystem([3, 3]), z={1: 1})
+        with pytest.raises(ValueError, match="system mismatch"):
+            centralizer_in_group(S, [probe])
 
     def test_measure_bell(self):
         sysm = QuditSystem([2, 2])
