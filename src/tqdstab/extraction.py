@@ -4,16 +4,13 @@ Exchange statistics come from the T-junction relation
 W1 (W2)^dag W3 = theta(a) W3 (W2)^dag W1 for three strings that share an
 endpoint and are ordered counter-clockwise; braiding comes from the
 commutation phase of two transversally crossing strings; fusion orders from
-braiding-vector triviality. Phases are measured as integer exponents (theta
-in Z_{2D}, braiding in Z_D) and become Rational01 values only on the way
-out. extract_theory measures theta on the box of generator exponents and
-the k^2 generator crossings, certifies that each box loop is the matching
-combination of generator loops (so braiding is bilinear), and checks the
-theta ratio on each (vector, generator) pair; the measured theta(e_g) and
-crossings are the generator tables of the extracted presentation. The
-braiding over the box is kept as one row r_v = v B mod D per box vector,
-and b(v, w) is the lookup r_v . w mod D, so no box x box table is formed.
-The module also extracts the boundary 3-cocycle of the SPT model from the
+braiding-vector triviality. Phases are integer exponents (theta in Z_{2D},
+braiding in Z_D) and become Rational01 values only on the way out.
+extract_theory walks strings for the k generators and the pair sums
+e_g + e_h only, and reads the box off two k x k tables: theta(v) =
+2 v^T C v mod 2D for the junction cross terms C, and b(v, w) = v B w mod D
+for the crossings B, kept as one row r_v = v B mod D per box vector. The
+module also extracts the boundary 3-cocycle of the SPT model from the
 failure of the group law of the truncated boundary symmetry.
 """
 
@@ -21,14 +18,16 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
-from math import lcm, prod
+from math import prod
 from operator import mul
 
 from .exactmath import IntMatrix, ModSolver, Rational01
 from .pauli import (PauliOperator, adjoint, commutation_exponent,
                     identity, multiply, product, product_of_powers)
-from .stabilizer import StabilizerGroup, VerificationError, member_with_phase
+from .stabilizer import (StabilizerGroup, VerificationError,
+                         _commutation_columns, member_with_phase)
 from . import anyon
 from . import lattice as lat
 from .lattice import AnyonLabel, LatticeModel, PathSpec, string_operator
@@ -99,6 +98,13 @@ def default_junction(center: tuple[int, int] = (0, 0)) -> JunctionSpec:
     return JunctionSpec(center, (("E", "N"), ("N", "W"), ("W", "S")))
 
 
+def _cross_exponent(a, b) -> int:
+    """c(A1, B3) - c(A2, B3) - c(A1, B2) mod D for junction arms a = (A1, A2,
+    A3) and b; bilinear in the arms' exponents, as c is."""
+    c = commutation_exponent
+    return (c(a[0], b[2]) - c(a[1], b[2]) - c(a[0], b[1])) % a[0].system.D
+
+
 def _junction_exponent(w1: PauliOperator, w2: PauliOperator,
                        w3: PauliOperator) -> int:
     """t in Z_{2D} with W1 W2^dag W3 = e^{2 pi i t / 2D} W3 W2^dag W1.
@@ -107,9 +113,7 @@ def _junction_exponent(w1: PauliOperator, w2: PauliOperator,
     with e = c(W2^dag, W3) + c(W1, W3) + c(W1, W2^dag) for the commutation
     exponents c, and c(P^dag, Q) = -c(P, Q), so no product is formed.
     """
-    e = (commutation_exponent(w1, w3) - commutation_exponent(w2, w3)
-         - commutation_exponent(w1, w2))
-    return 2 * e % (2 * w1.system.D)
+    return 2 * _cross_exponent((w1, w2, w3), (w1, w2, w3)) % (2 * w1.system.D)
 
 
 def _braid_exponent(horizontal_a: PauliOperator,
@@ -119,15 +123,21 @@ def _braid_exponent(horizontal_a: PauliOperator,
     return commutation_exponent(vertical_b, horizontal_a)
 
 
-class _Probe:
-    """Anyon measurements on one model, each made once per label.
+def _fusion_order(theta: int, row, D: int) -> int:
+    """Least n >= 1 with n^2 theta = 0 mod 2D and n row = 0 mod D: the
+    order of a label of junction exponent theta and braid row `row`, as the
+    strings of n a carry n times the exponents of a's."""
+    n = 1
+    while n * n * theta % (2 * D) or any(n * e % D for e in row):
+        n += 1
+    return n
 
-    Per label it keeps the horizontal and the vertical noncontractible loop,
-    each built on first use through string_operator, and the T-junction
-    exponent theta in Z_{2D}. Braiding exponents are commutation exponents
-    of those loops in Z_D. Phases stay integers here; the public wrappers
-    turn them into Rational01 values. The junction is validated once, at
-    the first theta measurement.
+
+class _Probe:
+    """Label strings on one model: each label's two noncontractible loops,
+    kept, and its junction arms, walked on request; the junction is
+    validated once, at the first arms walked. Phases stay integers here;
+    the public wrappers make Rational01 values.
     """
 
     def __init__(self, model: LatticeModel,
@@ -137,7 +147,6 @@ class _Probe:
         self.junction = default_junction() if junction is None else junction
         self._validated = False
         self._loops: dict[tuple[AnyonLabel, str], PauliOperator] = {}
-        self._theta: dict[AnyonLabel, int] = {}
 
     def loop(self, lab: AnyonLabel, direction: str) -> PauliOperator:
         op = self._loops.get((lab, direction))
@@ -146,42 +155,32 @@ class _Probe:
             self._loops[(lab, direction)] = op
         return op
 
-    def deconfined(self, label) -> AnyonLabel:
-        """Closed-path commutation pre-check against the stabilizers."""
-        lab = self.model.label(label)
-        loop = self.loop(lab, "horizontal")
-        for gen in model_group(self.model).generators:
-            if commutation_exponent(loop, gen):
+    def deconfined(self, *labels) -> list[AnyonLabel]:
+        """The labels, after one sweep of their horizontal loops against the
+        stabilizers; the first that fails to commute raises."""
+        labs = [self.model.label(lab) for lab in labels]
+        columns = _commutation_columns(model_group(self.model), [
+            self.loop(lab, "horizontal") for lab in labs])
+        for j, lab in enumerate(labs):
+            if any(col[j] for col in columns):
                 raise ConfinedLabelError(
                     f"label {lab} is confined: its closed string fails to "
                     "commute with a stabilizer term")
-        return lab
+        return labs
+
+    def arms(self, lab: AnyonLabel) -> tuple[PauliOperator, ...]:
+        if not self._validated:
+            self.junction.validate(self.model)
+            self._validated = True
+        return tuple(string_operator(self.model, lab, p)
+                     for p in self.junction.paths(lab.path_kind))
 
     def theta(self, lab: AnyonLabel) -> int:
-        t = self._theta.get(lab)
-        if t is None:
-            if not self._validated:
-                self.junction.validate(self.model)
-                self._validated = True
-            t = self._theta[lab] = _junction_exponent(*(
-                string_operator(self.model, lab, p)
-                for p in self.junction.paths(lab.path_kind)))
-        return t
+        return _junction_exponent(*self.arms(lab))
 
     def braid(self, a: AnyonLabel, b: AnyonLabel) -> int:
         return _braid_exponent(self.loop(a, "horizontal"),
                                self.loop(b, "vertical"))
-
-    def fusion_order(self, lab: AnyonLabel, partners) -> int:
-        """Smallest n >= 1 with theta(n lab) = 0 and trivial braiding with
-        every partner label."""
-        cap = lcm(*self.model.lattice.edge_dims)
-        for n in range(1, cap + 1):
-            multiple = n * lab
-            if not self.theta(multiple) and not any(
-                    self.braid(multiple, g) for g in partners):
-                return n
-        raise ConfinedLabelError(f"no fusion order below {cap + 1} for {lab}")
 
 
 def t_junction_theta(model: LatticeModel, label,
@@ -189,7 +188,7 @@ def t_junction_theta(model: LatticeModel, label,
     """Exchange statistics theta(a) from the T-junction relation, after the
     deconfinement pre-check on the label."""
     probe = _Probe(model, junction)
-    return Rational01(probe.theta(probe.deconfined(label)), 2 * probe.D)
+    return Rational01(probe.theta(*probe.deconfined(label)), 2 * probe.D)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +212,7 @@ def crossing_braiding(model: LatticeModel, a, b) -> Rational01:
     """Full-braid phase B(a, b) from two transversally crossing strings,
     after the deconfinement pre-check on both labels."""
     probe = _Probe(model)
-    return Rational01(probe.braid(probe.deconfined(a), probe.deconfined(b)),
-                      probe.D)
+    return Rational01(probe.braid(*probe.deconfined(a, b)), probe.D)
 
 
 def generating_labels(model: LatticeModel) -> dict[str, AnyonLabel]:
@@ -234,10 +232,13 @@ def generating_labels(model: LatticeModel) -> dict[str, AnyonLabel]:
 
 def fusion_order(model: LatticeModel, label,
                  junction: JunctionSpec | None = None) -> int:
-    """Smallest n >= 1 with theta(label^n) = 0 and trivial braiding vector."""
+    """Smallest n >= 1 with theta(label^n) = 0 and trivial braiding vector,
+    read off the label's theta and its braid row with the generators."""
     probe = _Probe(model, junction)
-    lab = probe.deconfined(label)
-    return probe.fusion_order(lab, tuple(generating_labels(model).values()))
+    lab, = probe.deconfined(label)
+    return _fusion_order(probe.theta(lab), [
+        probe.braid(lab, g) for g in generating_labels(model).values()],
+        probe.D)
 
 
 # ---------------------------------------------------------------------------
@@ -317,75 +318,71 @@ def _box_products(r, orders) -> list[int]:
 
 def extract_theory(model: LatticeModel,
                    junction: JunctionSpec | None = None) -> ExtractedTheory:
-    """Measure theta/B tables over the generating labels and assemble the
-    quotient theory. Measured: theta on the box and the k x k generator
-    braidings B. Certified: each box vector's two loops carry the exponents
-    of that combination of generator loops, so b(v, w) = v B w mod D, which
-    the braiding answers as r_v . w from the stored rows r_v = v B mod D.
-    Checked: 2 b(v, e_g) = theta(v + e_g) - theta(v) - theta(e_g) on every
-    (box vector v, generator g), hence on every pair summing into the box.
-    The quotient by the measured transparent box vectors is presented with
-    q(e_g) = theta(e_g) and b(e_g, e_h) = B[g][h] as generator tables, so
-    no loop is built for a relation or split generator outside the box."""
+    """Measure the k x k generator tables and assemble the quotient theory.
+    Certified: the junction arms and loops of each pair sum e_g + e_h,
+    g <= h, carry the product of the generators' strings, so strings are
+    linear in v and theta(v) = 2 v^T C v, b(v, w) = v B w. Checked: the
+    theta ratio 2 b(v, e_g) = theta(v + e_g) - theta(v) - theta(e_g) at
+    every v, which is B[h][g] = C[h][g] + C[g][h] mod D on each (h, g).
+    Fusion orders come from C and B, and the quotient by the transparent
+    box vectors is presented with q(e_g) = theta(e_g) and b = B."""
     probe = _Probe(model, junction)
     return _extract(probe, _generators(probe))
 
 
 def _generators(probe: _Probe) -> tuple:
-    """The generators' names, deconfined labels and fusion orders: the
-    measurements that fix the box, made before any is made on it."""
+    """Names, deconfined labels, fusion orders and the tables C and B of
+    the generators: every string walked, all before the box is made."""
     labels = generating_labels(probe.model)
-    gen_labels = tuple(probe.deconfined(lab) for lab in labels.values())
-    return (tuple(labels), gen_labels,
-            tuple(probe.fusion_order(g, gen_labels) for g in gen_labels))
+    gens = probe.deconfined(*labels.values())
+    names, k, D = tuple(labels), len(gens), probe.D
+
+    def walk(lab) -> tuple[PauliOperator, ...]:
+        return (*probe.arms(lab), probe.loop(lab, "horizontal"),
+                probe.loop(lab, "vertical"))
+
+    walked = [walk(lab) for lab in gens]
+    for g, h in combinations_with_replacement(range(k), 2):
+        pair = walk(gens[g].combine(gens[h]))
+        for s, a, b in zip(pair, walked[g], walked[h]):
+            ab = multiply(a, b)
+            if (s.x, s.z) != (ab.x, ab.z):
+                raise InconsistentExtractionError(
+                    f"the strings of {names[g]} + {names[h]} are not linear")
+    C = [[_cross_exponent(a[:3], b[:3]) for b in walked] for a in walked]
+    B = [[probe.braid(g, h) for h in gens] for g in gens]
+    for h, g in iproduct(range(k), repeat=2):
+        e = (C[h][g] + C[g][h]) % D
+        if B[h][g] != e:
+            raise InconsistentExtractionError(
+                f"B({names[h]}, {names[g]}) = {Rational01(B[h][g], D)}, "
+                f"theta ratio {Rational01(2 * e, 2 * D)}")
+    orders = tuple(_fusion_order(2 * C[g][g], B[g], D) for g in range(k))
+    return names, tuple(gens), orders, C, B
 
 
 def _extract(probe: _Probe, generators: tuple) -> ExtractedTheory:
-    """extract_theory's measurements on the box the generators fix."""
-    names, gen_labels, orders = generators
-
-    def t_of(vec) -> int:
-        return probe.theta(_combine(gen_labels, vec))
-
-    box = list(iproduct(*map(range, orders)))
-    theta = {vec: t_of(vec) for vec in box}
-    for direction in ("horizontal", "vertical"):
-        gen_loops = [probe.loop(g, direction) for g in gen_labels]
-        for vec in box:
-            combo = product_of_powers(probe.model.system, zip(gen_loops, vec))
-            loop = probe.loop(_combine(gen_labels, vec), direction)
-            if (loop.x, loop.z) != (combo.x, combo.z):
-                raise InconsistentExtractionError(f"the {direction} loop of "
-                                                  f"{vec} is not linear")
-
-    # Rows r_v = v B mod D give b(v, e_g) = r_v[g], checked against the
-    # theta ratio, and b(v, w) = r_v . w over the box.
+    """extract_theory's box tables: integer arithmetic on C and B."""
+    names, gen_labels, orders, C, B = generators
     D, k = probe.D, len(names)
-    B = [[probe.braid(g, h) for h in gen_labels] for g in gen_labels]
-    units = [tuple(int(t == g) for t in range(k)) for g in range(k)]
-    t_units = [t_of(e) for e in units]
-    b_phase = [Rational01(e, D) for e in range(D)]
-    t_phase = [Rational01(e, 2 * D) for e in range(2 * D)]
-    rows = {}
+    box = list(iproduct(*map(range, orders)))
+    theta, rows = {}, {}
+    B_cols, C_cols = list(zip(*B)), list(zip(*C))
     for v in box:
-        r = rows[v] = [sum(c * Bg[h] for c, Bg in zip(v, B)) % D
-                       for h in range(k)]
-        for g, (e, t_e) in enumerate(zip(units, t_units)):
-            # measured here only where v_g + 1 wraps past the order o_g
-            w = v[:g] + (v[g] + 1,) + v[g + 1:]
-            t_w = theta[w] if w in theta else t_of(w)
-            ratio = (t_w - theta[v] - t_e) % (2 * D)
-            if (2 * r[g] - ratio) % (2 * D):
-                raise InconsistentExtractionError(
-                    f"B{v, e} = {b_phase[r[g]]}, theta ratio {t_phase[ratio]}")
+        rows[v] = [sum(map(mul, v, col)) % D for col in B_cols]
+        theta[v] = 2 * sum(map(mul, v, [sum(map(mul, v, col))
+                                        for col in C_cols])) % (2 * D)
 
     # Quotient by the measured transparent vectors.
+    units = [tuple(int(t == g) for t in range(k)) for g in range(k)]
     columns = [[o * t for t in e] for o, e in zip(orders, units)] + [
         list(v) for v in box if any(v) and not theta[v] and not any(rows[v])]
     relations = IntMatrix([[col[r] for col in columns] for r in range(k)],
                           rows=k, cols=len(columns))
+    b_phase = [Rational01(e, D) for e in range(D)]
+    t_phase = [Rational01(e, 2 * D) for e in range(2 * D)]
     presented = anyon.theory_from_presentation(
-        [t_phase[t] for t in t_units],
+        [t_phase[2 * C[g][g] % (2 * D)] for g in range(k)],
         [[b_phase[e] for e in row] for row in B], relations)
     return ExtractedTheory(
         names, gen_labels, orders,

@@ -366,6 +366,80 @@ def string_operator_by_segments(model, label, path,
     return product(segments, system=model.system)
 
 
+def fusion_order_by_multiples(probe, lab, partners) -> int:
+    """Smallest n >= 1 with theta(n lab) = 0 and trivial braiding of n lab
+    with every partner, each measured on the walked strings of n lab."""
+    cap = lcm(*probe.model.lattice.edge_dims)
+    for n in range(1, cap + 1):
+        multiple = n * lab
+        if not probe.theta(multiple) and not any(
+                probe.braid(multiple, g) for g in partners):
+            return n
+    raise extraction.ConfinedLabelError(
+        f"no fusion order below {cap + 1} for {lab}")
+
+
+def extraction_tables_by_box_walk(model, junction=None):
+    """`extraction.extract_theory` by walking strings on the whole box:
+    fusion orders from the strings of each generator's multiples, theta
+    from a T-junction on every box vector and on every v + e_g leaving the
+    box, both loops of every box vector certified against the product of
+    the generator loops, and the theta ratio
+    2 b(v, e_g) = theta(v + e_g) - theta(v) - theta(e_g) checked on every
+    (v, g) with b(v, e_g) = (v B)_g from the k x k crossings B. Returns an
+    `ExtractedTheory` with the same fields."""
+    labels = extraction.generating_labels(model)
+    names = tuple(labels)
+    probe = extraction._Probe(model, junction)
+    gen_labels = tuple(probe.deconfined(*labels.values()))
+    orders = tuple(fusion_order_by_multiples(probe, g, gen_labels)
+                   for g in gen_labels)
+    thetas: dict = {}
+
+    def t_of(vec) -> int:
+        vec = tuple(vec)
+        if vec not in thetas:
+            thetas[vec] = probe.theta(extraction._combine(gen_labels, vec))
+        return thetas[vec]
+
+    box = list(iproduct(*map(range, orders)))
+    theta = {vec: t_of(vec) for vec in box}
+    for direction in ("horizontal", "vertical"):
+        gen_loops = [probe.loop(g, direction) for g in gen_labels]
+        for vec in box:
+            combo = product_of_powers(model.system, zip(gen_loops, vec))
+            lab = extraction._combine(gen_labels, vec)
+            loop = probe.loop(lab, direction)
+            if (loop.x, loop.z) != (combo.x, combo.z):
+                raise extraction.InconsistentExtractionError(
+                    f"the {direction} loop of {vec} is not linear")
+    D, k = probe.D, len(names)
+    B = [[probe.braid(g, h) for h in gen_labels] for g in gen_labels]
+    units = [tuple(int(t == g) for t in range(k)) for g in range(k)]
+    rows = {}
+    for v in box:
+        r = rows[v] = [sum(c * Bg[h] for c, Bg in zip(v, B)) % D
+                       for h in range(k)]
+        for g, e in enumerate(units):
+            w = tuple(a + b for a, b in zip(v, e))
+            if (2 * r[g] - t_of(w) + theta[v] + t_of(e)) % (2 * D):
+                raise extraction.InconsistentExtractionError(
+                    f"B{v, e} != theta ratio")
+    columns = [[o * t for t in e] for o, e in zip(orders, units)] + [
+        list(v) for v in box if any(v) and not theta[v] and not any(rows[v])]
+    relations = IntMatrix([[col[r] for col in columns] for r in range(k)],
+                          rows=k, cols=len(columns))
+    b_phase = [Rational01(e, D) for e in range(D)]
+    t_phase = [Rational01(e, 2 * D) for e in range(2 * D)]
+    presented = anyon.theory_from_presentation(
+        [t_phase[t_of(e)] for e in units],
+        [[b_phase[e] for e in row] for row in B], relations)
+    return extraction.ExtractedTheory(
+        names, gen_labels, orders,
+        {vec: t_phase[e] for vec, e in theta.items()},
+        extraction.BoxBraiding(rows, b_phase), presented.theory)
+
+
 def extraction_tables_by_all_pairs(model, junction=None):
     """`extraction.extract_theory` by measuring every pair: the braiding of
     each pair of box vectors is the commutation exponent of their loops,
@@ -373,13 +447,16 @@ def extraction_tables_by_all_pairs(model, junction=None):
     theta(v2) is checked on every pair, with a T-junction on each sum. The
     split theory's q and b are compared with T-junctions and crossings
     measured on the split generators' own loops, which may lie outside
-    the box. Returns an `ExtractedTheory` with the same fields."""
+    the box. Fusion orders come from the walked multiples
+    (`fusion_order_by_multiples`). Returns an `ExtractedTheory` with the
+    same fields."""
     labels = extraction.generating_labels(model)
     names = tuple(labels)
     probe = extraction._Probe(model, junction)
-    gen_labels = tuple(probe.deconfined(labels[n]) for n in names)
+    gen_labels = tuple(probe.deconfined(*(labels[n] for n in names)))
     partners = tuple(labels.values())
-    orders = tuple(probe.fusion_order(g, partners) for g in gen_labels)
+    orders = tuple(fusion_order_by_multiples(probe, g, partners)
+                   for g in gen_labels)
 
     label_of: dict = {}
 
@@ -390,8 +467,13 @@ def extraction_tables_by_all_pairs(model, junction=None):
             lab = label_of[vec] = extraction._combine(gen_labels, vec)
         return lab
 
+    thetas: dict = {}
+
     def t_of(vec) -> int:
-        return probe.theta(label(vec))
+        lab = label(vec)
+        if lab not in thetas:
+            thetas[lab] = probe.theta(lab)
+        return thetas[lab]
 
     box = list(iproduct(*map(range, orders)))
     theta = {vec: t_of(vec) for vec in box}
@@ -471,8 +553,9 @@ def logical_algebra(model: LatticeModel) -> dict:
         xdir, zdir = "horizontal", "vertical"
         if model.kind == "tc" and i == 1:
             xdir, zdir = "vertical", "horizontal"
-        ops.append((f"X{i + 1}", probe.loop(probe.deconfined(xname), xdir)))
-        ops.append((f"Z{i + 1}", probe.loop(probe.deconfined(zname), zdir)))
+        xlab, zlab = probe.deconfined(xname, zname)
+        ops.append((f"X{i + 1}", probe.loop(xlab, xdir)))
+        ops.append((f"Z{i + 1}", probe.loop(zlab, zdir)))
     commutation = {
         na: {nb: str(commutation_phase(pa, pb)) for nb, pb in ops}
         for na, pa in ops}

@@ -1,12 +1,15 @@
 """Tests for anyon-statistics extraction and the SPT boundary cocycle."""
 
 import random
+import re
 from collections import Counter
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
 import pytest
 
 from oracles import (extraction_tables_by_all_pairs,
+                     extraction_tables_by_box_walk,
                      junction_exponent_by_products, logical_algebra)
 from tqdstab import cli, extraction
 from tqdstab.anyon import (RelationError, TheoryCheckError,
@@ -55,6 +58,26 @@ MUTANT_MODELS = {
                       ["--type", "tqd", "--N", "2,2", "--n", "1,1",
                        "--nij", "0,1,1", "--L", "3"]),
 }
+
+
+# A fixed census subset at L=3 for the box-walk oracle: every one-factor N
+# up to 9 and every two-factor pattern over {2, 3, 4}, with type-II twists.
+CENSUS_SUBSET = [
+    ([2], [1], None), ([2], [0], None), ([3], [1], None), ([4], [1], None),
+    ([4], [0], None), ([5], [2], None), ([7], [3], None), ([8], [2], None),
+    ([9], [3], None),
+    ([2, 2], [1, 1], {(0, 1): 1}), ([2, 2], [0, 0], {(0, 1): 1}),
+    ([2, 3], [1, 2], None), ([2, 4], [1, 3], {(0, 1): 1}),
+    ([2, 4], [0, 0], None), ([3, 3], [1, 2], {(0, 1): 2}),
+    ([3, 3], [0, 0], {(0, 1): 1}), ([3, 4], [2, 1], None),
+    ([4, 4], [1, 3], {(0, 1): 2}), ([4, 4], [0, 2], {(0, 1): 3}),
+    ([4, 4], [2, 0], {(0, 1): 1}),
+]
+
+
+def generator_pair_sums(gens) -> set:
+    """The labels e_g + e_h, g <= h, over the generator labels."""
+    return {a.combine(b) for a, b in combinations_with_replacement(gens, 2)}
 
 
 @pytest.fixture(scope="module", params=list(ORACLE_BUILDS))
@@ -116,6 +139,14 @@ class TestDoubleSemionStatistics:
     def test_confined_charge_rejected(self, ds_model):
         with pytest.raises(ConfinedLabelError):
             t_junction_theta(ds_model, AnyonLabel((0,), (1,)))
+
+    def test_fusion_order_rule(self):
+        # least n with n^2 theta = 0 mod 2D and n row = 0 mod D (D = 4)
+        assert extraction._fusion_order(2, [2, 0], 4) == 2
+        assert extraction._fusion_order(1, [1], 4) == 4
+        assert extraction._fusion_order(0, [0, 0], 4) == 1
+        # a transparent fermion: only theta needs n = 2
+        assert extraction._fusion_order(4, [0, 0], 4) == 2
 
     def test_fusion_orders(self, ds_model):
         assert fusion_order(ds_model, "s") == 2
@@ -264,12 +295,30 @@ class TestExtractTheory:
         ext = extract_theory(model)
         assert len(validations) == 1
         assert max(calls.values()) == 1
+        # the generators and their pair sums, each on three junction arms
+        # and two loops: no box vector beyond them
+        gens = ext.generator_labels
+        k = len(gens)
+        pairs = generator_pair_sums(gens)
+        assert len(pairs) == k * (k + 1) // 2
+        assert {lab for lab, _ in calls} == set(gens) | pairs
+        assert len(calls) == 5 * (k + len(pairs))
         L = model.lattice.Lx
-        for v in ext.box():
-            lab = ext.combine(v)
+        for lab in pairs:
             for moves in (("E",) * L, ("N",) * L):
                 path = PathSpec(lab.path_kind, (0, 0), moves, closed=True)
                 assert calls[(lab, path)] == 1
+
+    def test_confined_generator_is_rejected(self, monkeypatch, ds_model):
+        # One sweep checks every generator loop; the error names the first
+        # confined label in generator order.
+        bad, worse = AnyonLabel((0,), (1,)), AnyonLabel((1,), (0,))
+        labels = {"s": ds_model.label("s"), "bad": bad, "worse": worse}
+        monkeypatch.setattr(extraction, "generating_labels",
+                            lambda model: labels)
+        with pytest.raises(ConfinedLabelError,
+                           match=re.escape(f"label {bad} is confined")):
+            extract_theory(ds_model)
 
     def test_corrupted_braiding_is_inconsistent(self, monkeypatch, capsys):
         # Negative control: shift one measured braiding exponent, B(s, s).
@@ -381,40 +430,38 @@ class TestBilinearExtraction:
         assert cli.run(["anyons", "extract", "--type", "ds"]) == 0
 
     def test_report_refused_before_the_box_is_measured(self, monkeypatch):
-        calls = []
-        original = extraction._junction_exponent
-        monkeypatch.setattr(extraction, "_junction_exponent",
-                            lambda *w: calls.append(w) or original(*w))
-        _, model = build_tqd(TWISTED_22, 3, 3)
-        # The fusion-order scan alone, on one probe.
-        probe = extraction._Probe(model)
-        gens = [probe.deconfined(g)
-                for g in generating_labels(model).values()]
-        for g in gens:
-            probe.fusion_order(g, gens)
-        scan = len(calls)
-        assert scan < 64  # well below the 64 box vectors
-        calls.clear()
+        walked = set()
+        original = extraction.string_operator
+
+        def recording(model, label, path):
+            walked.add(model.label(label))
+            return original(model, label, path)
+
+        def box_measured(*args):
+            pytest.fail("a refused report measured the box")
+
+        monkeypatch.setattr(extraction, "string_operator", recording)
+        monkeypatch.setattr(extraction, "_extract", box_measured)
         monkeypatch.setattr(extraction, "REPORT_MAX_BOX", 16)
+        _, model = build_tqd(TWISTED_22, 3, 3)
         with pytest.raises(ValueError, match="the box holds 64 vectors"):
             extraction_report(model)
-        assert 0 < len(calls) <= scan
+        gens = tuple(generating_labels(model).values())
+        assert walked
+        assert walked <= set(gens) | generator_pair_sums(gens)
 
     @staticmethod
-    def _target(model):
-        """A non-generator box label: every generator once."""
-        gens = tuple(generating_labels(model).values())
-        return extraction._combine(gens, (1,) * len(gens))
+    def _tables(ext):
+        return (ext.fusion_orders, ext.theta, ext.braiding.rows, ext.theory)
 
-    @pytest.mark.parametrize("move", ["E", "N"],
-                             ids=["horizontal", "vertical"])
-    @pytest.mark.parametrize("name", list(MUTANT_MODELS))
-    def test_nonlinear_loop_is_inconsistent(self, monkeypatch, capsys,
-                                            name, move):
-        # Mutant: one extra X on one site of one non-generator loop.
+    def _check_loop_mutant(self, monkeypatch, capsys, name, move, vec_of):
+        # Mutant: one extra X on one site of the loop of vec_of(k), k the
+        # number of generators.
         build, argv = MUTANT_MODELS[name]
         _, model = build()
-        target = self._target(model)
+        clean = extract_theory(model)
+        vec = vec_of(len(clean.generator_labels))
+        target = clean.combine(vec)
         original = extraction.string_operator
 
         def mutant(model, label, path):
@@ -425,39 +472,88 @@ class TestBilinearExtraction:
             return op
 
         monkeypatch.setattr(extraction, "string_operator", mutant)
+        # the box walk certifies the loop of every box vector
+        with pytest.raises(InconsistentExtractionError, match="not linear"):
+            extraction_tables_by_box_walk(model)
+        if sum(vec) == 2:
+            # a pair sum: the certificate walks it
+            with pytest.raises(InconsistentExtractionError,
+                               match="not linear"):
+                extract_theory(model)
+            assert cli.run(["anyons", "extract", *argv]) == 1
+            assert "verification failed" in capsys.readouterr().err
+        else:
+            # never walked, so never read: the tables are the clean ones
+            assert self._tables(extract_theory(model)) == self._tables(clean)
+
+    @pytest.mark.parametrize("move", ["E", "N"],
+                             ids=["horizontal", "vertical"])
+    @pytest.mark.parametrize("name", list(MUTANT_MODELS))
+    def test_nonlinear_loop_is_inconsistent(self, monkeypatch, capsys,
+                                            name, move):
+        # Every generator once: DS's (1, 1) is the pair sum e_0 + e_1, and
+        # twisted N=[2,2]'s (1, 1, 1, 1) is read by the box walk only.
+        self._check_loop_mutant(monkeypatch, capsys, name, move,
+                                lambda k: (1,) * k)
+
+    @pytest.mark.parametrize("move", ["E", "N"],
+                             ids=["horizontal", "vertical"])
+    @pytest.mark.parametrize("name", list(MUTANT_MODELS))
+    def test_nonlinear_pair_sum_loop_is_inconsistent(self, monkeypatch,
+                                                     capsys, name, move):
+        self._check_loop_mutant(monkeypatch, capsys, name, move,
+                                lambda k: (1, 1) + (0,) * (k - 2))
+
+    @pytest.mark.parametrize("arm", range(3))
+    def test_nonlinear_arm_is_inconsistent(self, monkeypatch, arm):
+        # Mutant: one extra X on one junction arm of the pair sum e_0 + e_1.
+        _, model = build_tqd(TWISTED_22, 3, 3)
+        gens = tuple(generating_labels(model).values())
+        target = gens[0].combine(gens[1])
+        mutated = default_junction().paths(target.path_kind)[arm]
+        original = extraction.string_operator
+
+        def mutant(model, label, path):
+            op = original(model, label, path)
+            if model.label(label) == target and path == mutated:
+                op = multiply(op, PauliOperator(op.system, x={0: 1}))
+            return op
+
+        monkeypatch.setattr(extraction, "string_operator", mutant)
         with pytest.raises(InconsistentExtractionError, match="not linear"):
             extract_theory(model)
-        assert cli.run(["anyons", "extract", *argv]) == 1
-        assert "verification failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", list(MUTANT_MODELS))
     def test_corrupted_junction_is_inconsistent(self, monkeypatch, capsys,
                                                 name):
-        # Mutant: theta shifted on one non-generator box label.
+        # Mutant: the junction cross term C[0][1] of the first two
+        # generators' arms, shifted by one.
         build, argv = MUTANT_MODELS[name]
         _, model = build()
-        target = self._target(model)
-        strings = [string_operator(model, target, p)
-                   for p in default_junction().paths(target.path_kind)]
-        two_d = 2 * model.system.D
-        original = extraction._junction_exponent
+        first, second = [
+            tuple(string_operator(model, g, p)
+                  for p in default_junction().paths(g.path_kind))
+            for g in tuple(generating_labels(model).values())[:2]]
+        D = model.system.D
+        original = extraction._cross_exponent
 
-        def corrupted(*ops):
-            t = original(*ops)
-            return (t + 1) % two_d if list(ops) == strings else t
+        def corrupted(a, b):
+            e = original(a, b)
+            return (e + 1) % D if (tuple(a), tuple(b)) == (first, second) \
+                else e
 
-        monkeypatch.setattr(extraction, "_junction_exponent", corrupted)
+        monkeypatch.setattr(extraction, "_cross_exponent", corrupted)
         with pytest.raises(InconsistentExtractionError, match="theta ratio"):
             extract_theory(model)
         assert cli.run(["anyons", "extract", *argv]) == 1
         assert "verification failed" in capsys.readouterr().err
 
     def test_measurement_counts(self, monkeypatch):
-        # k^2 crossings plus the fusion orders and the presentation's
-        # checks; theta on the box and on each v + e_g leaving it.
-        _, model = build_tqd(TWISTED_22, 3, 3)
+        # k^2 crossings and k^2 junction cross terms, whatever the box:
+        # the same counts on boxes of 64 and 512 vectors (k = 4).
         calls = Counter()
-        for name in ("_braid_exponent", "_junction_exponent"):
+        for name in ("_braid_exponent", "_junction_exponent",
+                     "_cross_exponent"):
             original = getattr(extraction, name)
 
             def counting(*ops, _name=name, _original=original):
@@ -465,11 +561,40 @@ class TestBilinearExtraction:
                 return _original(*ops)
 
             monkeypatch.setattr(extraction, name, counting)
-        ext = extract_theory(model)
-        size = len(ext.box())
-        assert calls["_braid_exponent"] <= 100
-        assert calls["_junction_exponent"] <= size + sum(
-            size // o for o in ext.fusion_orders) + 40
+        counts = []
+        for p in (TWISTED_22, TqdParams([2, 4], [1, 1], {(0, 1): 1})):
+            calls.clear()
+            ext = extract_theory(build_tqd(p, 3, 3)[1])
+            k = len(ext.generator_names)
+            assert calls["_braid_exponent"] <= k * k + k
+            assert (calls["_cross_exponent"]
+                    + calls["_junction_exponent"]) <= k * k + k
+            counts.append((len(ext.box()), dict(calls)))
+        assert [size for size, _ in counts] == [64, 512]
+        assert counts[0][1] == counts[1][1]
+
+
+class TestBoxWalkOracle:
+    """extract_theory's generator tables against the walk of every box
+    vector's strings (tests/oracles.py)."""
+
+    @staticmethod
+    def _check(model, junction=None):
+        ext = extract_theory(model, junction)
+        ref = extraction_tables_by_box_walk(model, junction)
+        assert ext.fusion_orders == ref.fusion_orders
+        assert ext.theta == ref.theta
+        assert ext.braiding.rows == ref.braiding.rows
+        assert ext.theory == ref.theory
+
+    @pytest.mark.parametrize("N, n, nij", CENSUS_SUBSET,
+                             ids=lambda v: str(v).replace(" ", ""))
+    def test_census_subset(self, N, n, nij):
+        self._check(build_tqd(TqdParams(N, n, nij), 3, 3)[1])
+
+    def test_rectangular_torus_off_centre_junction(self):
+        p = TqdParams([2, 4], [1, 1], {(0, 1): 1})
+        self._check(build_tqd(p, 4, 3)[1], default_junction((1, 2)))
 
 
 class TestLogicalAlgebra:
