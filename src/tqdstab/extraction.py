@@ -29,7 +29,6 @@ from .pauli import (PauliOperator, adjoint, commutation_exponent,
 from .stabilizer import (StabilizerGroup, VerificationError,
                          _commutation_columns, member_with_phase)
 from . import anyon
-from . import lattice as lat
 from .lattice import AnyonLabel, LatticeModel, PathSpec, string_operator
 
 
@@ -458,18 +457,6 @@ def _restrict(P: PauliOperator, sites) -> PauliOperator:
                          z={s: v for s, v in P.z.items() if s in keep})
 
 
-def _site_coords(torus) -> dict[int, tuple[str, int, int]]:
-    coords = {}
-    for y in range(torus.Ly):
-        for x in range(torus.Lx):
-            for layer in range(len(torus.edge_dims)):
-                coords[torus.edge_site(x, y, lat.H, layer)] = ("H", x, y)
-                coords[torus.edge_site(x, y, lat.V, layer)] = ("V", x, y)
-            for layer in range(len(torus.vertex_dims)):
-                coords[torus.vertex_site(x, y, layer)] = ("vertex", x, y)
-    return coords
-
-
 def _partial_member(group: StabilizerGroup, gen_indices, target,
                     row_sites) -> PauliOperator | None:
     """A product of the selected generators matching `target` on `row_sites`.
@@ -508,13 +495,13 @@ def spt_cocycle(model: LatticeModel, ell: int) -> dict:
         raise ValueError("torus too small: need Lx >= ell + 3 and Ly >= 5")
     group = model_group(model)
     system = group.system
-    coords = _site_coords(torus)
+    cells = [torus.cell_of(s) for s in range(system.n_sites)]
     # A vertex term at row y touches rows y-1 .. y+1, so a region of rows
     # 0 .. y_cut-1 contains the terms with 1 <= y <= y_cut-2.
     y_cut = 3
 
     def in_region(site: int) -> bool:
-        return coords[site][2] < y_cut
+        return cells[site][1] < y_cut
 
     # P_R(1): bare symmetry restricted to the lower region.
     p_r = PauliOperator(system, x={
@@ -531,7 +518,7 @@ def spt_cocycle(model: LatticeModel, ell: int) -> dict:
     # Truncate to the interval [x0, x0 + ell) along the upper boundary of R.
     x0 = 1
     boundary_rows = {y_cut - 1, y_cut}
-    window = {s for s, (_, x, y) in coords.items()
+    window = {s for s, (x, y) in enumerate(cells)
               if y in boundary_rows and x0 <= x < x0 + ell}
     p_ell = _restrict(script_p, window)
     p_ell = PauliOperator(system, x=p_ell.x, z=p_ell.z)  # drop the phase
@@ -539,12 +526,11 @@ def spt_cocycle(model: LatticeModel, ell: int) -> dict:
     # Omega(1,1) from the square, reduced to the endpoints modulo
     # R-supported stabilizers.
     omega_raw = multiply(p_ell, p_ell)
-    left_zone = {s for s in range(system.n_sites)
-                 if coords[s][2] in boundary_rows
-                 and (coords[s][1] - (x0 - 1)) % torus.Lx <= 1}
-    right_zone = {s for s in range(system.n_sites)
-                  if coords[s][2] in boundary_rows
-                  and (coords[s][1] - (x0 + ell - 2)) % torus.Lx <= 2}
+    left_zone = {s for s, (x, y) in enumerate(cells)
+                 if y in boundary_rows and (x - (x0 - 1)) % torus.Lx <= 1}
+    right_zone = {s for s, (x, y) in enumerate(cells)
+                  if y in boundary_rows
+                  and (x - (x0 + ell - 2)) % torus.Lx <= 2}
     bulk_sites = [s for s in range(system.n_sites)
                   if s not in left_zone and s not in right_zone]
     matcher = _partial_member(group, r_gen_indices, omega_raw, bulk_sites)

@@ -23,6 +23,11 @@ Each layer-i vertex term also carries the scalar phase theta(phi_i) =
 e^{2 pi i n_i / N_i^2}, the spin of the flux it moves around its vertex;
 with it every scalar element of the generated group equals +1, which the
 builder checks on the group it makes.
+Every term type is built once, at cell (0, 0): the loops and hops by one
+string walk, the vertex phase written on the vertex term. One tiler,
+``_tile``, places each copy with ``TorusLattice.shift``, cells y-major,
+then x; translation maps sites onto sites of equal dimension, so every
+copy has its origin term's exponents and phase.
 """
 
 from __future__ import annotations
@@ -175,6 +180,21 @@ class TorusLattice:
         x, y = self.wrap(x, y)
         return self.n_edge_sites + layer * self.n_cells + y * self.Lx + x
 
+    def cell_of(self, site: int) -> tuple[int, int]:
+        """The cell (x, y) of a site: edge_site and vertex_site inverted
+        on the cell (the layer and orientation stay in the index)."""
+        n, vertex = self.n_cells, site - self.n_edge_sites
+        cell = vertex % n if vertex >= 0 else site % (2 * n) // 2
+        return cell % self.Lx, cell // self.Lx
+
+    def shift(self, site: int, dx: int, dy: int) -> int:
+        """The site translated by (dx, dy) cells, in its own layer and
+        orientation, so of its own dimension."""
+        x, y = self.cell_of(site)
+        tx, ty = self.wrap(x + dx, y + dy)
+        step = 2 if site < self.n_edge_sites else 1
+        return site + step * ((ty - y) * self.Lx + tx - x)
+
     def system(self) -> QuditSystem:
         """The lattice's qudit system, built on first use and then shared."""
         system = self.__dict__.get("_system")
@@ -240,7 +260,7 @@ def direct_loop_around_plaquette(x: int, y: int) -> PathSpec:
 class LatticeModel:
     """A built model: geometry, parameters, and named anyon labels."""
 
-    kind: str  # "tc" | "ds" | "tqd" | "spt"
+    kind: str  # "tc" | "ds" | "tqd" | "spt" | "hatted-ds"
     lattice: TorusLattice
     params: TqdParams | None = None
     tc_N: int | None = None
@@ -386,53 +406,57 @@ def string_operator(model: LatticeModel, label: "str | AnyonLabel",
 # ---------------------------------------------------------------------------
 
 
-def _tc_like_generators(model: LatticeModel,
-                        flux_labels: list[AnyonLabel],
-                        charge_labels: list[AnyonLabel],
-                        edge_labels: list[AnyonLabel] | None = None
-                        ) -> list[PauliOperator]:
-    """Vertex terms as flux-label loops, plaquette terms as charge-label
-    loops, and optional two-body edge terms from condensed-boson segments."""
+def _vertex_phases(model: LatticeModel) -> tuple[int, ...]:
+    """Per layer, the vertex terms' phase theta(phi_i) = e^{2 pi i n_i /
+    N_i^2} for the model's params: exponent 2 n_i D / N_i^2 mod 2D in
+    units of e^{i pi/D}; 0 on every layer of a plain toric code."""
+    p, D = model.params, model.system.D
+    if p is None:
+        return (0,) * model.n_layers
+    return tuple(2 * n * D // N ** 2 % (2 * D) for N, n in zip(p.N, p.n))
+
+
+def _origin_terms(model: LatticeModel,
+                  flux_labels: list[AnyonLabel],
+                  charge_labels: list[AnyonLabel],
+                  edge_labels: Sequence[AnyonLabel] = ()
+                  ) -> list[list[PauliOperator]]:
+    """The tc-like term types at cell (0, 0), one block per label: the
+    vertex loop of each flux label (layer i's carries its vertex phase),
+    the plaquette loop of each charge label, and the two unbound hops of
+    each condensed-boson label, C for V(0, 0) (one east dual step from
+    cell (-1, 0)) then C for H(0, 0) (one north step from cell (0, -1))."""
+    blocks = []
+    for lab, m in zip(flux_labels, _vertex_phases(model)):
+        loop = string_operator(model, lab, dual_loop_around_vertex(0, 0))
+        blocks.append([_make(model.system, loop.phase + m, loop.x, loop.z)])
+    blocks += [[string_operator(model, lab, direct_loop_around_plaquette(
+        0, 0))] for lab in charge_labels]
+    blocks += [[model._segment((-1, 0), "E", lab),
+                model._segment((0, -1), "N", lab)] for lab in edge_labels]
+    return blocks
+
+
+def _tile(model: LatticeModel, blocks: Sequence[Sequence[PauliOperator]]
+          ) -> list[PauliOperator]:
+    """Every cell-(0, 0) term placed on every cell: block by block, cells
+    y-major, then x, and a block's terms in order inside each cell."""
     lat = model.lattice
-    gens: list[PauliOperator] = []
-    for lab in flux_labels:
-        for y in range(lat.Ly):
-            for x in range(lat.Lx):
-                gens.append(string_operator(
-                    model, lab, dual_loop_around_vertex(x, y)))
-    for lab in charge_labels:
-        for y in range(lat.Ly):
-            for x in range(lat.Lx):
-                gens.append(string_operator(
-                    model, lab, direct_loop_around_plaquette(x, y)))
-    if edge_labels:
-        for lab in edge_labels:
-            for y in range(lat.Ly):
-                for x in range(lat.Lx):
-                    # C for V(x, y): one east dual step from cell (x-1, y).
-                    gens.append(model._segment((x - 1, y), "E", lab))
-                    # C for H(x, y): one north dual step from cell (x, y-1).
-                    gens.append(model._segment((x, y - 1), "N", lab))
-    return gens
+    return [_make(model.system, t.phase,
+                  {lat.shift(s, x, y): e for s, e in t.x.items()},
+                  {lat.shift(s, x, y): e for s, e in t.z.items()})
+            for block in blocks for y in range(lat.Ly)
+            for x in range(lat.Lx) for t in block]
 
 
 def _with_phase_fix(model: LatticeModel, gens: list[PauliOperator]
                     ) -> tuple[StabilizerGroup, LatticeModel]:
-    """Give every layer-i vertex term (the first M * n_cells generators,
-    layer-major) the spin of its flux, theta(phi_i) = e^{2 pi i n_i /
-    N_i^2} for the model's params: phase exponent 2 n_i D / N_i^2 mod 2D
-    in units of e^{i pi/D}. The terms are replaced in `gens` itself, so
-    the unphased ones can be freed before the group is made. Then make the
-    one group and check it there: InconsistentGroupError if a combination
-    of its generators is a nontrivial scalar."""
-    p, system, per_layer = model.params, model.system, model.lattice.n_cells
-    D = system.D
-    fix = tuple(2 * n * D // N ** 2 % (2 * D) for N, n in zip(p.N, p.n))
-    for i, m in enumerate(fix):
-        for k in range(i * per_layer, (i + 1) * per_layer):
-            g = gens[k]
-            gens[k] = _make(system, g.phase + m, g.x, g.z)
-    group = StabilizerGroup(system, gens)
+    """Make the model's one group from `gens`, whose vertex terms carry
+    _vertex_phases(model), and check it there: InconsistentGroupError if
+    a combination of its generators is a nontrivial scalar. The model
+    records the phases as its phase_fix."""
+    fix, D = _vertex_phases(model), model.system.D
+    group = StabilizerGroup(model.system, gens)
     witness = scalar_consistency(group).witness
     if witness is not None:
         raise InconsistentGroupError(
@@ -448,7 +472,7 @@ def build_zn_tc(N: int, Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel
     lattice = TorusLattice(Lx, Ly, (N,))
     labels = {"e": AnyonLabel((0,), (1,)), "m": AnyonLabel((1,), (0,))}
     model = LatticeModel("tc", lattice, tc_N=N, labels=labels)
-    gens = _tc_like_generators(model, [labels["m"]], [labels["e"]])
+    gens = _tile(model, _origin_terms(model, [labels["m"]], [labels["e"]]))
     group = StabilizerGroup(model.system, gens)
     return group, replace(model, group=group)
 
@@ -489,11 +513,11 @@ def build_tqd(params: TqdParams, Lx: int,
     labels = _tqd_labels(params)
     model = LatticeModel("tqd", lattice, params=params, labels=labels)
     M = params.M
-    gens = _tc_like_generators(
+    gens = _tile(model, _origin_terms(
         model,
         [labels[f"phi{i + 1}"] for i in range(M)],
         [labels[f"c{i + 1}"] for i in range(M)],
-        [labels[f"b{i + 1}"] for i in range(M)])
+        [labels[f"b{i + 1}"] for i in range(M)]))
     return _with_phase_fix(model, gens)
 
 
@@ -531,7 +555,7 @@ def tc_stack_group(params: TqdParams, Lx: int, Ly: int) -> StabilizerGroup:
     charge = [AnyonLabel((0,) * M,
                          tuple(1 if j == i else 0 for j in range(M)))
               for i in range(M)]
-    gens = _tc_like_generators(model, flux, charge)
+    gens = _tile(model, _origin_terms(model, flux, charge))
     return StabilizerGroup(model.system, gens)
 
 
@@ -544,50 +568,39 @@ def condensation_equal(params: TqdParams, Lx: int, Ly: int) -> bool:
     return groups_equal(measured, group)
 
 
-def _spt_model(Lx: int, Ly: int) -> LatticeModel:
+def _spt_model(kind: str, Lx: int, Ly: int) -> LatticeModel:
     """The SPT geometry (DS edge layer plus vertex qubits), without terms."""
     lattice = TorusLattice(Lx, Ly, (4,), vertex_dims=(2,))
-    return LatticeModel("spt", lattice, params=DS_PARAMS,
+    return LatticeModel(kind, lattice, params=DS_PARAMS,
                         labels=dict(_DS_LABELS))
 
 
-def _spt_ds_terms(model: LatticeModel) -> list[PauliOperator]:
-    """The DS's A_v (s loops) and C_e (b1 segments) terms on the SPT
-    geometry, in the DS/TQD builders' order."""
-    return _tc_like_generators(model, [_DS_LABELS["s"]], [],
-                               [_tqd_labels(DS_PARAMS)["b1"]])
-
-
-def _vertex_flips(model: LatticeModel) -> list[PauliOperator]:
-    """X_v on every vertex qubit, in vertex order."""
-    lat = model.lattice
-    return [PauliOperator(model.system, x={lat.vertex_site(x, y): 1})
-            for y in range(lat.Ly) for x in range(lat.Lx)]
+def _spt_terms(model: LatticeModel
+               ) -> tuple[PauliOperator, list[PauliOperator], PauliOperator]:
+    """The SPT geometry's terms at cell (0, 0): the DS's A_v (s loop,
+    carrying theta(s)), its C_e block (b1 hops), and X_v."""
+    (a_v,), c_e = _origin_terms(model, [_DS_LABELS["s"]], [],
+                                [_tqd_labels(DS_PARAMS)["b1"]])
+    x_v = PauliOperator(model.system, x={model.lattice.vertex_site(0, 0): 1})
+    return a_v, c_e, x_v
 
 
 def build_spt(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
     """SPT model: DS edge layer plus vertex qubits; terms A_v X_v, C_e, D_e."""
-    model = _spt_model(Lx, Ly)
-    gens = _spt_ds_terms(model)
-    for k, x_v in enumerate(_vertex_flips(model)):
-        gens[k] = multiply(gens[k], x_v)
-    gens.extend(spt_d_terms(model))
-    return _with_phase_fix(model, gens)
+    model = _spt_model("spt", Lx, Ly)
+    a_v, c_e, x_v = _spt_terms(model)
+    gens = _tile(model, [[multiply(a_v, x_v)], c_e])
+    return _with_phase_fix(model, gens + spt_d_terms(model))
 
 
 def spt_d_terms(model: LatticeModel) -> list[PauliOperator]:
     """D_e = Z_e^2 Z_u Z_w for the two endpoints u, w of every edge e:
     ss-bar hops bound to vertex charges, V(x, y) then H(x, y) per cell."""
     lat = model.lattice
-    terms = []
-    for y in range(lat.Ly):
-        for x in range(lat.Lx):
-            for orient, (dx, dy) in ((V, (0, 1)), (H, (1, 0))):
-                terms.append(PauliOperator(model.system, z={
-                    lat.edge_site(x, y, orient): 2,
-                    lat.vertex_site(x, y): 1,
-                    lat.vertex_site(x + dx, y + dy): 1}))
-    return terms
+    return _tile(model, [[PauliOperator(model.system, z={
+        lat.edge_site(0, 0, orient): 2, lat.vertex_site(0, 0): 1,
+        lat.vertex_site(*end): 1}) for orient, end in ((V, (0, 1)),
+                                                       (H, (1, 0)))]])
 
 
 def build_hatted_ds(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
@@ -597,8 +610,9 @@ def build_hatted_ds(Lx: int, Ly: int) -> tuple[StabilizerGroup, LatticeModel]:
     Measuring the D_e operators on this group yields the SPT model
     (groups_equal, phases included) on every torus.
     """
-    model = _spt_model(Lx, Ly)
-    gens = _spt_ds_terms(model) + _vertex_flips(model)
+    model = _spt_model("hatted-ds", Lx, Ly)
+    a_v, c_e, x_v = _spt_terms(model)
+    gens = _tile(model, [[a_v], c_e, [x_v]])
     return _with_phase_fix(model, gens)
 
 

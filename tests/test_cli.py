@@ -270,16 +270,16 @@ class TestExitCodes:
         assert code == 1
 
     def test_inconsistent_build_exits_1(self, capsys, monkeypatch):
-        # one vertex term times -1: the builder's check on the group it
-        # makes finds a nontrivial scalar
-        original = lattice._tc_like_generators
+        # one placed vertex term times -1: the builder's check on the group
+        # it makes finds a nontrivial scalar
+        original = lattice._tile
 
-        def spoiled(model, *labels):
-            gens = original(model, *labels)
+        def spoiled(model, blocks):
+            gens = original(model, blocks)
             gens[0] = multiply(scalar(model.system, model.system.D), gens[0])
             return gens
 
-        monkeypatch.setattr(lattice, "_tc_like_generators", spoiled)
+        monkeypatch.setattr(lattice, "_tile", spoiled)
         code = run(["verify", "scalar", "--type", "ds", "--L", "3"])
         err = capsys.readouterr().err
         assert code == 1

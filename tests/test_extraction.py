@@ -657,6 +657,13 @@ class TestSptCocycle:
         with pytest.raises(ValueError):
             spt_cocycle(ds_model, 4)
 
+    def test_hatted_model_rejected(self):
+        # the hatted DS shares the SPT geometry but is not the SPT model
+        _, hatted = build_hatted_ds(7, 6)
+        assert hatted.kind == "hatted-ds"
+        with pytest.raises(ValueError, match="SPT model"):
+            spt_cocycle(hatted, 4)
+
     def test_trivial_cocycle_passes_validity(self):
         from itertools import product
         table = {key: R(0) for key in product(range(2), repeat=3)}

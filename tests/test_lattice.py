@@ -118,6 +118,24 @@ class TestTorusLattice:
         with pytest.raises(ValueError):
             TorusLattice(1, 3, (2,))
 
+    def test_cell_of_and_shift(self):
+        t = TorusLattice(3, 5, (4, 16), (2,))
+        dims = t.system().dims
+        index = {t.edge_site(x, y, o, layer): (x, y, ("edge", layer, o))
+                 for layer in range(2) for y in range(5) for x in range(3)
+                 for o in (H, V)}
+        index.update({t.vertex_site(x, y): (x, y, ("vertex", 0))
+                      for y in range(5) for x in range(3)})
+        assert sorted(index) == list(range(t.system().n_sites))
+        for site, (x, y, kind) in index.items():
+            assert t.cell_of(site) == (x, y)
+            assert t.shift(site, 3, 0) == t.shift(site, 0, 5) == site
+            for dx, dy in ((1, 0), (0, 1), (2, 3), (-1, -4)):
+                moved = t.shift(site, dx, dy)
+                assert index[moved] == ((x + dx) % 3, (y + dy) % 5, kind)
+                assert dims[moved] == dims[site]
+                assert t.shift(moved, 1, 2) == t.shift(site, dx + 1, dy + 2)
+
     def test_system_is_built_once(self):
         t = TorusLattice(3, 3, (4, 16), vertex_dims=(2,))
         assert t.system() is t.system()
@@ -534,11 +552,12 @@ class TestVertexPhases:
         assert (least == [2]) == (size[0] * size[1] % 2 == 1)
 
     def test_inconsistent_phases_raise_where_the_group_is_made(self):
-        # a second fix adds theta(s) twice, and the product of the vertex
+        # vertex terms carrying theta(s) twice: the product of the vertex
         # terms is then a nontrivial scalar
         group, model = build_ds(3, 3)
+        twice = _phase_fixed(model, list(group.generators))
         with pytest.raises(InconsistentGroupError, match="scalar"):
-            lattice._with_phase_fix(model, list(group.generators))
+            lattice._with_phase_fix(model, twice)
 
 
 # ---------------------------------------------------------------------------
@@ -576,26 +595,29 @@ def _phase_fixed(model, terms):
 
 class TestBuildersFromOracleStrings:
     """Every builder's generators, phase fix included, equal the terms
-    assembled from strings built segment by segment."""
+    assembled from strings built segment by segment, on square and
+    rectangular tori (a tiler that swapped Lx and Ly would fail)."""
 
-    @pytest.mark.parametrize("L", [2, 3])
+    SIZES = [(2, 2), (3, 3), (2, 3), (3, 2), (3, 5)]
+
+    @pytest.mark.parametrize("size", SIZES, ids=str)
     @pytest.mark.parametrize("N", [2, 4])
-    def test_toric_code(self, N, L):
-        group, model = build_zn_tc(N, L, L)
+    def test_toric_code(self, N, size):
+        group, model = build_zn_tc(N, *size)
         terms = _oracle_terms(model, [model.labels["m"]], [model.labels["e"]])
         assert list(group.generators) == terms
 
-    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("size", SIZES, ids=str)
     @pytest.mark.parametrize("params", [
         DS_PARAMS,
         TqdParams([3], [1]),
         TqdParams([2, 2], [1, 1], {(0, 1): 1}),
         TqdParams([2, 4], [0, 1], {(0, 1): 1}),
     ])
-    def test_tqd_and_ds(self, params, L):
-        builds = [build_tqd(params, L, L)]
+    def test_tqd_and_ds(self, params, size):
+        builds = [build_tqd(params, *size)]
         if params == DS_PARAMS:
-            builds.append(build_ds(L, L))
+            builds.append(build_ds(*size))
         for group, model in builds:
             def labels(prefix):
                 return [model.labels[f"{prefix}{i + 1}"]
@@ -604,25 +626,25 @@ class TestBuildersFromOracleStrings:
                                   labels("b"))
             assert list(group.generators) == _phase_fixed(model, terms)
 
-    @pytest.mark.parametrize("L", [2, 3])
-    def test_tc_stack(self, L):
+    @pytest.mark.parametrize("size", SIZES, ids=str)
+    def test_tc_stack(self, size):
         params = TqdParams([2, 4], [0, 1], {(0, 1): 1})
-        model = LatticeModel("tc", TorusLattice(L, L, (4, 16)))
+        model = LatticeModel("tc", TorusLattice(*size, (4, 16)))
         units = [(1, 0), (0, 1)]
         terms = _oracle_terms(model,
                               [AnyonLabel(u, (0, 0)) for u in units],
                               [AnyonLabel((0, 0), u) for u in units])
-        assert list(tc_stack_group(params, L, L).generators) == terms
+        assert list(tc_stack_group(params, *size).generators) == terms
 
-    @pytest.mark.parametrize("L", [2, 3])
-    def test_spt_and_hatted(self, L):
-        b1 = build_ds(L, L)[1].labels["b1"]
+    @pytest.mark.parametrize("size", SIZES, ids=str)
+    def test_spt_and_hatted(self, size):
+        b1 = build_ds(*size)[1].labels["b1"]
         for build in (build_spt, build_hatted_ds):
-            group, model = build(L, L)
+            group, model = build(*size)
             t = model.lattice
             terms = _oracle_terms(model, [model.labels["s"]], [], [b1])
             flips = [PauliOperator(model.system, x={t.vertex_site(x, y): 1})
-                     for y in range(L) for x in range(L)]
+                     for y in range(t.Ly) for x in range(t.Lx)]
             if build is build_spt:
                 terms = [multiply(g, f) for g, f in zip(terms, flips)] \
                     + terms[len(flips):] + spt_d_terms(model)
